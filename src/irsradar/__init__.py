@@ -29,7 +29,6 @@ from .harness import (
     SweepResult,
     TrialRecord,
     run_trial,
-    sweep_crb,
     sweep_gamma,
     sweep_noise,
 )

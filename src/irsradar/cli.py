@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import NLOS_FORMS, IrsPanel, crandn, read_csi_file
-from .errors import GenerationError, NumericalError, UsageError
-from .harness import MODE_LABELS, Scenario, SweepResult, run_trial, sweep_gamma, sweep_noise
+from .errors import NumericalError, UsageError
+from .harness import Scenario, SweepResult, _sweep, sweep_gamma, sweep_noise
 from .phaseopt import PhasePolicy, certify_optimum
 
 SUBCOMMANDS = ("sweep-gamma", "sweep-noise", "crb", "single", "certify")
@@ -224,6 +224,9 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.subcommand in ("sweep-gamma", "sweep-noise", "crb"):
         if cfg.axis_min is None or cfg.axis_max is None:
             raise UsageError("axis_min and axis_max are required")
+        for key in ("axis_min", "axis_max"):
+            if not np.isfinite(getattr(cfg, key)):
+                raise UsageError(f"{key} must be finite")
         if not cfg.axis_min < cfg.axis_max:
             raise UsageError("axis_min must be below axis_max")
         if cfg.axis_scale == "log" and cfg.axis_min <= 0:
@@ -439,40 +442,13 @@ def _run_single(cfg: RunConfig, template: Scenario) -> SweepResult:
     if cfg.policy is None:
         return sweep_gamma(template, [cfg.gamma])
     mode = {"optimal": "nlos_optimal", "random": "nlos_random", "fixed": "nlos_fixed"}[cfg.policy]
-    policy = None
     if cfg.policy == "fixed":
         zeros = tuple(np.zeros(cfg.m) for _ in range(cfg.k))
-        policy = PhasePolicy(kind="fixed", fixed_theta=zeros)
-    scenario = replace(template, link_mode=mode, phase_policy=policy)
-    label = MODE_LABELS[mode]
-    rec = {f: np.full((1, cfg.trials), np.nan) for f in ("nmse", "mse", "crb_trace")}
-    for t in range(cfg.trials):
-        try:
-            r = run_trial(scenario, t, axis_index=0)
-        except NumericalError:
-            continue
-        rec["nmse"][0, t], rec["mse"][0, t], rec["crb_trace"][0, t] = r.nmse, r.mse, r.crb_trace
-    ok = ~np.isnan(rec["nmse"][0])
-    count = int(ok.sum())
-    if count < 2:
-        raise GenerationError("the operating point lost almost all trials to exclusions")
-    return SweepResult(
-        axis_name="gamma",
-        axis_values=np.array([cfg.gamma]),
-        modes=(label,),
-        mean_nmse={label: np.array([np.nanmean(rec["nmse"][0])])},
-        stderr_nmse={label: np.array([np.nanstd(rec["nmse"][0], ddof=1) / np.sqrt(count)])},
-        mean_crb_trace={label: np.array([np.nanmean(rec["crb_trace"][0])])},
-        trials_used=cfg.trials,
-        included=np.array([count]),
-        excluded=np.array([cfg.trials - count]),
-        records={label: rec},
-    )
+        template = replace(template, phase_policy=PhasePolicy(kind="fixed", fixed_theta=zeros))
+    return _sweep(template, "gamma", [cfg.gamma], (mode,))
 
 
 def _run_certify(cfg: RunConfig) -> None:
-    if cfg.m > 4:
-        raise UsageError("certify is exhaustive; m must be at most 4")
     if cfg.csi:
         panels = read_csi_file(cfg.csi, cfg.k, cfg.m)
     else:

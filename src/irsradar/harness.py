@@ -22,17 +22,23 @@ do not stabilize at realistic trial counts.
 
 Recorded metrics
 ----------------
+A trial's draw composes each reflected mode's coefficients once; each
+trial-mode then normalizes its scene and runs one BLUE, and all three
+fields come from that one Gram factorization.
 nmse       against the trial's true reflectivities, on the normalized
            scene (direct power gamma, reflected power 1).
-mse        Tr((A^H R^-1 A)^-1) on the channel as drawn, before scene
-           normalization.  This is the quantity the phase design
-           minimizes; on it the optimal policy beats any other policy
-           realization-by-realization.  The normalization factor is a
-           function of the policy's own channel, so post-normalization
-           traces mix the design objective with the scene scaling and
-           do not order deterministically.
-crb_trace  Tr(C_CRB) on the normalized scene (what the NMSE curves are
-           bounded by).
+crb_trace  Tr((A^H R^-1 A)^-1), the BLUE covariance trace on the
+           normalized scene.  For the linear Gaussian model this equals
+           Tr(C_CRB), the bound the NMSE curves are held against.
+mse        crb_trace / norm**2, where norm is the scene's normalization
+           factor (|alpha^T c_raw| for reflected modes, |alpha_los h_los|
+           / sqrt(gamma) for the direct link), since A_norm = A_raw / norm.
+           This is the estimator MSE trace on the channel as drawn, the
+           quantity the phase design minimizes; on it the optimal policy
+           beats any other policy realization-by-realization.  The
+           normalization factor is a function of the policy's own channel,
+           so crb_trace mixes the design objective with the scene scaling
+           and does not order deterministically.
 """
 from __future__ import annotations
 
@@ -41,16 +47,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import crb
-from .channel import (
-    NLOS_FORMS,
-    crandn,
-    draw_csi,
-    nlos_coefficient,
-    normalize_scenario,
-)
+from .channel import NLOS_FORMS, crandn, draw_csi, nlos_coefficient
 from .errors import GenerationError, NumericalError
-from .estimator import NoiseModel, blue_estimate, estimator_mse, nmse
+from .estimator import NoiseModel, blue_estimate
 from .model import build_sensing_matrix, make_random_waveform
 from .phaseopt import PhasePolicy, apply_policy
 
@@ -85,7 +84,7 @@ class Scenario:
     doppler_range: tuple = (-0.5, 0.5)  # cycles per pulse
     doppler_min_gap: float = None  # cycles; None means 1/(4n)
     freeze_waveform: bool = False
-    phase_policy: PhasePolicy = None  # required for link_mode="nlos_fixed"
+    phase_policy: PhasePolicy = None  # fixed phases; required for link_mode="nlos_fixed"
     fixed_panels: tuple = None  # CSI replay; overrides the panel draw
     noise_cov: np.ndarray = None  # full N x N covariance; overrides sigma2
 
@@ -94,10 +93,12 @@ class Scenario:
             raise ValueError("n, k, m, trials must be positive")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be positive and finite")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be nonnegative and finite")
+        if self.link_mode == "los_only" and self.gamma == 0:
+            raise ValueError("gamma must be positive for link_mode='los_only'")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.link_mode not in LINK_MODES:
@@ -110,38 +111,30 @@ class Scenario:
         gap = self.min_gap_cycles
         if gap < 0 or self.k * gap >= (hi - lo):
             raise ValueError("doppler_min_gap leaves no room for k paths")
-        if self.link_mode == "nlos_fixed" and (
-            self.phase_policy is None or self.phase_policy.kind != "fixed"
-        ):
+        if self.phase_policy is not None and self.phase_policy.kind != "fixed":
+            raise ValueError("phase_policy must be fixed; only nlos_fixed reads it")
+        if self.link_mode == "nlos_fixed" and self.phase_policy is None:
             raise ValueError("nlos_fixed requires a fixed phase policy")
         if self.fixed_panels is not None:
             panels = tuple(self.fixed_panels)
             if len(panels) != self.k or any(p.m != self.m for p in panels):
                 raise ValueError("fixed panels must match k and m")
             object.__setattr__(self, "fixed_panels", panels)
-        if self.noise_cov is not None:
+        if self.noise_cov is None:
+            noise = NoiseModel.scaled_identity(self.sigma2, self.n)
+        else:
             R = np.asarray(self.noise_cov, dtype=complex)
             if R.shape != (self.n, self.n):
                 raise ValueError("noise_cov must be n x n")
             object.__setattr__(self, "noise_cov", R)
-
-    def noise_model(self) -> NoiseModel:
-        if self.noise_cov is None:
-            return NoiseModel.scaled_identity(self.sigma2, self.n)
-        return NoiseModel(covariance=self.noise_cov)
+            noise = NoiseModel(covariance=R)
+        object.__setattr__(self, "_noise", noise)  # not a field: kept out of eq and repr
 
     @property
     def min_gap_cycles(self) -> float:
         if self.doppler_min_gap is None:
             return 1.0 / (4.0 * self.n)
         return float(self.doppler_min_gap)
-
-    def policy(self) -> PhasePolicy:
-        if self.phase_policy is not None:
-            return self.phase_policy
-        if self.link_mode == "nlos_random":
-            return PhasePolicy(kind="random")
-        return PhasePolicy(kind="optimal")
 
 
 @dataclass(frozen=True)
@@ -175,17 +168,16 @@ def _draw_dopplers(scenario: Scenario, rng) -> np.ndarray:
 
 
 def _draw_scene(scenario: Scenario, axis_index: int, trial_index: int):
-    """Draw the shared raw scene; resample exact-zero degeneracies.
+    """Draw the shared raw scene and compose each reflected mode's coefficients.
 
-    The redraw predicate is evaluated for every policy a sweep can ask
-    for (optimal, random, and the scenario's own), so all link modes
-    accept or reject identical draws and pairing is preserved.
+    Returns (h_los, csi, alpha, alpha_los), where csi maps nlos_random,
+    nlos_optimal and, when the scenario has a phase policy, nlos_fixed to
+    that mode's raw composed coefficients.  A draw is redone while any of
+    them projects to exactly zero on alpha, so all link modes accept or
+    reject identical draws and pairing is preserved.
     """
     rng_c = _stream(scenario, axis_index, trial_index, "channel")
     rng_p = _stream(scenario, axis_index, trial_index, "phase")
-    policies = [PhasePolicy(kind="optimal")]
-    if scenario.phase_policy is not None and scenario.phase_policy.kind == "fixed":
-        policies.append(scenario.phase_policy)
     for _ in range(RESAMPLE_BUDGET):
         if scenario.fixed_panels is not None:
             h_los = complex(crandn(rng_c))
@@ -194,19 +186,18 @@ def _draw_scene(scenario: Scenario, axis_index: int, trial_index: int):
             alpha_los = complex(crandn(rng_c))
         else:
             h_los, panels, alpha, alpha_los = draw_csi(scenario.m, scenario.k, rng_c)
-        random_panels = apply_policy(panels, PhasePolicy(kind="random"), rng=rng_p)
+        applied = {"nlos_random": apply_policy(panels, PhasePolicy(kind="random"), rng=rng_p)}
         if alpha_los * h_los == 0:
             continue
-        ok = True
-        for applied in [random_panels] + [apply_policy(panels, p) for p in policies]:
-            csi = np.array(
-                [nlos_coefficient(p, scenario.nlos_form) for p in applied], dtype=complex
-            )
-            if alpha @ csi == 0:
-                ok = False
-                break
-        if ok:
-            return h_los, panels, random_panels, alpha, alpha_los
+        applied["nlos_optimal"] = apply_policy(panels, PhasePolicy(kind="optimal"))
+        if scenario.phase_policy is not None:
+            applied["nlos_fixed"] = apply_policy(panels, scenario.phase_policy)
+        csi = {
+            mode: np.array([nlos_coefficient(p, scenario.nlos_form) for p in ps], dtype=complex)
+            for mode, ps in applied.items()
+        }
+        if all(alpha @ c != 0 for c in csi.values()):
+            return h_los, csi, alpha, alpha_los
     raise GenerationError("scene still degenerate after resample budget")
 
 
@@ -228,37 +219,22 @@ def _draw_trial_inputs(scenario: Scenario, trial_index: int, axis_index: int):
 
 
 def _estimate_mode(scenario: Scenario, x, nus, scene_parts, w) -> TrialRecord:
-    h_los, panels, random_panels, alpha, alpha_los = scene_parts
-    noise = scenario.noise_model()
-
+    """Normalize the mode's scene, run one BLUE, and read every metric off it."""
+    h_los, csi, alpha, alpha_los = scene_parts
     if scenario.link_mode == "los_only":
-        scene = normalize_scenario(
-            h_los, panels, alpha, alpha_los, scenario.gamma, scenario.nlos_form
-        )
-        A = build_sensing_matrix(x, [nus[0]], [scene.h_los])
-        y = A.columns @ np.array([scene.alpha_los]) + w
-        rep = blue_estimate(A, noise, y, alpha_true=[scene.alpha_los])
-        raw_mse = estimator_mse(build_sensing_matrix(x, [nus[0]], [h_los]), noise)
-        bound = crb(A, noise).trace
-        return TrialRecord(nmse=rep.nmse, mse=raw_mse, crb_trace=bound)
-
-    applied = (
-        random_panels
-        if scenario.link_mode == "nlos_random"
-        else apply_policy(panels, scenario.policy())
-    )
-    scene = normalize_scenario(
-        h_los, applied, alpha, alpha_los, scenario.gamma, scenario.nlos_form
-    )
-    raw_csi = np.array(
-        [nlos_coefficient(p, scenario.nlos_form) for p in applied], dtype=complex
-    )
-    A = build_sensing_matrix(x, nus[1:], scene.nlos_csi)
-    y = A.columns @ scene.alpha + w
-    rep = blue_estimate(A, noise, y, alpha_true=scene.alpha)
-    raw_mse = estimator_mse(build_sensing_matrix(x, nus[1:], raw_csi), noise)
-    bound = crb(A, noise).trace
-    return TrialRecord(nmse=rep.nmse, mse=raw_mse, crb_trace=bound)
+        gain = abs(alpha_los * h_los)
+        h_los_scaled = complex(h_los * np.sqrt(scenario.gamma) / gain)
+        norm = gain / np.sqrt(scenario.gamma)
+        A = build_sensing_matrix(x, [nus[0]], [h_los_scaled])
+        truth = np.array([alpha_los])
+    else:
+        raw = csi[scenario.link_mode]
+        norm = abs(complex(alpha @ raw))
+        A = build_sensing_matrix(x, nus[1:], raw / norm)
+        truth = alpha
+    y = A.columns @ truth + w
+    rep = blue_estimate(A, scenario._noise, y, alpha_true=truth)
+    return TrialRecord(nmse=rep.nmse, mse=rep.mse / norm**2, crb_trace=rep.mse)
 
 
 def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> TrialRecord:
@@ -287,11 +263,7 @@ class SweepResult:
 
 
 def _point_trials(args):
-    template, axis_index, axis_value, axis_name, trial_lo, trial_hi = args
-    scenarios = [
-        replace(template, link_mode=mode, **{axis_name: axis_value})
-        for mode in SWEEP_MODES
-    ]
+    scenarios, axis_index, trial_lo, trial_hi = args
     out = []
     for t in range(trial_lo, trial_hi):
         try:
@@ -305,21 +277,24 @@ def _point_trials(args):
     return out
 
 
-def _sweep(template: Scenario, axis_name: str, axis_values, workers: int = 1) -> SweepResult:
+def _sweep(template: Scenario, axis_name: str, axis_values, modes,
+           workers: int = 1) -> SweepResult:
+    """Run the link modes over the axis; every Scenario is validated up front."""
     values = np.asarray(list(axis_values), dtype=float)
     if values.size == 0:
         raise ValueError("axis must contain at least one value")
-    if np.any(values <= 0):
-        raise ValueError(f"{axis_name} axis values must be positive")
-    labels = tuple(MODE_LABELS[m] for m in SWEEP_MODES)
+    points = [
+        [replace(template, link_mode=mode, **{axis_name: float(v)}) for mode in modes]
+        for v in values
+    ]
+    labels = tuple(MODE_LABELS[m] for m in modes)
     P, T = values.size, template.trials
     fields = ("nmse", "mse", "crb_trace")
     records = {lab: {f: np.full((P, T), np.nan) for f in fields} for lab in labels}
-    excluded = np.zeros(P, dtype=int)
 
     tasks = [
-        (template, i, float(v), axis_name, lo, min(lo + 250, T))
-        for i, v in enumerate(values)
+        (scenarios, i, lo, min(lo + 250, T))
+        for i, scenarios in enumerate(points)
         for lo in range(0, T, 250)
     ]
     if workers > 1:
@@ -366,14 +341,9 @@ def _sweep(template: Scenario, axis_name: str, axis_values, workers: int = 1) ->
 
 def sweep_gamma(template: Scenario, gamma_values, workers: int = 1) -> SweepResult:
     """NMSE and bound versus the direct-to-reflected power ratio."""
-    return _sweep(template, "gamma", gamma_values, workers)
+    return _sweep(template, "gamma", gamma_values, SWEEP_MODES, workers)
 
 
 def sweep_noise(template: Scenario, sigma2_values, workers: int = 1) -> SweepResult:
     """NMSE and bound versus the noise power at the template's gamma."""
-    return _sweep(template, "sigma2", sigma2_values, workers)
-
-
-def sweep_crb(template: Scenario, gamma_values, workers: int = 1) -> SweepResult:
-    """Bound-focused sweep; same engine, consumers read mean_crb_trace."""
-    return _sweep(template, "gamma", gamma_values, workers)
+    return _sweep(template, "sigma2", sigma2_values, SWEEP_MODES, workers)

@@ -105,6 +105,10 @@ def test_value_validation():
         parse_config(["sweep-gamma", "--axis-min", "-1", "--axis-max", "1"])
     with pytest.raises(UsageError, match="axis_points"):
         parse_config(["sweep-gamma", "--axis-points", "1"])
+    with pytest.raises(UsageError, match="axis_max must be finite"):
+        parse_config(["sweep-gamma", "--axis-max", "inf"])
+    with pytest.raises(UsageError, match="axis_min must be finite"):
+        parse_config(["sweep-noise", "--axis-scale", "linear", "--axis-min=-inf"])
     with pytest.raises(SystemExit):
         parse_config([])  # subcommand is required
     with pytest.raises(SystemExit):
@@ -286,6 +290,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--policy", "optimal", "--out", str(tmp_path)]) == 3
     assert main(["single", "--csi", str(tmp_path / "missing.csi"),
                  "--out", str(tmp_path)]) == 4
+    # bad values fail before the first trial, naming the input
+    for argv, name in (
+        (["sweep-noise", "--gamma", "0"], "gamma"),
+        (["single", "--gamma", "nan"], "gamma"),
+        (["sweep-gamma", "--sigma2", "inf"], "sigma2"),
+        (["sweep-gamma", "--axis-max", "inf"], "axis_max"),
+    ):
+        assert main([*argv, *SMALL_ARGS, "--out", str(tmp_path)]) == 2
+        assert name in capsys.readouterr().err
 
 
 def test_cli_csi_replay(tmp_path):

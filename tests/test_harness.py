@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from irsradar.channel import draw_csi
+from irsradar.channel import draw_csi, nlos_coefficient
 from irsradar.errors import GenerationError
 from irsradar.harness import (
     MODE_LABELS,
@@ -15,7 +15,7 @@ from irsradar.harness import (
     sweep_gamma,
     sweep_noise,
 )
-from irsradar.phaseopt import PhasePolicy, optimal_phases
+from irsradar.phaseopt import PhasePolicy, apply_policy, optimal_phases
 
 SMALL = dict(n=20, k=3, m=4, trials=8)
 
@@ -53,6 +53,37 @@ def test_scenario_validation():
         Scenario(noise_cov=np.eye(3), n=50)
 
 
+def test_scenario_rejects_nonfinite_and_blocked_los():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            Scenario(gamma=bad)
+        with pytest.raises(ValueError, match="sigma2"):
+            Scenario(sigma2=bad)
+    with pytest.raises(ValueError, match="los_only"):
+        Scenario(link_mode="los_only", gamma=0.0)
+    Scenario(link_mode="nlos_optimal", gamma=0.0)  # blocked LoS, reflected paths only
+
+
+def test_phase_policy_must_be_fixed():
+    # only nlos_fixed reads phase_policy; a random one would draw unseeded phases
+    for kind in ("random", "optimal"):
+        with pytest.raises(ValueError, match="phase_policy"):
+            Scenario(**SMALL, link_mode="nlos_optimal", phase_policy=PhasePolicy(kind=kind))
+
+
+def test_optimal_rows_ignore_phase_policy():
+    base = dict(n=20, k=3, m=4, trials=30, master_seed=1)
+    zeros = tuple(np.zeros(4) for _ in range(3))
+    fixed = PhasePolicy(kind="fixed", fixed_theta=zeros)
+    plain = sweep_gamma(Scenario(**base), [0.1])
+    with_policy = sweep_gamma(Scenario(**base, phase_policy=fixed), [0.1])
+    for lab in plain.modes:
+        for field in ("nmse", "mse", "crb_trace"):
+            np.testing.assert_array_equal(
+                with_policy.records[lab][field], plain.records[lab][field]
+            )
+
+
 def test_run_trial_deterministic():
     s = Scenario(**SMALL, master_seed=7)
     assert run_trial(s, 3) == run_trial(s, 3)
@@ -71,8 +102,11 @@ def test_paired_modes_share_draws():
         np.testing.assert_array_equal(x.samples, x0.samples)
         np.testing.assert_array_equal(nus, nus0)
         np.testing.assert_array_equal(w, w0)
-        np.testing.assert_array_equal(parts[3], parts0[3])  # alpha
+        np.testing.assert_array_equal(parts[2], parts0[2])  # alpha
         assert parts[0] == parts0[0]  # h_los
+        assert parts[1].keys() == parts0[1].keys()  # composed csi per reflected mode
+        for mode in parts0[1]:
+            np.testing.assert_array_equal(parts[1][mode], parts0[1][mode])
 
 
 def test_waveform_frozen_across_trials():
@@ -207,11 +241,14 @@ def test_fixed_panels_replayed_every_trial():
     rng = np.random.default_rng(0)
     _, panels, _, _ = draw_csi(4, 3, rng)
     s = Scenario(n=20, k=3, m=4, trials=3, fixed_panels=panels)
+    aligned = apply_policy(panels, PhasePolicy(kind="optimal"))
+    expect = np.array([nlos_coefficient(p, s.nlos_form) for p in aligned])
     for t in range(3):
         parts = _draw_trial_inputs(s, t, 0)[2]
-        assert parts[1] is panels or parts[1] == panels
-    a0 = _draw_trial_inputs(s, 0, 0)[2][3]
-    a1 = _draw_trial_inputs(s, 1, 0)[2][3]
+        # the optimal composition is a function of the panels alone
+        np.testing.assert_array_equal(parts[1]["nlos_optimal"], expect)
+    a0 = _draw_trial_inputs(s, 0, 0)[2][2]
+    a1 = _draw_trial_inputs(s, 1, 0)[2][2]
     assert np.max(np.abs(a0 - a1)) > 1e-3  # reflectivities still vary
 
 
