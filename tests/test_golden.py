@@ -1,17 +1,23 @@
-"""Golden bytes: small fixed CLI runs must reproduce pinned output hashes.
+"""Golden bytes: small fixed runs must reproduce pinned output hashes.
 
 The sha256 of every CSV and SVG below was recorded before the per-trial
 engine was reduced to one Gram factorization per trial-mode; refactors of
-the engine must keep every byte.  The hashes hold for the reference
-platform (x86-64, Python 3.11, numpy 2.4, scipy 1.17, OpenBLAS); a
-different BLAS or CPU may round the last bits differently.
+the engine must keep every byte.  The per-trial record hashes were
+recorded before the engine evaluated trials in blocks, on sweep paths the
+CLI cases do not reach (or reach only through rounded means).  The hashes
+hold for the reference platform (x86-64, Python 3.11, numpy 2.4, scipy
+1.17, OpenBLAS); a different BLAS or CPU may round the last bits
+differently.
 """
 import hashlib
 
 import numpy as np
 import pytest
 
+from irsradar.channel import draw_csi
 from irsradar.cli import main
+from irsradar.harness import SWEEP_MODES, Scenario, _sweep
+from irsradar.phaseopt import PhasePolicy
 
 SMALL = ["--n", "20", "--k", "3", "--m", "4", "--trials", "30", "--seed", "3"]
 
@@ -92,3 +98,74 @@ def test_outputs_match_pinned_hashes(case, tmp_path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
     }
     assert got == expected
+
+
+RECORD_BASE = dict(n=20, k=3, m=4, trials=24, master_seed=6)
+GAMMAS = (1e-3, 0.3, 30.0)
+
+
+def _noise_cov(n):
+    rng = np.random.default_rng(12)
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.02 * np.eye(n) + 1e-3 * (B @ B.conj().T)
+
+
+def _fixed_policy():
+    rng = np.random.default_rng(13)
+    return PhasePolicy(kind="fixed", fixed_theta=tuple(rng.uniform(0.0, 6.0, (3, 4))))
+
+
+def _replay_panels():
+    return draw_csi(4, 3, np.random.default_rng(14))[1]
+
+
+RECORD_CASES = {
+    "noise_cov": (
+        lambda: (Scenario(**RECORD_BASE, noise_cov=_noise_cov(20)), SWEEP_MODES, 1),
+        "5b4d6b5a12960f34a7661d984e44eb213a79a0213cf5e1b3ae56b61f03475151",
+    ),
+    "nlos_fixed": (
+        lambda: (Scenario(**RECORD_BASE, phase_policy=_fixed_policy()),
+                 ("los_only", "nlos_fixed", "nlos_optimal"), 1),
+        "fb583e8b6a4835cf05424c0079a413d04d3a5d16507b1fc8839207351cb32f1c",
+    ),
+    "magnitude_squared": (
+        lambda: (Scenario(**RECORD_BASE, nlos_form="magnitude_squared"), SWEEP_MODES, 1),
+        "2b1231e37c113782dff91108b2175e6a8afc1fe94abc3492826872e57ef1c5a8",
+    ),
+    "freeze_waveform": (
+        lambda: (Scenario(**RECORD_BASE, freeze_waveform=True), SWEEP_MODES, 1),
+        "0da7b495046345d39090675fa34ebe6166610511e361ca60ef434f8ab9832d34",
+    ),
+    "fixed_panels": (
+        lambda: (Scenario(**RECORD_BASE, fixed_panels=_replay_panels()), SWEEP_MODES, 1),
+        "b4d1e078ebaf9ce96cdc8ec75ef68945376e6b6af940dc533e5a4fb41e6b4af5",
+    ),
+    "workers_2": (
+        lambda: (Scenario(**RECORD_BASE), SWEEP_MODES, 2),
+        "c35cc0b80706dd4bc86014aa6a39a329eeedf73a815cc96eeafa2694cba1ec63",
+    ),
+    "exclusions": (
+        lambda: (Scenario(n=20, k=5, m=2, trials=24, master_seed=1, doppler_min_gap=0.155),
+                 SWEEP_MODES, 1),
+        "3005a25dde142503ac44d4f8bebd2cc82bd9f1ec39175eafb0d28bbb5994407a",
+    ),
+}
+
+
+def _records_digest(res):
+    digest = hashlib.sha256()
+    for lab in res.modes:
+        for field in ("nmse", "mse", "crb_trace"):
+            arr = res.records[lab][field]
+            digest.update(f"{lab}.{field}{arr.shape}".encode())
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_records_match_pinned_hashes(case):
+    build, expected = RECORD_CASES[case]
+    template, modes, workers = build()
+    res = _sweep(template, "gamma", GAMMAS, modes, workers)
+    assert _records_digest(res) == expected
