@@ -19,6 +19,16 @@ NLOS_FORMS = ("magnitude_squared", "complex")
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def wrap_phase(theta) -> np.ndarray:
+    """Phases reduced to [0, 2pi), the form a panel stores.
+
+    Not idempotent at the edge: a tiny negative input wraps to exactly
+    2pi, which a second wrap sends to 0.  Callers that mirror a panel's
+    phases therefore wrap exactly as often as the panel path does.
+    """
+    return np.mod(theta, 2.0 * np.pi)
+
+
 def crandn(rng, *shape):
     """Circularly symmetric complex Gaussian, zero mean, unit variance."""
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -49,7 +59,7 @@ class IrsPanel:
             raise ValueError("g, h, theta, beta must share a common length M >= 1")
         if np.any(beta < 0) or np.any(beta > 1):
             raise ValueError("beta entries must lie in [0, 1]")
-        theta = np.mod(theta, 2.0 * np.pi)
+        theta = wrap_phase(theta)
         for name, val in (("g", g), ("h", h), ("theta", theta), ("beta", beta)):
             object.__setattr__(self, name, val)
 
@@ -99,14 +109,43 @@ def draw_csi(M: int, K: int, seed):
     """
     if M < 1 or K < 1:
         raise ValueError("M and K must be at least 1")
-    rng = np.random.default_rng(seed)
+    h_los, g, h, alpha, alpha_los = draw_csi_arrays(M, K, np.random.default_rng(seed))
+    panels = tuple(IrsPanel(g=g[k], h=h[k]) for k in range(K))
+    return h_los, panels, alpha, alpha_los
+
+
+def draw_csi_arrays(M: int, K: int, rng):
+    """draw_csi's draws as arrays: (h_los, g, h, alpha, alpha_los), g and h K x M."""
     h_los = complex(crandn(rng))
     g = crandn(rng, K, M)
     h = crandn(rng, K, M)
     alpha = crandn(rng, K)
     alpha_los = complex(crandn(rng))
-    panels = tuple(IrsPanel(g=g[k], h=h[k]) for k in range(K))
-    return h_los, panels, alpha, alpha_los
+    return h_los, g, h, alpha, alpha_los
+
+
+def compose_paths(g, h, theta, beta, form: str = "magnitude_squared") -> np.ndarray:
+    """Per-path coefficients of K panels given as K x M arrays, one per row.
+
+    Row k is h_k^H Theta_k g_k = c_k^H (beta_k * e^{j theta_k}) with
+    c_k = Diag(g_k)^H h_k, taken as is ("complex") or as its squared
+    magnitude ("magnitude_squared").  theta must already be wrapped as a
+    panel stores it (see wrap_phase).  Each row is its own np.vdot, so a
+    row's value does not depend on the rows stacked with it.
+    """
+    if form not in NLOS_FORMS:
+        raise ValueError(f"unknown nlos form: {form!r}")
+    c = np.conj(g) * h
+    w = beta * np.exp(1j * theta)
+    z = [complex(np.vdot(ck, wk)) for ck, wk in zip(c, w)]
+    if form == "magnitude_squared":
+        z = [complex(abs(v) ** 2) for v in z]
+    return np.array(z, dtype=complex)
+
+
+def _compose_panel(panel: IrsPanel, form: str) -> complex:
+    rows = (panel.g[None], panel.h[None], panel.theta[None], panel.beta[None])
+    return complex(compose_paths(*rows, form=form)[0])
 
 
 def inner_product_form(panel: IrsPanel) -> complex:
@@ -115,13 +154,12 @@ def inner_product_form(panel: IrsPanel) -> complex:
     Uses h^H Theta g = c^H (beta * e^{j theta}) with c = Diag(g)^H h; the
     tests check this against the direct matrix product.
     """
-    w = panel.beta * np.exp(1j * panel.theta)
-    return complex(np.vdot(panel.c_vector(), w))
+    return _compose_panel(panel, "complex")
 
 
 def compose_nlos_coefficient(panel: IrsPanel) -> complex:
     """|h^H Theta g|^2 as a complex scalar with zero imaginary part."""
-    return complex(abs(inner_product_form(panel)) ** 2)
+    return _compose_panel(panel, "magnitude_squared")
 
 
 def nlos_coefficient(panel: IrsPanel, form: str = "magnitude_squared") -> complex:
@@ -133,11 +171,7 @@ def nlos_coefficient(panel: IrsPanel, form: str = "magnitude_squared") -> comple
     weak draws, so random-phase panels produce near-dead paths far more
     often.  The harness defaults to "complex" for that reason.
     """
-    if form == "magnitude_squared":
-        return compose_nlos_coefficient(panel)
-    if form == "complex":
-        return inner_product_form(panel)
-    raise ValueError(f"unknown nlos form: {form!r}")
+    return _compose_panel(panel, form)
 
 
 def normalize_scenario(h_los, panels, alpha, alpha_los, gamma,

@@ -9,12 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import SingularModelError, UndefinedMetricError
 
 # Gram matrices beyond this are treated as numerically singular.
 CONDITION_LIMIT = 1e12
+
+# the routines scipy's cho_factor/cho_solve run on complex input, called
+# without their per-call validation
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,18 @@ class NoiseModel:
         return cls.scaled_identity(1.0, n)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """R^-1 b without forming R^-1."""
+        """R^-1 b without forming R^-1; b may be a (..., N, K) stack."""
         if self.is_scaled_identity:
             return b / self.sigma2
-        return cho_solve(self._chol, b)
+        if b.ndim <= 2:
+            return cho_solve(self._chol, b)
+        *lead, n, k = b.shape
+        # Fortran-ordered items, as cho_solve returns them, so products
+        # with an item take the same BLAS path as with cho_solve's result
+        out = np.empty((*lead, k, n), dtype=np.result_type(b, complex)).swapaxes(-1, -2)
+        for i in np.ndindex(*lead):
+            out[i] = cho_solve(self._chol, b[i])
+        return out
 
 
 def _columns(A) -> np.ndarray:
@@ -68,24 +80,87 @@ def _columns(A) -> np.ndarray:
     return cols
 
 
+def _gram_stack(cols: np.ndarray, noise: NoiseModel):
+    """R^-1 A, the Hermitian part of A^H R^-1 A and its condition number.
+
+    cols is one N x K model or a (..., N, K) stack.  Stacked matmul and
+    np.linalg.cond run the same BLAS/LAPACK call on every item, so each
+    item's values equal its unstacked ones bit for bit.
+    """
+    ria = noise.solve(cols)
+    gram = cols.conj().swapaxes(-1, -2) @ ria
+    gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
+    return ria, gram, np.linalg.cond(gram)
+
+
+def _factor(gram: np.ndarray, cond):
+    """Cholesky factor of one Gram matrix, or the SingularModelError it earns."""
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        return None, SingularModelError(
+            f"Gram matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
+        )
+    factor, info = _POTRF(gram, lower=1, clean=0)
+    if info > 0:
+        return None, SingularModelError("Gram matrix is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return factor, None
+
+
+def _solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    x, info = _POTRS(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
 def _whitened_gram(A, noise: NoiseModel):
-    """Return (A, R^-1 A, A^H R^-1 A, its factorization), checking conditioning."""
+    """Return (A, R^-1 A, A^H R^-1 A, its Cholesky factor), checking conditioning."""
     cols = _columns(A)
     if cols.shape[0] != noise.n:
         raise ValueError(f"A has {cols.shape[0]} rows but noise is {noise.n}-dimensional")
-    ria = noise.solve(cols)
-    gram = cols.conj().T @ ria
-    gram = 0.5 * (gram + gram.conj().T)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularModelError(
-            f"Gram matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    try:
-        factor = cho_factor(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularModelError("Gram matrix is not positive definite") from exc
+    ria, gram, cond = _gram_stack(cols, noise)
+    factor, err = _factor(gram, cond)
+    if err is not None:
+        raise err
     return cols, ria, gram, factor
+
+
+def blue_stack(cols: np.ndarray, noise: NoiseModel, y: np.ndarray):
+    """The BLUE of every model in a stack, one Gram factorization each.
+
+    Parameters
+    ----------
+    cols : (T, N, K) complex array
+        T model matrices.
+    noise : NoiseModel
+        Shared by every model.
+    y : (T, N) complex array
+        One observation per model.
+
+    Returns
+    -------
+    (alpha_hat, cov, mse, errors)
+        Estimates (T, K), covariances (T, K, K) and their traces (T,);
+        errors[t] is None, or the SingularModelError item t raises, in
+        which case its estimate, covariance and trace are nan.  Item t's
+        values do not depend on the other items.
+    """
+    ria, gram, cond = _gram_stack(cols, noise)
+    T, _, K = cols.shape
+    rhs = (ria.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+    alpha_hat = np.full((T, K), np.nan, dtype=complex)
+    cov = np.full((T, K, K), np.nan, dtype=complex)
+    eye = np.eye(K, dtype=complex)
+    errors = []
+    for t in range(T):
+        factor, err = _factor(gram[t], cond[t])
+        errors.append(err)
+        if err is None:
+            alpha_hat[t] = _solve(factor, rhs[t])
+            cov[t] = _solve(factor, eye)
+    cov = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
+    return alpha_hat, cov, np.trace(cov, axis1=-2, axis2=-1).real, errors
 
 
 @dataclass(frozen=True)
@@ -96,6 +171,19 @@ class EstimationReport:
     covariance: np.ndarray  # K x K Hermitian
     mse: float  # trace of covariance
     nmse: float  # against the true alpha when supplied, else nan
+
+
+def _single(A, noise: NoiseModel, y):
+    """blue_stack on one model: (alpha_hat, cov, mse), raising if singular."""
+    cols = _columns(A)
+    if cols.shape[0] != noise.n:
+        raise ValueError(f"A has {cols.shape[0]} rows but noise is {noise.n}-dimensional")
+    if y.shape != (cols.shape[0],):
+        raise ValueError("y length does not match A")
+    alpha_hat, cov, mse, errors = blue_stack(cols[None], noise, y[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return alpha_hat[0], cov[0], float(mse[0])
 
 
 def blue_estimate(A, noise: NoiseModel, y, alpha_true=None) -> EstimationReport:
@@ -118,24 +206,26 @@ def blue_estimate(A, noise: NoiseModel, y, alpha_true=None) -> EstimationReport:
         If cond(A^H R^-1 A) exceeds CONDITION_LIMIT; no silent
         regularization is applied.
     """
-    y = np.asarray(y, dtype=complex)
-    cols, ria, _, factor = _whitened_gram(A, noise)
-    if y.shape != (cols.shape[0],):
-        raise ValueError("y length does not match A")
-    alpha_hat = cho_solve(factor, ria.conj().T @ y)
-    cov = cho_solve(factor, np.eye(cols.shape[1], dtype=complex))
-    cov = 0.5 * (cov + cov.conj().T)
-    mse = float(np.trace(cov).real)
+    alpha_hat, cov, mse = _single(A, noise, np.asarray(y, dtype=complex))
     err = float("nan") if alpha_true is None else nmse(alpha_true, alpha_hat)
     return EstimationReport(alpha_hat=alpha_hat, covariance=cov, mse=mse, nmse=err)
 
 
 def estimator_mse(A, noise: NoiseModel) -> float:
     """Tr((A^H R^-1 A)^-1), the observation-independent error floor."""
-    _, _, _, factor = _whitened_gram(A, noise)
-    k = factor[0].shape[0]
-    cov = cho_solve(factor, np.eye(k, dtype=complex))
-    return float(np.trace(cov).real)
+    n = _columns(A).shape[0]
+    return _single(A, noise, np.zeros(n, dtype=complex))[2]
+
+
+def nmse_rows(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """nmse of each row of a (T, K) estimate stack against its truth row."""
+    out = np.empty(len(truth))
+    for i, (t, h) in enumerate(zip(truth, est)):
+        denom = np.linalg.norm(t)
+        if denom == 0:
+            raise UndefinedMetricError("NMSE undefined for a zero true vector")
+        out[i] = np.linalg.norm(t - h) / denom
+    return out
 
 
 def nmse(alpha_true, alpha_hat) -> float:
@@ -144,7 +234,4 @@ def nmse(alpha_true, alpha_hat) -> float:
     h = np.atleast_1d(np.asarray(alpha_hat, dtype=complex))
     if t.shape != h.shape:
         raise ValueError("shape mismatch between truth and estimate")
-    denom = np.linalg.norm(t)
-    if denom == 0:
-        raise UndefinedMetricError("NMSE undefined for a zero true vector")
-    return float(np.linalg.norm(t - h) / denom)
+    return float(nmse_rows(t[None], h[None])[0])

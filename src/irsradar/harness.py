@@ -39,6 +39,27 @@ mse        crb_trace / norm**2, where norm is the scene's normalization
            normalization factor is a function of the policy's own channel,
            so crb_trace mixes the design objective with the scene scaling
            and does not order deterministically.
+
+Block evaluation
+----------------
+A sweep evaluates each axis point's trials in blocks.  Every trial is
+still drawn on its own, from its own streams, with the same generator
+calls in the same order and the same redraw loops; the draws are arrays,
+not panel or waveform objects.  The block's draws are then stacked, and
+each link mode normalizes the block and runs one stacked pass: sensing
+columns, Gram, condition check and BLUE for all of its trials at once.
+A block holds as many trials as fit in BLOCK_BYTES of N x K complex per
+stacked array, so its memory stays bounded at large N and K.
+
+A trial's records do not depend on the block it lands in, so they are
+the same bits as evaluating it alone with run_trial, whatever the block
+size or worker count.  The stacked steps are only those that apply the
+same kernel to every item: elementwise ufuncs, stacked matmul (one BLAS
+call per item) and np.linalg.cond (one LAPACK call per item).  The
+Cholesky factorizations and solves run one trial at a time, and each
+trial's normalization stays scalar arithmetic, because their vectorized
+forms round differently.  A trial whose draw or any mode's estimate
+raises a NumericalError is excluded from every mode, as before.
 """
 from __future__ import annotations
 
@@ -47,11 +68,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import NLOS_FORMS, crandn, draw_csi, nlos_coefficient
+from .channel import NLOS_FORMS, compose_paths, crandn, draw_csi_arrays, wrap_phase
 from .errors import GenerationError, NumericalError
-from .estimator import NoiseModel, blue_estimate
-from .model import build_sensing_matrix, make_random_waveform
-from .phaseopt import PhasePolicy, apply_policy
+from .estimator import NoiseModel, blue_stack, nmse_rows
+from .model import random_code, sensing_columns
+from .phaseopt import PhasePolicy, optimal_phases
 
 LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
 
@@ -59,6 +80,10 @@ LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
 _STREAMS = {"waveform": 0, "doppler": 1, "channel": 2, "noise": 3, "phase": 4}
 
 RESAMPLE_BUDGET = 100
+
+# A block holds as many trials as fit about this many bytes of N x K
+# complex per stacked array (at least one), which bounds its memory.
+BLOCK_BYTES = 256 * 1024
 
 MODE_LABELS = {
     "los_only": "los",
@@ -111,15 +136,32 @@ class Scenario:
         gap = self.min_gap_cycles
         if gap < 0 or self.k * gap >= (hi - lo):
             raise ValueError("doppler_min_gap leaves no room for k paths")
-        if self.phase_policy is not None and self.phase_policy.kind != "fixed":
-            raise ValueError("phase_policy must be fixed; only nlos_fixed reads it")
+        # the draw's phase and panel arrays, each a K x M stack; not fields,
+        # so kept out of eq and repr like _noise below
+        fixed_theta = None
+        if self.phase_policy is not None:
+            if self.phase_policy.kind != "fixed":
+                raise ValueError("phase_policy must be fixed; only nlos_fixed reads it")
+            thetas = self.phase_policy.fixed_theta
+            sizes = sorted({t.size for t in thetas})
+            if len(thetas) != self.k or sizes != [self.m]:
+                raise ValueError(
+                    f"fixed phase_policy has {len(thetas)} theta vectors of length "
+                    f"{'/'.join(map(str, sizes))}; the scenario needs k={self.k} of m={self.m}"
+                )
+            fixed_theta = wrap_phase(np.stack(thetas))
+        object.__setattr__(self, "_fixed_theta", fixed_theta)
         if self.link_mode == "nlos_fixed" and self.phase_policy is None:
             raise ValueError("nlos_fixed requires a fixed phase policy")
+        panel_csi = None
         if self.fixed_panels is not None:
             panels = tuple(self.fixed_panels)
             if len(panels) != self.k or any(p.m != self.m for p in panels):
                 raise ValueError("fixed panels must match k and m")
             object.__setattr__(self, "fixed_panels", panels)
+            panel_csi = tuple(np.stack([getattr(p, f) for p in panels]) for f in ("g", "h", "beta"))
+        object.__setattr__(self, "_panel_csi", panel_csi)
+        noise_chol = None
         if self.noise_cov is None:
             noise = NoiseModel.scaled_identity(self.sigma2, self.n)
         else:
@@ -128,7 +170,9 @@ class Scenario:
                 raise ValueError("noise_cov must be n x n")
             object.__setattr__(self, "noise_cov", R)
             noise = NoiseModel(covariance=R)
-        object.__setattr__(self, "_noise", noise)  # not a field: kept out of eq and repr
+            noise_chol = np.linalg.cholesky(R)  # colours the noise draw
+        object.__setattr__(self, "_noise", noise)
+        object.__setattr__(self, "_noise_chol", noise_chol)
 
     @property
     def min_gap_cycles(self) -> float:
@@ -174,27 +218,31 @@ def _draw_scene(scenario: Scenario, axis_index: int, trial_index: int):
     nlos_optimal and, when the scenario has a phase policy, nlos_fixed to
     that mode's raw composed coefficients.  A draw is redone while any of
     them projects to exactly zero on alpha, so all link modes accept or
-    reject identical draws and pairing is preserved.
+    reject identical draws and pairing is preserved.  Phases are wrapped
+    as often as the panel path wraps them: once on a policy's phases, and
+    once more on optimal_phases' already wrapped output.
     """
     rng_c = _stream(scenario, axis_index, trial_index, "channel")
     rng_p = _stream(scenario, axis_index, trial_index, "phase")
+    k, m = scenario.k, scenario.m
     for _ in range(RESAMPLE_BUDGET):
         if scenario.fixed_panels is not None:
             h_los = complex(crandn(rng_c))
-            panels = scenario.fixed_panels
-            alpha = crandn(rng_c, scenario.k)
+            g, h, beta = scenario._panel_csi
+            alpha = crandn(rng_c, k)
             alpha_los = complex(crandn(rng_c))
         else:
-            h_los, panels, alpha, alpha_los = draw_csi(scenario.m, scenario.k, rng_c)
-        applied = {"nlos_random": apply_policy(panels, PhasePolicy(kind="random"), rng=rng_p)}
+            h_los, g, h, alpha, alpha_los = draw_csi_arrays(m, k, rng_c)
+            beta = np.ones((k, m))
+        thetas = {"nlos_random": wrap_phase(rng_p.uniform(0.0, 2.0 * np.pi, (k, m)))}
         if alpha_los * h_los == 0:
             continue
-        applied["nlos_optimal"] = apply_policy(panels, PhasePolicy(kind="optimal"))
-        if scenario.phase_policy is not None:
-            applied["nlos_fixed"] = apply_policy(panels, scenario.phase_policy)
+        thetas["nlos_optimal"] = wrap_phase(optimal_phases(g, h))
+        if scenario._fixed_theta is not None:
+            thetas["nlos_fixed"] = scenario._fixed_theta
         csi = {
-            mode: np.array([nlos_coefficient(p, scenario.nlos_form) for p in ps], dtype=complex)
-            for mode, ps in applied.items()
+            mode: compose_paths(g, h, theta, beta, scenario.nlos_form)
+            for mode, theta in thetas.items()
         }
         if all(alpha @ c != 0 for c in csi.values()):
             return h_los, csi, alpha, alpha_los
@@ -202,45 +250,118 @@ def _draw_scene(scenario: Scenario, axis_index: int, trial_index: int):
 
 
 def _draw_trial_inputs(scenario: Scenario, trial_index: int, axis_index: int):
-    """Everything random in one trial; identical for every link mode."""
+    """Everything random in one trial; identical for every link mode.
+
+    Returns (x, nus, scene, w): the length-N code, the k + 1 Dopplers in
+    radians per pulse (the direct path's first), _draw_scene's tuple and
+    the length-N noise.
+    """
     if trial_index < 0 or axis_index < 0:
         raise ValueError("indices must be nonnegative")
     wf_trial = 0 if scenario.freeze_waveform else trial_index
-    x = make_random_waveform(scenario.n, _stream(scenario, axis_index, wf_trial, "waveform"))
+    x = random_code(scenario.n, _stream(scenario, axis_index, wf_trial, "waveform"))
     u = _draw_dopplers(scenario, _stream(scenario, axis_index, trial_index, "doppler"))
     nus = 2.0 * np.pi * u  # cycles -> radians per pulse
-    scene_parts = _draw_scene(scenario, axis_index, trial_index)
+    scene = _draw_scene(scenario, axis_index, trial_index)
     noise_rng = _stream(scenario, axis_index, trial_index, "noise")
     if scenario.noise_cov is None:
         w = np.sqrt(scenario.sigma2) * crandn(noise_rng, scenario.n)
     else:
-        w = np.linalg.cholesky(scenario.noise_cov) @ crandn(noise_rng, scenario.n)
-    return x, nus, scene_parts, w
+        w = scenario._noise_chol @ crandn(noise_rng, scenario.n)
+    return x, nus, scene, w
 
 
-def _estimate_mode(scenario: Scenario, x, nus, scene_parts, w) -> TrialRecord:
-    """Normalize the mode's scene, run one BLUE, and read every metric off it."""
-    h_los, csi, alpha, alpha_los = scene_parts
+def _stack_draws(draws):
+    """Stack per-trial draws into one block: arrays gain a leading trial axis."""
+    x, nus, scenes, w = zip(*draws)
+    h_los, csi, alpha, alpha_los = zip(*scenes)
+    return {
+        "x": np.stack(x),
+        "nus": np.stack(nus),
+        "h_los": h_los,
+        "csi": {mode: np.stack([c[mode] for c in csi]) for mode in csi[0]},
+        "alpha": np.stack(alpha),
+        "alpha_los": alpha_los,
+        "w": np.stack(w),
+    }
+
+
+def _estimate_mode(scenario: Scenario, block, rows):
+    """Estimate the scenario's link mode on the block's trials at `rows`.
+
+    Each trial's scene is normalized, then one stacked pass builds the
+    sensing matrices and runs the BLUE, and every metric is read off it.
+    Returns (records, errors): records is (3, len(rows)) holding nmse, mse
+    and crb_trace (nan where singular), errors[i] is None or the
+    SingularModelError of rows[i].
+    """
     if scenario.link_mode == "los_only":
-        gain = abs(alpha_los * h_los)
-        h_los_scaled = complex(h_los * np.sqrt(scenario.gamma) / gain)
-        norm = gain / np.sqrt(scenario.gamma)
-        A = build_sensing_matrix(x, [nus[0]], [h_los_scaled])
-        truth = np.array([alpha_los])
+        root = np.sqrt(scenario.gamma)
+        coef, norms, truth = [], [], []
+        for i in rows:
+            h_los, alpha_los = block["h_los"][i], block["alpha_los"][i]
+            gain = abs(alpha_los * h_los)
+            coef.append([complex(h_los * root / gain)])
+            norms.append(gain / root)
+            truth.append([alpha_los])
+        coef, truth = np.array(coef), np.array(truth)
+        dopplers = block["nus"][rows, :1]
     else:
-        raw = csi[scenario.link_mode]
-        norm = abs(complex(alpha @ raw))
-        A = build_sensing_matrix(x, nus[1:], raw / norm)
-        truth = alpha
-    y = A.columns @ truth + w
-    rep = blue_estimate(A, scenario._noise, y, alpha_true=truth)
-    return TrialRecord(nmse=rep.nmse, mse=rep.mse / norm**2, crb_trace=rep.mse)
+        raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
+        norms = [abs(complex(a @ r)) for a, r in zip(truth, raw)]
+        coef = np.array([r / norm for r, norm in zip(raw, norms)])
+        dopplers = block["nus"][rows, 1:]
+    cols = sensing_columns(block["x"][rows], dopplers, coef)
+    y = (cols @ truth[..., None])[..., 0] + block["w"][rows]
+    alpha_hat, _, mse, errors = blue_stack(cols, scenario._noise, y)
+    records = np.full((3, len(rows)), np.nan)
+    ok = np.array([e is None for e in errors], dtype=bool)
+    records[0, ok] = nmse_rows(truth[ok], alpha_hat[ok])
+    # the per-trial scaling stays scalar arithmetic, as in a single trial
+    records[1] = [m / norm**2 for m, norm in zip(mse.tolist(), norms)]
+    records[2] = mse
+    return records, errors
 
 
 def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> TrialRecord:
     """Generate one trial and estimate it under the scenario's link mode."""
-    x, nus, scene_parts, w = _draw_trial_inputs(scenario, trial_index, axis_index)
-    return _estimate_mode(scenario, x, nus, scene_parts, w)
+    block = _stack_draws([_draw_trial_inputs(scenario, trial_index, axis_index)])
+    records, errors = _estimate_mode(scenario, block, np.arange(1))
+    if errors[0] is not None:
+        raise errors[0]
+    nmse, mse, crb_trace = records[:, 0].tolist()
+    return TrialRecord(nmse=nmse, mse=mse, crb_trace=crb_trace)
+
+
+def _evaluate_block(scenarios, axis_index: int, trials: range) -> np.ndarray:
+    """Records of every scenario on a block of trials, (modes, 3, trials).
+
+    A trial is excluded, nan in every mode, when its draw or any mode's
+    estimate raises a NumericalError.  Modes run in order and each only on
+    the trials the earlier ones kept, so a ValueError surfaces exactly
+    where evaluating the trials one at a time would raise it.
+    """
+    out = np.full((len(scenarios), 3, len(trials)), np.nan)
+    draws, drawn = [], []
+    for j, t in enumerate(trials):
+        try:
+            draws.append(_draw_trial_inputs(scenarios[0], t, axis_index))
+        except NumericalError:
+            continue
+        drawn.append(j)
+    if not draws:
+        return out
+    block = _stack_draws(draws)
+    kept = np.arange(len(draws))
+    records = np.full((len(scenarios), 3, len(draws)), np.nan)
+    for mi, scenario in enumerate(scenarios):
+        recs, errors = _estimate_mode(scenario, block, kept)
+        records[mi][:, kept] = recs
+        kept = kept[[e is None for e in errors]]
+        if kept.size == 0:
+            return out
+    out[:, :, np.asarray(drawn)[kept]] = records[:, :, kept]
+    return out
 
 
 SWEEP_MODES = ("los_only", "nlos_random", "nlos_optimal")
@@ -263,18 +384,14 @@ class SweepResult:
 
 
 def _point_trials(args):
+    """Records of one axis point's trials [trial_lo, trial_hi), block by block."""
     scenarios, axis_index, trial_lo, trial_hi = args
-    out = []
-    for t in range(trial_lo, trial_hi):
-        try:
-            # the trial's draws are mode-independent, so make them once
-            x, nus, scene_parts, w = _draw_trial_inputs(scenarios[0], t, axis_index)
-            recs = [_estimate_mode(s, x, nus, scene_parts, w) for s in scenarios]
-        except NumericalError:
-            out.append((t, None))
-            continue
-        out.append((t, recs))
-    return out
+    s = scenarios[0]
+    step = max(1, BLOCK_BYTES // (16 * s.n * s.k))
+    return np.concatenate([
+        _evaluate_block(scenarios, axis_index, range(lo, min(lo + step, trial_hi)))
+        for lo in range(trial_lo, trial_hi, step)
+    ], axis=2)
 
 
 def _sweep(template: Scenario, axis_name: str, axis_values, modes,
@@ -303,15 +420,10 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
     else:
         chunks = [_point_trials(t) for t in tasks]
 
-    for task, chunk in zip(tasks, chunks):
-        i = task[1]
-        for t, recs in chunk:
-            if recs is None:
-                continue
-            for lab, rec in zip(labels, recs):
-                records[lab]["nmse"][i, t] = rec.nmse
-                records[lab]["mse"][i, t] = rec.mse
-                records[lab]["crb_trace"][i, t] = rec.crb_trace
+    for (_, i, lo, hi), chunk in zip(tasks, chunks):
+        for lab, recs in zip(labels, chunk):
+            for f, vals in zip(fields, recs):
+                records[lab][f][i, lo:hi] = vals
 
     mean_nmse, stderr_nmse, mean_crb = {}, {}, {}
     for lab in labels:
@@ -346,4 +458,6 @@ def sweep_gamma(template: Scenario, gamma_values, workers: int = 1) -> SweepResu
 
 def sweep_noise(template: Scenario, sigma2_values, workers: int = 1) -> SweepResult:
     """NMSE and bound versus the noise power at the template's gamma."""
+    if template.noise_cov is not None:
+        raise ValueError("sweep_noise varies sigma2, which a template with noise_cov ignores")
     return _sweep(template, "sigma2", sigma2_values, SWEEP_MODES, workers)

@@ -78,9 +78,12 @@ def make_random_waveform(N: int, seed) -> Waveform:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, N)
-    return Waveform(samples=np.exp(1j * phases))
+    return Waveform(samples=random_code(N, np.random.default_rng(seed)))
+
+
+def random_code(N: int, rng) -> np.ndarray:
+    """Samples of a length-N unimodular code with i.i.d. uniform phases from rng."""
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))
 
 
 def doppler_steering(nu: float, N: int) -> DopplerSteering:
@@ -122,10 +125,30 @@ def build_sensing_matrix(x: Waveform, dopplers, nlos_csi) -> SensingMatrix:
         raise UnderdeterminedModelError(
             f"K={K} paths exceed N={N} pulses; the Gram matrix would be singular"
         )
-    if not np.all(np.isfinite(csi)):
-        raise ValueError("nlos_csi entries must be finite")
-    if np.any(csi == 0):
-        raise DegeneratePathError("zero path coefficient: column carries no signal")
-    P = np.exp(1j * np.outer(np.arange(N), nus))
-    cols = x.samples[:, None] * P * csi[None, :]
+    cols = sensing_columns(x.samples, nus, csi)
     return SensingMatrix(columns=cols, per_path_doppler=nus, nlos_csi=csi)
+
+
+def sensing_columns(x, dopplers, nlos_csi) -> np.ndarray:
+    """Columns a_k = nlos_csi[k] * (x ⊙ p(nu_k)) for a stack of models.
+
+    x is (..., N) complex, dopplers (..., K) radians per pulse and
+    nlos_csi (..., K) complex; the result is (..., N, K).  Every entry is
+    computed by the same elementwise operations whatever the stack
+    shape, so a stacked model's columns equal the unstacked ones bit for
+    bit.
+
+    Raises
+    ------
+    ValueError
+        If any path coefficient is not finite.
+    DegeneratePathError
+        If any path coefficient is exactly zero.
+    """
+    if not np.all(np.isfinite(nlos_csi)):
+        raise ValueError("nlos_csi entries must be finite")
+    if np.any(nlos_csi == 0):
+        raise DegeneratePathError("zero path coefficient: column carries no signal")
+    n = np.arange(x.shape[-1])[:, None]
+    P = np.exp(1j * (n * dopplers[..., None, :]))
+    return x[..., :, None] * P * nlos_csi[..., None, :]

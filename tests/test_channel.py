@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from irsradar.channel import (
+    NLOS_FORMS,
     IrsPanel,
     compose_nlos_coefficient,
+    compose_paths,
     crandn,
     draw_csi,
     inner_product_form,
@@ -156,3 +158,18 @@ def test_csi_file_errors(tmp_path):
     short.write_text("1.0,2.0\n")
     with pytest.raises(ValueError, match="expected 4 entries"):
         read_csi_file(short, K=1, M=2)
+
+
+def test_compose_paths_rows_match_single_panels():
+    # a row's coefficient must not depend on the rows stacked with it
+    rng = np.random.default_rng(21)
+    for K, M in ((5, 10), (32, 64)):
+        g, h = crandn(rng, K, M), crandn(rng, K, M)
+        theta = rng.uniform(0, 2 * np.pi, (K, M))
+        beta = rng.uniform(0, 1, (K, M))
+        for form in NLOS_FORMS:
+            single = [
+                nlos_coefficient(IrsPanel(g=g[k], h=h[k], theta=theta[k], beta=beta[k]), form)
+                for k in range(K)
+            ]
+            np.testing.assert_array_equal(compose_paths(g, h, theta, beta, form), single)

@@ -4,7 +4,7 @@ import pytest
 
 from irsradar.channel import crandn
 from irsradar.errors import SingularModelError, UndefinedMetricError
-from irsradar.estimator import NoiseModel, blue_estimate, estimator_mse, nmse
+from irsradar.estimator import NoiseModel, blue_estimate, blue_stack, estimator_mse, nmse
 from irsradar.model import build_sensing_matrix, make_random_waveform
 
 
@@ -149,3 +149,24 @@ def test_nmse_definition():
     assert abs(nmse([1, 0], [0, 1]) - np.sqrt(2)) < 1e-15
     with pytest.raises(UndefinedMetricError):
         nmse([0, 0], [1, 1])
+
+
+def test_blue_stack_items_match_single_estimates():
+    # each item is estimated as if alone, and a singular item fails alone
+    rng = np.random.default_rng(23)
+    for T, N, K in ((6, 20, 3), (3, 256, 32)):
+        cols = crandn(rng, T, N, K)
+        cols[1, :, 1] = cols[1, :, 0]  # identical columns
+        y = crandn(rng, T, N)
+        for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
+            alpha_hat, cov, mse, errors = blue_stack(cols, noise, y)
+            for t in range(T):
+                if t == 1:
+                    assert isinstance(errors[t], SingularModelError)
+                    assert np.isnan(mse[t]) and np.all(np.isnan(alpha_hat[t]))
+                    continue
+                rep = blue_estimate(cols[t], noise, y[t])
+                assert errors[t] is None
+                np.testing.assert_array_equal(alpha_hat[t], rep.alpha_hat)
+                np.testing.assert_array_equal(cov[t], rep.covariance)
+                assert mse[t] == rep.mse

@@ -1,9 +1,12 @@
 """Monte-Carlo harness: pairing, reproducibility, and aggregate behavior."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from irsradar import estimator, harness
 from irsradar.channel import draw_csi, nlos_coefficient
-from irsradar.errors import GenerationError
+from irsradar.errors import GenerationError, SingularModelError
 from irsradar.harness import (
     MODE_LABELS,
     SWEEP_MODES,
@@ -99,7 +102,7 @@ def test_paired_modes_share_draws():
     ]
     x0, nus0, parts0, w0 = drawn[0]
     for x, nus, parts, w in drawn[1:]:
-        np.testing.assert_array_equal(x.samples, x0.samples)
+        np.testing.assert_array_equal(x, x0)
         np.testing.assert_array_equal(nus, nus0)
         np.testing.assert_array_equal(w, w0)
         np.testing.assert_array_equal(parts[2], parts0[2])  # alpha
@@ -113,10 +116,10 @@ def test_waveform_frozen_across_trials():
     s = Scenario(**SMALL, freeze_waveform=True)
     x0 = _draw_trial_inputs(s, 0, 0)[0]
     x9 = _draw_trial_inputs(s, 9, 0)[0]
-    np.testing.assert_array_equal(x0.samples, x9.samples)
+    np.testing.assert_array_equal(x0, x9)
     s2 = Scenario(**SMALL)
     x9b = _draw_trial_inputs(s2, 9, 0)[0]
-    assert np.max(np.abs(x9b.samples - x0.samples)) > 1e-3
+    assert np.max(np.abs(x9b - x0)) > 1e-3
 
 
 def test_doppler_draws_respect_gap_and_range():
@@ -276,3 +279,52 @@ def test_explicit_noise_covariance_matches_scaled_identity():
         a, b = run_trial(s_id, t), run_trial(s_cov, t)
         assert a.nmse == pytest.approx(b.nmse, rel=1e-12)
         assert a.mse == pytest.approx(b.mse, rel=1e-12)
+
+
+def test_fixed_policy_must_match_k_and_m():
+    zeros = np.zeros(4)
+    with pytest.raises(ValueError, match=r"2 theta vectors.*k=3 of m=4"):
+        Scenario(n=20, k=3, m=4, phase_policy=PhasePolicy(kind="fixed", fixed_theta=(zeros,) * 2))
+    with pytest.raises(ValueError, match=r"length 5.*k=3 of m=4"):
+        Scenario(n=20, k=3, m=4,
+                 phase_policy=PhasePolicy(kind="fixed", fixed_theta=(np.zeros(5),) * 3))
+    fixed = PhasePolicy(kind="fixed", fixed_theta=(zeros,) * 3)
+    for mode in ("los_only", "nlos_optimal", "nlos_fixed"):
+        run_trial(Scenario(n=20, k=3, m=4, link_mode=mode, phase_policy=fixed), 0)
+
+
+def test_noise_sweep_rejects_noise_cov():
+    tpl = Scenario(**SMALL, noise_cov=0.05 * np.eye(20))
+    with pytest.raises(ValueError, match="noise_cov"):
+        sweep_noise(tpl, [1e-4, 1e-1])
+
+
+@pytest.mark.parametrize("block_trials", [None, 1, 7])
+def test_exclusion_mask_matches_run_trial(monkeypatch, block_trials):
+    # a limit low enough that a fair share of the reflected Grams exceed it
+    monkeypatch.setattr(estimator, "CONDITION_LIMIT", 7.0)
+    tpl = Scenario(n=20, k=3, m=4, trials=30, master_seed=2)
+    if block_trials is not None and hasattr(harness, "BLOCK_BYTES"):
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 16 * tpl.n * tpl.k * block_trials)
+    gammas = [1e-2, 1.0]
+    res = sweep_gamma(tpl, gammas)
+    singular = np.zeros((len(gammas), tpl.trials), dtype=bool)
+    expect = {MODE_LABELS[m]: np.full((3, len(gammas), tpl.trials), np.nan) for m in SWEEP_MODES}
+    for i, g in enumerate(gammas):
+        for t in range(tpl.trials):
+            recs = {}
+            for mode in SWEEP_MODES:
+                try:
+                    recs[MODE_LABELS[mode]] = run_trial(replace(tpl, link_mode=mode, gamma=g), t, i)
+                except SingularModelError:
+                    singular[i, t] = True
+            if not singular[i, t]:
+                for lab, rec in recs.items():
+                    expect[lab][:, i, t] = (rec.nmse, rec.mse, rec.crb_trace)
+    assert 0.2 <= singular.mean() <= 0.8
+    for lab in res.modes:
+        for j, field in enumerate(("nmse", "mse", "crb_trace")):
+            got = res.records[lab][field]
+            np.testing.assert_array_equal(np.isnan(got), singular)
+            np.testing.assert_array_equal(got, expect[lab][j])
+    np.testing.assert_array_equal(res.excluded, singular.sum(axis=1))

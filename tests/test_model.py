@@ -9,6 +9,7 @@ from irsradar.model import (
     build_sensing_matrix,
     doppler_steering,
     make_random_waveform,
+    sensing_columns,
 )
 
 
@@ -104,3 +105,16 @@ def test_zero_path_rejected():
     x = make_random_waveform(5, seed=1)
     with pytest.raises(DegeneratePathError):
         build_sensing_matrix(x, [0.0, 0.1], [1.0, 0.0])
+
+
+def test_sensing_columns_stack_matches_single_models():
+    # stacking models must not change any column entry
+    rng = np.random.default_rng(22)
+    for T, N, K in ((7, 50, 5), (3, 256, 32)):
+        x = np.exp(1j * rng.uniform(0, 2 * np.pi, (T, N)))
+        nus = rng.uniform(-np.pi, np.pi, (T, K))
+        csi = crandn(rng, T, K)
+        stacked = sensing_columns(x, nus, csi)
+        for t in range(T):
+            single = build_sensing_matrix(Waveform(x[t]), nus[t], csi[t]).columns
+            np.testing.assert_array_equal(stacked[t], single)
