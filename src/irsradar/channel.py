@@ -8,6 +8,7 @@ triple (g, h, Theta); two forms are supported, see nlos_coefficient.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,10 +30,30 @@ def wrap_phase(theta) -> np.ndarray:
     return np.mod(theta, 2.0 * np.pi)
 
 
+def _complex_gaussian(re, im):
+    z = re + 1j * im
+    return z[()] * _INV_SQRT2
+
+
 def crandn(rng, *shape):
     """Circularly symmetric complex Gaussian, zero mean, unit variance."""
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return z[()] * _INV_SQRT2
+    return _complex_gaussian(rng.standard_normal(shape), rng.standard_normal(shape))
+
+
+def split_crandn(z, *sizes):
+    """Complex Gaussians from rows of standard normal draws, one part per size.
+
+    z is (T, 2 * sum(sizes)); row t holds one generator's draws in the
+    order successive crandn calls of these sizes consume them: each
+    part's real draws, then its imaginary ones.  Returns one (T, size)
+    array per part, equal bit for bit to those crandn calls, since one
+    standard_normal call yields the same values as a run of shorter ones.
+    """
+    parts, at = [], 0
+    for size in sizes:
+        parts.append(_complex_gaussian(z[:, at:at + size], z[:, at + size:at + 2 * size]))
+        at += 2 * size
+    return parts
 
 
 @dataclass(frozen=True)
@@ -109,38 +130,46 @@ def draw_csi(M: int, K: int, seed):
     """
     if M < 1 or K < 1:
         raise ValueError("M and K must be at least 1")
-    h_los, g, h, alpha, alpha_los = draw_csi_arrays(M, K, np.random.default_rng(seed))
-    panels = tuple(IrsPanel(g=g[k], h=h[k]) for k in range(K))
-    return h_los, panels, alpha, alpha_los
+    z = np.random.default_rng(seed).standard_normal((1, csi_draw_size(M, K)))
+    h_los, g, h, alpha, alpha_los = split_csi(z, M, K)
+    panels = tuple(IrsPanel(g=g[0, k], h=h[0, k]) for k in range(K))
+    return complex(h_los[0, 0]), panels, alpha[0], complex(alpha_los[0, 0])
 
 
-def draw_csi_arrays(M: int, K: int, rng):
-    """draw_csi's draws as arrays: (h_los, g, h, alpha, alpha_los), g and h K x M."""
-    h_los = complex(crandn(rng))
-    g = crandn(rng, K, M)
-    h = crandn(rng, K, M)
-    alpha = crandn(rng, K)
-    alpha_los = complex(crandn(rng))
-    return h_los, g, h, alpha, alpha_los
+def csi_draw_size(M: int, K: int) -> int:
+    """Standard normals one CSI draw consumes."""
+    return 2 * (2 + 2 * K * M + K)
+
+
+def split_csi(z, M: int, K: int):
+    """Stacked CSI from rows of csi_draw_size standard normals.
+
+    Returns (h_los, g, h, alpha, alpha_los) with shapes (T, 1),
+    (T, K, M), (T, K, M), (T, K) and (T, 1), in draw_csi's order.
+    """
+    h_los, g, h, alpha, alpha_los = split_crandn(z, 1, K * M, K * M, K, 1)
+    return h_los, g.reshape(-1, K, M), h.reshape(-1, K, M), alpha, alpha_los
 
 
 def compose_paths(g, h, theta, beta, form: str = "magnitude_squared") -> np.ndarray:
-    """Per-path coefficients of K panels given as K x M arrays, one per row.
+    """Per-path coefficients of panels given as (..., K, M) arrays, one per row.
 
     Row k is h_k^H Theta_k g_k = c_k^H (beta_k * e^{j theta_k}) with
     c_k = Diag(g_k)^H h_k, taken as is ("complex") or as its squared
-    magnitude ("magnitude_squared").  theta must already be wrapped as a
-    panel stores it (see wrap_phase).  Each row is its own np.vdot, so a
-    row's value does not depend on the rows stacked with it.
+    magnitude ("magnitude_squared").  The inputs broadcast against each
+    other and the result has their shape without the last axis.  theta
+    must already be wrapped as a panel stores it (see wrap_phase).  Each
+    row is its own np.vdot, so a row's value does not depend on the rows
+    stacked with it.
     """
     if form not in NLOS_FORMS:
         raise ValueError(f"unknown nlos form: {form!r}")
-    c = np.conj(g) * h
-    w = beta * np.exp(1j * theta)
-    z = [complex(np.vdot(ck, wk)) for ck, wk in zip(c, w)]
+    c, w = np.broadcast_arrays(np.conj(g) * h, beta * np.exp(1j * theta))
+    m = c.shape[-1]
+    z = [complex(np.vdot(ck, wk)) for ck, wk in zip(c.reshape(-1, m), w.reshape(-1, m))]
     if form == "magnitude_squared":
         z = [complex(abs(v) ** 2) for v in z]
-    return np.array(z, dtype=complex)
+    return np.array(z, dtype=complex).reshape(c.shape[:-1])
 
 
 def _compose_panel(panel: IrsPanel, form: str) -> complex:
@@ -226,9 +255,12 @@ def read_csi_file(path, K: int, M: int):
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 're,im', got {text!r}")
             try:
-                values.append(complex(float(parts[0]), float(parts[1])))
+                value = complex(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry {text!r}") from None
+            if not cmath.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite entry {text!r}")
+            values.append(value)
     expected = K * 2 * M
     if len(values) != expected:
         raise ValueError(

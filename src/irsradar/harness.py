@@ -7,7 +7,10 @@ Every random quantity comes from a named stream seeded by the tuple
 given axis point therefore reproduces the identical waveform, Doppler
 set, CSI, and noise in every link mode, so mode comparisons are paired;
 and any trial can be regenerated in isolation, which keeps sweeps
-bit-reproducible under any degree of parallelism.
+bit-reproducible under any degree of parallelism.  A stream is the PCG64
+generator numpy's SeedSequence of that tuple seeds; the seed words of a
+whole block of streams are hashed at once by a port of SeedSequence's
+uint32 hash, which gives the same words as SeedSequence itself.
 
 Doppler convention
 ------------------
@@ -42,24 +45,29 @@ mse        crb_trace / norm**2, where norm is the scene's normalization
 
 Block evaluation
 ----------------
-A sweep evaluates each axis point's trials in blocks.  Every trial is
-still drawn on its own, from its own streams, with the same generator
-calls in the same order and the same redraw loops; the draws are arrays,
-not panel or waveform objects.  The block's draws are then stacked, and
-each link mode normalizes the block and runs one stacked pass: sensing
-columns, Gram, condition check and BLUE for all of its trials at once.
-A block holds as many trials as fit in BLOCK_BYTES of N x K complex per
-stacked array, so its memory stays bounded at large N and K.
+A sweep evaluates each axis point's trials in blocks.  The block is drawn
+as stacked arrays: each of a trial's streams makes one generator call per
+attempt (the values equal those of the shorter calls a lone trial would
+make in turn), redraw loops run over the trials still pending, and the
+arithmetic on the draws (complex Gaussian assembly, the code's exp, phase
+wrapping and alignment, the Doppler separation check, noise scaling) runs
+once over the block.  Each link mode then normalizes the block and runs
+one stacked pass: sensing columns, Gram, condition check and BLUE for all
+of its trials at once.  A block holds as many trials as fit in
+BLOCK_BYTES of N x K complex per stacked array, so its memory stays
+bounded at large N and K.
 
 A trial's records do not depend on the block it lands in, so they are
 the same bits as evaluating it alone with run_trial, whatever the block
 size or worker count.  The stacked steps are only those that apply the
 same kernel to every item: elementwise ufuncs, stacked matmul (one BLAS
-call per item) and np.linalg.cond (one LAPACK call per item).  The
-Cholesky factorizations and solves run one trial at a time, and each
-trial's normalization stays scalar arithmetic, because their vectorized
-forms round differently.  A trial whose draw or any mode's estimate
-raises a NumericalError is excluded from every mode, as before.
+call per item) and np.linalg.cond (one LAPACK call per item).  Steps
+whose stacked form rounds differently stay per item: each panel row's
+np.vdot, each trial's alpha^T c zero check, the noise colouring product
+with a full noise_cov, the Cholesky factorizations and solves, and each
+trial's normalization, which stays scalar arithmetic on Python complex
+h_los and alpha_los.  A trial whose draw or any mode's estimate raises a
+NumericalError is excluded from every mode, as before.
 """
 from __future__ import annotations
 
@@ -67,9 +75,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 
-from .channel import NLOS_FORMS, compose_paths, crandn, draw_csi_arrays, wrap_phase
-from .errors import GenerationError, NumericalError
+from .channel import NLOS_FORMS, compose_paths, csi_draw_size, split_crandn, split_csi, wrap_phase
+from .errors import GenerationError
 from .estimator import NoiseModel, blue_stack, nmse_rows
 from .model import random_code, sensing_columns
 from .phaseopt import PhasePolicy, optimal_phases
@@ -149,6 +159,8 @@ class Scenario:
                     f"fixed phase_policy has {len(thetas)} theta vectors of length "
                     f"{'/'.join(map(str, sizes))}; the scenario needs k={self.k} of m={self.m}"
                 )
+            if not np.all(np.isfinite(thetas)):
+                raise ValueError("fixed phase_policy has non-finite theta entries")
             fixed_theta = wrap_phase(np.stack(thetas))
         object.__setattr__(self, "_fixed_theta", fixed_theta)
         if self.link_mode == "nlos_fixed" and self.phase_policy is None:
@@ -188,101 +200,209 @@ class TrialRecord:
     crb_trace: float
 
 
-def _stream(scenario: Scenario, axis_index: int, trial_index: int, name: str):
-    key = (scenario.master_seed, axis_index, trial_index, _STREAMS[name])
-    return np.random.default_rng(np.random.SeedSequence(key))
+# numpy's SeedSequence hash (bit_generator.pyx), ported to uint32 arrays
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
 
-def _draw_dopplers(scenario: Scenario, rng) -> np.ndarray:
-    """LoS Doppler followed by k separated reflected-path Dopplers, cycles."""
-    lo, hi = scenario.doppler_range
-    span = hi - lo
-    gap = scenario.min_gap_cycles
-    u_los = rng.uniform(lo, hi)
-    for _ in range(RESAMPLE_BUDGET):
-        u = rng.uniform(lo, hi, scenario.k)
-        if scenario.k == 1 or gap == 0:
-            return np.concatenate(([u_los], u))
-        srt = np.sort(u)
-        seps = np.diff(srt)
-        wrap = srt[0] + span - srt[-1]  # the interval is a circle for phases
-        if min(seps.min(initial=np.inf), wrap) >= gap:
-            return np.concatenate(([u_los], u))
-    raise GenerationError("no sufficiently separated Doppler set within budget")
+def _uint32_words(value: int):
+    """A nonnegative int as SeedSequence splits it: 32-bit words, low first."""
+    if value < 0:
+        raise ValueError("seed key entries must be nonnegative")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
 
 
-def _draw_scene(scenario: Scenario, axis_index: int, trial_index: int):
-    """Draw the shared raw scene and compose each reflected mode's coefficients.
+def _hash_entropy(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix_entropy then generate_state(4, uint64) on each row.
 
-    Returns (h_los, csi, alpha, alpha_los), where csi maps nlos_random,
-    nlos_optimal and, when the scenario has a phase policy, nlos_fixed to
-    that mode's raw composed coefficients.  A draw is redone while any of
-    them projects to exactly zero on alpha, so all link modes accept or
-    reject identical draws and pairing is preserved.  Phases are wrapped
-    as often as the panel path wraps them: once on a policy's phases, and
-    once more on optimal_phases' already wrapped output.
+    entropy is (n, L) uint32, one key's assembled words per row; every
+    step is the reference's uint32 arithmetic applied to a column.
     """
-    rng_c = _stream(scenario, axis_index, trial_index, "channel")
-    rng_p = _stream(scenario, axis_index, trial_index, "phase")
-    k, m = scenario.k, scenario.m
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    n, length = entropy.shape
+    pool = [hashmix(entropy[:, i] if i < length else np.zeros(n, u32))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = _INIT_B
+    state = np.empty((n, 8), u32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * u32(hash_const)
+        state[:, i] = value ^ (value >> u32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_states(keys) -> np.ndarray:
+    """SeedSequence(key).generate_state(4, np.uint64) for each key, (len(keys), 4).
+
+    Keys are tuples of nonnegative ints; those with the same number of
+    entropy words are hashed together in one pass.
+    """
+    words, rows = {}, []
+    for key in keys:
+        row = []
+        for v in key:
+            if v not in words:
+                words[v] = _uint32_words(v)
+            row += words[v]
+        rows.append(row)
+    states = np.empty((len(rows), 4), np.uint64)
+    by_length = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    for idx in by_length.values():
+        states[idx] = _hash_entropy(np.array([rows[i] for i in idx], dtype=np.uint32))
+    return states
+
+
+class _HashedSeed(ISeedSequence):
+    """Seed words hashed in advance; PCG64 asks for generate_state(4, uint64)."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
+    """Everything random in a block of trials; identical for every link mode.
+
+    Trial t draws from the streams keyed (master_seed, axis_index, t,
+    stream id), the waveform from trial 0's when frozen.  Each stream
+    makes one generator call per attempt, and all arithmetic on the
+    draws runs once over the stacked trials.  Dopplers are redrawn while
+    two reflected paths sit closer than the gap on the circle; a scene is
+    redrawn while alpha_los * h_los or alpha^T c of any reflected mode is
+    exactly zero, so all link modes accept or reject identical draws and
+    pairing is preserved.  Phases are wrapped as often as the panel path
+    wraps them: once on a policy's phases, and once more on
+    optimal_phases' already wrapped output.
+
+    Returns a dict over the drawn trials, in order: "drawn" their
+    positions in `trials`, "x" the (T, N) codes, "u" the (T, k + 1)
+    Dopplers in cycles (the direct path's first), "h_los" and
+    "alpha_los" lists of complex, "alpha" (T, k), "csi" mapping
+    nlos_random, nlos_optimal and, with a phase policy, nlos_fixed to the
+    (T, k) raw composed coefficients, and "w" the (T, N) noise.  "failed"
+    maps the other positions to the GenerationError that excluded them.
+    """
+    trials = list(trials)
+    if axis_index < 0 or min(trials, default=0) < 0:
+        raise ValueError("indices must be nonnegative")
+    n, k, m = scenario.n, scenario.k, scenario.m
+    frozen = _STREAMS["waveform"] if scenario.freeze_waveform else None
+    keys = [
+        (scenario.master_seed, axis_index, 0 if sid == frozen else t, sid)
+        for t in trials for sid in _STREAMS.values()
+    ]
+    states = _seed_states(keys).reshape(len(trials), len(_STREAMS), 4)
+    rngs = {
+        name: [np.random.Generator(PCG64(_HashedSeed(s))) for s in states[:, col]]
+        for col, name in enumerate(_STREAMS)
+    }
+    failed = {}
+
+    lo, hi = scenario.doppler_range
+    span, gap = hi - lo, scenario.min_gap_cycles
+    u = np.array([rng.uniform(lo, hi, 1 + k) for rng in rngs["doppler"]]).reshape(-1, 1 + k)
+    # a single path, or no gap, is always separated
+    todo = np.arange(len(trials)) if k > 1 and gap > 0 else np.arange(0)
+    for attempt in range(RESAMPLE_BUDGET):
+        if attempt:
+            u[todo, 1:] = [rngs["doppler"][j].uniform(lo, hi, k) for j in todo]
+        srt = np.sort(u[todo, 1:], axis=1)
+        wrap = srt[:, 0] + span - srt[:, -1]  # the interval is a circle for phases
+        todo = todo[np.minimum(np.diff(srt, axis=1).min(axis=1, initial=np.inf), wrap) < gap]
+        if todo.size == 0:
+            break
+    for j in todo.tolist():
+        failed[j] = GenerationError("no sufficiently separated Doppler set within budget")
+
+    h_los = np.zeros(len(trials), complex)
+    alpha_los = np.zeros(len(trials), complex)
+    alpha = np.zeros((len(trials), k), complex)
+    csi = {}
+    todo = np.array([j for j in range(len(trials)) if j not in failed], dtype=int)
     for _ in range(RESAMPLE_BUDGET):
+        if todo.size == 0:
+            break
         if scenario.fixed_panels is not None:
-            h_los = complex(crandn(rng_c))
+            z = np.array([rngs["channel"][j].standard_normal(2 * k + 4) for j in todo])
+            hl, al, al_los = split_crandn(z, 1, k, 1)
             g, h, beta = scenario._panel_csi
-            alpha = crandn(rng_c, k)
-            alpha_los = complex(crandn(rng_c))
         else:
-            h_los, g, h, alpha, alpha_los = draw_csi_arrays(m, k, rng_c)
+            z = np.array([rngs["channel"][j].standard_normal(csi_draw_size(m, k)) for j in todo])
+            hl, g, h, al, al_los = split_csi(z, m, k)
             beta = np.ones((k, m))
-        thetas = {"nlos_random": wrap_phase(rng_p.uniform(0.0, 2.0 * np.pi, (k, m)))}
-        if alpha_los * h_los == 0:
-            continue
-        thetas["nlos_optimal"] = wrap_phase(optimal_phases(g, h))
+        hl, al_los = hl[:, 0], al_los[:, 0]
+        random_theta = np.array([rngs["phase"][j].uniform(0.0, 2.0 * np.pi, (k, m)) for j in todo])
+        thetas = {"nlos_random": wrap_phase(random_theta),
+                  "nlos_optimal": wrap_phase(optimal_phases(g, h))}
         if scenario._fixed_theta is not None:
             thetas["nlos_fixed"] = scenario._fixed_theta
-        csi = {
-            mode: compose_paths(g, h, theta, beta, scenario.nlos_form)
+        composed = {
+            mode: np.broadcast_to(compose_paths(g, h, theta, beta, scenario.nlos_form),
+                                  (todo.size, k))
             for mode, theta in thetas.items()
         }
-        if all(alpha @ c != 0 for c in csi.values()):
-            return h_los, csi, alpha, alpha_los
-    raise GenerationError("scene still degenerate after resample budget")
+        # per trial: the direct product in Python complex, one dot per mode
+        ok = np.array([
+            a * b != 0 and all(al[i] @ c[i] != 0 for c in composed.values())
+            for i, (a, b) in enumerate(zip(hl.tolist(), al_los.tolist()))
+        ], dtype=bool)
+        done = todo[ok]
+        h_los[done], alpha_los[done], alpha[done] = hl[ok], al_los[ok], al[ok]
+        for mode, c in composed.items():
+            csi.setdefault(mode, np.zeros((len(trials), k), complex))[done] = c[ok]
+        todo = todo[~ok]
+    for j in todo.tolist():
+        failed[j] = GenerationError("scene still degenerate after resample budget")
 
-
-def _draw_trial_inputs(scenario: Scenario, trial_index: int, axis_index: int):
-    """Everything random in one trial; identical for every link mode.
-
-    Returns (x, nus, scene, w): the length-N code, the k + 1 Dopplers in
-    radians per pulse (the direct path's first), _draw_scene's tuple and
-    the length-N noise.
-    """
-    if trial_index < 0 or axis_index < 0:
-        raise ValueError("indices must be nonnegative")
-    wf_trial = 0 if scenario.freeze_waveform else trial_index
-    x = random_code(scenario.n, _stream(scenario, axis_index, wf_trial, "waveform"))
-    u = _draw_dopplers(scenario, _stream(scenario, axis_index, trial_index, "doppler"))
-    nus = 2.0 * np.pi * u  # cycles -> radians per pulse
-    scene = _draw_scene(scenario, axis_index, trial_index)
-    noise_rng = _stream(scenario, axis_index, trial_index, "noise")
+    drawn = np.array([j for j in range(len(trials)) if j not in failed], dtype=int)
+    z = np.array([rngs["noise"][j].standard_normal(2 * n) for j in drawn]).reshape(-1, 2 * n)
+    (w,) = split_crandn(z, n)
     if scenario.noise_cov is None:
-        w = np.sqrt(scenario.sigma2) * crandn(noise_rng, scenario.n)
-    else:
-        w = scenario._noise_chol @ crandn(noise_rng, scenario.n)
-    return x, nus, scene, w
-
-
-def _stack_draws(draws):
-    """Stack per-trial draws into one block: arrays gain a leading trial axis."""
-    x, nus, scenes, w = zip(*draws)
-    h_los, csi, alpha, alpha_los = zip(*scenes)
+        w = np.sqrt(scenario.sigma2) * w
+    else:  # one matrix-vector product per trial; a stacked matmul rounds differently
+        w = np.array([scenario._noise_chol @ wt for wt in w]).reshape(-1, n)
     return {
-        "x": np.stack(x),
-        "nus": np.stack(nus),
-        "h_los": h_los,
-        "csi": {mode: np.stack([c[mode] for c in csi]) for mode in csi[0]},
-        "alpha": np.stack(alpha),
-        "alpha_los": alpha_los,
-        "w": np.stack(w),
+        "drawn": drawn,
+        "x": random_code(n, [rngs["waveform"][j] for j in drawn]),
+        "u": u[drawn],
+        "h_los": h_los[drawn].tolist(),
+        "csi": {mode: c[drawn] for mode, c in csi.items()},
+        "alpha": alpha[drawn],
+        "alpha_los": alpha_los[drawn].tolist(),
+        "w": w,
+        "failed": failed,
     }
 
 
@@ -305,12 +425,12 @@ def _estimate_mode(scenario: Scenario, block, rows):
             norms.append(gain / root)
             truth.append([alpha_los])
         coef, truth = np.array(coef), np.array(truth)
-        dopplers = block["nus"][rows, :1]
+        dopplers = 2.0 * np.pi * block["u"][rows, :1]  # cycles -> radians per pulse
     else:
         raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
         norms = [abs(complex(a @ r)) for a, r in zip(truth, raw)]
         coef = np.array([r / norm for r, norm in zip(raw, norms)])
-        dopplers = block["nus"][rows, 1:]
+        dopplers = 2.0 * np.pi * block["u"][rows, 1:]
     cols = sensing_columns(block["x"][rows], dopplers, coef)
     y = (cols @ truth[..., None])[..., 0] + block["w"][rows]
     alpha_hat, _, mse, errors = blue_stack(cols, scenario._noise, y)
@@ -325,7 +445,9 @@ def _estimate_mode(scenario: Scenario, block, rows):
 
 def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> TrialRecord:
     """Generate one trial and estimate it under the scenario's link mode."""
-    block = _stack_draws([_draw_trial_inputs(scenario, trial_index, axis_index)])
+    block = _draw_block(scenario, axis_index, [trial_index])
+    if block["failed"]:
+        raise block["failed"][0]
     records, errors = _estimate_mode(scenario, block, np.arange(1))
     if errors[0] is not None:
         raise errors[0]
@@ -342,25 +464,19 @@ def _evaluate_block(scenarios, axis_index: int, trials: range) -> np.ndarray:
     where evaluating the trials one at a time would raise it.
     """
     out = np.full((len(scenarios), 3, len(trials)), np.nan)
-    draws, drawn = [], []
-    for j, t in enumerate(trials):
-        try:
-            draws.append(_draw_trial_inputs(scenarios[0], t, axis_index))
-        except NumericalError:
-            continue
-        drawn.append(j)
-    if not draws:
+    block = _draw_block(scenarios[0], axis_index, trials)
+    drawn = block["drawn"]
+    if drawn.size == 0:
         return out
-    block = _stack_draws(draws)
-    kept = np.arange(len(draws))
-    records = np.full((len(scenarios), 3, len(draws)), np.nan)
+    kept = np.arange(drawn.size)
+    records = np.full((len(scenarios), 3, drawn.size), np.nan)
     for mi, scenario in enumerate(scenarios):
         recs, errors = _estimate_mode(scenario, block, kept)
         records[mi][:, kept] = recs
         kept = kept[[e is None for e in errors]]
         if kept.size == 0:
             return out
-    out[:, :, np.asarray(drawn)[kept]] = records[:, :, kept]
+    out[:, :, drawn[kept]] = records[:, :, kept]
     return out
 
 
@@ -400,6 +516,8 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
     values = np.asarray(list(axis_values), dtype=float)
     if values.size == 0:
         raise ValueError("axis must contain at least one value")
+    if template.trials < 2:
+        raise ValueError("a sweep needs trials >= 2 to estimate the spread of each point")
     points = [
         [replace(template, link_mode=mode, **{axis_name: float(v)}) for mode in modes]
         for v in values

@@ -78,12 +78,13 @@ def make_random_waveform(N: int, seed) -> Waveform:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    return Waveform(samples=random_code(N, np.random.default_rng(seed)))
+    return Waveform(samples=random_code(N, [np.random.default_rng(seed)])[0])
 
 
-def random_code(N: int, rng) -> np.ndarray:
-    """Samples of a length-N unimodular code with i.i.d. uniform phases from rng."""
-    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))
+def random_code(N: int, rngs) -> np.ndarray:
+    """Length-N unimodular codes with i.i.d. uniform phases, one row per generator."""
+    phases = np.array([rng.uniform(0.0, 2.0 * np.pi, N) for rng in rngs]).reshape(-1, N)
+    return np.exp(1j * phases)
 
 
 def doppler_steering(nu: float, N: int) -> DopplerSteering:

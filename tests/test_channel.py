@@ -13,6 +13,7 @@ from irsradar.channel import (
     nlos_coefficient,
     normalize_scenario,
     read_csi_file,
+    split_crandn,
 )
 from irsradar.errors import DegenerateDrawError
 
@@ -158,6 +159,55 @@ def test_csi_file_errors(tmp_path):
     short.write_text("1.0,2.0\n")
     with pytest.raises(ValueError, match="expected 4 entries"):
         read_csi_file(short, K=1, M=2)
+
+
+def test_csi_file_rejects_nonfinite_entries(tmp_path):
+    path = tmp_path / "nonfinite.csi"
+    for bad in ("nan,0", "0,inf", "-inf,1.5"):
+        path.write_text("# panel 0\n1,0\n" + bad + "\n0,1\n1,1\n")
+        with pytest.raises(ValueError, match=f"{path.name}:3: non-finite entry"):
+            read_csi_file(path, K=1, M=2)
+
+
+def test_one_draw_call_matches_crandn_sequence():
+    # draw_csi splits one standard_normal call; the reference is the run of
+    # crandn calls in draw order, each part's real draws before its imaginary
+    K, M = 3, 4
+    for seed in range(6):
+        h_los, panels, alpha, alpha_los = draw_csi(M, K, seed)
+        rng = np.random.default_rng(seed)
+        assert h_los == complex(crandn(rng))
+        np.testing.assert_array_equal([p.g for p in panels], crandn(rng, K, M))
+        np.testing.assert_array_equal([p.h for p in panels], crandn(rng, K, M))
+        np.testing.assert_array_equal(alpha, crandn(rng, K))
+        assert alpha_los == complex(crandn(rng))
+        assert type(h_los) is complex and type(alpha_los) is complex
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    parts = split_crandn(np.array([r.standard_normal(2 * (2 + 5)) for r in rngs]), 2, 5)
+    for t in range(4):
+        rng = np.random.default_rng(t)
+        np.testing.assert_array_equal(parts[0][t], crandn(rng, 2))
+        np.testing.assert_array_equal(parts[1][t], crandn(rng, 5))
+
+
+def test_compose_paths_stack_matches_each_item():
+    rng = np.random.default_rng(22)
+    T, K, M = 6, 4, 5
+    g, h = crandn(rng, T, K, M), crandn(rng, T, K, M)
+    theta = rng.uniform(0, 2 * np.pi, (T, K, M))
+    for form in NLOS_FORMS:
+        stacked = compose_paths(g, h, theta, np.ones((K, M)), form)
+        assert stacked.shape == (T, K)
+        for t in range(T):
+            np.testing.assert_array_equal(
+                stacked[t], compose_paths(g[t], h[t], theta[t], np.ones((K, M)), form)
+            )
+        # panels shared by every item broadcast against the stacked phases
+        shared = compose_paths(g[0], h[0], theta, np.ones((K, M)), form)
+        for t in range(T):
+            np.testing.assert_array_equal(
+                shared[t], compose_paths(g[0], h[0], theta[t], np.ones((K, M)), form)
+            )
 
 
 def test_compose_paths_rows_match_single_panels():

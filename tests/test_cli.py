@@ -1,4 +1,5 @@
 """CLI front end: config resolution, CSV/SVG emission, exit codes."""
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -285,9 +286,10 @@ def test_cli_noise_sweep_runs(tmp_path):
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep-gamma", "--gamma", "0.5"]) == 2
     assert "conflicts" in capsys.readouterr().err
-    # one included trial cannot produce a spread estimate
+    # one trial cannot produce a spread estimate; rejected before any trial runs
     assert main(["single", "--n", "20", "--k", "3", "--m", "4", "--trials", "1",
-                 "--policy", "optimal", "--out", str(tmp_path)]) == 3
+                 "--policy", "optimal", "--out", str(tmp_path)]) == 2
+    assert "trials" in capsys.readouterr().err
     assert main(["single", "--csi", str(tmp_path / "missing.csi"),
                  "--out", str(tmp_path)]) == 4
     # bad values fail before the first trial, naming the input
@@ -315,6 +317,17 @@ def test_cli_csi_replay(tmp_path):
     # wrong k: the entry count no longer matches and parsing must fail
     assert main(["single", "--n", "20", "--k", "4", "--m", "4", "--trials", "5",
                  "--csi", str(csi), "--out", str(tmp_path)]) == 2
+
+
+def test_cli_rejects_nonfinite_csi_before_any_trial(tmp_path, capsys):
+    csi = tmp_path / "nan.csi"
+    csi.write_text("nan,0\n" + "1,0\n" * (3 * 2 * 4 - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no trial may run and warn
+        code = main(["single", "--n", "20", "--k", "3", "--m", "4", "--trials", "5",
+                     "--gamma", "0.1", "--csi", str(csi), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{csi}:1: non-finite entry" in capsys.readouterr().err
 
 
 def test_cli_certify(tmp_path, capsys):

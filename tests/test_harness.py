@@ -3,17 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irsradar import estimator, harness
-from irsradar.channel import draw_csi, nlos_coefficient
+from irsradar.channel import IrsPanel, draw_csi, nlos_coefficient
 from irsradar.errors import GenerationError, SingularModelError
 from irsradar.harness import (
     MODE_LABELS,
     SWEEP_MODES,
     Scenario,
-    _draw_dopplers,
-    _draw_trial_inputs,
-    _stream,
+    _draw_block,
+    _HashedSeed,
+    _seed_states,
+    _sweep,
     run_trial,
     sweep_gamma,
     sweep_noise,
@@ -97,36 +100,36 @@ def test_paired_modes_share_draws():
     # everything random is identical across link modes at the same keys
     base = dict(**SMALL, master_seed=11, gamma=0.3)
     drawn = [
-        _draw_trial_inputs(Scenario(link_mode=m, **base), 5, 2)
+        _draw_block(Scenario(link_mode=m, **base), 2, [5])
         for m in ("los_only", "nlos_random", "nlos_optimal")
     ]
-    x0, nus0, parts0, w0 = drawn[0]
-    for x, nus, parts, w in drawn[1:]:
-        np.testing.assert_array_equal(x, x0)
-        np.testing.assert_array_equal(nus, nus0)
-        np.testing.assert_array_equal(w, w0)
-        np.testing.assert_array_equal(parts[2], parts0[2])  # alpha
-        assert parts[0] == parts0[0]  # h_los
-        assert parts[1].keys() == parts0[1].keys()  # composed csi per reflected mode
-        for mode in parts0[1]:
-            np.testing.assert_array_equal(parts[1][mode], parts0[1][mode])
+    b0 = drawn[0]
+    for b in drawn[1:]:
+        for key in ("x", "u", "w", "alpha"):
+            np.testing.assert_array_equal(b[key], b0[key])
+        assert b["h_los"] == b0["h_los"]
+        assert b["alpha_los"] == b0["alpha_los"]
+        assert b["csi"].keys() == b0["csi"].keys()  # composed csi per reflected mode
+        for mode in b0["csi"]:
+            np.testing.assert_array_equal(b["csi"][mode], b0["csi"][mode])
 
 
 def test_waveform_frozen_across_trials():
     s = Scenario(**SMALL, freeze_waveform=True)
-    x0 = _draw_trial_inputs(s, 0, 0)[0]
-    x9 = _draw_trial_inputs(s, 9, 0)[0]
+    x0 = _draw_block(s, 0, [0])["x"][0]
+    x9 = _draw_block(s, 0, [9])["x"][0]
     np.testing.assert_array_equal(x0, x9)
     s2 = Scenario(**SMALL)
-    x9b = _draw_trial_inputs(s2, 9, 0)[0]
+    x9b = _draw_block(s2, 0, [9])["x"][0]
     assert np.max(np.abs(x9b - x0)) > 1e-3
 
 
 def test_doppler_draws_respect_gap_and_range():
     s = Scenario(n=25, k=4, m=2, trials=1, doppler_range=(0.1, 0.4), doppler_min_gap=0.02)
     span = 0.3
-    for t in range(300):
-        u = _draw_dopplers(s, _stream(s, 0, t, "doppler"))
+    block = _draw_block(s, 0, range(300))
+    assert not block["failed"]
+    for u in block["u"]:
         assert u.size == 5
         assert np.all((u >= 0.1) & (u < 0.4))
         srt = np.sort(u[1:])  # the direct path is unconstrained
@@ -246,12 +249,11 @@ def test_fixed_panels_replayed_every_trial():
     s = Scenario(n=20, k=3, m=4, trials=3, fixed_panels=panels)
     aligned = apply_policy(panels, PhasePolicy(kind="optimal"))
     expect = np.array([nlos_coefficient(p, s.nlos_form) for p in aligned])
+    block = _draw_block(s, 0, range(3))
     for t in range(3):
-        parts = _draw_trial_inputs(s, t, 0)[2]
         # the optimal composition is a function of the panels alone
-        np.testing.assert_array_equal(parts[1]["nlos_optimal"], expect)
-    a0 = _draw_trial_inputs(s, 0, 0)[2][2]
-    a1 = _draw_trial_inputs(s, 1, 0)[2][2]
+        np.testing.assert_array_equal(block["csi"]["nlos_optimal"][t], expect)
+    a0, a1 = block["alpha"][:2]
     assert np.max(np.abs(a0 - a1)) > 1e-3  # reflectivities still vary
 
 
@@ -328,3 +330,104 @@ def test_exclusion_mask_matches_run_trial(monkeypatch, block_trials):
             np.testing.assert_array_equal(np.isnan(got), singular)
             np.testing.assert_array_equal(got, expect[lab][j])
     np.testing.assert_array_equal(res.excluded, singular.sum(axis=1))
+
+
+def test_fixed_policy_must_be_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        thetas = (np.array([0.0, bad, 0.0, 0.0]),) + (np.zeros(4),) * 2
+        with pytest.raises(ValueError, match="phase_policy"):
+            Scenario(n=20, k=3, m=4, phase_policy=PhasePolicy(kind="fixed", fixed_theta=thetas))
+
+
+def test_sweeps_need_two_trials(monkeypatch):
+    tpl = Scenario(**dict(SMALL, trials=1))
+    run_trial(tpl, 0)  # one trial on its own stays legal
+
+    def no_draws(*args):
+        raise AssertionError("a trial was evaluated")
+
+    monkeypatch.setattr(harness, "_evaluate_block", no_draws)
+    for run in (
+        lambda: sweep_gamma(tpl, [0.1]),
+        lambda: sweep_noise(tpl, [1e-2]),
+        lambda: _sweep(tpl, "gamma", [0.1], ("nlos_optimal",)),
+    ):
+        with pytest.raises(ValueError, match="trials"):
+            run()
+
+
+_KEY_ENTRY = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**200)
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(_KEY_ENTRY, max_size=7).map(tuple), min_size=1, max_size=6))
+@example([(2**32, 0, 0, 0)])
+@example([(2**64 + 3, 1, 2, 3), (0, 1, 2, 3), (5,), ()])
+def test_seed_states_match_seed_sequence(keys):
+    states = _seed_states(keys)
+    assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+    for key, state in zip(keys, states):
+        ref = np.random.SeedSequence(key)
+        np.testing.assert_array_equal(state, ref.generate_state(4, np.uint64))
+        ours = np.random.Generator(np.random.PCG64(_HashedSeed(state)))
+        np.testing.assert_array_equal(
+            ours.integers(2**63, size=3), np.random.default_rng(ref).integers(2**63, size=3)
+        )
+
+
+def _degenerate_panels():
+    # zero incident CSI composes every reflected path to exactly zero
+    return tuple(IrsPanel(g=np.zeros(4), h=np.ones(4)) for _ in range(3))
+
+
+DRAW_CASES = {
+    "plain": dict(n=20, k=3, m=4),
+    "fixed_panels": dict(n=20, k=3, m=4, fixed_panels=draw_csi(4, 3, 5)[1]),
+    "noise_cov": dict(n=20, k=3, m=4, noise_cov=np.diag(np.linspace(0.01, 0.2, 20))
+                      + 0.004 * np.ones((20, 20))),
+    "freeze_waveform": dict(n=20, k=3, m=4, freeze_waveform=True),
+    "fixed_policy": dict(n=20, k=3, m=4, link_mode="nlos_fixed", phase_policy=PhasePolicy(
+        kind="fixed", fixed_theta=tuple(np.linspace(-7.0, 7.0, 12).reshape(3, 4)))),
+    "magnitude_squared": dict(n=20, k=3, m=4, nlos_form="magnitude_squared"),
+    "doppler_redraws": dict(n=20, k=5, m=2, doppler_min_gap=0.155),
+    "degenerate_scene": dict(n=20, k=3, m=4, fixed_panels=_degenerate_panels()),
+}
+
+
+@pytest.mark.parametrize("block_trials", [None, 1, 7])
+@pytest.mark.parametrize("case", sorted(DRAW_CASES))
+def test_draw_block_matches_blocks_of_one(case, block_trials):
+    s = Scenario(trials=20, master_seed=4, **DRAW_CASES[case])
+    step = block_trials or max(1, harness.BLOCK_BYTES // (16 * s.n * s.k))
+    got = {}  # trial -> its fields, or the exception that excluded it
+    for lo in range(0, s.trials, step):
+        block = _draw_block(s, 3, range(lo, min(lo + step, s.trials)))
+        for j, err in block["failed"].items():
+            got[lo + j] = err
+        for i, j in enumerate(block["drawn"].tolist()):
+            got[lo + j] = block, i
+    assert sorted(got) == list(range(s.trials))
+    for t in range(s.trials):
+        single = _draw_block(s, 3, [t])
+        if single["failed"]:
+            assert type(got[t]) is type(single["failed"][0])
+            assert str(got[t]) == str(single["failed"][0])
+            continue
+        block, i = got[t]
+        for key in ("x", "u", "alpha", "w"):
+            np.testing.assert_array_equal(block[key][i], single[key][0])
+        for key in ("h_los", "alpha_los"):
+            assert type(block[key][i]) is complex
+            assert block[key][i] == single[key][0]
+        assert block["csi"].keys() == single["csi"].keys()
+        for mode in single["csi"]:
+            np.testing.assert_array_equal(block["csi"][mode][i], single["csi"][mode][0])
+    excluded = sum(1 for v in got.values() if isinstance(v, GenerationError))
+    if case == "doppler_redraws":
+        assert 0 < excluded < s.trials
+    elif case == "degenerate_scene":
+        assert excluded == s.trials
+    else:
+        assert excluded == 0

@@ -9,6 +9,7 @@ from irsradar.model import (
     build_sensing_matrix,
     doppler_steering,
     make_random_waveform,
+    random_code,
     sensing_columns,
 )
 
@@ -28,6 +29,16 @@ def test_waveform_deterministic():
     a = make_random_waveform(32, seed=11)
     b = make_random_waveform(32, seed=11)
     assert np.array_equal(a.samples, b.samples)
+
+
+def test_random_code_rows_match_single_codes():
+    codes = random_code(40, [np.random.default_rng(s) for s in range(5)])
+    assert codes.shape == (5, 40)
+    for s in range(5):
+        expect = np.exp(1j * np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, 40))
+        np.testing.assert_array_equal(codes[s], expect)
+        np.testing.assert_array_equal(codes[s], make_random_waveform(40, seed=s).samples)
+    assert random_code(40, []).shape == (0, 40)
 
 
 def test_waveform_rejects_bad_inputs():
