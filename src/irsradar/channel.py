@@ -78,10 +78,15 @@ class IrsPanel:
         )
         if not (g.size == h.size == theta.size == beta.size >= 1):
             raise ValueError("g, h, theta, beta must share a common length M >= 1")
+        fields = {"g": g, "h": h, "theta": theta, "beta": beta}
+        # one check over all four; certification builds thousands of panels
+        if not np.isfinite(np.concatenate(list(fields.values()))).all():
+            bad = next(name for name, val in fields.items() if not np.isfinite(val).all())
+            raise ValueError(f"panel {bad} entries must be finite")
         if np.any(beta < 0) or np.any(beta > 1):
             raise ValueError("beta entries must lie in [0, 1]")
-        theta = wrap_phase(theta)
-        for name, val in (("g", g), ("h", h), ("theta", theta), ("beta", beta)):
+        fields["theta"] = wrap_phase(theta)
+        for name, val in fields.items():
             object.__setattr__(self, name, val)
 
     @property
@@ -158,18 +163,18 @@ def compose_paths(g, h, theta, beta, form: str = "magnitude_squared") -> np.ndar
     c_k = Diag(g_k)^H h_k, taken as is ("complex") or as its squared
     magnitude ("magnitude_squared").  The inputs broadcast against each
     other and the result has their shape without the last axis.  theta
-    must already be wrapped as a panel stores it (see wrap_phase).  Each
-    row is its own np.vdot, so a row's value does not depend on the rows
-    stacked with it.
+    must already be wrapped as a panel stores it (see wrap_phase).  All
+    rows go through one np.vecdot, which runs the same BLAS dot on each
+    row as np.vdot on that row alone, so a row's value does not depend on
+    the rows stacked with it.  The squared magnitude is Python's abs of
+    each value, which rounds differently from np.abs on complex.
     """
     if form not in NLOS_FORMS:
         raise ValueError(f"unknown nlos form: {form!r}")
-    c, w = np.broadcast_arrays(np.conj(g) * h, beta * np.exp(1j * theta))
-    m = c.shape[-1]
-    z = [complex(np.vdot(ck, wk)) for ck, wk in zip(c.reshape(-1, m), w.reshape(-1, m))]
+    z = np.vecdot(np.conj(g) * h, beta * np.exp(1j * theta))
     if form == "magnitude_squared":
-        z = [complex(abs(v) ** 2) for v in z]
-    return np.array(z, dtype=complex).reshape(c.shape[:-1])
+        z = np.array([abs(v) ** 2 for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
+    return z
 
 
 def _compose_panel(panel: IrsPanel, form: str) -> complex:

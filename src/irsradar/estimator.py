@@ -84,13 +84,19 @@ def _gram_stack(cols: np.ndarray, noise: NoiseModel):
     """R^-1 A, the Hermitian part of A^H R^-1 A and its condition number.
 
     cols is one N x K model or a (..., N, K) stack.  Stacked matmul and
-    np.linalg.cond run the same BLAS/LAPACK call on every item, so each
-    item's values equal its unstacked ones bit for bit.
+    eigvalsh run the same BLAS/LAPACK call on every item, so each item's
+    values equal its unstacked ones bit for bit.  The condition number is
+    the 2-norm one np.linalg.cond computes, max|lambda| / min|lambda| for
+    a Hermitian matrix, taken from its eigenvalues rather than an SVD; it
+    is inf where the smallest eigenvalue is zero.
     """
     ria = noise.solve(cols)
     gram = cols.conj().swapaxes(-1, -2) @ ria
     gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
-    return ria, gram, np.linalg.cond(gram)
+    lam = np.abs(np.linalg.eigvalsh(gram))
+    top, bottom = lam.max(axis=-1), lam.min(axis=-1)
+    cond = np.divide(top, bottom, out=np.full_like(top, np.inf), where=bottom > 0)
+    return ria, gram, cond
 
 
 def _factor(gram: np.ndarray, cond):
@@ -148,17 +154,19 @@ def blue_stack(cols: np.ndarray, noise: NoiseModel, y: np.ndarray):
     """
     ria, gram, cond = _gram_stack(cols, noise)
     T, _, K = cols.shape
-    rhs = (ria.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
-    alpha_hat = np.full((T, K), np.nan, dtype=complex)
-    cov = np.full((T, K, K), np.nan, dtype=complex)
-    eye = np.eye(K, dtype=complex)
+    # [A^H R^-1 y | I] per item: potrs solves each column on its own, so
+    # one call gives the estimate and the covariance
+    rhs = np.empty((T, K, K + 1), dtype=complex)
+    rhs[..., :1] = ria.conj().swapaxes(-1, -2) @ y[..., None]
+    rhs[..., 1:] = np.eye(K)
+    sol = np.full((T, K, K + 1), np.nan, dtype=complex)
     errors = []
     for t in range(T):
         factor, err = _factor(gram[t], cond[t])
         errors.append(err)
         if err is None:
-            alpha_hat[t] = _solve(factor, rhs[t])
-            cov[t] = _solve(factor, eye)
+            sol[t] = _solve(factor, rhs[t])
+    alpha_hat, cov = sol[..., 0], sol[..., 1:]
     cov = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
     return alpha_hat, cov, np.trace(cov, axis1=-2, axis2=-1).real, errors
 
@@ -217,15 +225,22 @@ def estimator_mse(A, noise: NoiseModel) -> float:
     return _single(A, noise, np.zeros(n, dtype=complex))[2]
 
 
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of each row: the same two BLAS dots on its real and
+    # imaginary parts, then the square root
+    re, im = z.real, z.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
 def nmse_rows(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """nmse of each row of a (T, K) estimate stack against its truth row."""
-    out = np.empty(len(truth))
-    for i, (t, h) in enumerate(zip(truth, est)):
-        denom = np.linalg.norm(t)
-        if denom == 0:
-            raise UndefinedMetricError("NMSE undefined for a zero true vector")
-        out[i] = np.linalg.norm(t - h) / denom
-    return out
+    """nmse of each row of a (T, K) estimate stack against its truth row.
+
+    Each row's value is the bits np.linalg.norm gives on that row alone.
+    """
+    denom = _row_norms(truth)
+    if np.any(denom == 0):
+        raise UndefinedMetricError("NMSE undefined for a zero true vector")
+    return _row_norms(truth - est) / denom
 
 
 def nmse(alpha_true, alpha_hat) -> float:

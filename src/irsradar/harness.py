@@ -51,23 +51,29 @@ attempt (the values equal those of the shorter calls a lone trial would
 make in turn), redraw loops run over the trials still pending, and the
 arithmetic on the draws (complex Gaussian assembly, the code's exp, phase
 wrapping and alignment, the Doppler separation check, noise scaling) runs
-once over the block.  Each link mode then normalizes the block and runs
-one stacked pass: sensing columns, Gram, condition check and BLUE for all
-of its trials at once.  A block holds as many trials as fit in
+once over the block.  The steering columns x ⊙ p(nu_k) of the reflected
+paths are computed once per block too, since every reflected mode shares
+the code and the Dopplers.  Each link mode then normalizes the block and
+runs one stacked pass: column scaling, Gram, condition check and BLUE for
+all of its trials at once.  A block holds as many trials as fit in
 BLOCK_BYTES of N x K complex per stacked array, so its memory stays
 bounded at large N and K.
 
 A trial's records do not depend on the block it lands in, so they are
 the same bits as evaluating it alone with run_trial, whatever the block
 size or worker count.  The stacked steps are only those that apply the
-same kernel to every item: elementwise ufuncs, stacked matmul (one BLAS
-call per item) and np.linalg.cond (one LAPACK call per item).  Steps
-whose stacked form rounds differently stay per item: each panel row's
-np.vdot, each trial's alpha^T c zero check, the noise colouring product
-with a full noise_cov, the Cholesky factorizations and solves, and each
-trial's normalization, which stays scalar arithmetic on Python complex
-h_los and alpha_los.  A trial whose draw or any mode's estimate raises a
-NumericalError is excluded from every mode, as before.
+same kernel to every item: elementwise ufuncs, stacked matmul and
+np.vecdot (one BLAS call per item, the same dot np.vdot, a 1-D @ and
+np.linalg.norm make on one item), and eigvalsh (one LAPACK call per
+item).  That covers each panel row's coefficient, each trial's alpha^T c
+zero check and normalization norm, and the NMSE norms.  Only these stay
+per item: the Cholesky factorization and solve, one potrf and one potrs
+per trial-mode (a stacked np.linalg.cholesky fails the whole stack when
+one item is not positive definite); the noise colouring product with a
+full noise_cov, whose stacked matmul rounds differently; and each trial's
+scalar normalization on Python complex h_los and alpha_los.  A trial
+whose draw or any mode's estimate raises a NumericalError is excluded
+from every mode, as before.
 """
 from __future__ import annotations
 
@@ -81,7 +87,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .channel import NLOS_FORMS, compose_paths, csi_draw_size, split_crandn, split_csi, wrap_phase
 from .errors import GenerationError
 from .estimator import NoiseModel, blue_stack, nmse_rows
-from .model import random_code, sensing_columns
+from .model import random_code, sensing_columns, steering_columns
 from .phaseopt import PhasePolicy, optimal_phases
 
 LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
@@ -141,9 +147,13 @@ class Scenario:
         if self.nlos_form not in NLOS_FORMS:
             raise ValueError(f"unknown nlos form: {self.nlos_form!r}")
         lo, hi = self.doppler_range
+        if not np.all(np.isfinite((lo, hi))):
+            raise ValueError("doppler_range bounds must be finite")
         if not lo < hi:
             raise ValueError("doppler_range must be a nonempty interval")
         gap = self.min_gap_cycles
+        if not np.isfinite(gap):
+            raise ValueError("doppler_min_gap must be finite")
         if gap < 0 or self.k * gap >= (hi - lo):
             raise ValueError("doppler_min_gap leaves no room for k paths")
         # the draw's phase and panel arrays, each a K x M stack; not fields,
@@ -172,6 +182,13 @@ class Scenario:
                 raise ValueError("fixed panels must match k and m")
             object.__setattr__(self, "fixed_panels", panels)
             panel_csi = tuple(np.stack([getattr(p, f) for p in panels]) for f in ("g", "h", "beta"))
+            g, h, beta = panel_csi
+            dead = np.flatnonzero(~np.any(beta * np.conj(g) * h, axis=1))
+            if dead.size:
+                raise ValueError(
+                    f"fixed_panels {dead.tolist()} have beta * conj(g) * h all zero, so their "
+                    "path coefficient is zero for every phase"
+                )
         object.__setattr__(self, "_panel_csi", panel_csi)
         noise_chol = None
         if self.noise_cov is None:
@@ -308,11 +325,13 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
 
     Returns a dict over the drawn trials, in order: "drawn" their
     positions in `trials`, "x" the (T, N) codes, "u" the (T, k + 1)
-    Dopplers in cycles (the direct path's first), "h_los" and
-    "alpha_los" lists of complex, "alpha" (T, k), "csi" mapping
-    nlos_random, nlos_optimal and, with a phase policy, nlos_fixed to the
-    (T, k) raw composed coefficients, and "w" the (T, N) noise.  "failed"
-    maps the other positions to the GenerationError that excluded them.
+    Dopplers in cycles (the direct path's first), "steer" the (T, N, k)
+    steering columns of the reflected paths, which every reflected mode
+    shares, "h_los" and "alpha_los" lists of complex, "alpha" (T, k),
+    "csi" mapping nlos_random, nlos_optimal and, with a phase policy,
+    nlos_fixed to the (T, k) raw composed coefficients, and "w" the (T, N)
+    noise.  "failed" maps the other positions to the GenerationError that
+    excluded them.
     """
     trials = list(trials)
     if axis_index < 0 or min(trials, default=0) < 0:
@@ -373,11 +392,10 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
                                   (todo.size, k))
             for mode, theta in thetas.items()
         }
-        # per trial: the direct product in Python complex, one dot per mode
-        ok = np.array([
-            a * b != 0 and all(al[i] @ c[i] != 0 for c in composed.values())
-            for i, (a, b) in enumerate(zip(hl.tolist(), al_los.tolist()))
-        ], dtype=bool)
+        # the direct product in Python complex per trial, alpha^T c per mode
+        ok = np.array([a * b != 0 for a, b in zip(hl.tolist(), al_los.tolist())], dtype=bool)
+        for c in composed.values():
+            ok &= _project(al, c) != 0
         done = todo[ok]
         h_los[done], alpha_los[done], alpha[done] = hl[ok], al_los[ok], al[ok]
         for mode, c in composed.items():
@@ -393,10 +411,12 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         w = np.sqrt(scenario.sigma2) * w
     else:  # one matrix-vector product per trial; a stacked matmul rounds differently
         w = np.array([scenario._noise_chol @ wt for wt in w]).reshape(-1, n)
+    x = random_code(n, [rngs["waveform"][j] for j in drawn])
     return {
         "drawn": drawn,
-        "x": random_code(n, [rngs["waveform"][j] for j in drawn]),
+        "x": x,
         "u": u[drawn],
+        "steer": steering_columns(x, 2.0 * np.pi * u[drawn, 1:]),  # cycles -> radians
         "h_los": h_los[drawn].tolist(),
         "csi": {mode: c[drawn] for mode, c in csi.items()},
         "alpha": alpha[drawn],
@@ -404,6 +424,11 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         "w": w,
         "failed": failed,
     }
+
+
+def _project(alpha: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """alpha^T c of each trial row, one BLAS dot per row as alpha[t] @ c[t]."""
+    return (alpha[:, None, :] @ c[:, :, None])[:, 0, 0]
 
 
 def _estimate_mode(scenario: Scenario, block, rows):
@@ -425,13 +450,13 @@ def _estimate_mode(scenario: Scenario, block, rows):
             norms.append(gain / root)
             truth.append([alpha_los])
         coef, truth = np.array(coef), np.array(truth)
-        dopplers = 2.0 * np.pi * block["u"][rows, :1]  # cycles -> radians per pulse
+        steer = steering_columns(block["x"][rows], 2.0 * np.pi * block["u"][rows, :1])
     else:
         raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
-        norms = [abs(complex(a @ r)) for a, r in zip(truth, raw)]
-        coef = np.array([r / norm for r, norm in zip(raw, norms)])
-        dopplers = 2.0 * np.pi * block["u"][rows, 1:]
-    cols = sensing_columns(block["x"][rows], dopplers, coef)
+        norms = [abs(v) for v in _project(truth, raw).tolist()]
+        coef = raw / np.array(norms)[:, None]
+        steer = block["steer"][rows]
+    cols = sensing_columns(steer, coef)
     y = (cols @ truth[..., None])[..., 0] + block["w"][rows]
     alpha_hat, _, mse, errors = blue_stack(cols, scenario._noise, y)
     records = np.full((3, len(rows)), np.nan)

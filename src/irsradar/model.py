@@ -126,18 +126,29 @@ def build_sensing_matrix(x: Waveform, dopplers, nlos_csi) -> SensingMatrix:
         raise UnderdeterminedModelError(
             f"K={K} paths exceed N={N} pulses; the Gram matrix would be singular"
         )
-    cols = sensing_columns(x.samples, nus, csi)
+    cols = sensing_columns(steering_columns(x.samples, nus), csi)
     return SensingMatrix(columns=cols, per_path_doppler=nus, nlos_csi=csi)
 
 
-def sensing_columns(x, dopplers, nlos_csi) -> np.ndarray:
-    """Columns a_k = nlos_csi[k] * (x ⊙ p(nu_k)) for a stack of models.
+def steering_columns(x, dopplers) -> np.ndarray:
+    """x ⊙ p(nu_k) for each path k, for a stack of codes.
 
-    x is (..., N) complex, dopplers (..., K) radians per pulse and
-    nlos_csi (..., K) complex; the result is (..., N, K).  Every entry is
-    computed by the same elementwise operations whatever the stack
-    shape, so a stacked model's columns equal the unstacked ones bit for
-    bit.
+    x is (..., N) complex and dopplers (..., K) radians per pulse; the
+    result is (..., N, K).  Every entry is computed by the same
+    elementwise operations whatever the stack shape, so a stacked
+    model's columns equal the unstacked ones bit for bit.  Link modes
+    that share a code and Dopplers share these columns and differ only
+    in the scaling sensing_columns applies.
+    """
+    n = np.arange(x.shape[-1])[:, None]
+    return x[..., :, None] * np.exp(1j * (n * dopplers[..., None, :]))
+
+
+def sensing_columns(steering, nlos_csi) -> np.ndarray:
+    """Columns a_k = nlos_csi[k] * (x ⊙ p(nu_k)) from steering_columns' output.
+
+    steering is (..., N, K) and nlos_csi (..., K) complex; each column is
+    scaled elementwise, so stacked and unstacked models agree bit for bit.
 
     Raises
     ------
@@ -150,6 +161,4 @@ def sensing_columns(x, dopplers, nlos_csi) -> np.ndarray:
         raise ValueError("nlos_csi entries must be finite")
     if np.any(nlos_csi == 0):
         raise DegeneratePathError("zero path coefficient: column carries no signal")
-    n = np.arange(x.shape[-1])[:, None]
-    P = np.exp(1j * (n * dopplers[..., None, :]))
-    return x[..., :, None] * P * nlos_csi[..., None, :]
+    return steering * nlos_csi[..., None, :]

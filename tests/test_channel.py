@@ -223,3 +223,33 @@ def test_compose_paths_rows_match_single_panels():
                 for k in range(K)
             ]
             np.testing.assert_array_equal(compose_paths(g, h, theta, beta, form), single)
+
+
+@pytest.mark.parametrize("field", ["g", "h", "theta", "beta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_panel_rejects_nonfinite_entries(field, bad):
+    kw = dict(g=np.ones(4), h=np.ones(4), theta=np.zeros(4), beta=np.ones(4))
+    kw[field] = np.array([1.0, bad, 1.0, 1.0])
+    with pytest.raises(ValueError, match=f"panel {field} entries must be finite"):
+        IrsPanel(**kw)
+
+
+@pytest.mark.parametrize("K, M", [(5, 10), (32, 64)])
+def test_compose_paths_match_per_row_vdot(K, M):
+    # the per-row formula np.vecdot replaced, on stacked and on shared panels
+    rng = np.random.default_rng(K)
+    T = 7
+    g, h = crandn(rng, T, K, M), crandn(rng, T, K, M)
+    theta = rng.uniform(0, 2 * np.pi, (T, K, M))
+    beta = rng.uniform(0, 1, (K, M))
+    for gs, hs in ((g, h), (g[0], h[0])):  # a fixed panel set broadcasts over the trials
+        c = np.broadcast_to(np.conj(gs) * hs, (T, K, M))
+        for form in NLOS_FORMS:
+            got = compose_paths(gs, hs, theta, beta, form)
+            assert got.shape == (T, K)
+            for t in range(T):
+                for k in range(K):
+                    ref = complex(np.vdot(c[t, k], beta[k] * np.exp(1j * theta[t, k])))
+                    if form == "magnitude_squared":
+                        ref = complex(abs(ref) ** 2)
+                    assert got[t, k] == ref

@@ -330,6 +330,19 @@ def test_cli_rejects_nonfinite_csi_before_any_trial(tmp_path, capsys):
     assert f"{csi}:1: non-finite entry" in capsys.readouterr().err
 
 
+def test_cli_rejects_dead_csi_before_any_trial(tmp_path, capsys):
+    # all-zero panels used to burn the scene budget on every trial and exit 3
+    csi = tmp_path / "zeros.csi"
+    csi.write_text("0,0\n" * (3 * 2 * 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["single", "--n", "20", "--k", "3", "--m", "4", "--trials", "30",
+                     "--gamma", "0.1", "--csi", str(csi), "--out", str(tmp_path)])
+    assert code == 2
+    assert "fixed_panels [0, 1, 2]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_certify(tmp_path, capsys):
     code = main(["certify", "--trials", "25", "--m", "2", "--axis-points", "180",
                  "--seed", "4", "--out", str(tmp_path)])

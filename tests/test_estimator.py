@@ -1,10 +1,20 @@
 """Estimator tests, anchored on an explicit dense-inverse oracle."""
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from irsradar.channel import crandn
 from irsradar.errors import SingularModelError, UndefinedMetricError
-from irsradar.estimator import NoiseModel, blue_estimate, blue_stack, estimator_mse, nmse
+from irsradar.estimator import (
+    CONDITION_LIMIT,
+    NoiseModel,
+    _gram_stack,
+    blue_estimate,
+    blue_stack,
+    estimator_mse,
+    nmse,
+    nmse_rows,
+)
 from irsradar.model import build_sensing_matrix, make_random_waveform
 
 
@@ -170,3 +180,61 @@ def test_blue_stack_items_match_single_estimates():
                 np.testing.assert_array_equal(alpha_hat[t], rep.alpha_hat)
                 np.testing.assert_array_equal(cov[t], rep.covariance)
                 assert mse[t] == rep.mse
+
+
+SHAPES = [(50, 5), (256, 32)]
+
+
+@pytest.mark.parametrize("N, K", SHAPES)
+def test_nmse_rows_match_per_row_norms(N, K):
+    rng = np.random.default_rng(N)
+    truth, est = crandn(rng, 40, K), crandn(rng, 40, K)
+    est[3] = truth[3]  # an exact estimate
+    ref = [np.linalg.norm(t - e) / np.linalg.norm(t) for t, e in zip(truth, est)]
+    np.testing.assert_array_equal(nmse_rows(truth, est), ref)
+    truth[5] = 0
+    with pytest.raises(UndefinedMetricError):
+        nmse_rows(truth, est)
+
+
+@pytest.mark.parametrize("N, K", SHAPES)
+def test_blue_stack_matches_per_item_cholesky_solves(N, K):
+    # the per-item cho_factor/cho_solve BLUE with b and eye(K) solved apart
+    rng = np.random.default_rng(K)
+    T = 6
+    cols, y = crandn(rng, T, N, K), crandn(rng, T, N)
+    R = random_spd(rng, N)
+    for noise, solve in (
+        (NoiseModel.scaled_identity(0.1, N), lambda b: b / 0.1),
+        (NoiseModel(covariance=R), lambda b: cho_solve(cho_factor(R, lower=True), b)),
+    ):
+        alpha_hat, cov, mse, errors = blue_stack(cols, noise, y)
+        for t in range(T):
+            ria = solve(cols[t])
+            gram = cols[t].conj().T @ ria
+            factor = cho_factor(0.5 * (gram + gram.conj().T), lower=True)
+            ref_cov = cho_solve(factor, np.eye(K))
+            ref_cov = 0.5 * (ref_cov + ref_cov.conj().T)
+            assert errors[t] is None
+            np.testing.assert_array_equal(alpha_hat[t], cho_solve(factor, ria.conj().T @ y[t]))
+            np.testing.assert_array_equal(cov[t], ref_cov)
+            assert mse[t] == np.trace(ref_cov).real
+
+
+@pytest.mark.parametrize("N, K", SHAPES)
+def test_condition_decision_matches_np_linalg_cond(N, K):
+    rng = np.random.default_rng(N + K)
+    cols = crandn(rng, 24, N, K)
+    # near-singular items: column 1 approaches column 0, conditions ~1e2 to ~1e17
+    for t, eps in enumerate(np.logspace(-15, -1, 15)):
+        cols[t, :, 1] = cols[t, :, 0] + eps * crandn(rng, N)
+    cols[15, :, 1] = cols[15, :, 0]  # identical columns
+    cols[16, :, 0] = 0  # a zero column: the smallest eigenvalue is exactly 0
+    noise = NoiseModel.scaled_identity(1.0, N)
+    _, gram, cond = _gram_stack(cols, noise)
+    ref = np.linalg.cond(gram)
+    np.testing.assert_array_equal(cond > CONDITION_LIMIT, ref > CONDITION_LIMIT)
+    assert 0 < np.sum(ref > CONDITION_LIMIT) < len(cols)
+    assert cond[16] == np.inf
+    well = ref < 1e8
+    np.testing.assert_allclose(cond[well], ref[well], rtol=1e-6)

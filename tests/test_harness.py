@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsradar import estimator, harness
-from irsradar.channel import IrsPanel, draw_csi, nlos_coefficient
+from irsradar.channel import IrsPanel, crandn, draw_csi, nlos_coefficient
 from irsradar.errors import GenerationError, SingularModelError
 from irsradar.harness import (
     MODE_LABELS,
@@ -15,6 +15,7 @@ from irsradar.harness import (
     Scenario,
     _draw_block,
     _HashedSeed,
+    _project,
     _seed_states,
     _sweep,
     run_trial,
@@ -68,6 +69,46 @@ def test_scenario_rejects_nonfinite_and_blocked_los():
     with pytest.raises(ValueError, match="los_only"):
         Scenario(link_mode="los_only", gamma=0.0)
     Scenario(link_mode="nlos_optimal", gamma=0.0)  # blocked LoS, reflected paths only
+
+
+def test_doppler_inputs_must_be_finite():
+    # a nan gap made both separation comparisons False and switched the check off
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="doppler_min_gap"):
+            Scenario(doppler_min_gap=bad)
+        for rng in ((-bad, 0.5), (-0.5, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="doppler_range"):
+                Scenario(doppler_range=rng)
+
+
+def test_fixed_panels_must_be_finite():
+    # fails at construction, not in the first trial
+    with pytest.raises(ValueError, match="panel g"):
+        Scenario(fixed_panels=(IrsPanel(g=[np.nan, 1, 1, 1], h=np.ones(4)),) * 3, n=20, k=3, m=4)
+
+
+def test_fixed_panels_must_not_be_dead():
+    # a panel with beta * conj(g) * h all zero composes to zero for every phase
+    live = draw_csi(4, 3, 5)[1]
+    dead = (IrsPanel(g=np.zeros(4), h=np.ones(4)),
+            IrsPanel(g=[1, 0, 1, 0], h=[0, 1, 0, 1]),
+            IrsPanel(g=np.ones(4), h=np.ones(4), beta=np.zeros(4)))
+    for panel in dead:
+        with pytest.raises(ValueError, match=r"fixed_panels \[1\]"):
+            Scenario(n=20, k=3, m=4, fixed_panels=(live[0], panel, live[2]))
+    with pytest.raises(ValueError, match=r"fixed_panels \[0, 1, 2\]"):
+        Scenario(n=20, k=3, m=4, fixed_panels=(dead[0],) * 3)
+
+
+def test_project_matches_per_trial_dot():
+    # the stacked alpha^T c gives each trial's alpha[t] @ c[t] bits
+    rng = np.random.default_rng(3)
+    for K in (5, 32):
+        alpha, c = crandn(rng, 40, K), crandn(rng, 40, K)
+        for cs in (c, np.broadcast_to(c[0], c.shape)):  # shared by every trial
+            got = _project(alpha, cs)
+            for t in range(len(alpha)):
+                assert got[t] == alpha[t] @ cs[t]
 
 
 def test_phase_policy_must_be_fixed():
@@ -378,8 +419,9 @@ def test_seed_states_match_seed_sequence(keys):
 
 
 def _degenerate_panels():
-    # zero incident CSI composes every reflected path to exactly zero
-    return tuple(IrsPanel(g=np.zeros(4), h=np.ones(4)) for _ in range(3))
+    # Scenario rejects panels with no nonzero element, but a squared path
+    # magnitude of ~1e-400 still underflows to exactly zero on every draw
+    return tuple(IrsPanel(g=np.full(4, 1e-100), h=np.full(4, 1e-100)) for _ in range(3))
 
 
 DRAW_CASES = {
@@ -392,7 +434,8 @@ DRAW_CASES = {
         kind="fixed", fixed_theta=tuple(np.linspace(-7.0, 7.0, 12).reshape(3, 4)))),
     "magnitude_squared": dict(n=20, k=3, m=4, nlos_form="magnitude_squared"),
     "doppler_redraws": dict(n=20, k=5, m=2, doppler_min_gap=0.155),
-    "degenerate_scene": dict(n=20, k=3, m=4, fixed_panels=_degenerate_panels()),
+    "degenerate_scene": dict(n=20, k=3, m=4, fixed_panels=_degenerate_panels(),
+                             nlos_form="magnitude_squared"),
 }
 
 

@@ -11,6 +11,7 @@ from irsradar.model import (
     make_random_waveform,
     random_code,
     sensing_columns,
+    steering_columns,
 )
 
 
@@ -125,7 +126,7 @@ def test_sensing_columns_stack_matches_single_models():
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, (T, N)))
         nus = rng.uniform(-np.pi, np.pi, (T, K))
         csi = crandn(rng, T, K)
-        stacked = sensing_columns(x, nus, csi)
+        stacked = sensing_columns(steering_columns(x, nus), csi)
         for t in range(T):
             single = build_sensing_matrix(Waveform(x[t]), nus[t], csi[t]).columns
             np.testing.assert_array_equal(stacked[t], single)
