@@ -1,19 +1,9 @@
 """Monte-Carlo study of reflecting-surface-aided radar parameter estimation."""
 
 from .bounds import CrbReport, crb, fisher_information
-from .channel import (
-    ChannelRealization,
-    IrsPanel,
-    compose_nlos_coefficient,
-    draw_csi,
-    inner_product_form,
-    nlos_coefficient,
-    normalize_scenario,
-    read_csi_file,
-)
+from .channel import IrsPanel, compose_paths, read_csi_file
 from .errors import (
     CapabilityError,
-    DegenerateDrawError,
     DegeneratePathError,
     GenerationError,
     NumericalError,
@@ -23,7 +13,7 @@ from .errors import (
     UndefinedMetricError,
     UsageError,
 )
-from .estimator import EstimationReport, NoiseModel, blue_estimate, estimator_mse, nmse
+from .estimator import EstimationReport, NoiseModel, blue_estimate, estimator_mse
 from .harness import (
     Scenario,
     SweepResult,
@@ -33,17 +23,13 @@ from .harness import (
     sweep_noise,
 )
 from .model import (
-    DopplerSteering,
     SensingMatrix,
     Waveform,
     build_sensing_matrix,
-    doppler_steering,
     make_random_waveform,
 )
 from .phaseopt import (
     CertificationRecord,
-    PhasePolicy,
-    apply_policy,
     certify_optimum,
     optimal_phases,
 )

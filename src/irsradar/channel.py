@@ -1,19 +1,17 @@
-"""CSI generation, IRS phase application, and scene normalization.
+"""CSI generation and IRS phase application.
 
 Each of the K reflecting panels has M elements.  The panel's phase
 vector theta (and fixed per-element gains beta, all 1 by default) form
 the diagonal reflection matrix Theta = Diag(beta * e^{j theta}).  The
 effective path coefficient seen by the radar is a function of the
-triple (g, h, Theta); two forms are supported, see nlos_coefficient.
+triple (g, h, Theta); two forms are supported, see compose_paths.
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DegenerateDrawError
 
 NLOS_FORMS = ("magnitude_squared", "complex")
 
@@ -93,52 +91,9 @@ class IrsPanel:
     def m(self) -> int:
         return self.g.size
 
-    def phase_matrix(self) -> np.ndarray:
-        """Theta = Diag(beta * e^{j theta})."""
-        return np.diag(self.beta * np.exp(1j * self.theta))
-
     def c_vector(self) -> np.ndarray:
         """c = Diag(g)^H h, the per-element combining coefficients."""
         return np.conj(self.g) * self.h
-
-    def with_theta(self, theta) -> "IrsPanel":
-        return replace(self, theta=np.asarray(theta, dtype=float))
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One normalized scene: direct path, panels, reflectivities, composed CSI."""
-
-    h_los: complex  # direct-path gain after scaling
-    panels: tuple  # K IrsPanel with phases already applied
-    alpha: np.ndarray  # complex, length K, per-path reflectivities
-    alpha_los: complex  # direct-path reflectivity
-    nlos_csi: np.ndarray  # complex, length K, composed and scaled
-    gamma: float  # requested direct-to-reflected power ratio
-
-    @property
-    def k(self) -> int:
-        return len(self.panels)
-
-
-def draw_csi(M: int, K: int, seed):
-    """Draw raw (unnormalized) CSI and reflectivities.
-
-    All entries are i.i.d. circularly symmetric complex Gaussian with
-    unit variance.  Draw order is fixed: h_los, the K x M block of g,
-    the K x M block of h, alpha, alpha_los.
-
-    Returns
-    -------
-    (h_los, panels, alpha, alpha_los)
-        panels is a tuple of K IrsPanel with theta = 0, beta = 1.
-    """
-    if M < 1 or K < 1:
-        raise ValueError("M and K must be at least 1")
-    z = np.random.default_rng(seed).standard_normal((1, csi_draw_size(M, K)))
-    h_los, g, h, alpha, alpha_los = split_csi(z, M, K)
-    panels = tuple(IrsPanel(g=g[0, k], h=h[0, k]) for k in range(K))
-    return complex(h_los[0, 0]), panels, alpha[0], complex(alpha_los[0, 0])
 
 
 def csi_draw_size(M: int, K: int) -> int:
@@ -150,7 +105,10 @@ def split_csi(z, M: int, K: int):
     """Stacked CSI from rows of csi_draw_size standard normals.
 
     Returns (h_los, g, h, alpha, alpha_los) with shapes (T, 1),
-    (T, K, M), (T, K, M), (T, K) and (T, 1), in draw_csi's order.
+    (T, K, M), (T, K, M), (T, K) and (T, 1), in the order a row's draws
+    are consumed: h_los, the K x M block of g, the K x M block of h,
+    alpha, alpha_los.  All entries are circularly symmetric complex
+    Gaussians with unit variance.
     """
     h_los, g, h, alpha, alpha_los = split_crandn(z, 1, K * M, K * M, K, 1)
     return h_los, g.reshape(-1, K, M), h.reshape(-1, K, M), alpha, alpha_los
@@ -161,13 +119,17 @@ def compose_paths(g, h, theta, beta, form: str = "magnitude_squared") -> np.ndar
 
     Row k is h_k^H Theta_k g_k = c_k^H (beta_k * e^{j theta_k}) with
     c_k = Diag(g_k)^H h_k, taken as is ("complex") or as its squared
-    magnitude ("magnitude_squared").  The inputs broadcast against each
-    other and the result has their shape without the last axis.  theta
-    must already be wrapped as a panel stores it (see wrap_phase).  All
-    rows go through one np.vecdot, which runs the same BLAS dot on each
-    row as np.vdot on that row alone, so a row's value does not depend on
-    the rows stacked with it.  The squared magnitude is Python's abs of
-    each value, which rounds differently from np.abs on complex.
+    magnitude ("magnitude_squared").  Estimation quality under the two
+    differs materially: squaring doubles the dynamic range of weak draws,
+    so random-phase panels produce near-dead paths far more often, which
+    is why Scenario defaults to "complex".  The inputs broadcast against
+    each other and the result has their shape without the last axis; one
+    panel's 1-D g, h, theta and beta give its coefficient as a 0-d array.
+    theta must already be wrapped as a panel stores it (see wrap_phase).
+    All rows go through one np.vecdot, which runs the same BLAS dot on
+    each row as np.vdot on that row alone, so a row's value does not
+    depend on the rows stacked with it.  The squared magnitude is Python's
+    abs of each value, which rounds differently from np.abs on complex.
     """
     if form not in NLOS_FORMS:
         raise ValueError(f"unknown nlos form: {form!r}")
@@ -175,72 +137,6 @@ def compose_paths(g, h, theta, beta, form: str = "magnitude_squared") -> np.ndar
     if form == "magnitude_squared":
         z = np.array([abs(v) ** 2 for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
     return z
-
-
-def _compose_panel(panel: IrsPanel, form: str) -> complex:
-    rows = (panel.g[None], panel.h[None], panel.theta[None], panel.beta[None])
-    return complex(compose_paths(*rows, form=form)[0])
-
-
-def inner_product_form(panel: IrsPanel) -> complex:
-    """h^H Theta g evaluated through the combining vector c.
-
-    Uses h^H Theta g = c^H (beta * e^{j theta}) with c = Diag(g)^H h; the
-    tests check this against the direct matrix product.
-    """
-    return _compose_panel(panel, "complex")
-
-
-def compose_nlos_coefficient(panel: IrsPanel) -> complex:
-    """|h^H Theta g|^2 as a complex scalar with zero imaginary part."""
-    return _compose_panel(panel, "magnitude_squared")
-
-
-def nlos_coefficient(panel: IrsPanel, form: str = "magnitude_squared") -> complex:
-    """Per-path coefficient under the selected composition form.
-
-    "magnitude_squared" is the real nonnegative power form; "complex"
-    keeps the phase of the cascaded channel.  Estimation quality under
-    the two differs materially: squaring doubles the dynamic range of
-    weak draws, so random-phase panels produce near-dead paths far more
-    often.  The harness defaults to "complex" for that reason.
-    """
-    return _compose_panel(panel, form)
-
-
-def normalize_scenario(h_los, panels, alpha, alpha_los, gamma,
-                       nlos_form: str = "magnitude_squared") -> ChannelRealization:
-    """Scale the scene so the two link powers hit their targets.
-
-    The composed reflected CSI is scaled by a positive real factor so
-    |alpha^T nlos_csi|^2 = 1, and the direct gain by a positive real
-    factor so |alpha_los * h_los|^2 = gamma.  Phases are never touched.
-
-    Raises
-    ------
-    DegenerateDrawError
-        If either inner product is exactly zero before scaling (the
-        caller is expected to redraw; see the harness resample loop).
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    raw = np.array([nlos_coefficient(p, nlos_form) for p in panels], dtype=complex)
-    proj = complex(alpha @ raw)
-    if proj == 0:
-        raise DegenerateDrawError("alpha^T nlos_csi is exactly zero")
-    if alpha_los * h_los == 0:
-        raise DegenerateDrawError("alpha_los * h_los is exactly zero")
-    nlos_csi = raw / abs(proj)
-    h_los_scaled = complex(h_los * np.sqrt(gamma) / abs(alpha_los * h_los))
-    return ChannelRealization(
-        h_los=h_los_scaled,
-        panels=tuple(panels),
-        alpha=alpha,
-        alpha_los=complex(alpha_los),
-        nlos_csi=nlos_csi,
-        gamma=float(gamma),
-    )
 
 
 def read_csi_file(path, K: int, M: int):

@@ -16,7 +16,7 @@ import numpy as np
 from .channel import NLOS_FORMS, IrsPanel, crandn, read_csi_file
 from .errors import NumericalError, UsageError
 from .harness import Scenario, SweepResult, _sweep, sweep_gamma, sweep_noise
-from .phaseopt import PhasePolicy, certify_optimum
+from .phaseopt import certify_optimum
 
 SUBCOMMANDS = ("sweep-gamma", "sweep-noise", "crb", "single", "certify")
 
@@ -443,8 +443,7 @@ def _run_single(cfg: RunConfig, template: Scenario) -> SweepResult:
         return sweep_gamma(template, [cfg.gamma])
     mode = {"optimal": "nlos_optimal", "random": "nlos_random", "fixed": "nlos_fixed"}[cfg.policy]
     if cfg.policy == "fixed":
-        zeros = tuple(np.zeros(cfg.m) for _ in range(cfg.k))
-        template = replace(template, phase_policy=PhasePolicy(kind="fixed", fixed_theta=zeros))
+        template = replace(template, fixed_theta=np.zeros((cfg.k, cfg.m)))
     return _sweep(template, "gamma", [cfg.gamma], (mode,))
 
 

@@ -35,10 +35,6 @@ class SingularModelError(NumericalError):
     """Gram matrix too ill-conditioned to invert trustworthily."""
 
 
-class DegenerateDrawError(NumericalError):
-    """A random draw hit a measure-zero degeneracy; caller may resample."""
-
-
 class GenerationError(NumericalError):
     """Scene generation still degenerate after the bounded resample budget."""
 

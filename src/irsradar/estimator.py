@@ -54,10 +54,6 @@ class NoiseModel:
     def scaled_identity(cls, sigma2: float, n: int) -> "NoiseModel":
         return cls(is_scaled_identity=True, sigma2=float(sigma2), n=int(n))
 
-    @classmethod
-    def identity(cls, n: int) -> "NoiseModel":
-        return cls.scaled_identity(1.0, n)
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         """R^-1 b without forming R^-1; b may be a (..., N, K) stack."""
         if self.is_scaled_identity:
@@ -178,7 +174,6 @@ class EstimationReport:
     alpha_hat: np.ndarray  # complex, length K
     covariance: np.ndarray  # K x K Hermitian
     mse: float  # trace of covariance
-    nmse: float  # against the true alpha when supplied, else nan
 
 
 def _single(A, noise: NoiseModel, y):
@@ -194,7 +189,7 @@ def _single(A, noise: NoiseModel, y):
     return alpha_hat[0], cov[0], float(mse[0])
 
 
-def blue_estimate(A, noise: NoiseModel, y, alpha_true=None) -> EstimationReport:
+def blue_estimate(A, noise: NoiseModel, y) -> EstimationReport:
     """Estimate alpha from one observation.
 
     Parameters
@@ -205,8 +200,6 @@ def blue_estimate(A, noise: NoiseModel, y, alpha_true=None) -> EstimationReport:
     noise : NoiseModel
     y : (N,) array
         Observed slow-time vector.
-    alpha_true : optional
-        When given, the report's nmse field is filled in.
 
     Raises
     ------
@@ -215,8 +208,7 @@ def blue_estimate(A, noise: NoiseModel, y, alpha_true=None) -> EstimationReport:
         regularization is applied.
     """
     alpha_hat, cov, mse = _single(A, noise, np.asarray(y, dtype=complex))
-    err = float("nan") if alpha_true is None else nmse(alpha_true, alpha_hat)
-    return EstimationReport(alpha_hat=alpha_hat, covariance=cov, mse=mse, nmse=err)
+    return EstimationReport(alpha_hat=alpha_hat, covariance=cov, mse=mse)
 
 
 def estimator_mse(A, noise: NoiseModel) -> float:
@@ -233,20 +225,12 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
 
 
 def nmse_rows(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """nmse of each row of a (T, K) estimate stack against its truth row.
+    """NMSE of each row of a (T, K) estimate stack against its truth row.
 
-    Each row's value is the bits np.linalg.norm gives on that row alone.
+    Row t's value is norm(truth[t] - est[t]) / norm(truth[t]), the norms
+    not squared, in the bits np.linalg.norm gives on that row alone.
     """
     denom = _row_norms(truth)
     if np.any(denom == 0):
         raise UndefinedMetricError("NMSE undefined for a zero true vector")
     return _row_norms(truth - est) / denom
-
-
-def nmse(alpha_true, alpha_hat) -> float:
-    """norm(alpha - alpha_hat) / norm(alpha); the norms are not squared."""
-    t = np.atleast_1d(np.asarray(alpha_true, dtype=complex))
-    h = np.atleast_1d(np.asarray(alpha_hat, dtype=complex))
-    if t.shape != h.shape:
-        raise ValueError("shape mismatch between truth and estimate")
-    return float(nmse_rows(t[None], h[None])[0])

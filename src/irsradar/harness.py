@@ -88,7 +88,7 @@ from .channel import NLOS_FORMS, compose_paths, csi_draw_size, split_crandn, spl
 from .errors import GenerationError
 from .estimator import NoiseModel, blue_stack, nmse_rows
 from .model import random_code, sensing_columns, steering_columns
-from .phaseopt import PhasePolicy, optimal_phases
+from .phaseopt import optimal_phases
 
 LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
 
@@ -96,6 +96,11 @@ LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
 _STREAMS = {"waveform": 0, "doppler": 1, "channel": 2, "noise": 3, "phase": 4}
 
 RESAMPLE_BUDGET = 100
+
+# The supported range of sigma2 and of a nonzero gamma.  Far outside it a
+# scene's normalization or the noise solve under- or overflows, and every
+# trial would fail or come out non-finite.
+POWER_RANGE = (1e-30, 1e30)
 
 # A block holds as many trials as fit about this many bytes of N x K
 # complex per stacked array (at least one), which bounds its memory.
@@ -125,7 +130,7 @@ class Scenario:
     doppler_range: tuple = (-0.5, 0.5)  # cycles per pulse
     doppler_min_gap: float = None  # cycles; None means 1/(4n)
     freeze_waveform: bool = False
-    phase_policy: PhasePolicy = None  # fixed phases; required for link_mode="nlos_fixed"
+    fixed_theta: tuple = None  # k phase vectors of length m; required for link_mode="nlos_fixed"
     fixed_panels: tuple = None  # CSI replay; overrides the panel draw
     noise_cov: np.ndarray = None  # full N x N covariance; overrides sigma2
 
@@ -134,10 +139,11 @@ class Scenario:
             raise ValueError("n, k, m, trials must be positive")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
-        if not 0 < self.sigma2 < np.inf:
-            raise ValueError("sigma2 must be positive and finite")
-        if not 0 <= self.gamma < np.inf:
-            raise ValueError("gamma must be nonnegative and finite")
+        lo, hi = POWER_RANGE
+        if not lo <= self.sigma2 <= hi:
+            raise ValueError(f"sigma2 must lie in [{lo:g}, {hi:g}]")
+        if not (self.gamma == 0 or lo <= self.gamma <= hi):
+            raise ValueError(f"gamma must be 0 or lie in [{lo:g}, {hi:g}]")
         if self.link_mode == "los_only" and self.gamma == 0:
             raise ValueError("gamma must be positive for link_mode='los_only'")
         if self.master_seed < 0:
@@ -158,23 +164,21 @@ class Scenario:
             raise ValueError("doppler_min_gap leaves no room for k paths")
         # the draw's phase and panel arrays, each a K x M stack; not fields,
         # so kept out of eq and repr like _noise below
-        fixed_theta = None
-        if self.phase_policy is not None:
-            if self.phase_policy.kind != "fixed":
-                raise ValueError("phase_policy must be fixed; only nlos_fixed reads it")
-            thetas = self.phase_policy.fixed_theta
+        theta = None
+        if self.fixed_theta is not None:
+            thetas = [np.atleast_1d(np.asarray(t, dtype=float)) for t in self.fixed_theta]
             sizes = sorted({t.size for t in thetas})
             if len(thetas) != self.k or sizes != [self.m]:
                 raise ValueError(
-                    f"fixed phase_policy has {len(thetas)} theta vectors of length "
+                    f"fixed_theta has {len(thetas)} theta vectors of length "
                     f"{'/'.join(map(str, sizes))}; the scenario needs k={self.k} of m={self.m}"
                 )
             if not np.all(np.isfinite(thetas)):
-                raise ValueError("fixed phase_policy has non-finite theta entries")
-            fixed_theta = wrap_phase(np.stack(thetas))
-        object.__setattr__(self, "_fixed_theta", fixed_theta)
-        if self.link_mode == "nlos_fixed" and self.phase_policy is None:
-            raise ValueError("nlos_fixed requires a fixed phase policy")
+                raise ValueError("fixed_theta has non-finite entries")
+            theta = wrap_phase(np.stack(thetas))
+        object.__setattr__(self, "_theta", theta)
+        if self.link_mode == "nlos_fixed" and self.fixed_theta is None:
+            raise ValueError("nlos_fixed requires fixed_theta")
         panel_csi = None
         if self.fixed_panels is not None:
             panels = tuple(self.fixed_panels)
@@ -320,15 +324,15 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     redrawn while alpha_los * h_los or alpha^T c of any reflected mode is
     exactly zero, so all link modes accept or reject identical draws and
     pairing is preserved.  Phases are wrapped as often as the panel path
-    wraps them: once on a policy's phases, and once more on
-    optimal_phases' already wrapped output.
+    wraps them: once on fixed_theta and on the random phases, and once
+    more on optimal_phases' already wrapped output.
 
     Returns a dict over the drawn trials, in order: "drawn" their
     positions in `trials`, "x" the (T, N) codes, "u" the (T, k + 1)
     Dopplers in cycles (the direct path's first), "steer" the (T, N, k)
     steering columns of the reflected paths, which every reflected mode
     shares, "h_los" and "alpha_los" lists of complex, "alpha" (T, k),
-    "csi" mapping nlos_random, nlos_optimal and, with a phase policy,
+    "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
     nlos_fixed to the (T, k) raw composed coefficients, and "w" the (T, N)
     noise.  "failed" maps the other positions to the GenerationError that
     excluded them.
@@ -385,8 +389,8 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         random_theta = np.array([rngs["phase"][j].uniform(0.0, 2.0 * np.pi, (k, m)) for j in todo])
         thetas = {"nlos_random": wrap_phase(random_theta),
                   "nlos_optimal": wrap_phase(optimal_phases(g, h))}
-        if scenario._fixed_theta is not None:
-            thetas["nlos_fixed"] = scenario._fixed_theta
+        if scenario._theta is not None:
+            thetas["nlos_fixed"] = scenario._theta
         composed = {
             mode: np.broadcast_to(compose_paths(g, h, theta, beta, scenario.nlos_form),
                                   (todo.size, k))

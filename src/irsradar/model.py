@@ -34,35 +34,10 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class DopplerSteering:
-    """Phase ramp across pulses for one Doppler shift: vector[n] = e^{j n nu}."""
-
-    nu: float  # radians per pulse
-    vector: np.ndarray  # complex, length N
-
-    def __len__(self) -> int:
-        return self.vector.size
-
-
-@dataclass(frozen=True)
 class SensingMatrix:
     """N x K matrix whose column k is nlos_csi[k] * (x ⊙ p(nu_k))."""
 
     columns: np.ndarray  # complex, N x K
-    per_path_doppler: np.ndarray  # real, length K, radians per pulse
-    nlos_csi: np.ndarray  # complex, length K
-
-    @property
-    def n(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.columns.shape[1]
-
-    def gram(self) -> np.ndarray:
-        """A^H A, Hermitian K x K."""
-        return self.columns.conj().T @ self.columns
 
 
 def make_random_waveform(N: int, seed) -> Waveform:
@@ -87,16 +62,6 @@ def random_code(N: int, rngs) -> np.ndarray:
     return np.exp(1j * phases)
 
 
-def doppler_steering(nu: float, N: int) -> DopplerSteering:
-    """Steering vector [1, e^{j nu}, ..., e^{j (N-1) nu}]."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if not np.isfinite(nu):
-        raise ValueError("nu must be finite")
-    vec = np.exp(1j * float(nu) * np.arange(N))
-    return DopplerSteering(nu=float(nu), vector=vec)
-
-
 def build_sensing_matrix(x: Waveform, dopplers, nlos_csi) -> SensingMatrix:
     """Assemble A columnwise: a_k = nlos_csi[k] * (x ⊙ p(nu_k)).
 
@@ -119,6 +84,8 @@ def build_sensing_matrix(x: Waveform, dopplers, nlos_csi) -> SensingMatrix:
     csi = np.atleast_1d(np.asarray(nlos_csi, dtype=complex))
     if nus.shape != csi.shape or nus.ndim != 1:
         raise ValueError("dopplers and nlos_csi must be 1-D of equal length")
+    if not np.all(np.isfinite(nus)):
+        raise ValueError("dopplers must be finite")
     K, N = nus.size, len(x)
     if K < 1:
         raise ValueError("need at least one path")
@@ -127,7 +94,7 @@ def build_sensing_matrix(x: Waveform, dopplers, nlos_csi) -> SensingMatrix:
             f"K={K} paths exceed N={N} pulses; the Gram matrix would be singular"
         )
     cols = sensing_columns(steering_columns(x.samples, nus), csi)
-    return SensingMatrix(columns=cols, per_path_doppler=nus, nlos_csi=csi)
+    return SensingMatrix(columns=cols)
 
 
 def steering_columns(x, dopplers) -> np.ndarray:

@@ -15,31 +15,11 @@ import numpy as np
 from .channel import IrsPanel
 from .errors import CapabilityError
 
-POLICY_KINDS = ("optimal", "random", "fixed")
-
 # Above this many grid nodes the direct enumeration is replaced by the
 # piecewise reduction (still exact on the same grid, see _grid_max_pieces).
 DIRECT_ENUMERATION_LIMIT = 2_000_000
 
 CERTIFY_MAX_ELEMENTS = 4
-
-
-@dataclass(frozen=True)
-class PhasePolicy:
-    """How panel phases are chosen for a scene."""
-
-    kind: str  # one of POLICY_KINDS
-    fixed_theta: tuple = None  # per-panel vectors, only for kind="fixed"
-    seed: object = None  # rng seed for kind="random"
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind: {self.kind!r}")
-        if (self.fixed_theta is not None) != (self.kind == "fixed"):
-            raise ValueError("fixed_theta must be given exactly when kind='fixed'")
-        if self.fixed_theta is not None:
-            vecs = tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in self.fixed_theta)
-            object.__setattr__(self, "fixed_theta", vecs)
 
 
 def optimal_phases(g, h) -> np.ndarray:
@@ -52,31 +32,6 @@ def optimal_phases(g, h) -> np.ndarray:
         np.asarray(h, dtype=complex)
     )
     return np.mod(np.angle(c), 2.0 * np.pi)
-
-
-def apply_policy(panels, policy: PhasePolicy, rng=None):
-    """Return panels with phases set per policy; inputs are not mutated.
-
-    For the random policy, `rng` (or policy.seed) feeds a fresh
-    generator; phases are drawn panel by panel in order.
-    """
-    panels = tuple(panels)
-    if policy.kind == "optimal":
-        return tuple(p.with_theta(optimal_phases(p.g, p.h)) for p in panels)
-    if policy.kind == "random":
-        gen = np.random.default_rng(policy.seed if rng is None else rng)
-        return tuple(p.with_theta(gen.uniform(0.0, 2.0 * np.pi, p.m)) for p in panels)
-    if len(policy.fixed_theta) != len(panels):
-        raise ValueError(
-            f"fixed policy has {len(policy.fixed_theta)} theta vectors "
-            f"for {len(panels)} panels"
-        )
-    out = []
-    for p, theta in zip(panels, policy.fixed_theta):
-        if theta.size != p.m:
-            raise ValueError(f"fixed theta length {theta.size} != panel size {p.m}")
-        out.append(p.with_theta(theta))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

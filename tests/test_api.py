@@ -1,0 +1,31 @@
+"""The package's public names, pinned so that an added or removed export shows in review."""
+import inspect
+
+import irsradar
+
+PUBLIC = {
+    # harness
+    "Scenario", "SweepResult", "TrialRecord", "run_trial", "sweep_gamma", "sweep_noise",
+    # channel
+    "IrsPanel", "compose_paths", "read_csi_file",
+    # model
+    "SensingMatrix", "Waveform", "build_sensing_matrix", "make_random_waveform",
+    # estimator
+    "EstimationReport", "NoiseModel", "blue_estimate", "estimator_mse",
+    # bounds
+    "CrbReport", "crb", "fisher_information",
+    # phaseopt
+    "CertificationRecord", "certify_optimum", "optimal_phases",
+    # errors
+    "CapabilityError", "DegeneratePathError", "GenerationError", "NumericalError",
+    "SingularModelError", "UnboundedCrbError", "UnderdeterminedModelError",
+    "UndefinedMetricError", "UsageError",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {
+        name for name, value in vars(irsradar).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported == PUBLIC

@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from irsradar.bounds import crb, fisher_information
-from irsradar.channel import crandn, draw_csi, nlos_coefficient
+from irsradar.channel import compose_paths, crandn, wrap_phase
 from irsradar.errors import SingularModelError
 from irsradar.estimator import NoiseModel, blue_estimate, estimator_mse
 from irsradar.model import build_sensing_matrix, make_random_waveform
-from irsradar.phaseopt import PhasePolicy, apply_policy
+from irsradar.phaseopt import optimal_phases
 
 
 def kron_oracle(A, R):
@@ -19,7 +19,7 @@ def kron_oracle(A, R):
 
 
 def test_unit_scalar_model():
-    J = fisher_information(np.eye(1), NoiseModel.identity(1))
+    J = fisher_information(np.eye(1), NoiseModel.scaled_identity(1.0, 1))
     np.testing.assert_allclose(J, 2.0 * np.eye(2), atol=1e-15)
 
 
@@ -89,18 +89,18 @@ def test_per_component_bound_attained():
 def test_optimal_phases_never_worse():
     # per-realization trace ordering on the raw (unnormalized) channel
     for seed in range(20):
-        _, panels, _, _ = draw_csi(M=10, K=5, seed=seed)
+        rng = np.random.default_rng(seed)
+        g, h = crandn(rng, 5, 10), crandn(rng, 5, 10)
         x = make_random_waveform(50, seed)
         rng = np.random.default_rng(1000 + seed)
         nus = rng.uniform(-np.pi, np.pi, 5)
         noise = NoiseModel.scaled_identity(0.01, 50)
         traces = {}
-        for name, policy in (
-            ("optimal", PhasePolicy(kind="optimal")),
-            ("random", PhasePolicy(kind="random", seed=seed)),
+        for name, theta in (
+            ("optimal", optimal_phases(g, h)),
+            ("random", wrap_phase(rng.uniform(0.0, 2.0 * np.pi, (5, 10)))),
         ):
-            applied = apply_policy(panels, policy)
-            csi = np.array([nlos_coefficient(p, "complex") for p in applied])
+            csi = compose_paths(g, h, theta, np.ones((5, 10)), "complex")
             A = build_sensing_matrix(x, nus, csi)
             traces[name] = crb(A, noise).trace
         assert traces["optimal"] <= traces["random"] + 1e-12
@@ -109,4 +109,4 @@ def test_optimal_phases_never_worse():
 def test_singular_model_propagates():
     A = np.ones((6, 2), dtype=complex)
     with pytest.raises(SingularModelError):
-        fisher_information(A, NoiseModel.identity(6))
+        fisher_information(A, NoiseModel.scaled_identity(1.0, 6))

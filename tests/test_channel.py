@@ -1,21 +1,22 @@
 """Channel composition and normalization tests."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from irsradar.channel import (
     NLOS_FORMS,
     IrsPanel,
-    compose_nlos_coefficient,
     compose_paths,
     crandn,
-    draw_csi,
-    inner_product_form,
-    nlos_coefficient,
-    normalize_scenario,
+    csi_draw_size,
     read_csi_file,
     split_crandn,
+    split_csi,
+    wrap_phase,
 )
-from irsradar.errors import DegenerateDrawError
+from irsradar.errors import GenerationError
+from irsradar.harness import Scenario, _draw_block, _estimate_mode, _sweep, run_trial
 
 
 def random_panel(rng, M, random_theta=True):
@@ -23,55 +24,67 @@ def random_panel(rng, M, random_theta=True):
     return IrsPanel(g=crandn(rng, M), h=crandn(rng, M), theta=theta)
 
 
+def compose(panel, form="magnitude_squared"):
+    return complex(compose_paths(panel.g, panel.h, panel.theta, panel.beta, form))
+
+
+def direct_product(panel):
+    """h^H Theta g with Theta = Diag(beta * e^{j theta}), by matrix product."""
+    return np.conj(panel.h) @ np.diag(panel.beta * np.exp(1j * panel.theta)) @ panel.g
+
+
+def draw(M, K, seed, rows=1):
+    z = np.random.default_rng(seed).standard_normal((rows, csi_draw_size(M, K)))
+    return split_csi(z, M, K)
+
+
 def test_draw_shapes_and_determinism():
-    h_los, panels, alpha, alpha_los = draw_csi(M=10, K=5, seed=42)
-    assert len(panels) == 5 and all(p.m == 10 for p in panels)
-    assert alpha.shape == (5,)
-    again = draw_csi(M=10, K=5, seed=42)
-    assert again[0] == h_los
-    assert np.array_equal(again[2], alpha)
-    np.testing.assert_array_equal(again[1][3].g, panels[3].g)
+    h_los, g, h, alpha, alpha_los = draw(M=10, K=5, seed=42, rows=3)
+    assert h_los.shape == alpha_los.shape == (3, 1)
+    assert g.shape == h.shape == (3, 5, 10)
+    assert alpha.shape == (3, 5)
+    again = draw(M=10, K=5, seed=42, rows=3)
+    for a, b in zip(again, (h_los, g, h, alpha, alpha_los)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_draw_unit_power():
     # sample mean power of CSI entries over 1e5 draws
-    _, panels, _, _ = draw_csi(M=100, K=500, seed=7)
-    g = np.concatenate([p.g for p in panels])
+    _, g, _, _, _ = draw(M=100, K=500, seed=7)
     assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 3.0 / np.sqrt(g.size)
 
 
 def test_compose_simple_cases():
-    assert compose_nlos_coefficient(IrsPanel(g=[1], h=[1], theta=[0])) == 1
-    assert abs(compose_nlos_coefficient(IrsPanel(g=[1, 1], h=[1, 1], theta=[0, 0])) - 4) < 1e-12
-    assert abs(compose_nlos_coefficient(IrsPanel(g=[1, 1], h=[1, -1], theta=[0, 0]))) < 1e-12
+    assert compose(IrsPanel(g=[1], h=[1], theta=[0])) == 1
+    assert abs(compose(IrsPanel(g=[1, 1], h=[1, 1], theta=[0, 0])) - 4) < 1e-12
+    assert abs(compose(IrsPanel(g=[1, 1], h=[1, -1], theta=[0, 0]))) < 1e-12
 
 
 def test_inner_product_single_element():
     # c = conj(g) h = j, so h^H Theta g = conj(c) = -j
-    val = inner_product_form(IrsPanel(g=[1], h=[1j], theta=[0]))
+    val = compose(IrsPanel(g=[1], h=[1j], theta=[0]), "complex")
     assert abs(val - (-1j)) < 1e-15
 
 
 def test_inner_product_matches_direct_matrix_product():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        p = random_panel(rng, 8)
-        direct = np.conj(p.h) @ p.phase_matrix() @ p.g
-        assert abs(inner_product_form(p) - direct) < 1e-13
+        p = replace(random_panel(rng, 8), beta=rng.uniform(0, 1, 8))
+        assert abs(compose(p, "complex") - direct_product(p)) < 1e-13
 
 
 def test_compose_is_squared_inner_product():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        p = random_panel(rng, 6)
-        assert abs(compose_nlos_coefficient(p) - abs(inner_product_form(p)) ** 2) < 1e-12
+        p = replace(random_panel(rng, 6), beta=rng.uniform(0, 1, 6))
+        assert abs(compose(p) - abs(direct_product(p)) ** 2) < 1e-12
 
 
 def test_global_phase_invariance():
     rng = np.random.default_rng(5)
     p = random_panel(rng, 7)
     q = IrsPanel(g=np.exp(0.9j) * p.g, h=p.h, theta=p.theta)
-    assert abs(compose_nlos_coefficient(p) - compose_nlos_coefficient(q)) < 1e-12
+    assert abs(compose(p) - compose(q)) < 1e-12
 
 
 def test_aligned_phases_reach_array_gain():
@@ -79,65 +92,81 @@ def test_aligned_phases_reach_array_gain():
     for _ in range(10):
         p = random_panel(rng, 9, random_theta=False)
         c = p.c_vector()
-        aligned = p.with_theta(np.angle(c))
-        gain = compose_nlos_coefficient(aligned).real
+        gain = compose(replace(p, theta=np.angle(c))).real
         assert abs(gain - np.sum(np.abs(c)) ** 2) < 1e-10
         for _ in range(50):
-            other = p.with_theta(rng.uniform(0, 2 * np.pi, 9))
-            assert compose_nlos_coefficient(other).real <= gain + 1e-10
+            other = replace(p, theta=rng.uniform(0, 2 * np.pi, 9))
+            assert compose(other).real <= gain + 1e-10
 
 
 def test_nlos_form_dispatch():
     rng = np.random.default_rng(8)
     p = random_panel(rng, 5)
-    assert nlos_coefficient(p, "magnitude_squared") == compose_nlos_coefficient(p)
-    assert nlos_coefficient(p, "complex") == inner_product_form(p)
-    with pytest.raises(ValueError):
-        nlos_coefficient(p, "bogus")
+    assert compose(p, "magnitude_squared") == abs(compose(p, "complex")) ** 2
+    with pytest.raises(ValueError, match="bogus"):
+        compose(p, "bogus")
 
 
 @pytest.mark.parametrize("form", ["magnitude_squared", "complex"])
 @pytest.mark.parametrize("gamma", [1e-2, 1.0, 37.5])
 def test_normalization_hits_targets(form, gamma):
-    h_los, panels, alpha, alpha_los = draw_csi(M=10, K=5, seed=9)
-    scene = normalize_scenario(h_los, panels, alpha, alpha_los, gamma, form)
-    assert abs(abs(scene.alpha_los * scene.h_los) ** 2 - gamma) < 1e-10
-    assert abs(abs(scene.alpha @ scene.nlos_csi) ** 2 - 1.0) < 1e-10
-    # recompute the ratio from its definition on the normalized scene
-    ratio = abs(scene.alpha_los * scene.h_los) ** 2 / abs(scene.alpha @ scene.nlos_csi) ** 2
-    assert abs(ratio - gamma) < 1e-9
-
-
-def test_normalization_scales_are_positive_real():
-    h_los, panels, alpha, alpha_los = draw_csi(M=6, K=3, seed=10)
-    scene = normalize_scenario(h_los, panels, alpha, alpha_los, 0.5, "complex")
-    raw = np.array([inner_product_form(p) for p in panels])
-    scales = scene.nlos_csi / raw
-    np.testing.assert_allclose(scales.imag, 0, atol=1e-12)
-    assert np.all(scales.real > 0)
-    np.testing.assert_allclose(scales.real, scales.real[0], rtol=1e-12)
-    assert abs(np.angle(scene.h_los) - np.angle(h_los)) < 1e-12
-
-
-def test_blocked_los_limit():
-    h_los, panels, alpha, alpha_los = draw_csi(M=4, K=2, seed=11)
-    scene = normalize_scenario(h_los, panels, alpha, alpha_los, 0.0)
-    assert scene.h_los == 0
+    # the engine's normalized scene, rebuilt from its draws as
+    # A = Diag(x) P(nu) Diag(c) with |alpha^T c| = 1 for the reflected modes
+    # and |alpha_los c|^2 = gamma for the direct link, must give the
+    # records' bound Tr((A^H A / sigma2)^-1), mse = bound / norm^2, and the
+    # nmse of the least-squares estimate (the BLUE under white noise)
+    n, sigma2 = 20, 1e-2
+    for mode in ("los_only", "nlos_random", "nlos_optimal"):
+        s = Scenario(n=n, k=3, m=4, gamma=gamma, sigma2=sigma2, link_mode=mode, nlos_form=form)
+        block = _draw_block(s, 0, range(12))
+        rows = np.arange(block["drawn"].size)
+        records, errors = _estimate_mode(s, block, rows)
+        assert rows.size == 12 and not any(errors)
+        for t in rows:
+            if mode == "los_only":
+                raw, alpha = np.array([block["h_los"][t]]), np.array([block["alpha_los"][t]])
+                norm = abs(alpha[0] * raw[0]) / np.sqrt(gamma)
+                nus = block["u"][t, :1]
+            else:
+                raw, alpha = block["csi"][mode][t], block["alpha"][t]
+                norm = abs(alpha @ raw)
+                nus = block["u"][t, 1:]
+            c = raw / norm
+            target = gamma if mode == "los_only" else 1.0
+            assert abs(abs(alpha @ c) ** 2 - target) < 1e-10 * target
+            P = np.exp(1j * np.outer(np.arange(n), 2.0 * np.pi * nus))
+            A = np.diag(block["x"][t]) @ P @ np.diag(c)
+            bound = np.trace(np.linalg.inv(A.conj().T @ A / sigma2)).real
+            assert records[2, t] == pytest.approx(bound, rel=1e-10)
+            assert records[1, t] == pytest.approx(bound / norm**2, rel=1e-10)
+            est = np.linalg.lstsq(A, A @ alpha + block["w"][t], rcond=None)[0]
+            nmse = np.linalg.norm(est - alpha) / np.linalg.norm(alpha)
+            assert records[0, t] == pytest.approx(nmse, rel=1e-8)
 
 
 def test_degenerate_draw_raises():
-    h_los, panels, alpha, alpha_los = draw_csi(M=3, K=2, seed=12)
-    with pytest.raises(DegenerateDrawError):
-        normalize_scenario(0.0, panels, alpha, alpha_los, 1.0)
-    dead = [IrsPanel(g=np.zeros(3), h=p.h) for p in panels]
-    with pytest.raises(DegenerateDrawError):
-        normalize_scenario(h_los, dead, alpha, alpha_los, 1.0)
+    # a squared path magnitude of ~1e-400 underflows to zero on every redraw
+    tiny = tuple(IrsPanel(g=np.full(4, 1e-100), h=np.full(4, 1e-100)) for _ in range(3))
+    s = Scenario(n=20, k=3, m=4, fixed_panels=tiny, nlos_form="magnitude_squared")
+    with pytest.raises(GenerationError, match="scene still degenerate"):
+        run_trial(s, 0)
+
+
+def test_blocked_los_limit():
+    # gamma scales only the direct link: the reflected records of a blocked
+    # direct path equal those at any other gamma, on the same draws
+    tpl = Scenario(n=20, k=3, m=4, trials=6, master_seed=2)
+    modes = ("nlos_random", "nlos_optimal")
+    blocked, open_los = (_sweep(tpl, "gamma", [g], modes).records for g in (0.0, 37.5))
+    for lab in modes:
+        for field in ("nmse", "mse", "crb_trace"):
+            np.testing.assert_array_equal(blocked[lab][field], open_los[lab][field])
 
 
 def test_csi_file_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     K, M = 3, 4
-    _, panels, _, _ = draw_csi(M=M, K=K, seed=14)
+    panels = [random_panel(rng, M) for _ in range(K)]
     path = tmp_path / "csi.txt"
     lines = ["# replay file"]
     for p in panels:
@@ -170,18 +199,17 @@ def test_csi_file_rejects_nonfinite_entries(tmp_path):
 
 
 def test_one_draw_call_matches_crandn_sequence():
-    # draw_csi splits one standard_normal call; the reference is the run of
+    # split_csi splits one standard_normal call; the reference is the run of
     # crandn calls in draw order, each part's real draws before its imaginary
     K, M = 3, 4
     for seed in range(6):
-        h_los, panels, alpha, alpha_los = draw_csi(M, K, seed)
+        h_los, g, h, alpha, alpha_los = draw(M, K, seed)
         rng = np.random.default_rng(seed)
-        assert h_los == complex(crandn(rng))
-        np.testing.assert_array_equal([p.g for p in panels], crandn(rng, K, M))
-        np.testing.assert_array_equal([p.h for p in panels], crandn(rng, K, M))
-        np.testing.assert_array_equal(alpha, crandn(rng, K))
-        assert alpha_los == complex(crandn(rng))
-        assert type(h_los) is complex and type(alpha_los) is complex
+        assert h_los[0, 0] == crandn(rng)
+        np.testing.assert_array_equal(g[0], crandn(rng, K, M))
+        np.testing.assert_array_equal(h[0], crandn(rng, K, M))
+        np.testing.assert_array_equal(alpha[0], crandn(rng, K))
+        assert alpha_los[0, 0] == crandn(rng)
     rngs = [np.random.default_rng(s) for s in range(4)]
     parts = split_crandn(np.array([r.standard_normal(2 * (2 + 5)) for r in rngs]), 2, 5)
     for t in range(4):
@@ -218,10 +246,7 @@ def test_compose_paths_rows_match_single_panels():
         theta = rng.uniform(0, 2 * np.pi, (K, M))
         beta = rng.uniform(0, 1, (K, M))
         for form in NLOS_FORMS:
-            single = [
-                nlos_coefficient(IrsPanel(g=g[k], h=h[k], theta=theta[k], beta=beta[k]), form)
-                for k in range(K)
-            ]
+            single = [compose_paths(g[k], h[k], theta[k], beta[k], form) for k in range(K)]
             np.testing.assert_array_equal(compose_paths(g, h, theta, beta, form), single)
 
 

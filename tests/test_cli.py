@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from irsradar import harness
 from irsradar.cli import (
     CSV_HEADER,
     _axis_values,
@@ -283,7 +284,7 @@ def test_cli_noise_sweep_runs(tmp_path):
     assert len(rows) == 9
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["sweep-gamma", "--gamma", "0.5"]) == 2
     assert "conflicts" in capsys.readouterr().err
     # one trial cannot produce a spread estimate; rejected before any trial runs
@@ -293,11 +294,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["single", "--csi", str(tmp_path / "missing.csi"),
                  "--out", str(tmp_path)]) == 4
     # bad values fail before the first trial, naming the input
+    def no_trials(*args):
+        raise AssertionError("a trial was evaluated")
+
+    monkeypatch.setattr(harness, "_evaluate_block", no_trials)
     for argv, name in (
         (["sweep-noise", "--gamma", "0"], "gamma"),
         (["single", "--gamma", "nan"], "gamma"),
         (["sweep-gamma", "--sigma2", "inf"], "sigma2"),
         (["sweep-gamma", "--axis-max", "inf"], "axis_max"),
+        # powers outside the supported range
+        (["single", "--gamma", "1e-320"], "gamma"),
+        (["sweep-gamma", "--axis-min", "1e-320"], "gamma"),
+        (["single", "--sigma2", "1e-320", "--gamma", "0.1"], "sigma2"),
     ):
         assert main([*argv, *SMALL_ARGS, "--out", str(tmp_path)]) == 2
         assert name in capsys.readouterr().err

@@ -12,7 +12,6 @@ from irsradar.estimator import (
     blue_estimate,
     blue_stack,
     estimator_mse,
-    nmse,
     nmse_rows,
 )
 from irsradar.model import build_sensing_matrix, make_random_waveform
@@ -35,7 +34,7 @@ def test_identity_model():
     K = 4
     rng = np.random.default_rng(0)
     y = crandn(rng, K)
-    rep = blue_estimate(np.eye(K), NoiseModel.identity(K), y)
+    rep = blue_estimate(np.eye(K), NoiseModel.scaled_identity(1.0, K), y)
     np.testing.assert_allclose(rep.alpha_hat, y, atol=1e-14)
     np.testing.assert_allclose(rep.covariance, np.eye(K), atol=1e-14)
 
@@ -45,7 +44,7 @@ def test_noiseless_recovery():
     x = make_random_waveform(20, rng)
     A = build_sensing_matrix(x, [0.1, 0.5, -0.4], crandn(rng, 3))
     alpha = crandn(rng, 3)
-    rep = blue_estimate(A, NoiseModel.identity(20), A.columns @ alpha)
+    rep = blue_estimate(A, NoiseModel.scaled_identity(1.0, 20), A.columns @ alpha)
     np.testing.assert_allclose(rep.alpha_hat, alpha, atol=1e-10)
 
 
@@ -96,7 +95,7 @@ def test_whitening_invariance():
     Aw = np.linalg.solve(L, A)
     yw = np.linalg.solve(L, y)
     direct = blue_estimate(A, NoiseModel(covariance=R), y)
-    white = blue_estimate(Aw, NoiseModel.identity(N), yw)
+    white = blue_estimate(Aw, NoiseModel.scaled_identity(1.0, N), yw)
     np.testing.assert_allclose(direct.alpha_hat, white.alpha_hat, atol=1e-10)
 
 
@@ -119,13 +118,13 @@ def test_mse_identity_model():
 def test_singular_gram_rejected():
     A = np.ones((6, 2), dtype=complex)  # identical columns
     with pytest.raises(SingularModelError) as err:
-        estimator_mse(A, NoiseModel.identity(6))
+        estimator_mse(A, NoiseModel.scaled_identity(1.0, 6))
     assert "condition number" in str(err.value)
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        blue_estimate(np.eye(3), NoiseModel.identity(3), np.zeros(4))
+        blue_estimate(np.eye(3), NoiseModel.scaled_identity(1.0, 3), np.zeros(4))
 
 
 def test_unbiased_and_covariance_match():
@@ -154,11 +153,14 @@ def test_unbiased_and_covariance_match():
 
 
 def test_nmse_definition():
-    assert nmse([1 + 0j, 0], [1 + 0j, 0]) == 0.0
-    assert abs(nmse([3 + 4j], [0])) == 1.0
-    assert abs(nmse([1, 0], [0, 1]) - np.sqrt(2)) < 1e-15
+    # norm(alpha - alpha_hat) / norm(alpha), one row per trial
+    truth = np.array([[1, 0], [3 + 4j, 0], [1, 0]], dtype=complex)
+    est = np.array([[1, 0], [0, 0], [0, 1]], dtype=complex)
+    got = nmse_rows(truth, est)
+    assert got[0] == 0.0 and got[1] == 1.0
+    assert abs(got[2] - np.sqrt(2)) < 1e-15
     with pytest.raises(UndefinedMetricError):
-        nmse([0, 0], [1, 1])
+        nmse_rows(np.zeros((1, 2), dtype=complex), np.ones((1, 2), dtype=complex))
 
 
 def test_blue_stack_items_match_single_estimates():

@@ -14,10 +14,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from irsradar.channel import draw_csi
+from irsradar.channel import IrsPanel, csi_draw_size, split_csi
 from irsradar.cli import main
 from irsradar.harness import SWEEP_MODES, Scenario, _sweep
-from irsradar.phaseopt import PhasePolicy
 
 SMALL = ["--n", "20", "--k", "3", "--m", "4", "--trials", "30", "--seed", "3"]
 
@@ -112,11 +111,13 @@ def _noise_cov(n):
 
 def _fixed_policy():
     rng = np.random.default_rng(13)
-    return PhasePolicy(kind="fixed", fixed_theta=tuple(rng.uniform(0.0, 6.0, (3, 4))))
+    return tuple(rng.uniform(0.0, 6.0, (3, 4)))
 
 
 def _replay_panels():
-    return draw_csi(4, 3, np.random.default_rng(14))[1]
+    z = np.random.default_rng(14).standard_normal((1, csi_draw_size(4, 3)))
+    _, g, h, _, _ = split_csi(z, 4, 3)
+    return tuple(IrsPanel(g=g[0, k], h=h[0, k]) for k in range(3))
 
 
 RECORD_CASES = {
@@ -125,7 +126,7 @@ RECORD_CASES = {
         "5b4d6b5a12960f34a7661d984e44eb213a79a0213cf5e1b3ae56b61f03475151",
     ),
     "nlos_fixed": (
-        lambda: (Scenario(**RECORD_BASE, phase_policy=_fixed_policy()),
+        lambda: (Scenario(**RECORD_BASE, fixed_theta=_fixed_policy()),
                  ("los_only", "nlos_fixed", "nlos_optimal"), 1),
         "fb583e8b6a4835cf05424c0079a413d04d3a5d16507b1fc8839207351cb32f1c",
     ),

@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsradar import estimator, harness
-from irsradar.channel import IrsPanel, crandn, draw_csi, nlos_coefficient
+from irsradar.channel import IrsPanel, compose_paths, crandn, wrap_phase
 from irsradar.errors import GenerationError, SingularModelError
 from irsradar.harness import (
     MODE_LABELS,
+    POWER_RANGE,
     SWEEP_MODES,
     Scenario,
     _draw_block,
@@ -22,9 +23,13 @@ from irsradar.harness import (
     sweep_gamma,
     sweep_noise,
 )
-from irsradar.phaseopt import PhasePolicy, apply_policy, optimal_phases
+from irsradar.phaseopt import optimal_phases
 
 SMALL = dict(n=20, k=3, m=4, trials=8)
+
+
+def random_panels(rng, k=3, m=4):
+    return tuple(IrsPanel(g=crandn(rng, m), h=crandn(rng, m)) for _ in range(k))
 
 
 def test_scenario_defaults():
@@ -55,9 +60,15 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(k=5, doppler_min_gap=0.3)  # 5 paths cannot fit
     with pytest.raises(ValueError):
-        Scenario(link_mode="nlos_fixed")  # no fixed policy supplied
+        Scenario(link_mode="nlos_fixed")  # no fixed phases supplied
     with pytest.raises(ValueError):
         Scenario(noise_cov=np.eye(3), n=50)
+    # powers outside the supported range under- or overflow in the engine
+    for field, bad in (("gamma", 1e-320), ("gamma", 1e31), ("sigma2", 1e-320), ("sigma2", 1e31)):
+        with pytest.raises(ValueError, match=rf"{field} must .*\[1e-30, 1e\+30\]"):
+            Scenario(**{field: bad})
+    for edge in POWER_RANGE:
+        Scenario(gamma=edge, sigma2=edge)
 
 
 def test_scenario_rejects_nonfinite_and_blocked_los():
@@ -89,7 +100,7 @@ def test_fixed_panels_must_be_finite():
 
 def test_fixed_panels_must_not_be_dead():
     # a panel with beta * conj(g) * h all zero composes to zero for every phase
-    live = draw_csi(4, 3, 5)[1]
+    live = random_panels(np.random.default_rng(5))
     dead = (IrsPanel(g=np.zeros(4), h=np.ones(4)),
             IrsPanel(g=[1, 0, 1, 0], h=[0, 1, 0, 1]),
             IrsPanel(g=np.ones(4), h=np.ones(4), beta=np.zeros(4)))
@@ -111,19 +122,11 @@ def test_project_matches_per_trial_dot():
                 assert got[t] == alpha[t] @ cs[t]
 
 
-def test_phase_policy_must_be_fixed():
-    # only nlos_fixed reads phase_policy; a random one would draw unseeded phases
-    for kind in ("random", "optimal"):
-        with pytest.raises(ValueError, match="phase_policy"):
-            Scenario(**SMALL, link_mode="nlos_optimal", phase_policy=PhasePolicy(kind=kind))
-
-
 def test_optimal_rows_ignore_phase_policy():
     base = dict(n=20, k=3, m=4, trials=30, master_seed=1)
     zeros = tuple(np.zeros(4) for _ in range(3))
-    fixed = PhasePolicy(kind="fixed", fixed_theta=zeros)
     plain = sweep_gamma(Scenario(**base), [0.1])
-    with_policy = sweep_gamma(Scenario(**base, phase_policy=fixed), [0.1])
+    with_policy = sweep_gamma(Scenario(**base, fixed_theta=zeros), [0.1])
     for lab in plain.modes:
         for field in ("nmse", "mse", "crb_trace"):
             np.testing.assert_array_equal(
@@ -285,11 +288,10 @@ def test_sweep_axis_validation():
 
 
 def test_fixed_panels_replayed_every_trial():
-    rng = np.random.default_rng(0)
-    _, panels, _, _ = draw_csi(4, 3, rng)
+    panels = random_panels(np.random.default_rng(0))
     s = Scenario(n=20, k=3, m=4, trials=3, fixed_panels=panels)
-    aligned = apply_policy(panels, PhasePolicy(kind="optimal"))
-    expect = np.array([nlos_coefficient(p, s.nlos_form) for p in aligned])
+    g, h = np.stack([p.g for p in panels]), np.stack([p.h for p in panels])
+    expect = compose_paths(g, h, wrap_phase(optimal_phases(g, h)), np.ones((3, 4)), s.nlos_form)
     block = _draw_block(s, 0, range(3))
     for t in range(3):
         # the optimal composition is a function of the panels alone
@@ -299,17 +301,12 @@ def test_fixed_panels_replayed_every_trial():
 
 
 def test_fixed_policy_with_optimal_thetas_matches_optimal_mode():
-    rng = np.random.default_rng(8)
-    _, panels, _, _ = draw_csi(4, 3, rng)
+    panels = random_panels(np.random.default_rng(8))
     thetas = tuple(optimal_phases(p.g, p.h) for p in panels)
     common = dict(n=20, k=3, m=4, trials=1, gamma=0.1, fixed_panels=panels)
     opt = run_trial(Scenario(link_mode="nlos_optimal", **common), 0)
     fix = run_trial(
-        Scenario(
-            link_mode="nlos_fixed",
-            phase_policy=PhasePolicy(kind="fixed", fixed_theta=thetas),
-            **common,
-        ),
+        Scenario(link_mode="nlos_fixed", fixed_theta=thetas, **common),
         0,
     )
     assert fix == opt
@@ -326,14 +323,12 @@ def test_explicit_noise_covariance_matches_scaled_identity():
 
 def test_fixed_policy_must_match_k_and_m():
     zeros = np.zeros(4)
-    with pytest.raises(ValueError, match=r"2 theta vectors.*k=3 of m=4"):
-        Scenario(n=20, k=3, m=4, phase_policy=PhasePolicy(kind="fixed", fixed_theta=(zeros,) * 2))
-    with pytest.raises(ValueError, match=r"length 5.*k=3 of m=4"):
-        Scenario(n=20, k=3, m=4,
-                 phase_policy=PhasePolicy(kind="fixed", fixed_theta=(np.zeros(5),) * 3))
-    fixed = PhasePolicy(kind="fixed", fixed_theta=(zeros,) * 3)
+    with pytest.raises(ValueError, match=r"fixed_theta has 2 theta vectors.*k=3 of m=4"):
+        Scenario(n=20, k=3, m=4, fixed_theta=(zeros,) * 2)
+    with pytest.raises(ValueError, match=r"fixed_theta .*length 5.*k=3 of m=4"):
+        Scenario(n=20, k=3, m=4, fixed_theta=(np.zeros(5),) * 3)
     for mode in ("los_only", "nlos_optimal", "nlos_fixed"):
-        run_trial(Scenario(n=20, k=3, m=4, link_mode=mode, phase_policy=fixed), 0)
+        run_trial(Scenario(n=20, k=3, m=4, link_mode=mode, fixed_theta=(zeros,) * 3), 0)
 
 
 def test_noise_sweep_rejects_noise_cov():
@@ -376,8 +371,8 @@ def test_exclusion_mask_matches_run_trial(monkeypatch, block_trials):
 def test_fixed_policy_must_be_finite():
     for bad in (np.nan, np.inf, -np.inf):
         thetas = (np.array([0.0, bad, 0.0, 0.0]),) + (np.zeros(4),) * 2
-        with pytest.raises(ValueError, match="phase_policy"):
-            Scenario(n=20, k=3, m=4, phase_policy=PhasePolicy(kind="fixed", fixed_theta=thetas))
+        with pytest.raises(ValueError, match="fixed_theta"):
+            Scenario(n=20, k=3, m=4, fixed_theta=thetas)
 
 
 def test_sweeps_need_two_trials(monkeypatch):
@@ -426,12 +421,12 @@ def _degenerate_panels():
 
 DRAW_CASES = {
     "plain": dict(n=20, k=3, m=4),
-    "fixed_panels": dict(n=20, k=3, m=4, fixed_panels=draw_csi(4, 3, 5)[1]),
+    "fixed_panels": dict(n=20, k=3, m=4, fixed_panels=random_panels(np.random.default_rng(5))),
     "noise_cov": dict(n=20, k=3, m=4, noise_cov=np.diag(np.linspace(0.01, 0.2, 20))
                       + 0.004 * np.ones((20, 20))),
     "freeze_waveform": dict(n=20, k=3, m=4, freeze_waveform=True),
-    "fixed_policy": dict(n=20, k=3, m=4, link_mode="nlos_fixed", phase_policy=PhasePolicy(
-        kind="fixed", fixed_theta=tuple(np.linspace(-7.0, 7.0, 12).reshape(3, 4)))),
+    "fixed_policy": dict(n=20, k=3, m=4, link_mode="nlos_fixed",
+                         fixed_theta=np.linspace(-7.0, 7.0, 12).reshape(3, 4)),
     "magnitude_squared": dict(n=20, k=3, m=4, nlos_form="magnitude_squared"),
     "doppler_redraws": dict(n=20, k=5, m=2, doppler_min_gap=0.155),
     "degenerate_scene": dict(n=20, k=3, m=4, fixed_panels=_degenerate_panels(),

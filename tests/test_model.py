@@ -7,7 +7,6 @@ from irsradar.errors import DegeneratePathError, UnderdeterminedModelError
 from irsradar.model import (
     Waveform,
     build_sensing_matrix,
-    doppler_steering,
     make_random_waveform,
     random_code,
     sensing_columns,
@@ -49,23 +48,30 @@ def test_waveform_rejects_bad_inputs():
         Waveform(samples=np.array([1.0, 0.5]))
 
 
+def steering(nu, N):
+    """p(nu) = [1, e^{j nu}, ..., e^{j (N-1) nu}], the columns of an all-ones code."""
+    return steering_columns(np.ones(N, dtype=complex), np.array([nu]))[:, 0]
+
+
 def test_steering_zero_doppler():
-    np.testing.assert_array_equal(doppler_steering(0.0, 4).vector, np.ones(4))
+    np.testing.assert_array_equal(steering(0.0, 4), np.ones(4))
 
 
 def test_steering_half_turn():
-    np.testing.assert_allclose(doppler_steering(np.pi, 2).vector, [1, -1], atol=1e-15)
+    np.testing.assert_allclose(steering(np.pi, 2), [1, -1], atol=1e-15)
 
 
 def test_steering_direct_formula():
-    v = doppler_steering(0.5, 3).vector
+    v = steering(0.5, 3)
     np.testing.assert_allclose(v, [1, np.exp(0.5j), np.exp(1.0j)], atol=1e-15)
     assert v[0] == 1.0
 
 
 def test_steering_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        doppler_steering(np.nan, 4)
+    x = make_random_waveform(4, seed=1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="dopplers must be finite"):
+            build_sensing_matrix(x, [0.1, bad], [1.0, 1.0])
 
 
 def test_single_path_identity_channel():
@@ -102,7 +108,7 @@ def test_column_norms_and_gram():
     np.testing.assert_allclose(
         np.linalg.norm(A.columns, axis=0), np.abs(csi) * np.sqrt(N), atol=1e-12
     )
-    G = A.gram()
+    G = A.columns.conj().T @ A.columns
     np.testing.assert_allclose(G, G.conj().T, atol=1e-13)
     np.testing.assert_allclose(np.diag(G).real, N * np.abs(csi) ** 2, atol=1e-12)
 

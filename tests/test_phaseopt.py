@@ -2,14 +2,10 @@
 import numpy as np
 import pytest
 
-from irsradar.channel import IrsPanel, crandn, draw_csi, inner_product_form
+from irsradar.channel import IrsPanel, compose_paths, crandn, wrap_phase
 from irsradar.errors import CapabilityError
-from irsradar.phaseopt import (
-    PhasePolicy,
-    apply_policy,
-    certify_optimum,
-    optimal_phases,
-)
+from irsradar.harness import Scenario, _draw_block
+from irsradar.phaseopt import certify_optimum, optimal_phases
 
 
 def random_panel(rng, M):
@@ -17,7 +13,12 @@ def random_panel(rng, M):
 
 
 def attained(panel, theta):
-    return abs(inner_product_form(panel.with_theta(theta)))
+    """|h^H Theta g|, checked against Diag(beta * e^{j theta}) by matrix product."""
+    theta = wrap_phase(theta)
+    val = complex(compose_paths(panel.g, panel.h, theta, panel.beta, "complex"))
+    direct = np.conj(panel.h) @ np.diag(panel.beta * np.exp(1j * theta)) @ panel.g
+    assert abs(val - direct) < 1e-12 * max(1.0, abs(direct))
+    return abs(val)
 
 
 def test_single_element_alignment():
@@ -60,43 +61,28 @@ def test_dominates_random_samples():
         assert attained(p, rng.uniform(0, 2 * np.pi, 8)) <= best + 1e-12
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        PhasePolicy(kind="bogus")
-    with pytest.raises(ValueError):
-        PhasePolicy(kind="fixed")  # missing theta
-    with pytest.raises(ValueError):
-        PhasePolicy(kind="optimal", fixed_theta=([0.0],))
-
-
 def test_apply_optimal_decouples():
+    # a stack of panels gets each panel's own phases
     rng = np.random.default_rng(3)
-    _, panels, _, _ = draw_csi(M=6, K=5, seed=4)
-    joint = apply_policy(panels, PhasePolicy(kind="optimal"))
-    for k, p in enumerate(panels):
-        solo = apply_policy([p], PhasePolicy(kind="optimal"))[0]
-        np.testing.assert_array_equal(joint[k].theta, solo.theta)
-
-
-def test_apply_random_reproducible():
-    _, panels, _, _ = draw_csi(M=4, K=3, seed=5)
-    a = apply_policy(panels, PhasePolicy(kind="random", seed=99))
-    b = apply_policy(panels, PhasePolicy(kind="random", seed=99))
-    for pa, pb in zip(a, b):
-        np.testing.assert_array_equal(pa.theta, pb.theta)
-        assert np.all((pa.theta >= 0) & (pa.theta < 2 * np.pi))
-    c = apply_policy(panels, PhasePolicy(kind="random", seed=100))
-    assert not np.array_equal(a[0].theta, c[0].theta)
+    g, h = crandn(rng, 5, 6), crandn(rng, 5, 6)
+    joint = optimal_phases(g, h)
+    for k in range(5):
+        np.testing.assert_array_equal(joint[k], optimal_phases(g[k], h[k]))
 
 
 def test_apply_fixed_passthrough():
-    _, panels, _, _ = draw_csi(M=3, K=2, seed=6)
-    thetas = (np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]))
-    out = apply_policy(panels, PhasePolicy(kind="fixed", fixed_theta=thetas))
-    np.testing.assert_array_equal(out[0].theta, thetas[0])
-    np.testing.assert_array_equal(out[1].theta, thetas[1])
-    with pytest.raises(ValueError):
-        apply_policy(panels, PhasePolicy(kind="fixed", fixed_theta=thetas[:1]))
+    # the nlos_fixed paths compose the given phases, wrapped as a panel stores them
+    rng = np.random.default_rng(6)
+    panels = tuple(random_panel(rng, 3) for _ in range(2))
+    thetas = (np.array([0.1, -0.2, 7.3]), np.array([1.0, 2.0, 3.0]))
+    s = Scenario(n=10, k=2, m=3, link_mode="nlos_fixed", fixed_theta=thetas, fixed_panels=panels)
+    g, h = np.stack([p.g for p in panels]), np.stack([p.h for p in panels])
+    expect = compose_paths(g, h, wrap_phase(np.stack(thetas)), np.ones((2, 3)), s.nlos_form)
+    block = _draw_block(s, 0, range(2))
+    for t in range(2):
+        np.testing.assert_array_equal(block["csi"]["nlos_fixed"][t], expect)
+    with pytest.raises(ValueError, match="fixed_theta"):
+        Scenario(n=10, k=2, m=3, link_mode="nlos_fixed", fixed_theta=thetas[:1])
 
 
 def test_certify_single_element_bound():
