@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import UnboundedCrbError
 from .estimator import NoiseModel, _whitened_gram
@@ -32,7 +31,7 @@ def fisher_information(A, noise: NoiseModel) -> np.ndarray:
     Blocks: top-left = bottom-right = 2 Re G, top-right = -2 Im G,
     bottom-left = 2 Im G, with G = A^H R^-1 A.
     """
-    _, _, gram, _ = _whitened_gram(A, noise)
+    _, _, gram = _whitened_gram(A, noise)
     re = 2.0 * gram.real
     im = 2.0 * gram.imag
     top = np.hstack((re, -im))
@@ -45,9 +44,9 @@ def crb(A, noise: NoiseModel) -> CrbReport:
     """Invert the information matrix and scalarize by its trace."""
     J = fisher_information(A, noise)
     try:
-        factor = cho_factor(J, lower=True)
+        chol_inv = np.linalg.inv(np.linalg.cholesky(J))
     except np.linalg.LinAlgError as exc:
         raise UnboundedCrbError("information matrix is singular") from exc
-    C = cho_solve(factor, np.eye(J.shape[0]))
+    C = chol_inv.T @ chol_inv  # J = L L^T, so J^-1 = L^-T L^-1
     C = 0.5 * (C + C.T)
     return CrbReport(fim=J, crb=C, trace=float(np.trace(C)))

@@ -3,22 +3,26 @@
 For y = A alpha + n with zero-mean noise of covariance R, the BLUE is
 alpha_hat = (A^H R^-1 A)^-1 A^H R^-1 y with covariance (A^H R^-1 A)^-1,
 independent of the distribution of n beyond its second moment.
+
+Everything runs on numpy's LAPACK and BLAS.  A full R is factored once,
+R = L L^H, and R^-1 = L^-H L^-1 is kept, so R^-1 A is one product.  The
+Grams G = A^H R^-1 A of a stack of models are screened by condition
+number; the ones that pass are factored by one stacked Cholesky, G = L
+L^H, and inverted as L^-1 together.  The estimate is then L^-H (L^-1
+A^H R^-1 y), the covariance L^-H L^-1 and its trace ||L^-1||_F^2.  Each
+stacked call runs one LAPACK or BLAS call per item, so an item's values
+do not depend on the stack it is in.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import SingularModelError, UndefinedMetricError
 
 # Gram matrices beyond this are treated as numerically singular.
 CONDITION_LIMIT = 1e12
-
-# the routines scipy's cho_factor/cho_solve run on complex input, called
-# without their per-call validation
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,7 @@ class NoiseModel:
             if self.sigma2 is None or self.sigma2 <= 0 or self.n is None:
                 raise ValueError("scaled identity needs sigma2 > 0 and n")
             object.__setattr__(self, "_chol", None)
+            object.__setattr__(self, "_inv", None)
             return
         R = np.asarray(self.covariance, dtype=complex)
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
@@ -45,28 +50,22 @@ class NoiseModel:
         object.__setattr__(self, "n", R.shape[0])
         try:
             # positive definiteness is certified by the factorization
-            chol = cho_factor(R, lower=True)
+            chol = np.linalg.cholesky(R)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance is not positive definite") from exc
-        object.__setattr__(self, "_chol", chol)
+        chol_inv = np.linalg.inv(chol)
+        object.__setattr__(self, "_chol", chol)  # R = L L^H, which colours a draw
+        object.__setattr__(self, "_inv", chol_inv.conj().T @ chol_inv)
 
     @classmethod
     def scaled_identity(cls, sigma2: float, n: int) -> "NoiseModel":
         return cls(is_scaled_identity=True, sigma2=float(sigma2), n=int(n))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """R^-1 b without forming R^-1; b may be a (..., N, K) stack."""
+        """R^-1 b; b may be a (..., N, K) stack, each item multiplied alone."""
         if self.is_scaled_identity:
             return b / self.sigma2
-        if b.ndim <= 2:
-            return cho_solve(self._chol, b)
-        *lead, n, k = b.shape
-        # Fortran-ordered items, as cho_solve returns them, so products
-        # with an item take the same BLAS path as with cho_solve's result
-        out = np.empty((*lead, k, n), dtype=np.result_type(b, complex)).swapaxes(-1, -2)
-        for i in np.ndindex(*lead):
-            out[i] = cho_solve(self._chol, b[i])
-        return out
+        return self._inv @ b
 
 
 def _columns(A) -> np.ndarray:
@@ -95,37 +94,44 @@ def _gram_stack(cols: np.ndarray, noise: NoiseModel):
     return ria, gram, cond
 
 
-def _factor(gram: np.ndarray, cond):
-    """Cholesky factor of one Gram matrix, or the SingularModelError it earns."""
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        return None, SingularModelError(
-            f"Gram matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    factor, info = _POTRF(gram, lower=1, clean=0)
-    if info > 0:
-        return None, SingularModelError("Gram matrix is not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of potrf")
-    return factor, None
-
-
-def _solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x, info = _POTRS(factor, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
+def _condition_error(cond: float) -> SingularModelError:
+    """What a Gram matrix whose condition number fails `cond <= CONDITION_LIMIT` raises."""
+    return SingularModelError(
+        f"Gram matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
+    )
 
 
 def _whitened_gram(A, noise: NoiseModel):
-    """Return (A, R^-1 A, A^H R^-1 A, its Cholesky factor), checking conditioning."""
+    """Return (A, R^-1 A, A^H R^-1 A), checking conditioning."""
     cols = _columns(A)
     if cols.shape[0] != noise.n:
         raise ValueError(f"A has {cols.shape[0]} rows but noise is {noise.n}-dimensional")
     ria, gram, cond = _gram_stack(cols, noise)
-    factor, err = _factor(gram, cond)
-    if err is not None:
-        raise err
-    return cols, ria, gram, factor
+    if not cond <= CONDITION_LIMIT:
+        raise _condition_error(cond)
+    return cols, ria, gram
+
+
+def _cholesky_stack(gram: np.ndarray, ok: np.ndarray, errors: list) -> np.ndarray:
+    """Cholesky factors of gram[ok], in order.
+
+    The condition screen keeps the stacked factorization from failing; if
+    it fails anyway, the items are factored one at a time, and each one
+    that is not positive definite drops out of ok and gets its
+    SingularModelError in errors.
+    """
+    try:
+        return np.linalg.cholesky(gram[ok])
+    except np.linalg.LinAlgError:
+        pass
+    factors = []
+    for t in np.flatnonzero(ok).tolist():
+        try:
+            factors.append(np.linalg.cholesky(gram[t]))
+        except np.linalg.LinAlgError:
+            ok[t] = False
+            errors[t] = SingularModelError("Gram matrix is not positive definite")
+    return np.array(factors).reshape(-1, *gram.shape[1:])
 
 
 def blue_stack(cols: np.ndarray, noise: NoiseModel, y: np.ndarray):
@@ -146,25 +152,29 @@ def blue_stack(cols: np.ndarray, noise: NoiseModel, y: np.ndarray):
         Estimates (T, K), covariances (T, K, K) and their traces (T,);
         errors[t] is None, or the SingularModelError item t raises, in
         which case its estimate, covariance and trace are nan.  Item t's
-        values do not depend on the other items.
+        values do not depend on the other items: every step below runs
+        one LAPACK or BLAS call per item.
     """
     ria, gram, cond = _gram_stack(cols, noise)
     T, _, K = cols.shape
-    # [A^H R^-1 y | I] per item: potrs solves each column on its own, so
-    # one call gives the estimate and the covariance
-    rhs = np.empty((T, K, K + 1), dtype=complex)
-    rhs[..., :1] = ria.conj().swapaxes(-1, -2) @ y[..., None]
-    rhs[..., 1:] = np.eye(K)
-    sol = np.full((T, K, K + 1), np.nan, dtype=complex)
-    errors = []
-    for t in range(T):
-        factor, err = _factor(gram[t], cond[t])
-        errors.append(err)
-        if err is None:
-            sol[t] = _solve(factor, rhs[t])
-    alpha_hat, cov = sol[..., 0], sol[..., 1:]
+    ok = cond <= CONDITION_LIMIT  # false for nan and inf too
+    errors = [None] * T
+    for t in np.flatnonzero(~ok).tolist():
+        errors[t] = _condition_error(cond[t])
+    chol = _cholesky_stack(gram, ok, errors)
+    # with G = L L^H: G^-1 = L^-H L^-1 and Tr(G^-1) = ||L^-1||_F^2
+    chol_inv = np.linalg.inv(chol)
+    chol_inv_h = chol_inv.conj().swapaxes(-1, -2)
+    b = (ria.conj().swapaxes(-1, -2) @ y[..., None])[ok]
+    alpha_hat = np.full((T, K), np.nan, dtype=complex)
+    alpha_hat[ok] = (chol_inv_h @ (chol_inv @ b))[..., 0]
+    cov = np.full((T, K, K), np.nan, dtype=complex)
+    cov[ok] = chol_inv_h @ chol_inv
     cov = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
-    return alpha_hat, cov, np.trace(cov, axis1=-2, axis2=-1).real, errors
+    flat = chol_inv.reshape(-1, K * K)
+    mse = np.full(T, np.nan)
+    mse[ok] = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
+    return alpha_hat, cov, mse, errors
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """The package's public names, pinned so that an added or removed export shows in review."""
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import irsradar
 
@@ -29,3 +33,14 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the engine runs on numpy alone: scipy would add its start-up time and
+    # memory, and calls into it would run on a second BLAS thread pool
+    src = Path(irsradar.__file__).resolve().parent.parent
+    code = ("import sys, irsradar.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

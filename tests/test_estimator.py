@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from irsradar import estimator
 from irsradar.channel import crandn
 from irsradar.errors import SingularModelError, UndefinedMetricError
 from irsradar.estimator import (
@@ -199,9 +200,15 @@ def test_nmse_rows_match_per_row_norms(N, K):
         nmse_rows(truth, est)
 
 
+def assert_close_to_largest(got, ref, rtol=1e-12):
+    # entrywise gaps measured against the largest entry of the reference
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("N, K", SHAPES)
 def test_blue_stack_matches_per_item_cholesky_solves(N, K):
-    # the per-item cho_factor/cho_solve BLUE with b and eye(K) solved apart
+    # scipy's per-item cho_factor/cho_solve BLUE with b and eye(K) solved
+    # apart, an oracle independent of the engine's stacked numpy path
     rng = np.random.default_rng(K)
     T = 6
     cols, y = crandn(rng, T, N, K), crandn(rng, T, N)
@@ -218,9 +225,70 @@ def test_blue_stack_matches_per_item_cholesky_solves(N, K):
             ref_cov = cho_solve(factor, np.eye(K))
             ref_cov = 0.5 * (ref_cov + ref_cov.conj().T)
             assert errors[t] is None
-            np.testing.assert_array_equal(alpha_hat[t], cho_solve(factor, ria.conj().T @ y[t]))
-            np.testing.assert_array_equal(cov[t], ref_cov)
-            assert mse[t] == np.trace(ref_cov).real
+            assert_close_to_largest(alpha_hat[t], cho_solve(factor, ria.conj().T @ y[t]))
+            assert_close_to_largest(cov[t], ref_cov)
+            assert mse[t] == pytest.approx(np.trace(ref_cov).real, rel=1e-12)
+
+
+def _stack_with_singular_item(rng, T, N, K):
+    cols, y = crandn(rng, T, N, K), crandn(rng, T, N)
+    cols[2, :, 1] = cols[2, :, 0]  # identical columns
+    return cols, y
+
+
+def _assert_items_equal(got, want, t, u):
+    # item t of one blue_stack result against item u of another, bit for bit
+    alpha_hat, cov, mse, errors = got
+    ref_hat, ref_cov, ref_mse, ref_errors = want
+    np.testing.assert_array_equal(alpha_hat[t], ref_hat[u])
+    np.testing.assert_array_equal(cov[t], ref_cov[u])
+    np.testing.assert_array_equal(mse[t], ref_mse[u])
+    assert type(errors[t]) is type(ref_errors[u])
+    assert str(errors[t]) == str(ref_errors[u])
+
+
+@pytest.mark.parametrize("N, K", SHAPES)
+def test_blue_stack_items_do_not_depend_on_the_stack(N, K):
+    rng = np.random.default_rng(N * K)
+    T = 7
+    cols, y = _stack_with_singular_item(rng, T, N, K)
+    for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
+        full = blue_stack(cols, noise, y)
+        assert isinstance(full[3][2], SingularModelError)
+        assert sum(e is None for e in full[3]) == T - 1
+        for t in range(T):
+            _assert_items_equal(blue_stack(cols[t:t + 1], noise, y[t:t + 1]), full, 0, t)
+        # and in a shorter stack that still holds the singular item
+        part = blue_stack(cols[1:4], noise, y[1:4])
+        for t in range(3):
+            _assert_items_equal(part, full, t, t + 1)
+
+
+def test_blue_stack_factors_items_alone_when_the_stacked_cholesky_fails(monkeypatch):
+    # an indefinite Gram with a finite condition number passes the screen,
+    # so the stacked factorization raises and each item is factored alone
+    rng = np.random.default_rng(41)
+    T, N, K = 6, 20, 3
+    cols, y = _stack_with_singular_item(rng, T, N, K)
+    noise = NoiseModel.scaled_identity(0.1, N)
+    clean = blue_stack(cols, noise, y)
+    real_gram_stack = estimator._gram_stack
+
+    def indefinite_item_4(cols, noise):
+        ria, gram, cond = real_gram_stack(cols, noise)
+        gram[4] = -gram[4]
+        return ria, gram, cond
+
+    monkeypatch.setattr(estimator, "_gram_stack", indefinite_item_4)
+    got = blue_stack(cols, noise, y)
+    alpha_hat, cov, mse, errors = got
+    assert np.isfinite(_gram_stack(cols, noise)[2][4])
+    assert isinstance(errors[4], SingularModelError)
+    assert str(errors[4]) == "Gram matrix is not positive definite"
+    assert np.isnan(mse[4]) and np.all(np.isnan(alpha_hat[4])) and np.all(np.isnan(cov[4]))
+    assert "condition number" in str(errors[2])
+    for t in (0, 1, 2, 3, 5):
+        _assert_items_equal(got, clean, t, t)
 
 
 @pytest.mark.parametrize("N, K", SHAPES)

@@ -124,33 +124,33 @@ def _replay_panels():
 RECORD_CASES = {
     "noise_cov": (
         lambda: (Scenario(**RECORD_BASE, noise_cov=_noise_cov(20)), SWEEP_MODES, 1),
-        "5b4d6b5a12960f34a7661d984e44eb213a79a0213cf5e1b3ae56b61f03475151",
+        "7cc67f1da3062665d0f68ec418d28146c8f6c1af412c19705072ec51d7f5c6dc",
     ),
     "nlos_fixed": (
         lambda: (Scenario(**RECORD_BASE, fixed_theta=_fixed_policy()),
                  ("los_only", "nlos_fixed", "nlos_optimal"), 1),
-        "fb583e8b6a4835cf05424c0079a413d04d3a5d16507b1fc8839207351cb32f1c",
+        "4483cc5cdcb542c374a7b880893c15422a386d68c47df38fcbf383809e68d02c",
     ),
     "magnitude_squared": (
         lambda: (Scenario(**RECORD_BASE, nlos_form="magnitude_squared"), SWEEP_MODES, 1),
-        "2b1231e37c113782dff91108b2175e6a8afc1fe94abc3492826872e57ef1c5a8",
+        "b032d6847a6fec9df9b66af4b42fe8a74da8da0e06a145c690f1df7ed0bd7aee",
     ),
     "freeze_waveform": (
         lambda: (Scenario(**RECORD_BASE, freeze_waveform=True), SWEEP_MODES, 1),
-        "0da7b495046345d39090675fa34ebe6166610511e361ca60ef434f8ab9832d34",
+        "24e0e956d699ebe0f4ad263a2075532a34695db16789547701045768f6680dc5",
     ),
     "fixed_panels": (
         lambda: (Scenario(**RECORD_BASE, fixed_panels=_replay_panels()), SWEEP_MODES, 1),
-        "b4d1e078ebaf9ce96cdc8ec75ef68945376e6b6af940dc533e5a4fb41e6b4af5",
+        "9dcde6b9dd3c089f42238ea7514dac6c5f8a0a973dc36518757e45acdf43245e",
     ),
     "workers_2": (
         lambda: (Scenario(**RECORD_BASE), SWEEP_MODES, 2),
-        "c35cc0b80706dd4bc86014aa6a39a329eeedf73a815cc96eeafa2694cba1ec63",
+        "3aa543db8041d46005b1816b5c7845b43d3c7cefdc95ab1ecddcc640e54a2a56",
     ),
     "exclusions": (
         lambda: (Scenario(n=20, k=5, m=2, trials=24, master_seed=1, doppler_min_gap=0.155),
                  SWEEP_MODES, 1),
-        "3005a25dde142503ac44d4f8bebd2cc82bd9f1ec39175eafb0d28bbb5994407a",
+        "5275830e4d4116163334313ed983ab272ee7fae62b279d2c7538291a511f4767",
     ),
 }
 

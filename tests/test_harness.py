@@ -331,6 +331,41 @@ def test_fixed_policy_must_match_k_and_m():
         run_trial(Scenario(n=20, k=3, m=4, link_mode=mode, fixed_theta=(zeros,) * 3), 0)
 
 
+def test_noise_cov_eigenvalues_must_lie_in_power_range():
+    # far outside the range the noise solve under- or overflows, and every
+    # trial fails or comes out non-finite
+    for bad in (1e-320 * np.eye(20), 1e-40 * np.eye(20), 1e200 * np.eye(20), -np.eye(20)):
+        with pytest.raises(ValueError, match=r"noise_cov .*\[1e-30, 1e\+30\]"):
+            Scenario(n=20, k=3, m=4, noise_cov=bad)
+    with pytest.raises(ValueError, match="noise_cov entries must be finite"):
+        Scenario(n=20, k=3, m=4, noise_cov=np.full((20, 20), np.inf))
+    for edge in POWER_RANGE:
+        rec = run_trial(Scenario(n=20, k=3, m=4, noise_cov=edge * np.eye(20)), 0)
+        assert np.all(np.isfinite([rec.nmse, rec.mse, rec.crb_trace]))
+
+
+def test_scenarios_with_array_fields_compare_by_value():
+    rng = np.random.default_rng(17)
+    theta = rng.uniform(0.0, 6.0, (3, 4))
+    panels = random_panels(rng)
+    cov = np.diag(np.linspace(0.01, 0.2, 20))
+    cases = {  # field: (value, an equal copy, a different value)
+        "fixed_theta": (tuple(theta), tuple(theta.copy()), tuple(theta + 0.5)),
+        "noise_cov": (cov, cov.copy(), 2.0 * cov),
+        "fixed_panels": (panels, tuple(IrsPanel(g=p.g.copy(), h=p.h.copy()) for p in panels),
+                         random_panels(rng)),
+    }
+    for field, (value, same, other) in cases.items():
+        s = Scenario(**SMALL, **{field: value})
+        assert (s == Scenario(**SMALL, **{field: same})) is True
+        assert (s == Scenario(**SMALL, **{field: other})) is False
+        assert (s != Scenario(**SMALL, **{field: other})) is True
+        assert (s == Scenario(**SMALL)) is False
+        assert (replace(s, gamma=0.5) == s) is False
+        assert (replace(s, gamma=s.gamma) == s) is True
+    assert Scenario(**SMALL) != "a scenario"
+
+
 def test_noise_sweep_rejects_noise_cov():
     tpl = Scenario(**SMALL, noise_cov=0.05 * np.eye(20))
     with pytest.raises(ValueError, match="noise_cov"):
