@@ -2,12 +2,16 @@
 
 The sha256 of every CSV and SVG below was recorded before the per-trial
 engine was reduced to one Gram factorization per trial-mode; refactors of
-the engine must keep every byte.  The per-trial record hashes were
-recorded before the engine evaluated trials in blocks, on sweep paths the
-CLI cases do not reach (or reach only through rounded means).  The hashes
-hold for the reference platform (x86-64, Python 3.11, numpy 2.4, scipy
-1.17, OpenBLAS); a different BLAS or CPU may round the last bits
-differently.
+the engine must keep every byte.  The per-trial record hashes cover sweep
+paths the CLI cases do not reach (or reach only through rounded means).
+They were re-recorded when the BLUE's Cholesky factorization moved from
+scipy's per-item LAPACK calls to numpy's stacked ones, which moved the
+records' last bits by at most 2e-13 relative and no CLI byte;
+test_records_match_fixture holds the records to those of the engine
+before, tests/data/records_fixture.npz, within 1e-9 relative and with the
+same exclusions.  The hashes hold for the reference platform (x86-64,
+Python 3.11, numpy 2.4 on its bundled OpenBLAS); a different BLAS or CPU
+may round the last bits differently.
 """
 import hashlib
 from pathlib import Path
