@@ -9,7 +9,8 @@ triple (g, h, Theta); two forms are supported, see compose_paths.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -87,6 +88,11 @@ class IrsPanel:
         for name, val in fields.items():
             object.__setattr__(self, name, val)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same_value(self, other)
+
     @property
     def m(self) -> int:
         return self.g.size
@@ -94,6 +100,24 @@ class IrsPanel:
     def c_vector(self) -> np.ndarray:
         """c = Diag(g)^H h, the per-element combining coefficients."""
         return np.conj(self.g) * self.h
+
+
+def _same_value(a, b) -> bool:
+    """Field-by-field equality that compares arrays, and panels' arrays, by value."""
+    if is_dataclass(a) and type(a) is type(b):
+        return all(
+            _same_value(getattr(a, f.name), getattr(b, f.name)) for f in dataclass_fields(a)
+        )
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return bool(a == b)
+
+
+def stack_panels(panels):
+    """The (K, M) stacks of a sequence of equal-size panels' g, h and beta."""
+    return tuple(np.stack([getattr(p, f) for p in panels]) for f in ("g", "h", "beta"))
 
 
 def csi_draw_size(M: int, K: int) -> int:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import NLOS_FORMS, IrsPanel, crandn, read_csi_file
+from .channel import NLOS_FORMS, read_csi_file, split_crandn, stack_panels
 from .errors import NumericalError, UsageError
 from .harness import Scenario, SweepResult, _sweep, sweep_gamma, sweep_noise
-from .phaseopt import certify_optimum
+from .phaseopt import certify_panels
 
 SUBCOMMANDS = ("sweep-gamma", "sweep-noise", "crb", "single", "certify")
 
@@ -449,17 +449,17 @@ def _run_single(cfg: RunConfig, template: Scenario) -> SweepResult:
 
 def _run_certify(cfg: RunConfig) -> None:
     if cfg.csi:
-        panels = read_csi_file(cfg.csi, cfg.k, cfg.m)
+        g, h, beta = stack_panels(read_csi_file(cfg.csi, cfg.k, cfg.m))
     else:
+        # one draw for all panels; each row splits into the g, h that two crandn(m) calls give
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
-        panels = tuple(
-            IrsPanel(g=crandn(rng, cfg.m), h=crandn(rng, cfg.m)) for _ in range(cfg.trials)
-        )
+        g, h = split_crandn(rng.standard_normal((cfg.trials, 4 * cfg.m)), cfg.m, cfg.m)
+        beta = np.ones(g.shape)
+    records = certify_panels(g, h, beta, cfg.axis_points)
     lines = ["panel,m,grid_points,grid_max,closed_form,gap,bound"]
     worst = 0.0
     failures = 0
-    for i, panel in enumerate(panels):
-        rec = certify_optimum(panel, cfg.axis_points)
+    for i, rec in enumerate(records):
         worst = max(worst, rec.gap)
         failures += 0 if rec.within_bound else 1
         lines.append(
@@ -471,9 +471,9 @@ def _run_certify(cfg: RunConfig) -> None:
         fh.write("\n".join(lines) + "\n")
     if failures:
         raise NumericalError(
-            f"{failures} of {len(panels)} panels exceeded the quantization bound; see {path}"
+            f"{failures} of {len(records)} panels exceeded the quantization bound; see {path}"
         )
-    print(f"certified {len(panels)} panels at {cfg.axis_points} points per phase; worst gap {worst:.3e}")
+    print(f"certified {len(records)} panels at {cfg.axis_points} points per phase; worst gap {worst:.3e}")
     print(f"wrote {path}")
 
 

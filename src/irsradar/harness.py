@@ -79,13 +79,22 @@ NumericalError is excluded from every mode, as before.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import PCG64
 from numpy.random.bit_generator import ISeedSequence
 
-from .channel import NLOS_FORMS, compose_paths, csi_draw_size, split_crandn, split_csi, wrap_phase
+from .channel import (
+    NLOS_FORMS,
+    _same_value,
+    compose_paths,
+    csi_draw_size,
+    split_crandn,
+    split_csi,
+    stack_panels,
+    wrap_phase,
+)
 from .errors import GenerationError
 from .estimator import NoiseModel, blue_stack, nmse_rows
 from .model import random_code, sensing_columns, steering_columns
@@ -186,7 +195,7 @@ class Scenario:
             if len(panels) != self.k or any(p.m != self.m for p in panels):
                 raise ValueError("fixed panels must match k and m")
             object.__setattr__(self, "fixed_panels", panels)
-            panel_csi = tuple(np.stack([getattr(p, f) for p in panels]) for f in ("g", "h", "beta"))
+            panel_csi = stack_panels(panels)
             g, h, beta = panel_csi
             dead = np.flatnonzero(~np.any(beta * np.conj(g) * h, axis=1))
             if dead.size:
@@ -221,17 +230,6 @@ class Scenario:
         if self.doppler_min_gap is None:
             return 1.0 / (4.0 * self.n)
         return float(self.doppler_min_gap)
-
-
-def _same_value(a, b) -> bool:
-    """Field-by-field equality that compares arrays, and panels' arrays, by value."""
-    if is_dataclass(a) and type(a) is type(b):
-        return all(_same_value(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return len(a) == len(b) and all(map(_same_value, a, b))
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    return bool(a == b)
 
 
 @dataclass(frozen=True)

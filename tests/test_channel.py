@@ -259,6 +259,22 @@ def test_panel_rejects_nonfinite_entries(field, bad):
         IrsPanel(**kw)
 
 
+def test_panels_compare_by_value():
+    rng = np.random.default_rng(23)
+    panel = random_panel(rng, 4)
+    copy = IrsPanel(g=panel.g.copy(), h=panel.h.copy(), theta=panel.theta.copy())
+    assert (panel == copy) is True
+    # a scenario replaying the panels follows the panels' equality
+    s = Scenario(n=20, k=2, m=4, fixed_panels=(panel, copy))
+    assert (s == replace(s, fixed_panels=(copy, panel))) is True
+    for field in ("g", "h", "theta", "beta"):
+        other = replace(panel, **{field: 0.5 * getattr(panel, field)})
+        assert (panel == other) is False
+        assert (panel != other) is True
+        assert (s == replace(s, fixed_panels=(panel, other))) is False
+    assert panel != "a panel"
+
+
 @pytest.mark.parametrize("K, M", [(5, 10), (32, 64)])
 def test_compose_paths_match_per_row_vdot(K, M):
     # the per-row formula np.vecdot replaced, on stacked and on shared panels

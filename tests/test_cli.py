@@ -361,3 +361,18 @@ def test_cli_certify(tmp_path, capsys):
     assert text[0] == "panel,m,grid_points,grid_max,closed_form,gap,bound"
     assert len(text) == 26
     assert main(["certify", "--m", "5"]) == 2  # beyond exhaustive reach
+
+
+def test_cli_certify_large_csi_scale(tmp_path, capsys):
+    # element phases on the grid and |c| ~ 1e8: the grid maximum equals the
+    # closed form up to rounding, which can put it ahead by about 1e-8
+    lines = []
+    for a in range(1, 60):
+        g = 1e4 * np.exp(-2j * np.pi * np.array([a, 2 * a + 1, 3 * a + 7]) / 360)
+        lines += [f"{v.real!r},{v.imag!r}" for v in g.tolist()] + ["10000.0,0.0"] * 3
+    csi = tmp_path / "large.csi"
+    csi.write_text("\n".join(lines) + "\n")
+    code = main(["certify", "--csi", str(csi), "--k", "59", "--m", "3", "--axis-points", "360",
+                 "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    assert "certified 59 panels" in capsys.readouterr().out

@@ -2,10 +2,16 @@
 import numpy as np
 import pytest
 
+from irsradar import phaseopt
 from irsradar.channel import IrsPanel, compose_paths, crandn, wrap_phase
 from irsradar.errors import CapabilityError
 from irsradar.harness import Scenario, _draw_block
-from irsradar.phaseopt import certify_optimum, optimal_phases
+from irsradar.phaseopt import (
+    DIRECT_ENUMERATION_LIMIT,
+    certify_optimum,
+    certify_panels,
+    optimal_phases,
+)
 
 
 def random_panel(rng, M):
@@ -145,3 +151,92 @@ def test_certify_rejects_large_m():
     rng = np.random.default_rng(13)
     with pytest.raises(CapabilityError):
         certify_optimum(random_panel(rng, 5), 16)
+
+
+# The per-panel kernels the stacked ones replaced, kept as references.
+def full_enumeration_max(z, G):
+    """Every one of the G^M grid sums of one panel, enumerated."""
+    phasors = np.exp(2j * np.pi * np.arange(G) / G)
+    acc = z[0] * phasors
+    for zm in z[1:]:
+        acc = (acc[:, None] + zm * phasors[None, :]).reshape(-1)
+    return float(np.max(np.abs(acc)))
+
+
+def pieces_loop_max(z, G):
+    """The interval reduction of one panel, one candidate direction at a time."""
+    step = 2.0 * np.pi / G
+    live = z[z != 0]
+    if live.size == 0:
+        return 0.0
+    args = np.angle(live)
+    breaks = np.sort(np.mod(args + step / 2.0, step))
+    edges = np.concatenate(([0.0], breaks, [step]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    best = 0.0
+    for phi in np.concatenate((mids, breaks)):
+        nodes = np.round((phi - args) / step) * step
+        best = max(best, abs(np.sum(live * np.exp(1j * nodes))))
+    return float(best)
+
+
+def awkward_panels(rng, M, count=6):
+    """Random panels, then each kind of panel a windowed or reordered kernel can get wrong."""
+    g, h, beta = crandn(rng, count, M), crandn(rng, count, M), rng.uniform(0.0, 1.0, (count, M))
+    special = []
+    for m in range(M):
+        for field in ("g", "h", "beta"):  # one zero entry, in each position
+            row = {"g": crandn(rng, M), "h": crandn(rng, M), "beta": np.ones(M)}
+            row[field][m] = 0.0
+            special.append(row)
+        tiny = {"g": crandn(rng, M), "h": crandn(rng, M), "beta": np.ones(M)}
+        tiny["g"][m] *= 1e-13  # one term 1e-13 the size of the others
+        special.append(tiny)
+    special.append({"g": np.zeros(M, complex), "h": crandn(rng, M), "beta": np.ones(M)})
+    special.append({"g": crandn(rng, M), "h": crandn(rng, M), "beta": np.zeros(M)})
+    if M > 2:  # all but the last term zero
+        lone = {"g": crandn(rng, M), "h": crandn(rng, M), "beta": np.ones(M)}
+        lone["beta"][:-1] = 0.0
+        special.append(lone)
+    # element phases on the grid, the case where the closed form is attained
+    on_grid = np.exp(-2j * np.pi * rng.integers(0, 360, M) / 360)
+    special.append({"g": 1e4 * on_grid, "h": np.full(M, 1e4 + 0j), "beta": np.ones(M)})
+    return tuple(np.concatenate([a, np.stack([row[f] for row in special])])
+                 for a, f in ((g, "g"), (h, "h"), (beta, "beta")))
+
+
+KERNEL_CASES = [
+    (method, M, G)
+    for M in (1, 2, 3, 4)
+    for G in (2, 3, 7, 36, 90, 720)
+    for method in ("direct", "pieces")
+    if method == "pieces" or G ** M <= DIRECT_ENUMERATION_LIMIT
+]
+
+
+@pytest.mark.parametrize("method,M,G", KERNEL_CASES)
+def test_stacked_grid_max_is_bit_identical(method, M, G, monkeypatch):
+    rng = np.random.default_rng(100 * M + G)
+    g, h, beta = awkward_panels(rng, M)
+    z = beta * np.conj(np.conj(g) * h)
+    reference = full_enumeration_max if method == "direct" else pieces_loop_max
+    expect = [reference(row, G) for row in z]
+    alone = [
+        certify_optimum(IrsPanel(g=g[p], h=h[p], beta=beta[p]), G, method).grid_max
+        for p in range(len(z))
+    ]
+    assert alone == expect
+    assert [r.grid_max for r in certify_panels(g, h, beta, G, method)] == expect
+    # chunks of three panels, so boundaries fall inside the stack
+    monkeypatch.setattr(phaseopt, "_panels_per_chunk", lambda method, M, G: 3)
+    assert [r.grid_max for r in certify_panels(g, h, beta, G, method)] == expect
+
+
+def test_stacked_records_match_single_panels():
+    rng = np.random.default_rng(14)
+    g, h, beta = awkward_panels(rng, 3)
+    stacked = certify_panels(g, h, beta, 90)
+    assert stacked == [
+        certify_optimum(IrsPanel(g=g[p], h=h[p], beta=beta[p]), 90) for p in range(len(g))
+    ]
+    assert certify_panels(g[:0], h[:0], beta[:0], 90) == []
