@@ -415,7 +415,8 @@ def emit_plot(result: SweepResult, path: str, field: str = "mean_nmse") -> None:
 
 def _axis_values(cfg: RunConfig) -> np.ndarray:
     if cfg.axis_scale == "log":
-        return np.logspace(np.log10(cfg.axis_min), np.log10(cfg.axis_max), cfg.axis_points)
+        # geomspace returns the bounds themselves; logspace rounds them
+        return np.geomspace(cfg.axis_min, cfg.axis_max, cfg.axis_points)
     return np.linspace(cfg.axis_min, cfg.axis_max, cfg.axis_points)
 
 

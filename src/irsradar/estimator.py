@@ -4,14 +4,19 @@ For y = A alpha + n with zero-mean noise of covariance R, the BLUE is
 alpha_hat = (A^H R^-1 A)^-1 A^H R^-1 y with covariance (A^H R^-1 A)^-1,
 independent of the distribution of n beyond its second moment.
 
-Everything runs on numpy's LAPACK and BLAS.  A full R is factored once,
-R = L L^H, and R^-1 = L^-H L^-1 is kept, so R^-1 A is one product.  The
-Grams G = A^H R^-1 A of a stack of models are screened by condition
-number; the ones that pass are factored by one stacked Cholesky, G = L
-L^H, and inverted as L^-1 together.  The estimate is then L^-H (L^-1
-A^H R^-1 y), the covariance L^-H L^-1 and its trace ||L^-1||_F^2.  Each
-stacked call runs one LAPACK or BLAS call per item, so an item's values
-do not depend on the stack it is in.
+Everything runs on numpy's LAPACK and BLAS.  The estimate needs the model
+only through its Gram G = A^H R^-1 A and matched filter b = A^H R^-1 y,
+and blue_gram works on those K-space quantities alone: it screens each
+Gram by condition number, factors the ones that pass with one stacked
+Cholesky, G = L L^H, inverts the factors together, and reads the estimate
+L^-H (L^-1 b) and the covariance trace ||L^-1||_F^2 off them without
+forming any covariance.  The sweep engine builds G and b itself from a
+steering Gram it shares between link modes.  blue_stack is the
+N-dimensional entry: a full R is factored once, R = L L^H, and R^-1 =
+L^-H L^-1 is kept, so R^-1 A is one product; it forms G and b, calls
+blue_gram, and also returns the covariances L^-H L^-1.  Each stacked call
+runs one LAPACK or BLAS call per item, so an item's values do not depend
+on the stack it is in.
 """
 from __future__ import annotations
 
@@ -75,23 +80,33 @@ def _columns(A) -> np.ndarray:
     return cols
 
 
-def _gram_stack(cols: np.ndarray, noise: NoiseModel):
-    """R^-1 A, the Hermitian part of A^H R^-1 A and its condition number.
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part of each matrix in a (..., K, K) stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
-    cols is one N x K model or a (..., N, K) stack.  Stacked matmul and
-    eigvalsh run the same BLAS/LAPACK call on every item, so each item's
-    values equal its unstacked ones bit for bit.  The condition number is
-    the 2-norm one np.linalg.cond computes, max|lambda| / min|lambda| for
-    a Hermitian matrix, taken from its eigenvalues rather than an SVD; it
-    is inf where the smallest eigenvalue is zero.
+
+def _gram_stack(cols: np.ndarray, noise: NoiseModel):
+    """R^-1 A and the Hermitian part of A^H R^-1 A.
+
+    cols is one N x K model or a (..., N, K) stack.  Stacked matmul runs
+    the same BLAS call on every item, so each item's values equal its
+    unstacked ones bit for bit.
     """
     ria = noise.solve(cols)
-    gram = cols.conj().swapaxes(-1, -2) @ ria
-    gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
+    return ria, _hermitian(cols.conj().swapaxes(-1, -2) @ ria)
+
+
+def _condition_numbers(gram: np.ndarray) -> np.ndarray:
+    """The 2-norm condition number of each Hermitian matrix in a stack.
+
+    The number np.linalg.cond computes, max|lambda| / min|lambda| for a
+    Hermitian matrix, taken from its eigenvalues rather than an SVD; it is
+    inf where the smallest eigenvalue is zero.  Stacked eigvalsh runs one
+    LAPACK call per item.
+    """
     lam = np.abs(np.linalg.eigvalsh(gram))
     top, bottom = lam.max(axis=-1), lam.min(axis=-1)
-    cond = np.divide(top, bottom, out=np.full_like(top, np.inf), where=bottom > 0)
-    return ria, gram, cond
+    return np.divide(top, bottom, out=np.full_like(top, np.inf), where=bottom > 0)
 
 
 def _condition_error(cond: float) -> SingularModelError:
@@ -106,7 +121,8 @@ def _whitened_gram(A, noise: NoiseModel):
     cols = _columns(A)
     if cols.shape[0] != noise.n:
         raise ValueError(f"A has {cols.shape[0]} rows but noise is {noise.n}-dimensional")
-    ria, gram, cond = _gram_stack(cols, noise)
+    ria, gram = _gram_stack(cols, noise)
+    cond = _condition_numbers(gram)
     if not cond <= CONDITION_LIMIT:
         raise _condition_error(cond)
     return cols, ria, gram
@@ -134,6 +150,43 @@ def _cholesky_stack(gram: np.ndarray, ok: np.ndarray, errors: list) -> np.ndarra
     return np.array(factors).reshape(-1, *gram.shape[1:])
 
 
+def blue_gram(gram: np.ndarray, b: np.ndarray):
+    """The BLUE of every model in a stack, from its Gram and matched filter.
+
+    Parameters
+    ----------
+    gram : (T, K, K) complex array
+        Hermitian Grams A^H R^-1 A, one per model.
+    b : (T, K) complex array
+        Matched-filter outputs A^H R^-1 y, one per model.
+
+    Returns
+    -------
+    (alpha_hat, mse, errors, chol_inv)
+        Estimates G^-1 b (T, K) and covariance traces Tr(G^-1) (T,);
+        errors[t] is None, or the SingularModelError item t raises, in
+        which case its estimate and trace are nan.  chol_inv holds L^-1,
+        G = L L^H, of the items without an error, in order.  Item t's
+        values do not depend on the other items: every step runs one
+        LAPACK or BLAS call per item.
+    """
+    T, K = b.shape
+    cond = _condition_numbers(gram)
+    ok = cond <= CONDITION_LIMIT  # false for nan and inf too
+    errors = [None] * T
+    for t in np.flatnonzero(~ok).tolist():
+        errors[t] = _condition_error(cond[t])
+    chol = _cholesky_stack(gram, ok, errors)
+    # with G = L L^H: G^-1 = L^-H L^-1 and Tr(G^-1) = ||L^-1||_F^2
+    chol_inv = np.linalg.inv(chol)
+    alpha_hat = np.full((T, K), np.nan, dtype=complex)
+    alpha_hat[ok] = (chol_inv.conj().swapaxes(-1, -2) @ (chol_inv @ b[ok][..., None]))[..., 0]
+    flat = chol_inv.reshape(-1, K * K)
+    mse = np.full(T, np.nan)
+    mse[ok] = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
+    return alpha_hat, mse, errors, chol_inv
+
+
 def blue_stack(cols: np.ndarray, noise: NoiseModel, y: np.ndarray):
     """The BLUE of every model in a stack, one Gram factorization each.
 
@@ -149,32 +202,18 @@ def blue_stack(cols: np.ndarray, noise: NoiseModel, y: np.ndarray):
     Returns
     -------
     (alpha_hat, cov, mse, errors)
-        Estimates (T, K), covariances (T, K, K) and their traces (T,);
-        errors[t] is None, or the SingularModelError item t raises, in
-        which case its estimate, covariance and trace are nan.  Item t's
-        values do not depend on the other items: every step below runs
-        one LAPACK or BLAS call per item.
+        Estimates (T, K), covariances (T, K, K) and their traces (T,), as
+        blue_gram gives them on the models' Grams and matched filters;
+        where errors[t] is not None, item t's covariance is nan too.
     """
-    ria, gram, cond = _gram_stack(cols, noise)
+    ria, gram = _gram_stack(cols, noise)
+    b = (ria.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+    alpha_hat, mse, errors, chol_inv = blue_gram(gram, b)
+    ok = np.array([e is None for e in errors], dtype=bool)
     T, _, K = cols.shape
-    ok = cond <= CONDITION_LIMIT  # false for nan and inf too
-    errors = [None] * T
-    for t in np.flatnonzero(~ok).tolist():
-        errors[t] = _condition_error(cond[t])
-    chol = _cholesky_stack(gram, ok, errors)
-    # with G = L L^H: G^-1 = L^-H L^-1 and Tr(G^-1) = ||L^-1||_F^2
-    chol_inv = np.linalg.inv(chol)
-    chol_inv_h = chol_inv.conj().swapaxes(-1, -2)
-    b = (ria.conj().swapaxes(-1, -2) @ y[..., None])[ok]
-    alpha_hat = np.full((T, K), np.nan, dtype=complex)
-    alpha_hat[ok] = (chol_inv_h @ (chol_inv @ b))[..., 0]
     cov = np.full((T, K, K), np.nan, dtype=complex)
-    cov[ok] = chol_inv_h @ chol_inv
-    cov = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
-    flat = chol_inv.reshape(-1, K * K)
-    mse = np.full(T, np.nan)
-    mse[ok] = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
-    return alpha_hat, cov, mse, errors
+    cov[ok] = chol_inv.conj().swapaxes(-1, -2) @ chol_inv
+    return alpha_hat, _hermitian(cov), mse, errors
 
 
 @dataclass(frozen=True)

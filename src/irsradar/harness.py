@@ -31,8 +31,10 @@ fields come from that one Gram factorization.
 nmse       against the trial's true reflectivities, on the normalized
            scene (direct power gamma, reflected power 1).
 crb_trace  Tr((A^H R^-1 A)^-1), the BLUE covariance trace on the
-           normalized scene.  For the linear Gaussian model this equals
-           Tr(C_CRB), the bound the NMSE curves are held against.
+           normalized scene, read off the Gram's Cholesky factor as
+           ||L^-1||_F^2 without forming the covariance.  For the linear
+           Gaussian model this equals Tr(C_CRB), the bound the NMSE
+           curves are held against.
 mse        crb_trace / norm**2, where norm is the scene's normalization
            factor (|alpha^T c_raw| for reflected modes, |alpha_los h_los|
            / sqrt(gamma) for the direct link), since A_norm = A_raw / norm.
@@ -51,11 +53,20 @@ attempt (the values equal those of the shorter calls a lone trial would
 make in turn), redraw loops run over the trials still pending, and the
 arithmetic on the draws (complex Gaussian assembly, the code's exp, phase
 wrapping and alignment, the Doppler separation check, noise scaling) runs
-once over the block.  The steering columns x ⊙ p(nu_k) of the reflected
-paths are computed once per block too, since every reflected mode shares
-the code and the Dopplers.  Each link mode then normalizes the block and
-runs one stacked pass: column scaling, Gram, condition check and BLUE for
-all of its trials at once.  A block holds as many trials as fit in
+once over the block.
+
+Estimation then runs in K-space.  Every link mode of a trial shares the
+code x, the Dopplers and the noise w; only the path coefficients differ,
+so a mode's model is A = S Diag(d), where S = Diag(x) P(nu) holds the
+steering columns of all 1 + k paths and d the mode's normalized
+coefficients.  Once per block, with the point's noise model, which all
+its modes share, the steering Gram Q = S^H R^-1 S and v = S^H R^-1 w are
+formed; this is the only work on N-vectors after the draw.  Each mode
+then takes its paths' part of Q and v (entry [0, 0] for the direct link,
+block [1:, 1:] for the reflected ones) and with D = Diag(d) has Gram
+D^H Q D = A^H R^-1 A and matched filter D^H (Q D alpha + v) = A^H R^-1 y,
+so neither A nor y is formed, and one stacked BLUE on those K x K
+quantities gives its records.  A block holds as many trials as fit in
 BLOCK_BYTES of N x K complex per stacked array, so its memory stays
 bounded at large N and K.
 
@@ -67,13 +78,15 @@ np.vecdot (one BLAS call per item, the same dot np.vdot, a 1-D @ and
 np.linalg.norm make on one item), and numpy's stacked eigvalsh,
 cholesky and inv (one LAPACK call per item).  That covers each panel
 row's coefficient, each trial's alpha^T c zero check and normalization
-norm, the colouring of the noise with a full noise_cov, the Gram's
-Cholesky factorization and the NMSE norms.  Only each trial's scalar
-normalization on Python complex h_los and alpha_los stays per item.
-Moving the Cholesky factorization and solve from per-item LAPACK calls
-to numpy's stacked ones moved the last bits of the records once, by at
-most 2e-13 relative; tests/data/records_fixture.npz holds the records
-from before.  A trial whose draw or any mode's estimate raises a
+norm, the colouring of the noise with a full noise_cov, the steering
+table, the steering Gram, the Cholesky factorization and the NMSE norms.
+Only each trial's scalar normalization on Python complex h_los and
+alpha_los stays per item.  Two changes moved the last bits of the
+records on purpose, each by under 1e-12 relative and no CLI output byte:
+numpy's stacked Cholesky in place of per-item LAPACK calls, then K-space
+estimation with the steering phase table.  tests/data/records_fixture.npz
+holds the records from before the first, and the records stay within
+1e-9 of them.  A trial whose draw or any mode's estimate raises a
 NumericalError is excluded from every mode, as before.
 """
 from __future__ import annotations
@@ -96,8 +109,8 @@ from .channel import (
     wrap_phase,
 )
 from .errors import GenerationError
-from .estimator import NoiseModel, blue_stack, nmse_rows
-from .model import random_code, sensing_columns, steering_columns
+from .estimator import NoiseModel, _hermitian, blue_gram, nmse_rows
+from .model import check_coefficients, random_code, steering_columns
 from .phaseopt import optimal_phases
 
 LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
@@ -347,9 +360,8 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
 
     Returns a dict over the drawn trials, in order: "drawn" their
     positions in `trials`, "x" the (T, N) codes, "u" the (T, k + 1)
-    Dopplers in cycles (the direct path's first), "steer" the (T, N, k)
-    steering columns of the reflected paths, which every reflected mode
-    shares, "h_los" and "alpha_los" lists of complex, "alpha" (T, k),
+    Dopplers in cycles (the direct path's first), "h_los" and
+    "alpha_los" lists of complex, "alpha" (T, k),
     "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
     nlos_fixed to the (T, k) raw composed coefficients, and "w" the (T, N)
     noise.  "failed" maps the other positions to the GenerationError that
@@ -438,7 +450,6 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         "drawn": drawn,
         "x": x,
         "u": u[drawn],
-        "steer": steering_columns(x, 2.0 * np.pi * u[drawn, 1:]),  # cycles -> radians
         "h_los": h_los[drawn].tolist(),
         "csi": {mode: c[drawn] for mode, c in csi.items()},
         "alpha": alpha[drawn],
@@ -453,13 +464,32 @@ def _project(alpha: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (alpha[:, None, :] @ c[:, :, None])[:, 0, 0]
 
 
-def _estimate_mode(scenario: Scenario, block, rows):
+def _steering_gram(block, noise: NoiseModel):
+    """Q = S^H R^-1 S and v = S^H R^-1 w of each trial in the block.
+
+    S = Diag(x) P(nu) holds the steering columns of all k + 1 paths, the
+    direct one first, so Q is (T, k + 1, k + 1) Hermitian and v (T, k + 1).
+    Every link mode's model is A = S Diag(c) on its paths, so its Gram
+    A^H R^-1 A and matched filter A^H R^-1 (A alpha + w) follow from Q and
+    v alone; see _estimate_mode.
+    """
+    steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
+    ris = noise.solve(steer)
+    q = _hermitian(steer.conj().swapaxes(-1, -2) @ ris)
+    v = (ris.conj().swapaxes(-1, -2) @ block["w"][..., None])[..., 0]
+    return q, v
+
+
+def _estimate_mode(scenario: Scenario, block, q, v, rows):
     """Estimate the scenario's link mode on the block's trials at `rows`.
 
-    Each trial's scene is normalized, then one stacked pass builds the
-    sensing matrices and runs the BLUE, and every metric is read off it.
-    Returns (records, errors): records is (3, len(rows)) holding nmse, mse
-    and crb_trace (nan where singular), errors[i] is None or the
+    q and v are _steering_gram's output for the whole block.  Each trial's
+    scene is normalized to path coefficients d, and with D = Diag(d) on
+    the mode's paths (entry [0, 0] of q for the direct link, block
+    [1:, 1:] for the reflected ones) its Gram is D^H Q D and its matched
+    filter D^H (Q D alpha + v).  One stacked BLUE on those gives every
+    metric.  Returns (records, errors): records is (3, len(rows)) holding
+    nmse, mse and crb_trace (nan where singular), errors[i] is None or the
     SingularModelError of rows[i].
     """
     if scenario.link_mode == "los_only":
@@ -472,15 +502,18 @@ def _estimate_mode(scenario: Scenario, block, rows):
             norms.append(gain / root)
             truth.append([alpha_los])
         coef, truth = np.array(coef), np.array(truth)
-        steer = steering_columns(block["x"][rows], 2.0 * np.pi * block["u"][rows, :1])
+        paths = slice(0, 1)
     else:
         raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
         norms = [abs(v) for v in _project(truth, raw).tolist()]
         coef = raw / np.array(norms)[:, None]
-        steer = block["steer"][rows]
-    cols = sensing_columns(steer, coef)
-    y = (cols @ truth[..., None])[..., 0] + block["w"][rows]
-    alpha_hat, _, mse, errors = blue_stack(cols, scenario._noise, y)
+        paths = slice(1, None)
+    check_coefficients(coef)
+    q, v = q[rows][:, paths, paths], v[rows][:, paths]
+    coef_h = coef.conj()
+    gram = _hermitian(coef_h[:, :, None] * q * coef[:, None, :])
+    b = coef_h * ((q @ (coef * truth)[..., None])[..., 0] + v)
+    alpha_hat, mse, errors, _ = blue_gram(gram, b)
     records = np.full((3, len(rows)), np.nan)
     ok = np.array([e is None for e in errors], dtype=bool)
     records[0, ok] = nmse_rows(truth[ok], alpha_hat[ok])
@@ -495,7 +528,8 @@ def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> Tria
     block = _draw_block(scenario, axis_index, [trial_index])
     if block["failed"]:
         raise block["failed"][0]
-    records, errors = _estimate_mode(scenario, block, np.arange(1))
+    q, v = _steering_gram(block, scenario._noise)
+    records, errors = _estimate_mode(scenario, block, q, v, np.arange(1))
     if errors[0] is not None:
         raise errors[0]
     nmse, mse, crb_trace = records[:, 0].tolist()
@@ -505,20 +539,23 @@ def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> Tria
 def _evaluate_block(scenarios, axis_index: int, trials: range) -> np.ndarray:
     """Records of every scenario on a block of trials, (modes, 3, trials).
 
-    A trial is excluded, nan in every mode, when its draw or any mode's
-    estimate raises a NumericalError.  Modes run in order and each only on
-    the trials the earlier ones kept, so a ValueError surfaces exactly
-    where evaluating the trials one at a time would raise it.
+    Every scenario is one axis point's, so they share its noise model, and
+    one steering Gram serves all of their modes.  A trial is excluded, nan
+    in every mode, when its draw or any mode's estimate raises a
+    NumericalError.  Modes run in order and each only on the trials the
+    earlier ones kept, so a ValueError surfaces exactly where evaluating
+    the trials one at a time would raise it.
     """
     out = np.full((len(scenarios), 3, len(trials)), np.nan)
     block = _draw_block(scenarios[0], axis_index, trials)
     drawn = block["drawn"]
     if drawn.size == 0:
         return out
+    q, v = _steering_gram(block, scenarios[0]._noise)
     kept = np.arange(drawn.size)
     records = np.full((len(scenarios), 3, drawn.size), np.nan)
     for mi, scenario in enumerate(scenarios):
-        recs, errors = _estimate_mode(scenario, block, kept)
+        recs, errors = _estimate_mode(scenario, block, q, v, kept)
         records[mi][:, kept] = recs
         kept = kept[[e is None for e in errors]]
         if kept.size == 0:

@@ -16,7 +16,14 @@ from irsradar.channel import (
     wrap_phase,
 )
 from irsradar.errors import GenerationError
-from irsradar.harness import Scenario, _draw_block, _estimate_mode, _sweep, run_trial
+from irsradar.harness import (
+    Scenario,
+    _draw_block,
+    _estimate_mode,
+    _steering_gram,
+    _sweep,
+    run_trial,
+)
 
 
 def random_panel(rng, M, random_theta=True):
@@ -120,7 +127,8 @@ def test_normalization_hits_targets(form, gamma):
         s = Scenario(n=n, k=3, m=4, gamma=gamma, sigma2=sigma2, link_mode=mode, nlos_form=form)
         block = _draw_block(s, 0, range(12))
         rows = np.arange(block["drawn"].size)
-        records, errors = _estimate_mode(s, block, rows)
+        q, v = _steering_gram(block, s._noise)
+        records, errors = _estimate_mode(s, block, q, v, rows)
         assert rows.size == 12 and not any(errors)
         for t in rows:
             if mode == "los_only":

@@ -376,3 +376,18 @@ def test_cli_certify_large_csi_scale(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
     assert "certified 59 panels" in capsys.readouterr().out
+
+
+def test_log_axes_hit_their_endpoints(tmp_path):
+    for argv, lo, hi in (
+        (["sweep-gamma"], 1e-5, 1e5),
+        (["sweep-noise"], 1e-5, 1.0),
+        (["crb"], 1e-5, 1e5),
+        (["sweep-gamma", "--axis-min", "3e-7", "--axis-max", "7e4"], 3e-7, 7e4),
+    ):
+        axis = _axis_values(parse_config(argv))
+        assert (axis[0], axis[-1]) == (lo, hi)
+    # the bounds of the supported sigma2 range are themselves supported
+    assert main(["sweep-noise", "--n", "20", "--k", "3", "--m", "4", "--trials", "3",
+                 "--gamma", "1", "--axis-points", "2", "--axis-min", "1e-30",
+                 "--axis-max", "1e30", "--out", str(tmp_path)]) == 0

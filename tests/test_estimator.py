@@ -9,8 +9,10 @@ from irsradar.errors import SingularModelError, UndefinedMetricError
 from irsradar.estimator import (
     CONDITION_LIMIT,
     NoiseModel,
+    _condition_numbers,
     _gram_stack,
     blue_estimate,
+    blue_gram,
     blue_stack,
     estimator_mse,
     nmse_rows,
@@ -275,17 +277,72 @@ def test_blue_stack_factors_items_alone_when_the_stacked_cholesky_fails(monkeypa
     real_gram_stack = estimator._gram_stack
 
     def indefinite_item_4(cols, noise):
-        ria, gram, cond = real_gram_stack(cols, noise)
+        ria, gram = real_gram_stack(cols, noise)
         gram[4] = -gram[4]
-        return ria, gram, cond
+        return ria, gram
 
     monkeypatch.setattr(estimator, "_gram_stack", indefinite_item_4)
     got = blue_stack(cols, noise, y)
     alpha_hat, cov, mse, errors = got
-    assert np.isfinite(_gram_stack(cols, noise)[2][4])
+    assert np.isfinite(_condition_numbers(_gram_stack(cols, noise)[1])[4])
     assert isinstance(errors[4], SingularModelError)
     assert str(errors[4]) == "Gram matrix is not positive definite"
     assert np.isnan(mse[4]) and np.all(np.isnan(alpha_hat[4])) and np.all(np.isnan(cov[4]))
+    assert "condition number" in str(errors[2])
+    for t in (0, 1, 2, 3, 5):
+        _assert_items_equal(got, clean, t, t)
+
+
+def _kspace(cols, noise, y):
+    # the Grams and matched filters A^H R^-1 A and A^H R^-1 y blue_gram takes
+    ria, gram = _gram_stack(cols, noise)
+    return gram, (ria.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+
+
+def _with_covariances(result):
+    # blue_gram's result laid out as blue_stack's, L^-1 in the place of cov
+    alpha_hat, mse, errors, chol_inv = result
+    ok = np.array([e is None for e in errors], dtype=bool)
+    padded = np.full((ok.size, *chol_inv.shape[1:]), np.nan, dtype=complex)
+    padded[ok] = chol_inv
+    return alpha_hat, padded, mse, errors
+
+
+@pytest.mark.parametrize("N, K", SHAPES)
+def test_blue_gram_items_do_not_depend_on_the_stack(N, K):
+    rng = np.random.default_rng(N * K + 1)
+    T = 7
+    cols, y = _stack_with_singular_item(rng, T, N, K)
+    for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
+        gram, b = _kspace(cols, noise, y)
+        full = _with_covariances(blue_gram(gram, b))
+        assert isinstance(full[3][2], SingularModelError)
+        assert sum(e is None for e in full[3]) == T - 1
+        for t in range(T):
+            alone = _with_covariances(blue_gram(gram[t:t + 1], b[t:t + 1]))
+            _assert_items_equal(alone, full, 0, t)
+        part = _with_covariances(blue_gram(gram[1:4], b[1:4]))
+        for t in range(3):
+            _assert_items_equal(part, full, t, t + 1)
+        # blue_stack is this kernel on the same Grams
+        stacked = blue_stack(cols, noise, y)
+        np.testing.assert_array_equal(stacked[0], full[0])
+        np.testing.assert_array_equal(stacked[2], full[2])
+
+
+def test_blue_gram_factors_items_alone_when_the_stacked_cholesky_fails():
+    rng = np.random.default_rng(43)
+    T, N, K = 6, 20, 3
+    cols, y = _stack_with_singular_item(rng, T, N, K)
+    gram, b = _kspace(cols, NoiseModel.scaled_identity(0.1, N), y)
+    clean = _with_covariances(blue_gram(gram, b))
+    gram[4] = -gram[4]  # indefinite, with the same finite condition number
+    assert np.isfinite(_condition_numbers(gram)[4])
+    got = _with_covariances(blue_gram(gram, b))
+    alpha_hat, chol_inv, mse, errors = got
+    assert isinstance(errors[4], SingularModelError)
+    assert str(errors[4]) == "Gram matrix is not positive definite"
+    assert np.isnan(mse[4]) and np.all(np.isnan(alpha_hat[4])) and np.all(np.isnan(chol_inv[4]))
     assert "condition number" in str(errors[2])
     for t in (0, 1, 2, 3, 5):
         _assert_items_equal(got, clean, t, t)
@@ -301,7 +358,8 @@ def test_condition_decision_matches_np_linalg_cond(N, K):
     cols[15, :, 1] = cols[15, :, 0]  # identical columns
     cols[16, :, 0] = 0  # a zero column: the smallest eigenvalue is exactly 0
     noise = NoiseModel.scaled_identity(1.0, N)
-    _, gram, cond = _gram_stack(cols, noise)
+    _, gram = _gram_stack(cols, noise)
+    cond = _condition_numbers(gram)
     ref = np.linalg.cond(gram)
     np.testing.assert_array_equal(cond > CONDITION_LIMIT, ref > CONDITION_LIMIT)
     assert 0 < np.sum(ref > CONDITION_LIMIT) < len(cols)

@@ -13,6 +13,7 @@ same exclusions.  The hashes hold for the reference platform (x86-64,
 Python 3.11, numpy 2.4 on its bundled OpenBLAS); a different BLAS or CPU
 may round the last bits differently.
 """
+import argparse
 import hashlib
 from pathlib import Path
 
@@ -128,33 +129,33 @@ def _replay_panels():
 RECORD_CASES = {
     "noise_cov": (
         lambda: (Scenario(**RECORD_BASE, noise_cov=_noise_cov(20)), SWEEP_MODES, 1),
-        "7cc67f1da3062665d0f68ec418d28146c8f6c1af412c19705072ec51d7f5c6dc",
+        "2c68f78d04668fd173f9cdf18158c74709de325b65f31412c0e8d34bb631592f",
     ),
     "nlos_fixed": (
         lambda: (Scenario(**RECORD_BASE, fixed_theta=_fixed_policy()),
                  ("los_only", "nlos_fixed", "nlos_optimal"), 1),
-        "4483cc5cdcb542c374a7b880893c15422a386d68c47df38fcbf383809e68d02c",
+        "bf9fd0d1c0ecfb03a1dfd943195c196b493695064a872b34a4116cc65ca573ec",
     ),
     "magnitude_squared": (
         lambda: (Scenario(**RECORD_BASE, nlos_form="magnitude_squared"), SWEEP_MODES, 1),
-        "b032d6847a6fec9df9b66af4b42fe8a74da8da0e06a145c690f1df7ed0bd7aee",
+        "352d07b5273cdf9654d13e5d45c5c833e2ff16a929009463a8f408497cf7156c",
     ),
     "freeze_waveform": (
         lambda: (Scenario(**RECORD_BASE, freeze_waveform=True), SWEEP_MODES, 1),
-        "24e0e956d699ebe0f4ad263a2075532a34695db16789547701045768f6680dc5",
+        "7ef603264b5d9bdae5911ce15da2b60dd3f8a3a07aabc85e66adc9b6e09654cc",
     ),
     "fixed_panels": (
         lambda: (Scenario(**RECORD_BASE, fixed_panels=_replay_panels()), SWEEP_MODES, 1),
-        "9dcde6b9dd3c089f42238ea7514dac6c5f8a0a973dc36518757e45acdf43245e",
+        "2d0303ccba04b3b58249143b32adc80a3986d9f18803fb9295e64a7aa84d05f2",
     ),
     "workers_2": (
         lambda: (Scenario(**RECORD_BASE), SWEEP_MODES, 2),
-        "3aa543db8041d46005b1816b5c7845b43d3c7cefdc95ab1ecddcc640e54a2a56",
+        "17b241a64866db5fa8c81bb6c59844789257e65d97fcc2774ed12c9f2e1698e7",
     ),
     "exclusions": (
         lambda: (Scenario(n=20, k=5, m=2, trials=24, master_seed=1, doppler_min_gap=0.155),
                  SWEEP_MODES, 1),
-        "5275830e4d4116163334313ed983ab272ee7fae62b279d2c7538291a511f4767",
+        "4934641fa91c1acb11e2026831e5e7064621a0a733f63835d48a28c10473cba6",
     ),
 }
 
@@ -163,7 +164,9 @@ FIELDS = ("nmse", "mse", "crb_trace")
 
 # the per-trial records of every RECORD_CASES sweep, kept so that a change
 # which moves the last bits on purpose is checked against the engine
-# before it; `PYTHONPATH=src python tests/test_golden.py` rewrites it
+# before it.  `PYTHONPATH=src python tests/test_golden.py` prints the
+# digests to pin; only `--rewrite-fixture` rewrites the fixture, which is
+# done on the engine before such a change, never in the middle of one
 RECORD_FIXTURE = Path(__file__).parent / "data" / "records_fixture.npz"
 
 
@@ -200,9 +203,22 @@ def test_records_match_fixture(case):
             np.testing.assert_allclose(got, ref[key], rtol=1e-9, atol=0, err_msg=key)
 
 
-if __name__ == "__main__":
-    RECORD_FIXTURE.parent.mkdir(exist_ok=True)
+def record_digests(argv=None):
+    """Print each record case's digest; with --rewrite-fixture, also rewrite the fixture."""
+    parser = argparse.ArgumentParser(description=record_digests.__doc__)
+    parser.add_argument("--rewrite-fixture", action="store_true",
+                        help=f"overwrite {RECORD_FIXTURE.name} with this engine's records")
+    args = parser.parse_args(argv)
     arrays = {}
     for case in sorted(RECORD_CASES):
-        arrays.update(_case_records(case)[1])
-    np.savez_compressed(RECORD_FIXTURE, **arrays)
+        res, records = _case_records(case)
+        arrays.update(records)
+        print(f"{case} {_records_digest(res)}")
+    if args.rewrite_fixture:
+        RECORD_FIXTURE.parent.mkdir(exist_ok=True)
+        np.savez_compressed(RECORD_FIXTURE, **arrays)
+        print(f"wrote {RECORD_FIXTURE}")
+
+
+if __name__ == "__main__":
+    record_digests()

@@ -8,16 +8,20 @@ from hypothesis import strategies as st
 
 from irsradar import estimator, harness
 from irsradar.channel import IrsPanel, compose_paths, crandn, wrap_phase
-from irsradar.errors import GenerationError, SingularModelError
+from irsradar.errors import DegeneratePathError, GenerationError, SingularModelError
+from irsradar.estimator import NoiseModel, blue_stack
 from irsradar.harness import (
+    LINK_MODES,
     MODE_LABELS,
     POWER_RANGE,
     SWEEP_MODES,
     Scenario,
     _draw_block,
+    _estimate_mode,
     _HashedSeed,
     _project,
     _seed_states,
+    _steering_gram,
     _sweep,
     run_trial,
     sweep_gamma,
@@ -504,3 +508,65 @@ def test_draw_block_matches_blocks_of_one(case, block_trials):
         assert excluded == s.trials
     else:
         assert excluded == 0
+
+
+def _full_noise_cov(n):
+    rng = np.random.default_rng(n + 7)
+    B = crandn(rng, n, n)
+    return 0.02 * np.eye(n) + (0.05 / n) * (B @ B.conj().T)
+
+
+@pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
+@pytest.mark.parametrize("n, k", [(20, 3), (50, 5), (256, 32)])
+def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
+    # the K-space estimate against blue_stack on A = Diag(x) P(nu) Diag(c)
+    # and y = A alpha + w rebuilt per trial from the block's draws
+    m, T, gamma = 4, 6, 0.3
+    thetas = np.random.default_rng(k).uniform(0.0, 6.0, (k, m))
+    s = Scenario(n=n, k=k, m=m, gamma=gamma, sigma2=0.05, trials=T, master_seed=8,
+                 fixed_theta=thetas, noise_cov=_full_noise_cov(n) if full_noise else None)
+    block = _draw_block(s, 1, range(T))
+    q, v = _steering_gram(block, s._noise)
+    rows = np.arange(block["drawn"].size)
+    assert rows.size == T
+    noise = NoiseModel(covariance=s.noise_cov) if full_noise else NoiseModel.scaled_identity(0.05, n)
+    pulses = np.arange(n)[:, None]
+    for mode in LINK_MODES:
+        records, errors = _estimate_mode(replace(s, link_mode=mode), block, q, v, rows)
+        assert errors == [None] * T
+        for t in rows:
+            if mode == "los_only":
+                nus = block["u"][t, :1]
+                truth = np.array([block["alpha_los"][t]])
+                norm = abs(block["alpha_los"][t] * block["h_los"][t]) / np.sqrt(gamma)
+                coef = np.array([block["h_los"][t]]) / norm
+            else:
+                nus = block["u"][t, 1:]
+                truth = block["alpha"][t]
+                norm = abs(truth @ block["csi"][mode][t])
+                coef = block["csi"][mode][t] / norm
+            steer = np.exp(2j * np.pi * pulses * nus[None, :])
+            A = np.diag(block["x"][t]) @ steer @ np.diag(coef)
+            y = A @ truth + block["w"][t]
+            alpha_hat, _, mse, ref_errors = blue_stack(A[None], noise, y[None])
+            assert ref_errors == [None]
+            nmse = np.linalg.norm(truth - alpha_hat[0]) / np.linalg.norm(truth)
+            np.testing.assert_allclose(records[0, t], nmse, rtol=1e-8, err_msg=mode)
+            np.testing.assert_allclose(records[1, t], mse[0] / norm**2, rtol=1e-10, err_msg=mode)
+            np.testing.assert_allclose(records[2, t], mse[0], rtol=1e-10, err_msg=mode)
+
+
+def test_estimate_mode_checks_coefficients():
+    s = Scenario(n=20, k=3, m=4, trials=4, master_seed=3, link_mode="nlos_random")
+    block = _draw_block(s, 0, range(4))
+    q, v = _steering_gram(block, s._noise)
+    rows = np.arange(4)
+    _estimate_mode(s, block, q, v, rows)  # the draw as it is passes
+    csi = block["csi"]["nlos_random"]
+    csi[2, 1] = np.nan
+    # the NaN reaches the normalization first, where numpy only warns
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+        _estimate_mode(s, block, q, v, rows)
+    csi[2, 1] = 0.0
+    with pytest.raises(DegeneratePathError):
+        _estimate_mode(s, block, q, v, rows)

@@ -136,3 +136,23 @@ def test_sensing_columns_stack_matches_single_models():
         for t in range(T):
             single = build_sensing_matrix(Waveform(x[t]), nus[t], csi[t]).columns
             np.testing.assert_array_equal(stacked[t], single)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 50, 255, 256, 257])
+def test_steering_table_matches_direct_formula(N):
+    # the phase table against x * exp(j n nu) evaluated directly, within a
+    # few N * eps: the direct formula's own rounding of n * nu is that size
+    rng = np.random.default_rng(N)
+    T, K = 3, 9
+    x = np.exp(1j * rng.uniform(0, 2 * np.pi, (T, N)))
+    nus = rng.uniform(-np.pi, np.pi, (T, K))
+    nus[:, 0] = 0.0
+    nus[0, 1], nus[1, 1] = np.pi, -np.pi
+    got = steering_columns(x, nus)
+    ref = x[..., :, None] * np.exp(1j * np.arange(N)[:, None] * nus[..., None, :])
+    assert np.max(np.abs(got - ref)) <= 4 * N * np.finfo(float).eps
+    np.testing.assert_array_equal(got[:, :, 0], x)  # exactly 1 at nu = 0
+    np.testing.assert_array_equal(got[:, 0, :], np.repeat(x[:, :1], K, axis=1))  # and at n = 0
+    for t in range(T):
+        np.testing.assert_array_equal(steering_columns(x[t], nus[t]), got[t])
+        np.testing.assert_array_equal(steering_columns(x[t:t + 1], nus[t:t + 1]), got[t:t + 1])
