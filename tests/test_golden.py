@@ -4,12 +4,14 @@ The sha256 of every CSV and SVG below was recorded before the per-trial
 engine was reduced to one Gram factorization per trial-mode; refactors of
 the engine must keep every byte.  The per-trial record hashes cover sweep
 paths the CLI cases do not reach (or reach only through rounded means).
-They were re-recorded when the BLUE's Cholesky factorization moved from
-scipy's per-item LAPACK calls to numpy's stacked ones, which moved the
-records' last bits by at most 2e-13 relative and no CLI byte;
+They were re-recorded twice, each time after the records had been
+checked against the fixture: when the BLUE's Cholesky factorization moved
+from scipy's per-item LAPACK calls to numpy's stacked ones, and when the
+estimate moved to K-space with a steering phase table.  Each moved the
+records' last bits by under 1e-12 relative and no CLI byte;
 test_records_match_fixture holds the records to those of the engine
-before, tests/data/records_fixture.npz, within 1e-9 relative and with the
-same exclusions.  The hashes hold for the reference platform (x86-64,
+before the first, tests/data/records_fixture.npz, within 1e-9 relative
+and with the same exclusions.  The hashes hold for the reference platform (x86-64,
 Python 3.11, numpy 2.4 on its bundled OpenBLAS); a different BLAS or CPU
 may round the last bits differently.
 """
