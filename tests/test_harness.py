@@ -570,3 +570,33 @@ def test_estimate_mode_checks_coefficients():
     csi[2, 1] = 0.0
     with pytest.raises(DegeneratePathError):
         _estimate_mode(s, block, q, v, rows)
+
+
+@pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
+def test_whitened_noise_is_chi_square(full_noise):
+    # the noise part of a mode's matched filter, D^H v, is CN(0, G) with
+    # G = D^H Q D = L L^H, so ||L^-1 D^H v||^2 ~ Gamma(K, 1) whatever the
+    # scene (Kay 1993, ch. 6); its mean over T trials is K within sqrt(K/T)
+    s = Scenario(gamma=0.3, trials=400, noise_cov=_full_noise_cov(50) if full_noise else None)
+    for axis_index in range(3):
+        block = _draw_block(s, axis_index, range(s.trials))
+        q, v = _steering_gram(block, s._noise)
+        for mode in SWEEP_MODES:
+            if mode == "los_only":
+                h_los, alpha_los = np.array(block["h_los"]), np.array(block["alpha_los"])
+                d = (h_los * np.sqrt(s.gamma) / np.abs(alpha_los * h_los))[:, None]
+                paths = slice(0, 1)
+            else:
+                raw = block["csi"][mode]
+                d = raw / np.abs(_project(block["alpha"], raw))[:, None]
+                paths = slice(1, None)
+            qp, vp = q[:, paths, paths], v[:, paths]
+            gram = estimator._hermitian(d.conj()[:, :, None] * qp * d[:, None, :])
+            b = d.conj() * vp
+            _, _, errors, chol_inv = estimator.blue_gram(gram, b)
+            ok = np.array([e is None for e in errors])
+            white = (chol_inv @ b[ok][..., None])[..., 0]
+            stat = np.sum(np.abs(white) ** 2, axis=1)
+            K, T = d.shape[1], stat.size
+            assert T >= 0.95 * s.trials
+            assert abs(stat.mean() - K) <= 5.0 * np.sqrt(K / T), (axis_index, mode)
