@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import NLOS_FORMS, read_csi_file, split_crandn, stack_panels
 from .errors import NumericalError, UsageError
-from .harness import Scenario, SweepResult, _sweep, sweep_gamma, sweep_noise
+from .harness import SEED_BOUND, Scenario, SweepResult, _sweep, sweep_gamma, sweep_noise
 from .phaseopt import certify_panels
 
 SUBCOMMANDS = ("sweep-gamma", "sweep-noise", "crb", "single", "certify")
@@ -207,8 +207,8 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("n", "k", "m", "trials"):
         if getattr(cfg, key) < 1:
             raise UsageError(f"{key} must be positive")
-    if cfg.seed < 0:
-        raise UsageError("seed must be nonnegative")
+    if not 0 <= cfg.seed < SEED_BOUND:
+        raise UsageError("seed must lie in [0, 2**64)")
     if cfg.gamma < 0:
         raise UsageError("gamma must be nonnegative")
     if cfg.sigma2 <= 0:

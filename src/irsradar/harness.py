@@ -120,6 +120,10 @@ _STREAMS = {"waveform": 0, "doppler": 1, "channel": 2, "noise": 3, "phase": 4}
 
 RESAMPLE_BUDGET = 100
 
+# master seeds lie in [0, SEED_BOUND): a stream's key holds the seed as one
+# unsigned 64-bit word
+SEED_BOUND = 2**64
+
 # The supported range of sigma2 and of a nonzero gamma.  Far outside it a
 # scene's normalization or the noise solve under- or overflows, and every
 # trial would fail or come out non-finite.
@@ -169,8 +173,8 @@ class Scenario:
             raise ValueError(f"gamma must be 0 or lie in [{lo:g}, {hi:g}]")
         if self.link_mode == "los_only" and self.gamma == 0:
             raise ValueError("gamma must be positive for link_mode='los_only'")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        if not 0 <= self.master_seed < SEED_BOUND:
+            raise ValueError("master_seed must lie in [0, 2**64)")
         if self.link_mode not in LINK_MODES:
             raise ValueError(f"unknown link mode: {self.link_mode!r}")
         if self.nlos_form not in NLOS_FORMS:
@@ -493,6 +497,7 @@ def _estimate_mode(scenario: Scenario, block, q, v, rows):
     SingularModelError of rows[i].
     """
     if scenario.link_mode == "los_only":
+        check_coefficients(np.array([block["h_los"][i] for i in rows]))
         root = np.sqrt(scenario.gamma)
         coef, norms, truth = [], [], []
         for i in rows:
@@ -505,10 +510,10 @@ def _estimate_mode(scenario: Scenario, block, q, v, rows):
         paths = slice(0, 1)
     else:
         raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
+        check_coefficients(raw)
         norms = [abs(v) for v in _project(truth, raw).tolist()]
         coef = raw / np.array(norms)[:, None]
         paths = slice(1, None)
-    check_coefficients(coef)
     q, v = q[rows][:, paths, paths], v[rows][:, paths]
     coef_h = coef.conj()
     gram = _hermitian(coef_h[:, :, None] * q * coef[:, None, :])

@@ -99,8 +99,10 @@ def test_conflicting_flags_rejected(tmp_path):
 def test_value_validation():
     with pytest.raises(UsageError, match="trials"):
         parse_config(["sweep-gamma", "--trials", "0"])
-    with pytest.raises(UsageError, match="seed"):
-        parse_config(["sweep-gamma", "--seed", "-1"])
+    for bad in ("-1", str(2**64)):
+        with pytest.raises(UsageError, match="seed"):
+            parse_config(["sweep-gamma", "--seed", bad])
+    assert parse_config(["sweep-gamma", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
     with pytest.raises(UsageError, match="axis_min"):
         parse_config(["sweep-gamma", "--axis-min", "10", "--axis-max", "1"])
     with pytest.raises(UsageError, match="positive"):
@@ -391,3 +393,12 @@ def test_log_axes_hit_their_endpoints(tmp_path):
     assert main(["sweep-noise", "--n", "20", "--k", "3", "--m", "4", "--trials", "3",
                  "--gamma", "1", "--axis-points", "2", "--axis-min", "1e-30",
                  "--axis-max", "1e30", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("sub", ["sweep-gamma", "single", "certify"])
+def test_seed_beyond_64_bits_exits_2_before_any_output(sub, tmp_path, capsys):
+    # the streams are keyed by the seed as one unsigned 64-bit word
+    out = tmp_path / "out"
+    assert main([sub, "--trials", "2", "--seed", str(2**64), "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()

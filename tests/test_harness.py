@@ -53,8 +53,10 @@ def test_scenario_validation():
         Scenario(sigma2=0.0)
     with pytest.raises(ValueError):
         Scenario(gamma=-1.0)
-    with pytest.raises(ValueError):
-        Scenario(master_seed=-1)
+    for bad in (-1, 2**64, 2**70):
+        with pytest.raises(ValueError, match="master_seed"):
+            Scenario(master_seed=bad)
+    Scenario(master_seed=2**64 - 1)
     with pytest.raises(ValueError):
         Scenario(link_mode="nlos_psychic")
     with pytest.raises(ValueError):
@@ -564,8 +566,8 @@ def test_estimate_mode_checks_coefficients():
     _estimate_mode(s, block, q, v, rows)  # the draw as it is passes
     csi = block["csi"]["nlos_random"]
     csi[2, 1] = np.nan
-    # the NaN reaches the normalization first, where numpy only warns
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+    # the rules run before the normalization, so numpy never warns on the NaN
+    with pytest.raises(ValueError, match="must be finite"):
         _estimate_mode(s, block, q, v, rows)
     csi[2, 1] = 0.0
     with pytest.raises(DegeneratePathError):
