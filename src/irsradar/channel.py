@@ -152,14 +152,13 @@ def compose_paths(g, h, theta, beta, form: str = "magnitude_squared") -> np.ndar
     theta must already be wrapped as a panel stores it (see wrap_phase).
     All rows go through one np.vecdot, which runs the same BLAS dot on
     each row as np.vdot on that row alone, so a row's value does not
-    depend on the rows stacked with it.  The squared magnitude is Python's
-    abs of each value, which rounds differently from np.abs on complex.
+    depend on the rows stacked with it.
     """
     if form not in NLOS_FORMS:
         raise ValueError(f"unknown nlos form: {form!r}")
     z = np.vecdot(np.conj(g) * h, beta * np.exp(1j * theta))
     if form == "magnitude_squared":
-        z = np.array([abs(v) ** 2 for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
+        z = (z.real * z.real + z.imag * z.imag).astype(complex)
     return z
 
 

@@ -2,26 +2,30 @@
 
 Draw discipline
 ---------------
-Every random quantity comes from a named stream seeded by the tuple
-(master_seed, axis_index, trial_index, stream_id).  A given trial at a
-given axis point therefore reproduces the identical waveform, Doppler
-set, CSI, and noise in every link mode, so mode comparisons are paired;
-and any trial can be regenerated in isolation, which keeps sweeps
-bit-reproducible under any degree of parallelism.  A stream is the PCG64
-generator numpy's SeedSequence of that tuple seeds; the seed words of a
-whole block of streams are hashed at once by a port of SeedSequence's
-uint32 hash, which gives the same words as SeedSequence itself.
+Every random word comes from numpy's counter-based Philox (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011) keyed by
+(master_seed, axis_index): trial t's B 4-word blocks of a stream sit at
+the counters (t * B + j, stream id, scene attempt, 0), j = 1..B, B fixed
+by the stream's word count.  A given trial at a given axis point
+therefore reproduces the identical waveform, Doppler set, CSI, and
+noise in every link mode, so mode comparisons are paired; and any trial
+can be regenerated in isolation, which keeps sweeps bit-reproducible
+under any degree of parallelism.  A uniform is a word's top 53 bits
+times 2^-53; a complex Gaussian takes two words, for its modulus
+sqrt(-ln(1 - u)) and its angle 2 pi u.
 
 Doppler convention
 ------------------
 Doppler values are drawn in cycles per pulse on doppler_range (default
 [-0.5, 0.5), the full unambiguous band) and converted to radians per
-pulse for the steering vectors.  The reflected paths are redrawn until
-all pairwise circular separations reach doppler_min_gap cycles (default
-1/(4N), half the Rayleigh resolution).  Unresolvable paths make the
-Gram matrix arbitrarily ill-conditioned, so without the separation
-floor the per-axis means are dominated by rare near-singular draws and
-do not stabilize at realistic trial counts.
+pulse for the steering vectors.  The reflected paths are uniform on the
+circle given that all pairwise circular separations reach
+doppler_min_gap cycles (default 1/(4N), half the Rayleigh resolution),
+drawn exactly from uniform spacings (Pyke, "Spacings", JRSS-B 1965), not
+by rejection; see _dopplers.  Unresolvable paths make the Gram matrix
+arbitrarily ill-conditioned, so without the separation floor the
+per-axis means are dominated by rare near-singular draws and do not
+stabilize at realistic trial counts.
 
 Recorded metrics
 ----------------
@@ -47,13 +51,10 @@ mse        crb_trace / norm**2, where norm is the scene's normalization
 
 Block evaluation
 ----------------
-A sweep evaluates each axis point's trials in blocks.  The block is drawn
-as stacked arrays: each of a trial's streams makes one generator call per
-attempt (the values equal those of the shorter calls a lone trial would
-make in turn), redraw loops run over the trials still pending, and the
-arithmetic on the draws (complex Gaussian assembly, the code's exp, phase
-wrapping and alignment, the Doppler separation check, noise scaling) runs
-once over the block.
+A sweep evaluates each axis point's trials in blocks.  Consecutive
+trials' counter ranges are contiguous, so each stream of a block is one
+random_raw call; the scene redraw runs over the trials still pending,
+and all arithmetic on the words runs once over the block.
 
 Estimation then runs in K-space.  Every link mode of a trial shares the
 code x, the Dopplers and the noise w; only the path coefficients differ,
@@ -80,34 +81,23 @@ cholesky and inv (one LAPACK call per item).  That covers each panel
 row's coefficient, each trial's alpha^T c zero check and normalization
 norm, the colouring of the noise with a full noise_cov, the steering
 table, the steering Gram, the Cholesky factorization and the NMSE norms.
-Only each trial's scalar normalization on Python complex h_los and
-alpha_los stays per item.  Two changes moved the last bits of the
-records on purpose, each by under 1e-12 relative and no CLI output byte:
-numpy's stacked Cholesky in place of per-item LAPACK calls, then K-space
-estimation with the steering phase table.  tests/data/records_fixture.npz
-holds the records from before the first, and the records stay within
-1e-9 of them.  A trial whose draw or any mode's estimate raises a
-NumericalError is excluded from every mode, as before.
+Replacing per-trial PCG64 streams by the Philox ranges above redrew
+every record: each mean NMSE stays within 4 standard errors of the
+moments in tests/data/moments_fixture.npz, recorded before it, and
+tests/data/records_fixture.npz holds the new records, which later
+engines keep within 1e-9.  A trial whose draw or any mode's estimate
+raises a NumericalError is excluded from every mode, as before.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
-from numpy.random import PCG64
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random import Philox
 
-from .channel import (
-    NLOS_FORMS,
-    _same_value,
-    compose_paths,
-    csi_draw_size,
-    split_crandn,
-    split_csi,
-    stack_panels,
-    wrap_phase,
-)
+from .channel import NLOS_FORMS, _same_value, compose_paths, stack_panels, wrap_phase
 from .errors import GenerationError
 from .estimator import NoiseModel, _hermitian, blue_gram, nmse_rows
 from .model import check_coefficients, random_code, steering_columns
@@ -187,7 +177,9 @@ class Scenario:
         gap = self.min_gap_cycles
         if not np.isfinite(gap):
             raise ValueError("doppler_min_gap must be finite")
-        if gap < 0 or self.k * gap >= (hi - lo):
+        # two or more paths need room for the draw's rounding margin too
+        floor = gap if self.k == 1 else _spacing_floor(lo, hi, gap)
+        if gap < 0 or self.k * floor >= (hi - lo):
             raise ValueError("doppler_min_gap leaves no room for k paths")
         # the draw's phase and panel arrays, each a K x M stack; not fields,
         # so kept out of eq and repr like _noise below
@@ -256,116 +248,119 @@ class TrialRecord:
     crb_trace: float
 
 
-# numpy's SeedSequence hash (bit_generator.pyx), ported to uint32 arrays
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
+def _stream_words(bitgen, state, stream: str, trials, count: int, attempt: int = 0):
+    """The first `count` words of a stream for each trial, (len(trials), count).
 
-
-def _uint32_words(value: int):
-    """A nonnegative int as SeedSequence splits it: 32-bit words, low first."""
-    if value < 0:
-        raise ValueError("seed key entries must be nonnegative")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash_entropy(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix_entropy then generate_state(4, uint64) on each row.
-
-    entropy is (n, L) uint32, one key's assembled words per row; every
-    step is the reference's uint32 arithmetic applied to a column.
+    state is bitgen's fresh state; numpy's Philox advances the counter
+    before each block, so setting it to (t * B, ...) starts trial t's
+    range, and each run of consecutive trials is one random_raw call.
     """
-    u32 = np.uint32
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ u32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * u32(hash_const)
-        return value ^ (value >> u32(16))
-
-    def mix(x, y):
-        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
-        return result ^ (result >> u32(16))
-
-    n, length = entropy.shape
-    pool = [hashmix(entropy[:, i] if i < length else np.zeros(n, u32))
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    hash_const = _INIT_B
-    state = np.empty((n, 8), u32)
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ u32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * u32(hash_const)
-        state[:, i] = value ^ (value >> u32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    width = -(-count // 4)  # B
+    t = np.asarray(trials, dtype=np.uint64)
+    out = np.empty((t.size, 4 * width), np.uint64)
+    edges = [0, *(np.flatnonzero(np.diff(t) != 1) + 1).tolist(), t.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > lo:
+            counter = [int(t[lo]) * width, _STREAMS[stream], attempt, 0]
+            state["state"]["counter"] = np.array(counter, np.uint64)
+            bitgen.state = state
+            out[lo:hi] = bitgen.random_raw(4 * width * (hi - lo)).reshape(hi - lo, -1)
+    return out[:, :count]
 
 
-def _seed_states(keys) -> np.ndarray:
-    """SeedSequence(key).generate_state(4, np.uint64) for each key, (len(keys), 4).
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) from raw words: the top 53 bits times 2^-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
 
-    Keys are tuples of nonnegative ints; those with the same number of
-    entropy words are hashed together in one pass.
+
+@cache
+def _turn_tables():
+    """exp(2 pi j i / 2^10) and exp(2 pi j i / 2^20) for i < 2^10, built on first use.
+
+    The coarse and fine turns an angle's top 20 bits select in _unit_phasors.
     """
-    words, rows = {}, []
-    for key in keys:
-        row = []
-        for v in key:
-            if v not in words:
-                words[v] = _uint32_words(v)
-            row += words[v]
-        rows.append(row)
-    states = np.empty((len(rows), 4), np.uint64)
-    by_length = {}
-    for i, row in enumerate(rows):
-        by_length.setdefault(len(row), []).append(i)
-    for idx in by_length.values():
-        states[idx] = _hash_entropy(np.array([rows[i] for i in idx], dtype=np.uint32))
-    return states
+    i = np.arange(1024)
+    return np.exp(2j * np.pi * i / 2**10), np.exp(2j * np.pi * i / 2**20)
 
 
-class _HashedSeed(ISeedSequence):
-    """Seed words hashed in advance; PCG64 asks for generate_state(4, uint64)."""
+def _unit_phasors(words: np.ndarray) -> np.ndarray:
+    """exp(2 pi j u) of each word's uniform u, from tables instead of cos and sin.
 
-    def __init__(self, state):
-        self.state = state
+    u's 53 bits split as 10 + 10 + 33.  The first two pick a coarse and a
+    fine turn; the last 33 are an angle d below 2 pi 2^-20, and the turn
+    by d is 1 - d^2/2 + j d, whose truncation error d^3/6 is under 4e-17.
+    The result is within a few eps of np.exp(2j * np.pi * u), at a third
+    of its cost, and elementwise, so stacking does not change it.
+    """
+    coarse, fine = _turn_tables()
+    v = words >> np.uint64(11)
+    out = coarse[v >> np.uint64(43)]
+    out *= fine[v >> np.uint64(33) & np.uint64(1023)]
+    d = (v & np.uint64(2**33 - 1)) * (2.0 * np.pi * 2.0**-53)
+    turn = np.empty(d.shape, complex)
+    turn.real = 1.0 - 0.5 * (d * d)
+    turn.imag = d
+    out *= turn
+    return out
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
+
+def _complex_normals(words: np.ndarray) -> np.ndarray:
+    """CN(0, 1) values from consecutive word pairs, (..., 2C) -> (..., C).
+
+    The pair's first word gives the modulus sqrt(-ln(1 - u)), whose square
+    is Exp(1), and its second the angle, as _unit_phasors' exp(2 pi j u).
+    """
+    radius = np.sqrt(-np.log1p(-_uniforms(words[..., 0::2])))
+    return radius * _unit_phasors(words[..., 1::2])
+
+
+def _spacing_floor(lo: float, hi: float, gap: float) -> float:
+    """The gap plus a margin for the rounding of the draw and of a separation check."""
+    return gap + 32.0 * np.finfo(float).eps * (abs(lo) + abs(hi) + (hi - lo))
+
+
+def _dopplers(u: np.ndarray, lo: float, hi: float, k: int, gap: float) -> np.ndarray:
+    """(T, 1 + k) Dopplers in cycles on [lo, hi) from (T, 2k + 1) uniforms.
+
+    u[:, 0] places the direct path uniformly.  The k reflected paths are
+    uniform on the circle given that every circular separation is at
+    least the gap, drawn exactly (no rejection): the k - 1 sorted
+    uniforms u[:, 1:k] cut [0, 1] into k Dirichlet(1, ..., 1) spacings,
+    scaled to span - k * floor with floor added to each; u[:, k] rotates
+    the set around the circle and the ranks of u[:, k + 1:] permute the
+    labels.  floor is _spacing_floor's, so the separations hold after
+    rounding too.
+    """
+    span = hi - lo
+    floor = _spacing_floor(lo, hi, gap)
+    cuts = np.sort(u[:, 1:k], axis=1)
+    # path i sits i spacings after the first: i * floor plus the scaled cut
+    offsets = np.arange(k) * floor + (span - k * floor) * np.pad(cuts, ((0, 0), (1, 0)))
+    at = span * u[:, k:k + 1] + offsets
+    at = np.where(at < span, at, at - span)
+    labels = np.argsort(u[:, k + 1:], axis=1)
+    nu = np.concatenate([lo + span * u[:, :1], lo + np.take_along_axis(at, labels, axis=1)],
+                        axis=1)
+    return np.where(nu < hi, nu, lo)  # a value that rounds up to hi is lo on the circle
 
 
 def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     """Everything random in a block of trials; identical for every link mode.
 
-    Trial t draws from the streams keyed (master_seed, axis_index, t,
-    stream id), the waveform from trial 0's when frozen.  Each stream
-    makes one generator call per attempt, and all arithmetic on the
-    draws runs once over the stacked trials.  Dopplers are redrawn while
-    two reflected paths sit closer than the gap on the circle; a scene is
-    redrawn while alpha_los * h_los or alpha^T c of any reflected mode is
-    exactly zero, so all link modes accept or reject identical draws and
-    pairing is preserved.  Phases are wrapped as often as the panel path
-    wraps them: once on fixed_theta and on the random phases, and once
-    more on optimal_phases' already wrapped output.
+    Trial t reads its counter ranges (see the module docstring), the
+    waveform trial 0's when frozen.  A scene is redrawn, on the next
+    attempt's counters of the channel and phase streams, while
+    alpha_los * h_los or alpha^T c of any reflected mode is exactly zero,
+    so all link modes accept or reject identical draws and pairing is
+    preserved.  Phases are wrapped as
+    often as the panel path wraps them: once on fixed_theta and on the
+    random phases, and once more on optimal_phases' already wrapped
+    output.
 
     Returns a dict over the drawn trials, in order: "drawn" their
     positions in `trials`, "x" the (T, N) codes, "u" the (T, k + 1)
     Dopplers in cycles (the direct path's first), "h_los" and
-    "alpha_los" lists of complex, "alpha" (T, k),
+    "alpha_los" (T,), "alpha" (T, k),
     "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
     nlos_fixed to the (T, k) raw composed coefficients, and "w" the (T, N)
     noise.  "failed" maps the other positions to the GenerationError that
@@ -375,53 +370,37 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     if axis_index < 0 or min(trials, default=0) < 0:
         raise ValueError("indices must be nonnegative")
     n, k, m = scenario.n, scenario.k, scenario.m
-    frozen = _STREAMS["waveform"] if scenario.freeze_waveform else None
-    keys = [
-        (scenario.master_seed, axis_index, 0 if sid == frozen else t, sid)
-        for t in trials for sid in _STREAMS.values()
-    ]
-    states = _seed_states(keys).reshape(len(trials), len(_STREAMS), 4)
-    rngs = {
-        name: [np.random.Generator(PCG64(_HashedSeed(s))) for s in states[:, col]]
-        for col, name in enumerate(_STREAMS)
-    }
-    failed = {}
+    bitgen = Philox(key=np.array([scenario.master_seed, axis_index], np.uint64))
+    state = bitgen.state
+
+    def words(stream, count, rows=trials, attempt=0):
+        return _stream_words(bitgen, state, stream, rows, count, attempt)
 
     lo, hi = scenario.doppler_range
-    span, gap = hi - lo, scenario.min_gap_cycles
-    u = np.array([rng.uniform(lo, hi, 1 + k) for rng in rngs["doppler"]]).reshape(-1, 1 + k)
-    # a single path, or no gap, is always separated
-    todo = np.arange(len(trials)) if k > 1 and gap > 0 else np.arange(0)
-    for attempt in range(RESAMPLE_BUDGET):
-        if attempt:
-            u[todo, 1:] = [rngs["doppler"][j].uniform(lo, hi, k) for j in todo]
-        srt = np.sort(u[todo, 1:], axis=1)
-        wrap = srt[:, 0] + span - srt[:, -1]  # the interval is a circle for phases
-        todo = todo[np.minimum(np.diff(srt, axis=1).min(axis=1, initial=np.inf), wrap) < gap]
-        if todo.size == 0:
-            break
-    for j in todo.tolist():
-        failed[j] = GenerationError("no sufficiently separated Doppler set within budget")
+    u = _dopplers(_uniforms(words("doppler", 2 * k + 1)), lo, hi, k, scenario.min_gap_cycles)
 
+    fixed = scenario.fixed_panels is not None
+    sizes = (1, k, 1) if fixed else (1, k * m, k * m, k, 1)
     h_los = np.zeros(len(trials), complex)
     alpha_los = np.zeros(len(trials), complex)
     alpha = np.zeros((len(trials), k), complex)
     csi = {}
-    todo = np.array([j for j in range(len(trials)) if j not in failed], dtype=int)
-    for _ in range(RESAMPLE_BUDGET):
+    todo = np.arange(len(trials))
+    for attempt in range(RESAMPLE_BUDGET):
         if todo.size == 0:
             break
-        if scenario.fixed_panels is not None:
-            z = np.array([rngs["channel"][j].standard_normal(2 * k + 4) for j in todo])
-            hl, al, al_los = split_crandn(z, 1, k, 1)
+        rows = [trials[j] for j in todo]
+        z = _complex_normals(words("channel", 2 * sum(sizes), rows, attempt))
+        parts = np.split(z, np.cumsum(sizes)[:-1], axis=1)
+        if fixed:
+            hl, al, al_los = parts
             g, h, beta = scenario._panel_csi
         else:
-            z = np.array([rngs["channel"][j].standard_normal(csi_draw_size(m, k)) for j in todo])
-            hl, g, h, al, al_los = split_csi(z, m, k)
-            beta = np.ones((k, m))
+            hl, g, h, al, al_los = parts
+            g, h, beta = g.reshape(-1, k, m), h.reshape(-1, k, m), np.ones((k, m))
         hl, al_los = hl[:, 0], al_los[:, 0]
-        random_theta = np.array([rngs["phase"][j].uniform(0.0, 2.0 * np.pi, (k, m)) for j in todo])
-        thetas = {"nlos_random": wrap_phase(random_theta),
+        random_theta = 2.0 * np.pi * _uniforms(words("phase", k * m, rows, attempt))
+        thetas = {"nlos_random": wrap_phase(random_theta.reshape(-1, k, m)),
                   "nlos_optimal": wrap_phase(optimal_phases(g, h))}
         if scenario._theta is not None:
             thetas["nlos_fixed"] = scenario._theta
@@ -430,8 +409,7 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
                                   (todo.size, k))
             for mode, theta in thetas.items()
         }
-        # the direct product in Python complex per trial, alpha^T c per mode
-        ok = np.array([a * b != 0 for a, b in zip(hl.tolist(), al_los.tolist())], dtype=bool)
+        ok = hl * al_los != 0
         for c in composed.values():
             ok &= _project(al, c) != 0
         done = todo[ok]
@@ -439,25 +417,27 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         for mode, c in composed.items():
             csi.setdefault(mode, np.zeros((len(trials), k), complex))[done] = c[ok]
         todo = todo[~ok]
-    for j in todo.tolist():
-        failed[j] = GenerationError("scene still degenerate after resample budget")
+    failed = {j: GenerationError("scene still degenerate after resample budget")
+              for j in todo.tolist()}
 
-    drawn = np.array([j for j in range(len(trials)) if j not in failed], dtype=int)
-    z = np.array([rngs["noise"][j].standard_normal(2 * n) for j in drawn]).reshape(-1, 2 * n)
-    (w,) = split_crandn(z, n)
+    kept = np.ones(len(trials), dtype=bool)
+    kept[todo] = False
+    drawn = np.flatnonzero(kept)
+    w = _complex_normals(words("noise", 2 * n))[drawn]
     if scenario.noise_cov is None:
         w = np.sqrt(scenario.sigma2) * w
     else:  # L w per trial, R = L L^H; one matrix-vector product each
         w = (scenario._noise._chol @ w[..., None])[..., 0]
-    x = random_code(n, [rngs["waveform"][j] for j in drawn])
+    code = _uniforms(words("waveform", n, [0] if scenario.freeze_waveform else trials))
+    x = random_code(2.0 * np.pi * np.broadcast_to(code, (len(trials), n))[drawn])
     return {
         "drawn": drawn,
         "x": x,
         "u": u[drawn],
-        "h_los": h_los[drawn].tolist(),
+        "h_los": h_los[drawn],
         "csi": {mode: c[drawn] for mode, c in csi.items()},
         "alpha": alpha[drawn],
-        "alpha_los": alpha_los[drawn].tolist(),
+        "alpha_los": alpha_los[drawn],
         "w": w,
         "failed": failed,
     }
@@ -497,22 +477,17 @@ def _estimate_mode(scenario: Scenario, block, q, v, rows):
     SingularModelError of rows[i].
     """
     if scenario.link_mode == "los_only":
-        check_coefficients(np.array([block["h_los"][i] for i in rows]))
+        h_los, truth = block["h_los"][rows], block["alpha_los"][rows]
+        check_coefficients(h_los)
         root = np.sqrt(scenario.gamma)
-        coef, norms, truth = [], [], []
-        for i in rows:
-            h_los, alpha_los = block["h_los"][i], block["alpha_los"][i]
-            gain = abs(alpha_los * h_los)
-            coef.append([complex(h_los * root / gain)])
-            norms.append(gain / root)
-            truth.append([alpha_los])
-        coef, truth = np.array(coef), np.array(truth)
+        gain = np.abs(truth * h_los)
+        coef, norms, truth = (h_los * root / gain)[:, None], gain / root, truth[:, None]
         paths = slice(0, 1)
     else:
         raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
         check_coefficients(raw)
-        norms = [abs(v) for v in _project(truth, raw).tolist()]
-        coef = raw / np.array(norms)[:, None]
+        norms = np.abs(_project(truth, raw))
+        coef = raw / norms[:, None]
         paths = slice(1, None)
     q, v = q[rows][:, paths, paths], v[rows][:, paths]
     coef_h = coef.conj()
@@ -522,8 +497,7 @@ def _estimate_mode(scenario: Scenario, block, q, v, rows):
     records = np.full((3, len(rows)), np.nan)
     ok = np.array([e is None for e in errors], dtype=bool)
     records[0, ok] = nmse_rows(truth[ok], alpha_hat[ok])
-    # the per-trial scaling stays scalar arithmetic, as in a single trial
-    records[1] = [m / norm**2 for m, norm in zip(mse.tolist(), norms)]
+    records[1] = mse / norms**2
     records[2] = mse
     return records, errors
 

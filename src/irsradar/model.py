@@ -54,13 +54,13 @@ def make_random_waveform(N: int, seed) -> Waveform:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    return Waveform(samples=random_code(N, [np.random.default_rng(seed)])[0])
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, N)
+    return Waveform(samples=random_code(phases))
 
 
-def random_code(N: int, rngs) -> np.ndarray:
-    """Length-N unimodular codes with i.i.d. uniform phases, one row per generator."""
-    phases = np.array([rng.uniform(0.0, 2.0 * np.pi, N) for rng in rngs]).reshape(-1, N)
-    return np.exp(1j * phases)
+def random_code(phases) -> np.ndarray:
+    """Unimodular codes exp(j phases), elementwise; i.i.d. uniform phases make a random code."""
+    return np.exp(1j * np.asarray(phases, dtype=float))
 
 
 def build_sensing_matrix(x: Waveform, dopplers, nlos_csi) -> SensingMatrix:

@@ -1,19 +1,20 @@
 """Golden bytes: small fixed runs must reproduce pinned output hashes.
 
-The sha256 of every CSV and SVG below was recorded before the per-trial
-engine was reduced to one Gram factorization per trial-mode; refactors of
-the engine must keep every byte.  The per-trial record hashes cover sweep
+The sha256 of every CSV and SVG below pins the CLI's bytes; refactors of
+the engine must keep every one.  The per-trial record hashes cover sweep
 paths the CLI cases do not reach (or reach only through rounded means).
-They were re-recorded twice, each time after the records had been
-checked against the fixture: when the BLUE's Cholesky factorization moved
-from scipy's per-item LAPACK calls to numpy's stacked ones, and when the
-estimate moved to K-space with a steering phase table.  Each moved the
-records' last bits by under 1e-12 relative and no CLI byte;
-test_records_match_fixture holds the records to those of the engine
-before the first, tests/data/records_fixture.npz, within 1e-9 relative
-and with the same exclusions.  The hashes hold for the reference platform (x86-64,
-Python 3.11, numpy 2.4 on its bundled OpenBLAS); a different BLAS or CPU
-may round the last bits differently.
+Twice the records' last bits moved on purpose, by under 1e-12 relative
+and no CLI byte, and the record hashes were re-recorded after the
+records had been checked against the fixture.  Then the draw moved to
+counter-based Philox streams with exact Doppler spacings, which redrew
+every random number: all sweep pins, the record hashes and
+tests/data/records_fixture.npz were recorded again on that draw, after
+test_moments had checked its sweep moments against the engine before
+it.  test_records_match_fixture holds the records to the fixture within
+1e-9 relative and with the same exclusions.  The certify pins never
+moved.  The hashes hold for the reference platform (x86-64, Python 3.11,
+numpy 2.4 on its bundled OpenBLAS); a different BLAS or CPU may round
+the last bits differently.
 """
 import argparse
 import hashlib
@@ -33,46 +34,46 @@ CASES = {
         ["sweep-gamma", *SMALL, "--axis-min", "1e-3", "--axis-max", "1e1",
          "--axis-points", "4", "--plot"],
         {
-            "sweep_gamma.csv": "f6d7fd1d0c228df6e9eb1a35f3ec5af38e2086af53a7c3d2a7c7a7317e3ceda1",
-            "sweep_gamma.svg": "bb09ae7cfe9c4d4bcb4f435211e64aebbb6a5f97c04ffff4dbddb3eb09413a46",
+            "sweep_gamma.csv": "3ff398309c549a2ea3670c80595a0123aeb166999f6d95a297ef3e2f6b85b718",
+            "sweep_gamma.svg": "96f40443e5daf758c9ab458013f7aeca5e646972f29aafa476692fbc75d8f53e",
         },
     ),
     "sweep_noise": (
         ["sweep-noise", *SMALL, "--gamma", "0.01", "--axis-min", "1e-4",
          "--axis-max", "1e-1", "--axis-points", "3"],
-        {"sweep_noise.csv": "34c431b529ab0127e5208a888e04c8369f2d1b384f776a44b02426d2ae7ae5c4"},
+        {"sweep_noise.csv": "5c99109955585a0412bbec39a9d7d7825c09b56342ca913d92d05ae5e61fc2a5"},
     ),
     "crb_plot": (
         ["crb", *SMALL, "--axis-min", "1e-2", "--axis-max", "1e2",
          "--axis-points", "3", "--plot"],
         {
-            "crb.csv": "466ef3aae9c13a317d303d2d396b02e31cb222f726cf05e644d7fd4c4dbbc8bd",
-            "crb.svg": "184e533c54396839bbe414171ef6c75ad52f87a241e04915d7a7ac9c1622e02d",
+            "crb.csv": "a0f8b09189fbbd5d60a9288c458cbad4eefb9cd25eb6bf36c6cc99cf6b9a957c",
+            "crb.svg": "9aa602d56107938445d98aa48e88c02a0278747b1c45ba74223abc5d0bd1e140",
         },
     ),
     "single": (
         ["single", *SMALL, "--gamma", "0.1"],
-        {"single.csv": "e3e577b6bb478c90e600996703859cf1ebafaafa7ca21867bcce219311ff7a99"},
+        {"single.csv": "e6a269921c99b56aa1026c34b2c900bcaf2d0db674dcadef5bb73aab2d259980"},
     ),
     "single_optimal": (
         ["single", *SMALL, "--gamma", "0.1", "--policy", "optimal"],
-        {"single.csv": "99a5e098ace91cb5f7f41a98271a7f56db7588bafe23f2d46df2a5e77111c233"},
+        {"single.csv": "47595c4108deeccd2f73c55dece67ea3e0e2cc3888925b6a8d7d501640f0f823"},
     ),
     "single_random": (
         ["single", *SMALL, "--gamma", "0.1", "--policy", "random"],
-        {"single.csv": "ec56923f419eb469def6069040240b7986cd68cfc091ee8b4dfae44f597c5f60"},
+        {"single.csv": "b2a5560b92e77f88378e897c266078b88b8f85693e95dc788c814607df57eaa5"},
     ),
     "single_fixed": (
         ["single", *SMALL, "--gamma", "0.1", "--policy", "fixed"],
-        {"single.csv": "b35abddb6026363d60bb2a2270fb724281e80f1f76f870a31a7b38a2cc8411e6"},
+        {"single.csv": "4d48d6b74ea70a0391a2482a82abbde43356d118e2ae7ea103c197d8012dd0a9"},
     ),
     "single_blocked_los": (
         ["single", *SMALL, "--gamma", "0", "--policy", "optimal"],
-        {"single.csv": "72e6d3e3000f8749798777e585f605f23a5fac7206b112e29a7c846d6678b40c"},
+        {"single.csv": "e2d9e1eb80b120b7e1438fafa0ab60f55465cd0ff6a6f1a0aaa79853b83ecee5"},
     ),
     "single_csi_replay": (
         ["single", *SMALL, "--gamma", "0.1", "--csi", "{csi}"],
-        {"single.csv": "18e7644c0caaa938877786dcba2307d23629ca8df4a485d62c0e3e9c0f8cfec5"},
+        {"single.csv": "2d7f63786f733169375ab364435cc2c239f01855a324416ba73ec7faac1378aa"},
     ),
     "certify_m2": (
         ["certify", "--trials", "6", "--m", "2", "--axis-points", "90", "--seed", "4"],
@@ -131,33 +132,33 @@ def _replay_panels():
 RECORD_CASES = {
     "noise_cov": (
         lambda: (Scenario(**RECORD_BASE, noise_cov=_noise_cov(20)), SWEEP_MODES, 1),
-        "2c68f78d04668fd173f9cdf18158c74709de325b65f31412c0e8d34bb631592f",
+        "1a448f5384cc96eac329ceb565c5ab58ecfe2acd4afd57c63e96be4e3820fb34",
     ),
     "nlos_fixed": (
         lambda: (Scenario(**RECORD_BASE, fixed_theta=_fixed_policy()),
                  ("los_only", "nlos_fixed", "nlos_optimal"), 1),
-        "bf9fd0d1c0ecfb03a1dfd943195c196b493695064a872b34a4116cc65ca573ec",
+        "ab48ec90618ef4a8f96ec1ab205c6aacb93ceed18ef7516150d05e324fe08620",
     ),
     "magnitude_squared": (
         lambda: (Scenario(**RECORD_BASE, nlos_form="magnitude_squared"), SWEEP_MODES, 1),
-        "352d07b5273cdf9654d13e5d45c5c833e2ff16a929009463a8f408497cf7156c",
+        "cfad958d4c6ad5b76cbbe4a659e1c713694e0f9e846c5ab4d49c8953699ab43a",
     ),
     "freeze_waveform": (
         lambda: (Scenario(**RECORD_BASE, freeze_waveform=True), SWEEP_MODES, 1),
-        "7ef603264b5d9bdae5911ce15da2b60dd3f8a3a07aabc85e66adc9b6e09654cc",
+        "92336757392f021a4a368a2aa6c66203006a90dd115ff70b61d2fe683535dede",
     ),
     "fixed_panels": (
         lambda: (Scenario(**RECORD_BASE, fixed_panels=_replay_panels()), SWEEP_MODES, 1),
-        "2d0303ccba04b3b58249143b32adc80a3986d9f18803fb9295e64a7aa84d05f2",
+        "0d46a498f9264fbf1001fc8c367dc3286eeaab338469f63d2f3d30ad6c5bbfd4",
     ),
     "workers_2": (
         lambda: (Scenario(**RECORD_BASE), SWEEP_MODES, 2),
-        "17b241a64866db5fa8c81bb6c59844789257e65d97fcc2774ed12c9f2e1698e7",
+        "c9777ffbf648407bda902db692f8bf9c395da38aef24ebfa17838b6bb33d6d81",
     ),
     "exclusions": (
         lambda: (Scenario(n=20, k=5, m=2, trials=24, master_seed=1, doppler_min_gap=0.155),
                  SWEEP_MODES, 1),
-        "4934641fa91c1acb11e2026831e5e7064621a0a733f63835d48a28c10473cba6",
+        "6959d6e5b70d51843a3412fcd8dc812bdcce0c988e7cfcf30f044619274502cd",
     ),
 }
 

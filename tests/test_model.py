@@ -32,13 +32,14 @@ def test_waveform_deterministic():
 
 
 def test_random_code_rows_match_single_codes():
-    codes = random_code(40, [np.random.default_rng(s) for s in range(5)])
+    phases = np.array([np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, 40) for s in range(5)])
+    codes = random_code(phases)
     assert codes.shape == (5, 40)
     for s in range(5):
-        expect = np.exp(1j * np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, 40))
-        np.testing.assert_array_equal(codes[s], expect)
+        np.testing.assert_array_equal(codes[s], np.exp(1j * phases[s]))
+        np.testing.assert_array_equal(codes[s], random_code(phases[s]))
         np.testing.assert_array_equal(codes[s], make_random_waveform(40, seed=s).samples)
-    assert random_code(40, []).shape == (0, 40)
+    assert random_code(np.empty((0, 40))).shape == (0, 40)
 
 
 def test_waveform_rejects_bad_inputs():
