@@ -290,7 +290,7 @@ def _unit_phasors(words: np.ndarray) -> np.ndarray:
     fine turn; the last 33 are an angle d below 2 pi 2^-20, and the turn
     by d is 1 - d^2/2 + j d, whose truncation error d^3/6 is under 4e-17.
     The result is within a few eps of np.exp(2j * np.pi * u), at a third
-    of its cost, and elementwise, so stacking does not change it.
+    to a half of its cost, and elementwise, so stacking does not change it.
     """
     coarse, fine = _turn_tables()
     v = words >> np.uint64(11)
@@ -352,18 +352,16 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     attempt's counters of the channel and phase streams, while
     alpha_los * h_los or alpha^T c of any reflected mode is exactly zero,
     so all link modes accept or reject identical draws and pairing is
-    preserved.  Phases are wrapped as
-    often as the panel path wraps them: once on fixed_theta and on the
-    random phases, and once more on optimal_phases' already wrapped
-    output.
+    preserved.  Phases are wrapped as often as the panel path wraps them:
+    once on fixed_theta and on the random phases, and once more on
+    optimal_phases' already wrapped output.
 
     Returns a dict over the drawn trials, in order: "drawn" their
     positions in `trials`, "x" the (T, N) codes, "u" the (T, k + 1)
     Dopplers in cycles (the direct path's first), "h_los" and
-    "alpha_los" (T,), "alpha" (T, k),
-    "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
-    nlos_fixed to the (T, k) raw composed coefficients, and "w" the (T, N)
-    noise.  "failed" maps the other positions to the GenerationError that
+    "alpha_los" (T,), "alpha" (T, k), "csi" mapping nlos_random,
+    nlos_optimal and, with fixed_theta, nlos_fixed to the (T, k) raw
+    composed coefficients, and "w" the (T, N) noise.  "failed" maps the other positions to the GenerationError that
     excluded them.
     """
     trials = list(trials)
