@@ -156,9 +156,9 @@ RECORD_CASES = {
         "c9777ffbf648407bda902db692f8bf9c395da38aef24ebfa17838b6bb33d6d81",
     ),
     "exclusions": (
-        lambda: (Scenario(n=20, k=5, m=2, trials=24, master_seed=1, doppler_min_gap=0.155),
+        lambda: (Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0),
                  SWEEP_MODES, 1),
-        "6959d6e5b70d51843a3412fcd8dc812bdcce0c988e7cfcf30f044619274502cd",
+        "2689fb26853d9f1703a99105ff4aec5d30b8a04c5a5ba0c108ced0ce3be8857c",
     ),
 }
 
