@@ -206,11 +206,17 @@ class Scenario:
             object.__setattr__(self, "fixed_panels", panels)
             panel_csi = stack_panels(panels)
             g, h, beta = panel_csi
-            dead = np.flatnonzero(~np.any(beta * np.conj(g) * h, axis=1))
-            if dead.size:
+            # the path power at the aligning phases; a product past the
+            # float range is far outside POWER_RANGE either way
+            with np.errstate(over="ignore"):
+                aligned = np.sum(beta * np.abs(g) * np.abs(h), axis=1) ** 2
+            lo, hi = POWER_RANGE
+            bad = np.flatnonzero(~((lo <= aligned) & (aligned <= hi)))
+            if bad.size:
                 raise ValueError(
-                    f"fixed_panels {dead.tolist()} have beta * conj(g) * h all zero, so their "
-                    "path coefficient is zero for every phase"
+                    f"fixed_panels {bad.tolist()} have aligned path power "
+                    f"(sum_m beta_m |g_m h_m|)^2 of {', '.join(f'{p:.3g}' for p in aligned[bad])}, "
+                    f"outside [{lo:g}, {hi:g}]"
                 )
         object.__setattr__(self, "_panel_csi", panel_csi)
         if self.noise_cov is None:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from irsradar import harness
 from irsradar.channel import (
     NLOS_FORMS,
     IrsPanel,
@@ -152,10 +153,12 @@ def test_normalization_hits_targets(form, gamma):
             assert records[0, t] == pytest.approx(nmse, rel=1e-8)
 
 
-def test_degenerate_draw_raises():
-    # a squared path magnitude of ~1e-400 underflows to zero on every redraw
-    tiny = tuple(IrsPanel(g=np.full(4, 1e-100), h=np.full(4, 1e-100)) for _ in range(3))
-    s = Scenario(n=20, k=3, m=4, fixed_panels=tiny, nlos_form="magnitude_squared")
+def test_degenerate_draw_raises(monkeypatch):
+    # every composed path coefficient is zero, so every redraw is degenerate
+    real = harness.compose_paths
+    monkeypatch.setattr(harness, "compose_paths", lambda *args: 0 * real(*args))
+    panels = tuple(random_panel(np.random.default_rng(k), 4) for k in range(3))
+    s = Scenario(n=20, k=3, m=4, fixed_panels=panels, nlos_form="magnitude_squared")
     with pytest.raises(GenerationError, match="scene still degenerate"):
         run_trial(s, 0)
 

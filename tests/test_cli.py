@@ -354,6 +354,21 @@ def test_cli_rejects_dead_csi_before_any_trial(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("value", ["1e-100", "1e100", "1e160"])
+def test_cli_rejects_csi_outside_power_range_before_any_trial(tmp_path, capsys, value):
+    # panels whose aligned power under- or overflows used to exclude or
+    # spoil every trial
+    csi = tmp_path / "far.csi"
+    csi.write_text(f"{value},0\n" * (3 * 2 * 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["single", "--n", "20", "--k", "3", "--m", "4", "--trials", "30",
+                     "--gamma", "0.1", "--csi", str(csi), "--out", str(tmp_path)])
+    assert code == 2
+    assert "fixed_panels [0, 1, 2]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_certify(tmp_path, capsys):
     code = main(["certify", "--trials", "25", "--m", "2", "--axis-points", "180",
                  "--seed", "4", "--out", str(tmp_path)])

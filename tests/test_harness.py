@@ -1,4 +1,5 @@
 """Monte-Carlo harness: pairing, reproducibility, and aggregate behavior."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,29 @@ def test_fixed_panels_must_not_be_dead():
             Scenario(n=20, k=3, m=4, fixed_panels=(live[0], panel, live[2]))
     with pytest.raises(ValueError, match=r"fixed_panels \[0, 1, 2\]"):
         Scenario(n=20, k=3, m=4, fixed_panels=(dead[0],) * 3)
+
+
+def test_fixed_panels_power_must_lie_in_power_range():
+    # far outside the range every composition under- or overflows, so
+    # every trial would burn the scene budget or come out non-finite
+    for value, form in ((1e-100, "magnitude_squared"), (1e-100, "complex"),
+                        (1e100, "complex"), (1e160, "complex"), (1e160, "magnitude_squared")):
+        tiny = (IrsPanel(g=np.full(4, value), h=np.full(4, value)),) * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"fixed_panels \[0, 1, 2\] .*\[1e-30, 1e\+30\]"):
+                Scenario(n=20, k=3, m=4, fixed_panels=tiny, nlos_form=form)
+    live = random_panels(np.random.default_rng(5))
+    big = IrsPanel(g=np.full(4, 1e10), h=np.full(4, 1e10))  # (4e20)^2 = 1.6e41
+    with pytest.raises(ValueError, match=r"fixed_panels \[2\]"):
+        Scenario(n=20, k=3, m=4, fixed_panels=(*live[:2], big))
+    # (sum_m |g_m h_m|)^2 = 16 a^4 just inside either edge gives finite records
+    for edge, inside in zip(POWER_RANGE, (1.01, 0.99)):
+        a = (inside * edge / 16) ** 0.25
+        panels = (IrsPanel(g=np.full(4, a), h=np.full(4, a)),) * 3
+        for form in ("complex", "magnitude_squared"):
+            rec = run_trial(Scenario(n=20, k=3, m=4, fixed_panels=panels, nlos_form=form), 0)
+            assert np.all(np.isfinite([rec.nmse, rec.mse, rec.crb_trace]))
 
 
 def test_unit_phasors_match_the_exponential():
@@ -537,12 +561,6 @@ def test_draw_block_takes_trials_in_any_order():
             np.testing.assert_array_equal(block["csi"][mode][i], single["csi"][mode][0])
 
 
-def _degenerate_panels():
-    # Scenario rejects panels with no nonzero element, but a squared path
-    # magnitude of ~1e-400 still underflows to exactly zero on every draw
-    return tuple(IrsPanel(g=np.full(4, 1e-100), h=np.full(4, 1e-100)) for _ in range(3))
-
-
 DRAW_CASES = {
     "plain": dict(n=20, k=3, m=4),
     "fixed_panels": dict(n=20, k=3, m=4, fixed_panels=random_panels(np.random.default_rng(5))),
@@ -553,15 +571,19 @@ DRAW_CASES = {
                          fixed_theta=np.linspace(-7.0, 7.0, 12).reshape(3, 4)),
     "magnitude_squared": dict(n=20, k=3, m=4, nlos_form="magnitude_squared"),
     "doppler_redraws": dict(n=20, k=5, m=2, doppler_min_gap=0.155),
-    "degenerate_scene": dict(n=20, k=3, m=4, fixed_panels=_degenerate_panels(),
+    # drawn with every composed coefficient patched to zero
+    "degenerate_scene": dict(n=20, k=3, m=4, fixed_panels=random_panels(np.random.default_rng(6)),
                              nlos_form="magnitude_squared"),
 }
 
 
 @pytest.mark.parametrize("block_trials", [None, 1, 7])
 @pytest.mark.parametrize("case", sorted(DRAW_CASES))
-def test_draw_block_matches_blocks_of_one(case, block_trials):
+def test_draw_block_matches_blocks_of_one(case, block_trials, monkeypatch):
     s = Scenario(trials=20, master_seed=4, **DRAW_CASES[case])
+    if case == "degenerate_scene":
+        real = harness.compose_paths
+        monkeypatch.setattr(harness, "compose_paths", lambda *args: 0 * real(*args))
     step = block_trials or max(1, harness.BLOCK_BYTES // (16 * s.n * s.k))
     got = {}  # trial -> its fields, or the exception that excluded it
     for lo in range(0, s.trials, step):
