@@ -6,17 +6,20 @@ independent of the distribution of n beyond its second moment.
 
 Everything runs on numpy's LAPACK and BLAS.  The estimate needs the model
 only through its Gram G = A^H R^-1 A and matched filter b = A^H R^-1 y,
-and blue_gram works on those K-space quantities alone: it screens each
-Gram by condition number, factors the ones that pass with one stacked
-Cholesky, G = L L^H, inverts the factors together, and reads the estimate
-L^-H (L^-1 b) and the covariance trace ||L^-1||_F^2 off them without
-forming any covariance.  The sweep engine builds G and b itself from a
-steering Gram it shares between link modes.  blue_stack is the
-N-dimensional entry: a full R is factored once, R = L L^H, and R^-1 =
-L^-H L^-1 is kept, so R^-1 A is one product; it forms G and b, calls
-blue_gram, and also returns the covariances L^-H L^-1.  Each stacked call
-runs one LAPACK or BLAS call per item, so an item's values do not depend
-on the stack it is in.
+and blue_gram works on those K-space quantities alone: it factors every
+Gram with one stacked Cholesky, G = L L^H, inverts the factors together,
+and reads the estimate L^-H (L^-1 b) and the covariance trace
+Tr(G^-1) = ||L^-1||_F^2 off them without forming any covariance.  The
+same trace screens the conditioning: cond(G) <= Tr(G) Tr(G^-1), so a
+Gram whose product lies well inside CONDITION_LIMIT is cleared without
+an eigenvalue call, and only the others, or every Gram when the stacked
+factorization fails, get their condition number from eigvalsh.  The
+sweep engine builds G and b itself from a steering Gram it shares
+between link modes.  blue_stack is the N-dimensional entry: a full R is
+factored once, R = L L^H, and R^-1 = L^-H L^-1 is kept, so R^-1 A is one
+product; it forms G and b, calls blue_gram, and also returns the
+covariances L^-H L^-1.  Each stacked call runs one LAPACK or BLAS call
+per item, so an item's values do not depend on the stack it is in.
 """
 from __future__ import annotations
 
@@ -28,6 +31,24 @@ from .errors import SingularModelError, UndefinedMetricError
 
 # Gram matrices beyond this are treated as numerically singular.
 CONDITION_LIMIT = 1e12
+
+TRACE_BOUND_MARGIN = 0.5
+"""A Gram is cleared without eigvalsh when Tr(G) Tr(G^-1) <= CONDITION_LIMIT * this.
+
+For Hermitian positive definite G, lambda_max <= Tr(G) and 1 / lambda_min
+<= Tr(G^-1), so cond(G) <= Tr(G) Tr(G^-1).  blue_gram reads Tr(G^-1) off
+the computed factor, which is exact for G + dG with |dG| <= gamma_{K+1}
+|L| |L^H| (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., 2002, Thm 10.3), so ||dG||_2 <= ||dG||_F <= gamma_{K+1} ||L||_F^2 =
+gamma_{K+1} Tr(G + dG), gamma_{K+1} = (K + 1) u / (1 - (K + 1) u).  Then
+lambda_min(G) >= 1 / Tr((G + dG)^-1) - ||dG||_2, and a cleared Gram has
+cond(G) <= 5e11 / (1 - 5e11 gamma_{K+1} (1 + gamma_{K+1})); the rounding
+of the inverse, the trace and the product adds a relative error of order
+K u sqrt(cond(G)), about 1e-8 here.  For K <= 100 that is below about
+5.03e11, so eigvalsh, whose eigenvalues are within a small multiple of
+u ||G||_2 of the exact ones, could not have read the Gram above 1e12:
+clearing it excludes nothing the eigenvalue screen would have.
+"""
 
 
 @dataclass(frozen=True)
@@ -153,6 +174,15 @@ def _cholesky_stack(gram: np.ndarray, ok: np.ndarray, errors: list) -> np.ndarra
 def blue_gram(gram: np.ndarray, b: np.ndarray):
     """The BLUE of every model in a stack, from its Gram and matched filter.
 
+    Every Gram is factored, G = L L^H, and its factor inverted in one
+    stacked call each; Tr(G^-1) = ||L^-1||_F^2 then clears each item
+    whose Tr(G) Tr(G^-1) is within CONDITION_LIMIT * TRACE_BOUND_MARGIN.
+    The other items, or all of them when the stacked factorization fails,
+    are screened by their eigvalsh condition number as before, and an item
+    that passes that screen but is not positive definite is caught by
+    _cholesky_stack.  So every error is the one the eigenvalue screen
+    alone would give.
+
     Parameters
     ----------
     gram : (T, K, K) complex array
@@ -171,19 +201,36 @@ def blue_gram(gram: np.ndarray, b: np.ndarray):
         LAPACK or BLAS call per item.
     """
     T, K = b.shape
-    cond = _condition_numbers(gram)
-    ok = cond <= CONDITION_LIMIT  # false for nan and inf too
     errors = [None] * T
-    for t in np.flatnonzero(~ok).tolist():
-        errors[t] = _condition_error(cond[t])
-    chol = _cholesky_stack(gram, ok, errors)
-    # with G = L L^H: G^-1 = L^-H L^-1 and Tr(G^-1) = ||L^-1||_F^2
-    chol_inv = np.linalg.inv(chol)
+    ok = np.ones(T, dtype=bool)
+    # a near-singular item's ||L^-1||_F^2 may overflow to inf, which the
+    # bound below then leaves to the eigenvalue screen
+    with np.errstate(over="ignore"):
+        try:
+            # with G = L L^H: G^-1 = L^-H L^-1 and Tr(G^-1) = ||L^-1||_F^2
+            chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
+            trace = _squared_norms(chol_inv.reshape(T, K * K))
+            bound = np.trace(gram, axis1=-2, axis2=-1).real * trace
+            screen = ~(bound <= CONDITION_LIMIT * TRACE_BOUND_MARGIN)  # nan too
+        except np.linalg.LinAlgError:
+            chol_inv = None
+            screen = ok.copy()
+        if screen.any():
+            rows = np.flatnonzero(screen)
+            cond = _condition_numbers(gram[rows])
+            for t, c in zip(rows.tolist(), cond):
+                if not c <= CONDITION_LIMIT:  # nan and inf fail too
+                    ok[t] = False
+                    errors[t] = _condition_error(c)
+        if chol_inv is None:
+            chol_inv = np.linalg.inv(_cholesky_stack(gram, ok, errors))
+            trace = _squared_norms(chol_inv.reshape(-1, K * K))
+        else:
+            chol_inv, trace = chol_inv[ok], trace[ok]
     alpha_hat = np.full((T, K), np.nan, dtype=complex)
     alpha_hat[ok] = (chol_inv.conj().swapaxes(-1, -2) @ (chol_inv @ b[ok][..., None]))[..., 0]
-    flat = chol_inv.reshape(-1, K * K)
     mse = np.full(T, np.nan)
-    mse[ok] = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
+    mse[ok] = trace
     return alpha_hat, mse, errors, chol_inv
 
 
@@ -266,11 +313,16 @@ def estimator_mse(A, noise: NoiseModel) -> float:
     return _single(A, noise, np.zeros(n, dtype=complex))[2]
 
 
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    """||row||^2 of each row of a complex stack: two BLAS dots per row."""
+    re, im = z.real, z.imag
+    return np.vecdot(re, re) + np.vecdot(im, im)
+
+
 def _row_norms(z: np.ndarray) -> np.ndarray:
     # np.linalg.norm of each row: the same two BLAS dots on its real and
     # imaginary parts, then the square root
-    re, im = z.real, z.imag
-    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return np.sqrt(_squared_norms(z))
 
 
 def nmse_rows(truth: np.ndarray, est: np.ndarray) -> np.ndarray:

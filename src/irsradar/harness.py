@@ -31,7 +31,9 @@ Recorded metrics
 ----------------
 A trial's draw composes each reflected mode's coefficients once; each
 trial-mode then normalizes its scene and runs one BLUE, and all three
-fields come from that one Gram factorization.
+fields come from that one Gram factorization.  The same factor screens
+the Gram's conditioning: eigvalsh runs only for a Gram whose bound
+Tr(G) Tr(G^-1) the factor does not clear (estimator.TRACE_BOUND_MARGIN).
 nmse       against the trial's true reflectivities, on the normalized
            scene (direct power gamma, reflected power 1).
 crb_trace  Tr((A^H R^-1 A)^-1), the BLUE covariance trace on the

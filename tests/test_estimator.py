@@ -17,6 +17,7 @@ from irsradar.estimator import (
     estimator_mse,
     nmse_rows,
 )
+from irsradar.harness import SWEEP_MODES, Scenario, _evaluate_block, _sweep
 from irsradar.model import build_sensing_matrix, make_random_waveform
 
 
@@ -348,14 +349,36 @@ def test_blue_gram_factors_items_alone_when_the_stacked_cholesky_fails():
         _assert_items_equal(got, clean, t, t)
 
 
-@pytest.mark.parametrize("N, K", SHAPES)
+def _eigvalsh_screen(gram):
+    # the errors an eigenvalue screen alone gives: the condition number
+    # max|lambda| / min|lambda| of eigvalsh against CONDITION_LIMIT
+    errors = []
+    for lam in np.abs(np.linalg.eigvalsh(gram)):
+        cond = lam.max() / lam.min() if lam.min() > 0 else np.inf
+        errors.append(None if cond <= CONDITION_LIMIT else SingularModelError(
+            f"Gram matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"))
+    return errors
+
+
+def _assert_same_errors(got, want):
+    assert [type(e) for e in got] == [type(e) for e in want]
+    assert [str(e) for e in got] == [str(e) for e in want]
+
+
+@pytest.mark.parametrize("N, K", [*SHAPES, (50, 1)])
 def test_condition_decision_matches_np_linalg_cond(N, K):
     rng = np.random.default_rng(N + K)
     cols = crandn(rng, 24, N, K)
-    # near-singular items: column 1 approaches column 0, conditions ~1e2 to ~1e17
+    # near-singular items: column 1 approaches column 0, conditions ~1e2 to
+    # ~1e17; a single column has condition 1 at any scale, so at K = 1 the
+    # ladder scales the column instead
     for t, eps in enumerate(np.logspace(-15, -1, 15)):
-        cols[t, :, 1] = cols[t, :, 0] + eps * crandn(rng, N)
-    cols[15, :, 1] = cols[15, :, 0]  # identical columns
+        if K == 1:
+            cols[t] *= eps
+        else:
+            cols[t, :, 1] = cols[t, :, 0] + eps * crandn(rng, N)
+    if K > 1:
+        cols[15, :, 1] = cols[15, :, 0]  # identical columns
     cols[16, :, 0] = 0  # a zero column: the smallest eigenvalue is exactly 0
     noise = NoiseModel.scaled_identity(1.0, N)
     _, gram = _gram_stack(cols, noise)
@@ -366,3 +389,30 @@ def test_condition_decision_matches_np_linalg_cond(N, K):
     assert cond[16] == np.inf
     well = ref < 1e8
     np.testing.assert_allclose(cond[well], ref[well], rtol=1e-6)
+    # blue_gram screens from its Cholesky factor first, in the whole stack
+    # and item by item, and still gives the eigenvalue screen's errors
+    want = _eigvalsh_screen(gram)
+    b = crandn(rng, len(cols), K)
+    _assert_same_errors(blue_gram(gram, b)[2], want)
+    for t in range(len(cols)):
+        _assert_same_errors(blue_gram(gram[t:t + 1], b[t:t + 1])[2], want[t:t + 1])
+
+
+def test_well_conditioned_grams_skip_the_eigenvalue_screen(monkeypatch):
+    seen = []  # the size of each stack that reaches the eigenvalue screen
+    real = estimator._condition_numbers
+
+    def counting(gram):
+        seen.append(len(gram))
+        return real(gram)
+
+    monkeypatch.setattr(estimator, "_condition_numbers", counting)
+    points = [Scenario(link_mode=mode) for mode in SWEEP_MODES]
+    records = _evaluate_block(points, 0, range(65))
+    assert np.all(np.isfinite(records))
+    assert sum(seen) == 0
+    # the exclusions record case: its near-singular Grams are screened
+    s = Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0)
+    res = _sweep(s, "gamma", (1e-3, 0.3, 30.0), SWEEP_MODES)
+    assert res.excluded.sum() > 0
+    assert sum(seen) >= 1
