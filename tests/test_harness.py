@@ -120,11 +120,11 @@ def test_fixed_panels_power_must_lie_in_power_range():
     # every trial would burn the scene budget or come out non-finite
     for value, form in ((1e-100, "magnitude_squared"), (1e-100, "complex"),
                         (1e100, "complex"), (1e160, "complex"), (1e160, "magnitude_squared")):
-        tiny = (IrsPanel(g=np.full(4, value), h=np.full(4, value)),) * 3
+        far = (IrsPanel(g=np.full(4, value), h=np.full(4, value)),) * 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"fixed_panels \[0, 1, 2\] .*\[1e-30, 1e\+30\]"):
-                Scenario(n=20, k=3, m=4, fixed_panels=tiny, nlos_form=form)
+                Scenario(n=20, k=3, m=4, fixed_panels=far, nlos_form=form)
     live = random_panels(np.random.default_rng(5))
     big = IrsPanel(g=np.full(4, 1e10), h=np.full(4, 1e10))  # (4e20)^2 = 1.6e41
     with pytest.raises(ValueError, match=r"fixed_panels \[2\]"):
