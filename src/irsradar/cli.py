@@ -16,7 +16,7 @@ import numpy as np
 from .channel import NLOS_FORMS, read_csi_file, split_crandn, stack_panels
 from .errors import NumericalError, UsageError
 from .harness import SEED_BOUND, Scenario, SweepResult, _sweep, sweep_gamma, sweep_noise
-from .phaseopt import certify_panels
+from .phaseopt import CERTIFY_MAX_ELEMENTS, certify_panels, within_bound
 
 SUBCOMMANDS = ("sweep-gamma", "sweep-noise", "crb", "single", "certify")
 
@@ -221,6 +221,10 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"policy must be optimal, random, or fixed, got {cfg.policy!r}")
     if cfg.nlos_form not in NLOS_FORMS:
         raise UsageError(f"nlos_form must be one of {NLOS_FORMS}, got {cfg.nlos_form!r}")
+    if cfg.subcommand == "certify" and cfg.m > CERTIFY_MAX_ELEMENTS:
+        raise UsageError(
+            f"m must be at most {CERTIFY_MAX_ELEMENTS} for certify's exhaustive grid, got {cfg.m}"
+        )
     if cfg.subcommand in ("sweep-gamma", "sweep-noise", "crb"):
         if cfg.axis_min is None or cfg.axis_max is None:
             raise UsageError("axis_min and axis_max are required")
@@ -456,25 +460,23 @@ def _run_certify(cfg: RunConfig) -> None:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
         g, h = split_crandn(rng.standard_normal((cfg.trials, 4 * cfg.m)), cfg.m, cfg.m)
         beta = np.ones(g.shape)
-    records = certify_panels(g, h, beta, cfg.axis_points)
-    lines = ["panel,m,grid_points,grid_max,closed_form,gap,bound"]
-    worst = 0.0
-    failures = 0
-    for i, rec in enumerate(records):
-        worst = max(worst, rec.gap)
-        failures += 0 if rec.within_bound else 1
-        lines.append(
-            f"{i},{cfg.m},{cfg.axis_points},{_fmt(rec.grid_max)},"
-            f"{_fmt(rec.closed_form)},{_fmt(rec.gap)},{_fmt(rec.bound)}"
-        )
+    cert = certify_panels(g, h, beta, cfg.axis_points)
+    P = len(cert.gap)
+    # one %-format for every row; "%d" prints the float panel index exactly
+    row = f"%d,{cfg.m},{cfg.axis_points},%.9e,%.9e,%.9e,%.9e\n"
+    table = np.column_stack((np.arange(P), cert.grid_max, cert.closed_form, cert.gap, cert.bound))
+    text = "panel,m,grid_points,grid_max,closed_form,gap,bound\n" + row * P % tuple(table.ravel().tolist())
+    failures = int(np.count_nonzero(~within_bound(cert.gap, cert.closed_form, cert.bound)))
+    # the largest positive gap, 0 if none; NaN gaps count as failures above
+    worst = float(np.max(cert.gap, where=cert.gap > 0, initial=0.0))
     path = os.path.join(cfg.out, "certify.csv")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     if failures:
         raise NumericalError(
-            f"{failures} of {len(records)} panels exceeded the quantization bound; see {path}"
+            f"{failures} of {P} panels exceeded the quantization bound; see {path}"
         )
-    print(f"certified {len(records)} panels at {cfg.axis_points} points per phase; worst gap {worst:.3e}")
+    print(f"certified {P} panels at {cfg.axis_points} points per phase; worst gap {worst:.3e}")
     print(f"wrote {path}")
 
 

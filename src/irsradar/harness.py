@@ -92,7 +92,6 @@ raises a NumericalError is excluded from every mode, as before.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -602,6 +601,10 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
         for lo in range(0, T, 250)
     ]
     if workers > 1:
+        # imported here: the pool's modules (multiprocessing, socket, ...) cost
+        # every single-process run its start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_point_trials, tasks))
     else:

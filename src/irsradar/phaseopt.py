@@ -7,29 +7,44 @@ each is solved independently.
 
 certify_panels checks the closed form against the maximum over the full
 G^M phase grid, for a stack of panels at once, in chunks of about
-CERTIFY_CHUNK_BYTES per stacked array.  Its grid maximum is the same
-float, bit for bit, as enumerating every node of one panel alone:
+CERTIFY_CHUNK_BYTES per stacked array.  It returns one CertifiedPanels:
+the grid maxima, closed forms, gaps and bounds as (P,) arrays, and the
+method.  Its grid maximum is the same float, bit for bit, as enumerating
+every node of one panel alone:
 
 * "direct" enumerates the first M-1 terms' grid nodes, then adds only
   the WINDOW nodes of the last term nearest alignment with each partial
   sum w.  Each kept sum is formed with the same products, the same
-  addition and the same np.abs as the full enumeration.  A skipped node
-  lies at least 1.5 grid steps from alignment (the nearest node is found
-  from rounded angles, so it may be off by one), which caps its squared
-  modulus at |w|^2 + r^2 + 2|w| r cos(1.5 step), r the last term's
-  modulus.  A panel whose cap, widened by a 1e-12 relative safety
-  factor, reaches its windowed maximum is enumerated in full.  That
-  happens when terms are zero or tiny: the kept and skipped sums then
-  differ by rounding alone, and full enumeration picks the same one as
-  before.
+  addition and the same np.abs as the full enumeration.  The last term's
+  G products are padded by WINDOW//2 wrapped entries on each side, so
+  the window around a node is a run of that padded row and no node index
+  is wrapped.  A skipped node lies at least 1.5 grid steps from
+  alignment (the nearest node is found from rounded angles, so it may be
+  off by one), which caps its squared modulus at
+  |w|^2 + r^2 + 2|w| r cos(1.5 step), r the last term's modulus.  A
+  panel whose cap, widened by a 1e-12 relative safety factor, reaches
+  its windowed maximum is enumerated in full.  That happens when terms
+  are zero or tiny: the kept and skipped sums then differ by rounding
+  alone, and full enumeration picks the same one as before.
 * "pieces" evaluates, for every panel at once, the sums at the few
   candidate directions of the exact interval reduction (see
   _grid_max_pieces).  The modulus is np.hypot of the parts, which rounds
   as Python's abs of one complex value does; np.abs on a complex array
   rounds differently.
+
+Both kernels read their phasors from tables built once per grid density
+and kept read-only: the grid phasors exp(2j pi n / G) for "direct" and
+exp(1j (k step)) for "pieces", each entry the same float expression the
+kernel would otherwise evaluate per node.  Above TABLE_CACHE_POINTS
+entries "direct" rebuilds its table per chunk and "pieces" evaluates its
+few phasors directly.
+
+within_bound is the one home of the quantization-bound rule; the
+per-panel CertificationRecord and the CLI both apply it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +68,10 @@ WINDOW = 5
 # Relative widening of the skipped-node cap, far above its rounding error.
 _CAP_SAFETY = 1e-12
 
+# Phasor tables of at most this many entries (1 MiB) are kept, for the
+# last few grid densities used; a longer one is not kept.
+TABLE_CACHE_POINTS = 1 << 16
+
 
 def optimal_phases(g, h) -> np.ndarray:
     """Componentwise phase alignment, wrapped to [0, 2pi).
@@ -64,6 +83,16 @@ def optimal_phases(g, h) -> np.ndarray:
         np.asarray(h, dtype=complex)
     )
     return np.mod(np.angle(c), 2.0 * np.pi)
+
+
+def within_bound(gap, closed_form, bound):
+    """Whether each gap lies in [0, bound], widened by 1e-12 closed_form at both ends.
+
+    Elementwise on arrays, a bool on floats; a NaN gap is never within.
+    """
+    # rounding scales with the panel's magnitude, so the slack does too
+    slack = 1e-12 * closed_form
+    return (-slack <= gap) & (gap <= bound + slack)
 
 
 @dataclass(frozen=True)
@@ -79,14 +108,50 @@ class CertificationRecord:
 
     @property
     def within_bound(self) -> bool:
-        # rounding scales with the panel's magnitude, so the slack does too
-        slack = 1e-12 * self.closed_form
-        return -slack <= self.gap <= self.bound + slack
+        return within_bound(self.gap, self.closed_form, self.bound)
+
+
+@dataclass(frozen=True)
+class CertifiedPanels:
+    """Grid-search audit of a stack of P panels, one (P,) array per quantity."""
+
+    grid_max: np.ndarray  # max |h^H Theta g| over the phase grid
+    closed_form: np.ndarray  # attained value at theta = arg(c)
+    gap: np.ndarray  # closed_form - grid_max
+    bound: np.ndarray  # closed_form * (1 - cos(pi/G))
+    method: str  # "direct" or "pieces"
+
+
+def _grid_phasors(G: int) -> np.ndarray:
+    """exp(2j pi n / G) for n = 0..G-1."""
+    return np.exp(2j * np.pi * np.arange(G) / G)
+
+
+def _turns(G: int) -> np.ndarray:
+    """exp(1j (k step)) for k = -(G//2)-2 .. G//2+2, at index k + G//2 + 2.
+
+    The pieces kernel's finite node indices lie in [-G/2, G/2 + 1] up to
+    rounding (see _grid_max_pieces), inside this range.
+    """
+    step = 2.0 * np.pi / G
+    return np.exp(1j * (np.arange(-(G // 2) - 2, G // 2 + 3) * step))
+
+
+@functools.lru_cache(maxsize=8)
+def _kept_table(build, G: int) -> np.ndarray:
+    table = build(G)
+    table.flags.writeable = False
+    return table
+
+
+def _table(build, G: int) -> np.ndarray:
+    """build(G), kept read-only for the next call when G <= TABLE_CACHE_POINTS."""
+    return _kept_table(build, G) if G <= TABLE_CACHE_POINTS else build(G)
 
 
 def _enumerate(z: np.ndarray, G: int) -> np.ndarray:
     """All G^M grid sums of each row of a (P, M) stack, as (P, G^M)."""
-    phasors = np.exp(2j * np.pi * np.arange(G) / G)
+    phasors = _table(_grid_phasors, G)
     acc = z[:, :1] * phasors
     for m in range(1, z.shape[1]):
         acc = (acc[:, :, None] + z[:, m, None, None] * phasors).reshape(len(z), -1)
@@ -97,14 +162,21 @@ def _grid_max_direct(z: np.ndarray, G: int) -> np.ndarray:
     """Grid maximum of each row of a (P, M) stack by windowed enumeration."""
     if z.shape[1] == 1 or G <= WINDOW:
         return np.abs(_enumerate(z, G)).max(axis=1)
+    P = len(z)
     step = 2.0 * np.pi / G
+    half = WINDOW // 2
     prefix = _enumerate(z[:, :-1], G)
     last = z[:, -1:]
     products = _enumerate(last, G)
-    nearest = np.rint((np.angle(prefix) - np.angle(last)) / step).astype(np.intp)
-    nodes = (nearest[:, :, None] + np.arange(-(WINDOW // 2), WINDOW // 2 + 1)) % G
-    kept = np.take_along_axis(products, nodes.reshape(len(z), -1), axis=1)
-    best = np.abs(prefix[:, :, None] + kept.reshape(nodes.shape)).max(axis=(1, 2))
+    # each row padded by half wrapped products per side, so that the window
+    # around node n is padded[p, n:n + WINDOW]
+    padded = np.concatenate((products[:, -half:], products, products[:, :half]), axis=1)
+    nearest = np.rint((np.angle(prefix) - np.angle(last)) / step).astype(np.intp) % G
+    starts = nearest + (G + 2 * half) * np.arange(P)[:, None]
+    # (P, WINDOW, G^(M-1)), so each sum runs along the partial sums
+    kept = padded.take(starts[:, None, :] + np.arange(WINDOW)[:, None])
+    np.add(prefix[:, None, :], kept, out=kept)
+    best = np.abs(kept).reshape(P, -1).max(axis=1)
     w = np.abs(prefix).max(axis=1)
     r = np.abs(last[:, 0])
     cap = w * w + r * r + 2.0 * w * r * np.cos(1.5 * step)
@@ -130,6 +202,11 @@ def _grid_max_pieces(z: np.ndarray, G: int) -> np.ndarray:
     change no bit.  A zero term repeats the first nonzero term's
     breakpoint, which adds that breakpoint (already a candidate) as a
     midpoint and no other candidate.  A row of zeros has maximum 0.
+
+    A candidate lies in [0, step] and an angle in [-pi, pi], so a finite
+    node index k = round((candidate - angle) / step) lies in
+    [-G/2, G/2 + 1] up to rounding; its phasor exp(1j (k step)) is read
+    from _turns.
     """
     step = 2.0 * np.pi / G
     live = z != 0
@@ -144,8 +221,12 @@ def _grid_max_pieces(z: np.ndarray, G: int) -> np.ndarray:
     mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
     # include the breakpoints themselves to catch boundary ties
     candidates = np.concatenate((mids, breaks), axis=1)
-    nodes = np.round((candidates[:, :, None] - args[:, None, :]) / step) * step
-    sums = np.sum(z[:, None, :] * np.exp(1j * nodes), axis=2)
+    k = np.round((candidates[:, :, None] - args[:, None, :]) / step)
+    if G <= TABLE_CACHE_POINTS and np.isfinite(k).all():
+        turns = _table(_turns, G)[k.astype(np.intp) + (G // 2 + 2)]
+    else:  # a NaN term has no node, and a longer table costs more than it serves
+        turns = np.exp(1j * (k * step))
+    sums = np.sum(z[:, None, :] * turns, axis=2)
     return np.hypot(sums.real, sums.imag).max(axis=1)
 
 
@@ -161,7 +242,7 @@ def _panels_per_chunk(method: str, M: int, G: int) -> int:
 
 
 def certify_panels(g, h, beta, grid_points_per_phase: int,
-                   method: str = "auto") -> list[CertificationRecord]:
+                   method: str = "auto") -> CertifiedPanels:
     """Audit the closed-form phase optimum of a stack of panels on their grid.
 
     Parameters
@@ -180,7 +261,7 @@ def certify_panels(g, h, beta, grid_points_per_phase: int,
         DIRECT_ENUMERATION_LIMIT.  Both return the same value on the
         same grid (cross-checked in the tests).
 
-    Returns one record per panel, equal to certifying that panel alone.
+    Returns the stacked audit; row p equals certifying panel p alone.
     """
     z = beta * np.conj(np.conj(g) * h)
     P, M = z.shape
@@ -202,12 +283,7 @@ def certify_panels(g, h, beta, grid_points_per_phase: int,
         grid_max[lo:lo + step] = kernel(z[lo:lo + step], G)
     closed = np.sum(np.abs(z), axis=1)
     bound = closed * (1.0 - np.cos(np.pi / G))
-    return [
-        CertificationRecord(
-            grid_max=gmax, closed_form=c, gap=c - gmax, bound=b, grid_points=G, method=method,
-        )
-        for gmax, c, b in zip(grid_max.tolist(), closed.tolist(), bound.tolist())
-    ]
+    return CertifiedPanels(grid_max, closed, closed - grid_max, bound, method)
 
 
 def certify_optimum(panel: IrsPanel, grid_points_per_phase: int,
@@ -217,7 +293,11 @@ def certify_optimum(panel: IrsPanel, grid_points_per_phase: int,
     A stack of one for certify_panels: the panel's beta weights are
     honored and its theta is ignored.
     """
-    (record,) = certify_panels(
+    cert = certify_panels(
         panel.g[None], panel.h[None], panel.beta[None], grid_points_per_phase, method
     )
-    return record
+    return CertificationRecord(
+        grid_max=float(cert.grid_max[0]), closed_form=float(cert.closed_form[0]),
+        gap=float(cert.gap[0]), bound=float(cert.bound[0]),
+        grid_points=int(grid_points_per_phase), method=cert.method,
+    )

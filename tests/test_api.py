@@ -44,3 +44,15 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a sweep with workers > 1 needs the process pool, so a single-process
+    # run should not pay for importing it
+    src = Path(irsradar.__file__).resolve().parent.parent
+    code = ("import sys, irsradar.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

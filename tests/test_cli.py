@@ -5,10 +5,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from irsradar import harness
+from irsradar import cli, harness
 from irsradar.cli import (
     CSV_HEADER,
     _axis_values,
+    _fmt,
     _log_spaced,
     emit_csv,
     emit_plot,
@@ -18,6 +19,7 @@ from irsradar.cli import (
 )
 from irsradar.errors import UsageError
 from irsradar.harness import SweepResult
+from irsradar.phaseopt import CertificationRecord, CertifiedPanels
 
 SMALL_ARGS = ["--n", "20", "--k", "3", "--m", "4", "--trials", "30"]
 
@@ -378,6 +380,62 @@ def test_cli_certify(tmp_path, capsys):
     assert text[0] == "panel,m,grid_points,grid_max,closed_form,gap,bound"
     assert len(text) == 26
     assert main(["certify", "--m", "5"]) == 2  # beyond exhaustive reach
+
+
+def test_cli_certify_rejects_large_m_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["certify", "--m", "5", "--trials", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: m must be at most 4")
+    assert not out.exists()
+
+
+def _record_rule(gmax, closed, gap, bound):
+    """Failures and worst gap as the CLI counted them, one CertificationRecord per panel."""
+    failures, worst = 0, 0.0
+    for row in zip(gmax, closed, gap, bound):
+        rec = CertificationRecord(*row, grid_points=720, method="direct")
+        worst = max(worst, rec.gap)
+        failures += 0 if rec.within_bound else 1
+    return failures, worst
+
+
+@pytest.mark.parametrize("gap", [
+    [0.0, -0.0, 3e-13, 2e-3, -5e-13],  # all within: 1e-12 * closed form is the slack
+    [0.0, 2e-3, np.nan, 1e-12, -0.0],  # 2e-3 + slack is over the bound
+    [np.nan, np.inf, -np.inf, 1e-3, 0.0],
+    [-1.0, -2.0, np.nan, np.nan, -np.inf],
+])
+def test_cli_certify_counts_by_the_record_rule(gap, tmp_path, capsys, monkeypatch):
+    closed = np.array([1.0, 2.0, 0.5, 1.0, 3.0])
+    bound = closed * (1.0 - np.cos(np.pi / 720)) + np.array([0.0, 0.0, 0.0, 2e-3, 0.0])
+    gap = np.array(gap)
+    cert = CertifiedPanels(closed - gap, closed, gap, bound, "direct")
+    monkeypatch.setattr(cli, "certify_panels", lambda *args: cert)
+    columns = [a.tolist() for a in (closed - gap, closed, gap, bound)]
+    failures, worst = _record_rule(*columns)
+    code = main(["certify", "--trials", "5", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    if failures:
+        assert code == 3
+        assert f"{failures} of 5 panels exceeded" in captured.err
+    else:
+        assert code == 0
+        assert f"worst gap {worst:.3e}" in captured.out
+    # the rows as one f-string per value wrote them, nan and inf included
+    rows = [f"{i},2,720," + ",".join(_fmt(v) for v in vals) for i, vals in enumerate(zip(*columns))]
+    expect = "panel,m,grid_points,grid_max,closed_form,gap,bound\n" + "".join(r + "\n" for r in rows)
+    assert (tmp_path / "certify.csv").read_text() == expect
+
+
+def test_cli_certify_infinite_worst_gap(tmp_path, capsys, monkeypatch):
+    closed = np.full(4, 1e3)
+    gap = np.array([1e-2, np.inf, 1e-10, -1e-12])
+    bound = np.full(4, np.inf)  # every gap is within an infinite bound
+    cert = CertifiedPanels(closed - gap, closed, gap, bound, "direct")
+    assert _record_rule(*(a.tolist() for a in (closed - gap, closed, gap, bound))) == (0, np.inf)
+    monkeypatch.setattr(cli, "certify_panels", lambda *args: cert)
+    assert main(["certify", "--trials", "4", "--out", str(tmp_path)]) == 0
+    assert "worst gap inf" in capsys.readouterr().out
 
 
 def test_cli_certify_large_csi_scale(tmp_path, capsys):

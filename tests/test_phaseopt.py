@@ -11,6 +11,7 @@ from irsradar.phaseopt import (
     certify_optimum,
     certify_panels,
     optimal_phases,
+    within_bound,
 )
 
 
@@ -226,17 +227,116 @@ def test_stacked_grid_max_is_bit_identical(method, M, G, monkeypatch):
         for p in range(len(z))
     ]
     assert alone == expect
-    assert [r.grid_max for r in certify_panels(g, h, beta, G, method)] == expect
+    assert certify_panels(g, h, beta, G, method).grid_max.tolist() == expect
     # chunks of three panels, so boundaries fall inside the stack
     monkeypatch.setattr(phaseopt, "_panels_per_chunk", lambda method, M, G: 3)
-    assert [r.grid_max for r in certify_panels(g, h, beta, G, method)] == expect
+    assert certify_panels(g, h, beta, G, method).grid_max.tolist() == expect
 
 
 def test_stacked_records_match_single_panels():
     rng = np.random.default_rng(14)
     g, h, beta = awkward_panels(rng, 3)
     stacked = certify_panels(g, h, beta, 90)
-    assert stacked == [
-        certify_optimum(IrsPanel(g=g[p], h=h[p], beta=beta[p]), 90) for p in range(len(g))
+    alone = [certify_optimum(IrsPanel(g=g[p], h=h[p], beta=beta[p]), 90) for p in range(len(g))]
+    for field in ("grid_max", "closed_form", "gap", "bound"):
+        assert getattr(stacked, field).tolist() == [getattr(rec, field) for rec in alone]
+    assert {rec.method for rec in alone} == {stacked.method} == {"direct"}
+    assert {rec.grid_points for rec in alone} == {90}
+    assert within_bound(stacked.gap, stacked.closed_form, stacked.bound).tolist() == [
+        rec.within_bound for rec in alone
     ]
-    assert certify_panels(g[:0], h[:0], beta[:0], 90) == []
+    empty = certify_panels(g[:0], h[:0], beta[:0], 90)
+    assert empty.grid_max.shape == empty.gap.shape == (0,)
+
+
+def test_direct_equals_full_enumeration_at_benchmark_grid(monkeypatch):
+    # G = 720, M = 2 is what `irsradar certify` runs by default
+    G, M = 720, 2
+    rng = np.random.default_rng(15)
+    g, h, beta = crandn(rng, 40, M), crandn(rng, 40, M), np.ones((40, M))
+    guarded = []
+    for row in ({"last": 0.0}, {"last": 1e-13}, {"first": 0.0}):
+        gp, hp = crandn(rng, M), crandn(rng, M)
+        if "last" in row:
+            gp[-1] *= row["last"]
+        else:
+            gp[0] *= row["first"]
+        guarded.append((gp, hp))
+    g = np.concatenate([g, [gp for gp, _ in guarded]])
+    h = np.concatenate([h, [hp for _, hp in guarded]])
+    beta = np.ones(g.shape)
+    z = beta * np.conj(np.conj(g) * h)
+    full = np.abs(phaseopt._enumerate(z, G)).max(axis=1)
+    assert full.tolist() == [full_enumeration_max(row, G) for row in z]
+
+    rows_enumerated = []
+    enumerate_ = phaseopt._enumerate
+
+    def counting(zs, G):
+        if zs.shape[1] == M:  # only the guard enumerates whole panels
+            rows_enumerated.append(len(zs))
+        return enumerate_(zs, G)
+
+    monkeypatch.setattr(phaseopt, "_enumerate", counting)
+    cert = certify_panels(g, h, beta, G)
+    assert cert.method == "direct"
+    assert cert.grid_max.tolist() == full.tolist()
+    # the zero and tiny last terms take the guard; the random panels do not
+    assert 2 <= len(rows_enumerated) <= len(guarded)
+    assert within_bound(cert.gap, cert.closed_form, cert.bound).all()
+
+
+def parent_grid_max_pieces(z, G):
+    """The stacked interval reduction with a complex exponential per node, as it was first written."""
+    step = 2.0 * np.pi / G
+    live = z != 0
+    order = np.argsort(~live, axis=1, kind="stable")
+    z = np.take_along_axis(z, order, axis=1)
+    live = np.take_along_axis(live, order, axis=1)
+    args = np.angle(z)
+    breaks = np.mod(args + step / 2.0, step)
+    breaks = np.sort(np.where(live, breaks, breaks[:, :1]), axis=1)
+    P = len(z)
+    edges = np.concatenate((np.zeros((P, 1)), breaks, np.full((P, 1), step)), axis=1)
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    candidates = np.concatenate((mids, breaks), axis=1)
+    nodes = np.round((candidates[:, :, None] - args[:, None, :]) / step) * step
+    sums = np.sum(z[:, None, :] * np.exp(1j * nodes), axis=2)
+    return np.hypot(sums.real, sums.imag).max(axis=1)
+
+
+@pytest.mark.parametrize("G", [2, 7, 90, 720])
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_pieces_turn_table_is_bit_identical(M, G, monkeypatch):
+    rng = np.random.default_rng(1000 * M + G)
+    g, h, beta = awkward_panels(rng, M)
+    z = beta * np.conj(np.conj(g) * h)
+    # terms at the ends of the angle range, where the node index is largest
+    z = np.concatenate([z, [np.full(M, -1.0 + 0j), np.full(M, -1.0 - 0j), np.full(M, 1e-300 + 0j)]])
+    expect = parent_grid_max_pieces(z, G)
+    assert phaseopt._grid_max_pieces(z, G).tolist() == expect.tolist()
+    # the path without a table, taken above TABLE_CACHE_POINTS
+    monkeypatch.setattr(phaseopt, "TABLE_CACHE_POINTS", 1)
+    assert phaseopt._grid_max_pieces(z, G).tolist() == expect.tolist()
+
+
+@pytest.mark.parametrize("method", ["direct", "pieces"])
+def test_nonfinite_terms_match_parent_kernels(method):
+    # overflowing CSI reaches the kernels as inf and NaN terms
+    big = 1e200 + 1e200j
+    z = np.array([[big * big, 1.0 + 0j], [1.0 + 0j, np.inf + 0j], [np.nan + 0j, 1.0 + 0j]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        if method == "direct":
+            got = phaseopt._grid_max_direct(z, 36)
+            expect = [np.max(np.abs(phaseopt._enumerate(z[p:p + 1], 36))) for p in range(len(z))]
+        else:
+            got = phaseopt._grid_max_pieces(z, 36)
+            expect = parent_grid_max_pieces(z, 36)
+    np.testing.assert_array_equal(got, expect)
+
+
+def test_phasor_tables_are_kept_read_only():
+    table = phaseopt._table(phaseopt._grid_phasors, 720)
+    assert phaseopt._table(phaseopt._grid_phasors, 720) is table
+    assert not table.flags.writeable
+    assert table.tolist() == np.exp(2j * np.pi * np.arange(720) / 720).tolist()
