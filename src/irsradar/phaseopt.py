@@ -32,19 +32,18 @@ every node of one panel alone:
   as Python's abs of one complex value does; np.abs on a complex array
   rounds differently.
 
-Both kernels read their phasors from tables built once per grid density
-and kept read-only: the grid phasors exp(2j pi n / G) for "direct" and
-exp(1j (k step)) for "pieces", each entry the same float expression the
-kernel would otherwise evaluate per node.  Above TABLE_CACHE_POINTS
-entries "direct" rebuilds its table per chunk and "pieces" evaluates its
-few phasors directly.
+certify_panels builds each kernel's phasor table once per call and
+passes it to every chunk: the grid phasors exp(2j pi n / G) for
+"direct" and exp(1j (k step)) for "pieces", each entry the same float
+expression the kernel would otherwise evaluate per node.  "pieces"
+builds its table only when it is no longer than the call's node phasors
+(P (2M+1) M of them); at a larger G it evaluates those directly.
 
 within_bound is the one home of the quantization-bound rule; the
 per-panel CertificationRecord and the CLI both apply it.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +66,6 @@ WINDOW = 5
 
 # Relative widening of the skipped-node cap, far above its rounding error.
 _CAP_SAFETY = 1e-12
-
-# Phasor tables of at most this many entries (1 MiB) are kept, for the
-# last few grid densities used; a longer one is not kept.
-TABLE_CACHE_POINTS = 1 << 16
 
 
 def optimal_phases(g, h) -> np.ndarray:
@@ -137,37 +132,24 @@ def _turns(G: int) -> np.ndarray:
     return np.exp(1j * (np.arange(-(G // 2) - 2, G // 2 + 3) * step))
 
 
-@functools.lru_cache(maxsize=8)
-def _kept_table(build, G: int) -> np.ndarray:
-    table = build(G)
-    table.flags.writeable = False
-    return table
-
-
-def _table(build, G: int) -> np.ndarray:
-    """build(G), kept read-only for the next call when G <= TABLE_CACHE_POINTS."""
-    return _kept_table(build, G) if G <= TABLE_CACHE_POINTS else build(G)
-
-
-def _enumerate(z: np.ndarray, G: int) -> np.ndarray:
-    """All G^M grid sums of each row of a (P, M) stack, as (P, G^M)."""
-    phasors = _table(_grid_phasors, G)
+def _enumerate(z: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+    """All G^M grid sums of each row of a (P, M) stack, as (P, G^M), from the G grid phasors."""
     acc = z[:, :1] * phasors
     for m in range(1, z.shape[1]):
         acc = (acc[:, :, None] + z[:, m, None, None] * phasors).reshape(len(z), -1)
     return acc
 
 
-def _grid_max_direct(z: np.ndarray, G: int) -> np.ndarray:
+def _grid_max_direct(z: np.ndarray, G: int, phasors: np.ndarray) -> np.ndarray:
     """Grid maximum of each row of a (P, M) stack by windowed enumeration."""
     if z.shape[1] == 1 or G <= WINDOW:
-        return np.abs(_enumerate(z, G)).max(axis=1)
+        return np.abs(_enumerate(z, phasors)).max(axis=1)
     P = len(z)
     step = 2.0 * np.pi / G
     half = WINDOW // 2
-    prefix = _enumerate(z[:, :-1], G)
+    prefix = _enumerate(z[:, :-1], phasors)
     last = z[:, -1:]
-    products = _enumerate(last, G)
+    products = _enumerate(last, phasors)
     # each row padded by half wrapped products per side, so that the window
     # around node n is padded[p, n:n + WINDOW]
     padded = np.concatenate((products[:, -half:], products, products[:, :half]), axis=1)
@@ -181,11 +163,11 @@ def _grid_max_direct(z: np.ndarray, G: int) -> np.ndarray:
     r = np.abs(last[:, 0])
     cap = w * w + r * r + 2.0 * w * r * np.cos(1.5 * step)
     for p in np.flatnonzero(cap * (1.0 + _CAP_SAFETY) >= best * best):
-        best[p] = np.abs(_enumerate(z[p:p + 1], G)).max()
+        best[p] = np.abs(_enumerate(z[p:p + 1], phasors)).max()
     return best
 
 
-def _grid_max_pieces(z: np.ndarray, G: int) -> np.ndarray:
+def _grid_max_pieces(z: np.ndarray, G: int, turns: np.ndarray | None) -> np.ndarray:
     """Exact product-grid maximum of each row of a (P, M) stack, without enumeration.
 
     For a target direction phi, the best grid node for term m is the
@@ -206,7 +188,9 @@ def _grid_max_pieces(z: np.ndarray, G: int) -> np.ndarray:
     A candidate lies in [0, step] and an angle in [-pi, pi], so a finite
     node index k = round((candidate - angle) / step) lies in
     [-G/2, G/2 + 1] up to rounding; its phasor exp(1j (k step)) is read
-    from _turns.
+    from turns, the _turns(G) table, or evaluated when turns is None.  A
+    NaN term leaves k NaN; it reads entry k = 0, and its row's sums are
+    NaN whichever phasor it reads.
     """
     step = 2.0 * np.pi / G
     live = z != 0
@@ -222,11 +206,11 @@ def _grid_max_pieces(z: np.ndarray, G: int) -> np.ndarray:
     # include the breakpoints themselves to catch boundary ties
     candidates = np.concatenate((mids, breaks), axis=1)
     k = np.round((candidates[:, :, None] - args[:, None, :]) / step)
-    if G <= TABLE_CACHE_POINTS and np.isfinite(k).all():
-        turns = _table(_turns, G)[k.astype(np.intp) + (G // 2 + 2)]
-    else:  # a NaN term has no node, and a longer table costs more than it serves
-        turns = np.exp(1j * (k * step))
-    sums = np.sum(z[:, None, :] * turns, axis=2)
+    if turns is None:
+        phasors = np.exp(1j * (k * step))
+    else:
+        phasors = turns[np.where(np.isfinite(k), k, 0).astype(np.intp) + (G // 2 + 2)]
+    sums = np.sum(z[:, None, :] * phasors, axis=2)
     return np.hypot(sums.real, sums.imag).max(axis=1)
 
 
@@ -277,10 +261,14 @@ def certify_panels(g, h, beta, grid_points_per_phase: int,
     kernel = {"direct": _grid_max_direct, "pieces": _grid_max_pieces}.get(method)
     if kernel is None:
         raise ValueError(f"unknown method: {method!r}")
+    if method == "direct":
+        table = _grid_phasors(G)
+    else:  # a turn table no longer than the node phasors the call evaluates
+        table = _turns(G) if G + 5 <= P * (2 * M + 1) * M else None
     step = _panels_per_chunk(method, M, G)
     grid_max = np.empty(P)
     for lo in range(0, P, step):
-        grid_max[lo:lo + step] = kernel(z[lo:lo + step], G)
+        grid_max[lo:lo + step] = kernel(z[lo:lo + step], G, table)
     closed = np.sum(np.abs(z), axis=1)
     bound = closed * (1.0 - np.cos(np.pi / G))
     return CertifiedPanels(grid_max, closed, closed - grid_max, bound, method)

@@ -266,16 +266,16 @@ def test_direct_equals_full_enumeration_at_benchmark_grid(monkeypatch):
     h = np.concatenate([h, [hp for _, hp in guarded]])
     beta = np.ones(g.shape)
     z = beta * np.conj(np.conj(g) * h)
-    full = np.abs(phaseopt._enumerate(z, G)).max(axis=1)
+    full = np.abs(phaseopt._enumerate(z, phaseopt._grid_phasors(G))).max(axis=1)
     assert full.tolist() == [full_enumeration_max(row, G) for row in z]
 
     rows_enumerated = []
     enumerate_ = phaseopt._enumerate
 
-    def counting(zs, G):
+    def counting(zs, phasors):
         if zs.shape[1] == M:  # only the guard enumerates whole panels
             rows_enumerated.append(len(zs))
-        return enumerate_(zs, G)
+        return enumerate_(zs, phasors)
 
     monkeypatch.setattr(phaseopt, "_enumerate", counting)
     cert = certify_panels(g, h, beta, G)
@@ -307,17 +307,16 @@ def parent_grid_max_pieces(z, G):
 
 @pytest.mark.parametrize("G", [2, 7, 90, 720])
 @pytest.mark.parametrize("M", [2, 3, 4])
-def test_pieces_turn_table_is_bit_identical(M, G, monkeypatch):
+def test_pieces_turn_table_is_bit_identical(M, G):
     rng = np.random.default_rng(1000 * M + G)
     g, h, beta = awkward_panels(rng, M)
     z = beta * np.conj(np.conj(g) * h)
     # terms at the ends of the angle range, where the node index is largest
     z = np.concatenate([z, [np.full(M, -1.0 + 0j), np.full(M, -1.0 - 0j), np.full(M, 1e-300 + 0j)]])
     expect = parent_grid_max_pieces(z, G)
-    assert phaseopt._grid_max_pieces(z, G).tolist() == expect.tolist()
-    # the path without a table, taken above TABLE_CACHE_POINTS
-    monkeypatch.setattr(phaseopt, "TABLE_CACHE_POINTS", 1)
-    assert phaseopt._grid_max_pieces(z, G).tolist() == expect.tolist()
+    assert phaseopt._grid_max_pieces(z, G, phaseopt._turns(G)).tolist() == expect.tolist()
+    # the path without a table, taken when the table would outgrow the call
+    assert phaseopt._grid_max_pieces(z, G, None).tolist() == expect.tolist()
 
 
 @pytest.mark.parametrize("method", ["direct", "pieces"])
@@ -327,16 +326,40 @@ def test_nonfinite_terms_match_parent_kernels(method):
     z = np.array([[big * big, 1.0 + 0j], [1.0 + 0j, np.inf + 0j], [np.nan + 0j, 1.0 + 0j]])
     with np.errstate(invalid="ignore", over="ignore"):
         if method == "direct":
-            got = phaseopt._grid_max_direct(z, 36)
-            expect = [np.max(np.abs(phaseopt._enumerate(z[p:p + 1], 36))) for p in range(len(z))]
+            phasors = phaseopt._grid_phasors(36)
+            got = phaseopt._grid_max_direct(z, 36, phasors)
+            expect = [np.max(np.abs(phaseopt._enumerate(z[p:p + 1], phasors))) for p in range(len(z))]
         else:
-            got = phaseopt._grid_max_pieces(z, 36)
+            got = phaseopt._grid_max_pieces(z, 36, phaseopt._turns(36))
             expect = parent_grid_max_pieces(z, 36)
     np.testing.assert_array_equal(got, expect)
+    if method == "pieces":
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.testing.assert_array_equal(phaseopt._grid_max_pieces(z, 36, None), expect)
 
 
-def test_phasor_tables_are_kept_read_only():
-    table = phaseopt._table(phaseopt._grid_phasors, 720)
-    assert phaseopt._table(phaseopt._grid_phasors, 720) is table
-    assert not table.flags.writeable
-    assert table.tolist() == np.exp(2j * np.pi * np.arange(720) / 720).tolist()
+def test_each_table_is_built_once_per_call(monkeypatch):
+    built = {"direct": 0, "pieces": 0}
+
+    def counted(method, build):
+        def wrapper(G):
+            built[method] += 1
+            return build(G)
+        return wrapper
+
+    monkeypatch.setattr(phaseopt, "_grid_phasors", counted("direct", phaseopt._grid_phasors))
+    monkeypatch.setattr(phaseopt, "_turns", counted("pieces", phaseopt._turns))
+    rng = np.random.default_rng(23)
+    # 10 panels at G = 720, M = 2 span three direct chunks and one table
+    g, h = crandn(rng, 10, 2), crandn(rng, 10, 2)
+    certify_panels(g, h, np.ones((10, 2)), 720, method="direct")
+    assert built == {"direct": 1, "pieces": 0}
+    # at M = 3 a panel evaluates 7 x 3 = 21 node phasors, so the G + 5 = 725
+    # entry table is built from 35 panels on, and the results do not move
+    g, h = crandn(rng, 35, 3), crandn(rng, 35, 3)
+    z = np.conj(np.conj(g) * h)
+    for P, tables in ((34, 0), (35, 1)):
+        built["pieces"] = 0
+        cert = certify_panels(g[:P], h[:P], np.ones((P, 3)), 720, method="pieces")
+        assert built["pieces"] == tables
+        assert cert.grid_max.tolist() == parent_grid_max_pieces(z[:P], 720).tolist()
