@@ -34,19 +34,14 @@ def _complex_gaussian(re, im):
     return z[()] * _INV_SQRT2
 
 
-def crandn(rng, *shape):
-    """Circularly symmetric complex Gaussian, zero mean, unit variance."""
-    return _complex_gaussian(rng.standard_normal(shape), rng.standard_normal(shape))
-
-
 def split_crandn(z, *sizes):
     """Complex Gaussians from rows of standard normal draws, one part per size.
 
-    z is (T, 2 * sum(sizes)); row t holds one generator's draws in the
-    order successive crandn calls of these sizes consume them: each
-    part's real draws, then its imaginary ones.  Returns one (T, size)
-    array per part, equal bit for bit to those crandn calls, since one
-    standard_normal call yields the same values as a run of shorter ones.
+    z is (T, 2 * sum(sizes)); row t holds one generator's draws, part by
+    part: a part's `size` real draws, then its `size` imaginary ones.
+    Returns one (T, size) array per part of (re + j im) / sqrt(2).  One
+    standard_normal call yields the same values as a run of shorter ones,
+    so each part equals the same draw made part by part, bit for bit.
     """
     parts, at = [], 0
     for size in sizes:
@@ -118,24 +113,6 @@ def _same_value(a, b) -> bool:
 def stack_panels(panels):
     """The (K, M) stacks of a sequence of equal-size panels' g, h and beta."""
     return tuple(np.stack([getattr(p, f) for p in panels]) for f in ("g", "h", "beta"))
-
-
-def csi_draw_size(M: int, K: int) -> int:
-    """Standard normals one CSI draw consumes."""
-    return 2 * (2 + 2 * K * M + K)
-
-
-def split_csi(z, M: int, K: int):
-    """Stacked CSI from rows of csi_draw_size standard normals.
-
-    Returns (h_los, g, h, alpha, alpha_los) with shapes (T, 1),
-    (T, K, M), (T, K, M), (T, K) and (T, 1), in the order a row's draws
-    are consumed: h_los, the K x M block of g, the K x M block of h,
-    alpha, alpha_los.  All entries are circularly symmetric complex
-    Gaussians with unit variance.
-    """
-    h_los, g, h, alpha, alpha_los = split_crandn(z, 1, K * M, K * M, K, 1)
-    return h_los, g.reshape(-1, K, M), h.reshape(-1, K, M), alpha, alpha_los
 
 
 def compose_paths(g, h, theta, beta, form: str = "magnitude_squared") -> np.ndarray:

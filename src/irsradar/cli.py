@@ -456,7 +456,7 @@ def _run_certify(cfg: RunConfig) -> None:
     if cfg.csi:
         g, h, beta = stack_panels(read_csi_file(cfg.csi, cfg.k, cfg.m))
     else:
-        # one draw for all panels; each row splits into the g, h that two crandn(m) calls give
+        # one draw for all panels; each row splits into g and h, each m complex Gaussians
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
         g, h = split_crandn(rng.standard_normal((cfg.trials, 4 * cfg.m)), cfg.m, cfg.m)
         beta = np.ones(g.shape)

@@ -69,9 +69,16 @@ then takes its paths' part of Q and v (entry [0, 0] for the direct link,
 block [1:, 1:] for the reflected ones) and with D = Diag(d) has Gram
 D^H Q D = A^H R^-1 A and matched filter D^H (Q D alpha + v) = A^H R^-1 y,
 so neither A nor y is formed, and one stacked BLUE on those K x K
-quantities gives its records.  A block holds as many trials as fit in
-BLOCK_BYTES of N x K complex per stacked array, so its memory stays
-bounded at large N and K.
+quantities gives its records.
+
+A block holds as many trials as its largest complex stack fits in
+BLOCK_BYTES (_block_trials): a trial counts 16 max(N (k + 1), k M) bytes,
+its N x (k + 1) steering columns or its k x M panel draws, whichever is
+larger.  No stage holds more than two steering-sized arrays of a trial
+(S and R^-1 S, each conjugated in place once spent) or about eight
+panel-sized ones (the channel words and the steps that turn them into
+normals, which write into arrays they read), so a block's memory stays
+within a small multiple of BLOCK_BYTES at any N, k and M.
 
 A trial's records do not depend on the block it lands in, so they are
 the same bits as evaluating it alone with run_trial, whatever the block
@@ -120,9 +127,10 @@ SEED_BOUND = 2**64
 # trial would fail or come out non-finite.
 POWER_RANGE = (1e-30, 1e30)
 
-# A block holds as many trials as fit about this many bytes of N x K
-# complex per stacked array (at least one), which bounds its memory.
-BLOCK_BYTES = 256 * 1024
+# A block holds as many trials as fit this many bytes of its largest
+# stacked complex array, and at least one; see _block_trials.  A block's
+# traced peak is about 2x this at large N and 8x at large M.
+BLOCK_BYTES = 512 * 1024
 
 MODE_LABELS = {
     "los_only": "los",
@@ -298,14 +306,24 @@ def _unit_phasors(words: np.ndarray) -> np.ndarray:
     by d is 1 - d^2/2 + j d, whose truncation error d^3/6 is under 4e-17.
     The result is within a few eps of np.exp(2j * np.pi * u), at a third
     to a half of its cost, and elementwise, so stacking does not change it.
+    Each step after the first lookup writes into an array it reads or one
+    already spent, so the chain holds one complex array besides its result.
     """
     coarse, fine = _turn_tables()
     v = words >> np.uint64(11)
-    out = coarse[v >> np.uint64(43)]
-    out *= fine[v >> np.uint64(33) & np.uint64(1023)]
-    d = (v & np.uint64(2**33 - 1)) * (2.0 * np.pi * 2.0**-53)
-    turn = np.empty(d.shape, complex)
-    turn.real = 1.0 - 0.5 * (d * d)
+    i = v >> np.uint64(43)
+    out = coarse[i]
+    np.right_shift(v, np.uint64(33), out=i)
+    i &= np.uint64(1023)
+    turn = fine[i]
+    del i
+    out *= turn
+    v &= np.uint64(2**33 - 1)
+    d = v * (2.0 * np.pi * 2.0**-53)
+    del v
+    half = np.multiply(d, d)
+    half *= 0.5
+    turn.real = np.subtract(1.0, half, out=half)
     turn.imag = d
     out *= turn
     return out
@@ -316,9 +334,14 @@ def _complex_normals(words: np.ndarray) -> np.ndarray:
 
     The pair's first word gives the modulus sqrt(-ln(1 - u)), whose square
     is Exp(1), and its second the angle, as _unit_phasors' exp(2 pi j u).
+    The angles come first and the modulus is formed in place, so at most
+    one float array joins the phasors.
     """
-    radius = np.sqrt(-np.log1p(-_uniforms(words[..., 0::2])))
-    return radius * _unit_phasors(words[..., 1::2])
+    phasors = _unit_phasors(words[..., 1::2])
+    radius = _uniforms(words[..., 0::2])
+    for step in (np.negative, np.log1p, np.negative, np.sqrt):
+        step(radius, out=radius)
+    return np.multiply(radius, phasors, out=phasors)
 
 
 def _spacing_floor(lo: float, hi: float, gap: float) -> float:
@@ -340,9 +363,10 @@ def _dopplers(u: np.ndarray, lo: float, hi: float, k: int, gap: float) -> np.nda
     """
     span = hi - lo
     floor = _spacing_floor(lo, hi, gap)
-    cuts = np.sort(u[:, 1:k], axis=1)
+    cuts = np.zeros((len(u), k))
+    cuts[:, 1:] = np.sort(u[:, 1:k], axis=1)
     # path i sits i spacings after the first: i * floor plus the scaled cut
-    offsets = np.arange(k) * floor + (span - k * floor) * np.pad(cuts, ((0, 0), (1, 0)))
+    offsets = np.arange(k) * floor + (span - k * floor) * cuts
     at = span * u[:, k:k + 1] + offsets
     at = np.where(at < span, at, at - span)
     labels = np.argsort(u[:, k + 1:], axis=1)
@@ -464,9 +488,13 @@ def _steering_gram(block, noise: NoiseModel):
     """
     steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
     ris = noise.solve(steer)
-    q = _hermitian(steer.conj().swapaxes(-1, -2) @ ris)
-    v = (ris.conj().swapaxes(-1, -2) @ block["w"][..., None])[..., 0]
-    return q, v
+    # S and R^-1 S are conjugated in place once spent as they are, and
+    # dropped before the Hermitian part is taken, so the block holds two
+    # (T, N, k + 1) arrays at most
+    q = np.conjugate(steer, out=steer).swapaxes(-1, -2) @ ris
+    v = (np.conjugate(ris, out=ris).swapaxes(-1, -2) @ block["w"][..., None])[..., 0]
+    del steer, ris
+    return _hermitian(q), v
 
 
 def _estimate_mode(scenario: Scenario, block, q, v, rows):
@@ -567,11 +595,22 @@ class SweepResult:
     records: dict  # label -> field -> (points, trials) array, nan where excluded
 
 
+def _block_trials(scenario: Scenario) -> int:
+    """Trials per block: as many as fit BLOCK_BYTES of the block's largest complex array.
+
+    A trial's largest arrays are its N x (k + 1) steering columns and its
+    k x M panel draws, so it counts 16 max(N (k + 1), k M) bytes: 109
+    trials at the default N = 50, k = 5, M = 10, three at N = 256, k = 32,
+    M = 64, and one once k M exceeds 16384.
+    """
+    n, k, m = scenario.n, scenario.k, scenario.m
+    return max(1, BLOCK_BYTES // (16 * max(n * (k + 1), k * m)))
+
+
 def _point_trials(args):
     """Records of one axis point's trials [trial_lo, trial_hi), block by block."""
     scenarios, axis_index, trial_lo, trial_hi = args
-    s = scenarios[0]
-    step = max(1, BLOCK_BYTES // (16 * s.n * s.k))
+    step = _block_trials(scenarios[0])
     return np.concatenate([
         _evaluate_block(scenarios, axis_index, range(lo, min(lo + step, trial_hi)))
         for lo in range(trial_lo, trial_hi, step)

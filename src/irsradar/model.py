@@ -101,8 +101,9 @@ def build_sensing_matrix(x: Waveform, dopplers, nlos_csi) -> SensingMatrix:
 def steering_columns(x, dopplers) -> np.ndarray:
     """x ⊙ p(nu_k) for each path k, for a stack of codes.
 
-    x is (..., N) complex and dopplers (..., K) radians per pulse; the
-    result is (..., N, K).  The phases come from a table of B = ceil(sqrt(N))
+    x is (..., N) complex and dopplers (..., K) radians per pulse, x's
+    stack broadcasting to dopplers'; the result is (..., N, K), the phase
+    table multiplied by x in place.  The phases come from B = ceil(sqrt(N))
     fine and coarse steps, exp(j (aB + b) nu) = exp(j aB nu) * exp(j b nu),
     which takes about 2 sqrt(N) complex exponentials per column instead of
     N.  Its error is of the order of the direct formula's own rounding of
@@ -117,7 +118,8 @@ def steering_columns(x, dopplers) -> np.ndarray:
     fine = np.exp(1j * (np.arange(step)[:, None] * dopplers[..., None, :]))
     table = coarse[..., :, None, :] * fine[..., None, :, :]
     shape = table.shape[:-3] + (-1, table.shape[-1])
-    return x[..., :, None] * table.reshape(shape)[..., :n, :]
+    steer = table.reshape(shape)[..., :n, :]
+    return np.multiply(x[..., :, None], steer, out=steer)
 
 
 def check_coefficients(nlos_csi) -> None:

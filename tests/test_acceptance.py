@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from irsradar.bounds import crb, fisher_information
-from irsradar.channel import IrsPanel, crandn
+from irsradar.channel import IrsPanel
 from irsradar.cli import emit_csv, emit_plot, main
 from irsradar.estimator import NoiseModel, _whitened_gram, blue_estimate, estimator_mse
 from irsradar.harness import Scenario, sweep_gamma, sweep_noise
 from irsradar.model import build_sensing_matrix, make_random_waveform
 from irsradar.phaseopt import certify_optimum
+
+from csi_draws import crandn
 
 GAMMA_GRID = np.logspace(-5, 5, 21)
 SIGMA2_GRID = np.logspace(-5, 0, 21)

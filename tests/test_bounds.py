@@ -3,11 +3,13 @@ import numpy as np
 import pytest
 
 from irsradar.bounds import crb, fisher_information
-from irsradar.channel import compose_paths, crandn, wrap_phase
+from irsradar.channel import compose_paths, wrap_phase
 from irsradar.errors import SingularModelError
 from irsradar.estimator import NoiseModel, blue_estimate, estimator_mse
 from irsradar.model import build_sensing_matrix, make_random_waveform
 from irsradar.phaseopt import optimal_phases
+
+from csi_draws import crandn
 
 
 def kron_oracle(A, R):

@@ -9,11 +9,8 @@ from irsradar.channel import (
     NLOS_FORMS,
     IrsPanel,
     compose_paths,
-    crandn,
-    csi_draw_size,
     read_csi_file,
     split_crandn,
-    split_csi,
     wrap_phase,
 )
 from irsradar.errors import GenerationError
@@ -25,6 +22,8 @@ from irsradar.harness import (
     _sweep,
     run_trial,
 )
+
+from csi_draws import crandn, csi_draw_size, split_csi
 
 
 def random_panel(rng, M, random_theta=True):

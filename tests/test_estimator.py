@@ -4,7 +4,6 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from irsradar import estimator
-from irsradar.channel import crandn
 from irsradar.errors import SingularModelError, UndefinedMetricError
 from irsradar.estimator import (
     CONDITION_LIMIT,
@@ -19,6 +18,8 @@ from irsradar.estimator import (
 )
 from irsradar.harness import SWEEP_MODES, Scenario, _evaluate_block, _sweep
 from irsradar.model import build_sensing_matrix, make_random_waveform
+
+from csi_draws import crandn
 
 
 def oracle_blue(A, R, y):

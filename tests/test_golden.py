@@ -23,9 +23,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsradar.channel import IrsPanel, csi_draw_size, split_csi
+from irsradar.channel import IrsPanel
 from irsradar.cli import main
 from irsradar.harness import SWEEP_MODES, Scenario, _sweep
+
+from csi_draws import csi_draw_size, split_csi
 
 SMALL = ["--n", "20", "--k", "3", "--m", "4", "--trials", "30", "--seed", "3"]
 

@@ -1,4 +1,5 @@
 """Monte-Carlo harness: pairing, reproducibility, and aggregate behavior."""
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from irsradar import estimator, harness
-from irsradar.channel import IrsPanel, compose_paths, crandn, wrap_phase
+from irsradar.channel import IrsPanel, compose_paths, wrap_phase
 from irsradar.errors import DegeneratePathError, GenerationError, SingularModelError
 from irsradar.estimator import NoiseModel, blue_stack
 from irsradar.harness import (
@@ -18,6 +19,7 @@ from irsradar.harness import (
     _draw_block,
     _dopplers,
     _estimate_mode,
+    _point_trials,
     _project,
     _steering_gram,
     _sweep,
@@ -26,6 +28,8 @@ from irsradar.harness import (
     sweep_noise,
 )
 from irsradar.phaseopt import optimal_phases
+
+from csi_draws import crandn
 
 SMALL = dict(n=20, k=3, m=4, trials=8)
 
@@ -465,8 +469,8 @@ def test_exclusion_mask_matches_run_trial(monkeypatch, block_trials):
     # a limit low enough that a fair share of the reflected Grams exceed it
     monkeypatch.setattr(estimator, "CONDITION_LIMIT", 7.0)
     tpl = Scenario(n=20, k=3, m=4, trials=30, master_seed=2)
-    if block_trials is not None and hasattr(harness, "BLOCK_BYTES"):
-        monkeypatch.setattr(harness, "BLOCK_BYTES", 16 * tpl.n * tpl.k * block_trials)
+    if block_trials is not None:
+        monkeypatch.setattr(harness, "_block_trials", lambda scenario: block_trials)
     gammas = [1e-2, 1.0]
     res = sweep_gamma(tpl, gammas)
     singular = np.zeros((len(gammas), tpl.trials), dtype=bool)
@@ -489,6 +493,48 @@ def test_exclusion_mask_matches_run_trial(monkeypatch, block_trials):
             np.testing.assert_array_equal(np.isnan(got), singular)
             np.testing.assert_array_equal(got, expect[lab][j])
     np.testing.assert_array_equal(res.excluded, singular.sum(axis=1))
+
+
+def test_block_trials_follow_the_largest_array():
+    # N x (k + 1) steering columns set the size at large N and k, k x M
+    # panel draws at large M
+    assert harness._block_trials(Scenario(n=256, k=32, m=64)) >= 3
+    assert harness._block_trials(Scenario()) >= 60  # a default sweep point is one block
+    assert harness._block_trials(Scenario(m=2000)) <= 4
+    assert harness._block_trials(Scenario(m=20000)) == 1
+
+
+def _traced_peak(run):
+    """The peak bytes tracemalloc sees during run(), after a first untraced call."""
+    run()  # builds the draw's cached tables, which every later call reuses
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _point(tpl, trials):
+    scenarios = [replace(tpl, link_mode=mode) for mode in SWEEP_MODES]
+    return lambda: _point_trials((scenarios, 0, 0, trials))
+
+
+def test_large_m_point_memory_is_bounded():
+    # an N x K rule put all 65 trials in one block, which traced 27 MiB,
+    # mostly k x M panel draws
+    tpl = Scenario(n=50, k=5, m=500, trials=65, master_seed=3)
+    assert _traced_peak(_point(tpl, tpl.trials)) < 6 * 2**20
+
+
+def test_large_n_block_memory_stays_at_the_old_blocks():
+    # at the large benchmark's shape the N x K rule made blocks of 2 trials,
+    # which traced 871107 bytes; a block of the current rule holds more
+    # trials in about the same memory (slack: 64 KiB)
+    tpl = Scenario(n=256, k=32, m=64, trials=8, master_seed=3)
+    step = harness._block_trials(tpl)
+    assert step >= 3
+    assert _traced_peak(_point(tpl, step)) <= 871107 + 64 * 1024
 
 
 def test_fixed_policy_must_be_finite():
@@ -574,17 +620,22 @@ DRAW_CASES = {
     # drawn with every composed coefficient patched to zero
     "degenerate_scene": dict(n=20, k=3, m=4, fixed_panels=random_panels(np.random.default_rng(6)),
                              nlos_form="magnitude_squared"),
+    # the large benchmark's N and k, where the rule's blocks hold several
+    # trials and the last one fewer
+    "large_n_and_k": dict(n=256, k=32, m=2, trials=8),
 }
 
 
 @pytest.mark.parametrize("block_trials", [None, 1, 7])
 @pytest.mark.parametrize("case", sorted(DRAW_CASES))
 def test_draw_block_matches_blocks_of_one(case, block_trials, monkeypatch):
-    s = Scenario(trials=20, master_seed=4, **DRAW_CASES[case])
+    s = Scenario(**{"trials": 20, "master_seed": 4, **DRAW_CASES[case]})
     if case == "degenerate_scene":
         real = harness.compose_paths
         monkeypatch.setattr(harness, "compose_paths", lambda *args: 0 * real(*args))
-    step = block_trials or max(1, harness.BLOCK_BYTES // (16 * s.n * s.k))
+    step = block_trials or harness._block_trials(s)
+    if case == "large_n_and_k" and block_trials is None:
+        assert 1 < step < s.trials
     got = {}  # trial -> its fields, or the exception that excluded it
     for lo in range(0, s.trials, step):
         block = _draw_block(s, 3, range(lo, min(lo + step, s.trials)))

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from irsradar.channel import crandn
 from irsradar.errors import DegeneratePathError, UnderdeterminedModelError
 from irsradar.model import (
     Waveform,
@@ -12,6 +11,8 @@ from irsradar.model import (
     sensing_columns,
     steering_columns,
 )
+
+from csi_draws import crandn
 
 
 def test_waveform_unimodular():

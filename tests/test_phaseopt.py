@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from irsradar import phaseopt
-from irsradar.channel import IrsPanel, compose_paths, crandn, wrap_phase
+from irsradar.channel import IrsPanel, compose_paths, wrap_phase
 from irsradar.errors import CapabilityError
 from irsradar.harness import Scenario, _draw_block
 from irsradar.phaseopt import (
@@ -13,6 +13,8 @@ from irsradar.phaseopt import (
     optimal_phases,
     within_bound,
 )
+
+from csi_draws import crandn
 
 
 def random_panel(rng, M):
