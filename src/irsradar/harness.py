@@ -306,8 +306,8 @@ def _unit_phasors(words: np.ndarray) -> np.ndarray:
     by d is 1 - d^2/2 + j d, whose truncation error d^3/6 is under 4e-17.
     The result is within a few eps of np.exp(2j * np.pi * u), at a third
     to a half of its cost, and elementwise, so stacking does not change it.
-    Each step after the first lookup writes into an array it reads or one
-    already spent, so the chain holds one complex array besides its result.
+    The index and turn arrays are reused, and each array is freed once
+    spent, so the chain holds one complex array besides its result.
     """
     coarse, fine = _turn_tables()
     v = words >> np.uint64(11)
@@ -321,7 +321,7 @@ def _unit_phasors(words: np.ndarray) -> np.ndarray:
     v &= np.uint64(2**33 - 1)
     d = v * (2.0 * np.pi * 2.0**-53)
     del v
-    half = np.multiply(d, d)
+    half = d * d
     half *= 0.5
     turn.real = np.subtract(1.0, half, out=half)
     turn.imag = d
