@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnboundedCrbError
-from .estimator import NoiseModel, _whitened_gram
+from .estimator import NoiseModel, _blue_one, _model_gram
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ def fisher_information(A, noise: NoiseModel) -> np.ndarray:
     Blocks: top-left = bottom-right = 2 Re G, top-right = -2 Im G,
     bottom-left = 2 Im G, with G = A^H R^-1 A.
     """
-    _, _, gram = _whitened_gram(A, noise)
+    gram = _model_gram(A, noise)[1]
+    _blue_one(gram, np.zeros(len(gram), dtype=complex))  # the BLUE's condition screen
     re = 2.0 * gram.real
     im = 2.0 * gram.imag
     top = np.hstack((re, -im))

@@ -6,20 +6,23 @@ independent of the distribution of n beyond its second moment.
 
 Everything runs on numpy's LAPACK and BLAS.  The estimate needs the model
 only through its Gram G = A^H R^-1 A and matched filter b = A^H R^-1 y,
-and blue_gram works on those K-space quantities alone: it factors every
-Gram with one stacked Cholesky, G = L L^H, inverts the factors together,
-and reads the estimate L^-H (L^-1 b) and the covariance trace
-Tr(G^-1) = ||L^-1||_F^2 off them without forming any covariance.  The
-same trace screens the conditioning: cond(G) <= Tr(G) Tr(G^-1), so a
-Gram whose product lies well inside CONDITION_LIMIT is cleared without
-an eigenvalue call, and only the others, or every Gram when the stacked
-factorization fails, get their condition number from eigvalsh.  The
-sweep engine builds G and b itself from a steering Gram it shares
-between link modes.  blue_stack is the N-dimensional entry: a full R is
-factored once, R = L L^H, and R^-1 = L^-H L^-1 is kept, so R^-1 A is one
-product; it forms G and b, calls blue_gram, and also returns the
-covariances L^-H L^-1.  Each stacked call runs one LAPACK or BLAS call
-per item, so an item's values do not depend on the stack it is in.
+and blue_gram, the one BLUE kernel, works on those K-space quantities
+alone: it factors every Gram with one stacked Cholesky, G = L L^H,
+inverts the factors together, and reads the estimate L^-H (L^-1 b) and
+the covariance trace Tr(G^-1) = ||L^-1||_F^2 off them without forming any
+covariance.  It also holds the only condition screen: cond(G) <= Tr(G)
+Tr(G^-1), so a Gram whose product lies well inside CONDITION_LIMIT is
+cleared without an eigenvalue call, and only the others, or every Gram
+when the stacked factorization fails, get their condition number from
+eigvalsh.  The sweep engine builds G and b itself from a steering Gram it
+shares between link modes.  The library's one N-space entry is
+_model_gram, which checks a single N x K model against the noise and
+forms R^-1 A and G, with a full R applied as its stored inverse
+L^-H L^-1; blue_estimate, estimator_mse and bounds.fisher_information
+each pass its Gram to blue_gram as a stack of one, and blue_estimate
+also returns the covariance L^-H L^-1.  Each stacked call runs one LAPACK
+or BLAS call per item, so an item's values do not depend on the stack it
+is in.
 """
 from __future__ import annotations
 
@@ -137,16 +140,12 @@ def _condition_error(cond: float) -> SingularModelError:
     )
 
 
-def _whitened_gram(A, noise: NoiseModel):
-    """Return (A, R^-1 A, A^H R^-1 A), checking conditioning."""
+def _model_gram(A, noise: NoiseModel):
+    """R^-1 A and A^H R^-1 A of one N x K model, its shape checked against the noise."""
     cols = _columns(A)
     if cols.shape[0] != noise.n:
         raise ValueError(f"A has {cols.shape[0]} rows but noise is {noise.n}-dimensional")
-    ria, gram = _gram_stack(cols, noise)
-    cond = _condition_numbers(gram)
-    if not cond <= CONDITION_LIMIT:
-        raise _condition_error(cond)
-    return cols, ria, gram
+    return _gram_stack(cols, noise)
 
 
 def _cholesky_stack(gram: np.ndarray, ok: np.ndarray, errors: list) -> np.ndarray:
@@ -234,33 +233,12 @@ def blue_gram(gram: np.ndarray, b: np.ndarray):
     return alpha_hat, mse, errors, chol_inv
 
 
-def blue_stack(cols: np.ndarray, noise: NoiseModel, y: np.ndarray):
-    """The BLUE of every model in a stack, one Gram factorization each.
-
-    Parameters
-    ----------
-    cols : (T, N, K) complex array
-        T model matrices.
-    noise : NoiseModel
-        Shared by every model.
-    y : (T, N) complex array
-        One observation per model.
-
-    Returns
-    -------
-    (alpha_hat, cov, mse, errors)
-        Estimates (T, K), covariances (T, K, K) and their traces (T,), as
-        blue_gram gives them on the models' Grams and matched filters;
-        where errors[t] is not None, item t's covariance is nan too.
-    """
-    ria, gram = _gram_stack(cols, noise)
-    b = (ria.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
-    alpha_hat, mse, errors, chol_inv = blue_gram(gram, b)
-    ok = np.array([e is None for e in errors], dtype=bool)
-    T, _, K = cols.shape
-    cov = np.full((T, K, K), np.nan, dtype=complex)
-    cov[ok] = chol_inv.conj().swapaxes(-1, -2) @ chol_inv
-    return alpha_hat, _hermitian(cov), mse, errors
+def _blue_one(gram: np.ndarray, b: np.ndarray):
+    """blue_gram on one Gram and matched filter: (alpha_hat, mse, L^-1), raising its error."""
+    alpha_hat, mse, errors, chol_inv = blue_gram(gram[None], b[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return alpha_hat[0], float(mse[0]), chol_inv
 
 
 @dataclass(frozen=True)
@@ -270,19 +248,6 @@ class EstimationReport:
     alpha_hat: np.ndarray  # complex, length K
     covariance: np.ndarray  # K x K Hermitian
     mse: float  # trace of covariance
-
-
-def _single(A, noise: NoiseModel, y):
-    """blue_stack on one model: (alpha_hat, cov, mse), raising if singular."""
-    cols = _columns(A)
-    if cols.shape[0] != noise.n:
-        raise ValueError(f"A has {cols.shape[0]} rows but noise is {noise.n}-dimensional")
-    if y.shape != (cols.shape[0],):
-        raise ValueError("y length does not match A")
-    alpha_hat, cov, mse, errors = blue_stack(cols[None], noise, y[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return alpha_hat[0], cov[0], float(mse[0])
 
 
 def blue_estimate(A, noise: NoiseModel, y) -> EstimationReport:
@@ -303,14 +268,19 @@ def blue_estimate(A, noise: NoiseModel, y) -> EstimationReport:
         If cond(A^H R^-1 A) exceeds CONDITION_LIMIT; no silent
         regularization is applied.
     """
-    alpha_hat, cov, mse = _single(A, noise, np.asarray(y, dtype=complex))
+    ria, gram = _model_gram(A, noise)
+    y = np.asarray(y, dtype=complex)
+    if y.shape != (ria.shape[0],):
+        raise ValueError("y length does not match A")
+    alpha_hat, mse, chol_inv = _blue_one(gram, ria.conj().T @ y)
+    cov = _hermitian(chol_inv.conj().swapaxes(-1, -2) @ chol_inv)[0]
     return EstimationReport(alpha_hat=alpha_hat, covariance=cov, mse=mse)
 
 
 def estimator_mse(A, noise: NoiseModel) -> float:
     """Tr((A^H R^-1 A)^-1), the observation-independent error floor."""
-    n = _columns(A).shape[0]
-    return _single(A, noise, np.zeros(n, dtype=complex))[2]
+    gram = _model_gram(A, noise)[1]
+    return _blue_one(gram, np.zeros(len(gram), dtype=complex))[1]
 
 
 def _squared_norms(z: np.ndarray) -> np.ndarray:

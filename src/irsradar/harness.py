@@ -161,8 +161,9 @@ class Scenario:
     noise_cov: np.ndarray = None  # full N x N covariance; overrides sigma2
 
     def __post_init__(self):
-        if min(self.n, self.k, self.m, self.trials) < 1:
-            raise ValueError("n, k, m, trials must be positive")
+        for key in ("n", "k", "m", "trials"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
         lo, hi = POWER_RANGE
@@ -177,12 +178,17 @@ class Scenario:
         if self.link_mode not in LINK_MODES:
             raise ValueError(f"unknown link mode: {self.link_mode!r}")
         if self.nlos_form not in NLOS_FORMS:
-            raise ValueError(f"unknown nlos form: {self.nlos_form!r}")
+            raise ValueError(f"nlos_form must be one of {NLOS_FORMS}, got {self.nlos_form!r}")
         lo, hi = self.doppler_range
         if not np.all(np.isfinite((lo, hi))):
             raise ValueError("doppler_range bounds must be finite")
         if not lo < hi:
             raise ValueError("doppler_range must be a nonempty interval")
+        # the draw's rounding margin (_spacing_floor) sums |lo| + |hi| + span
+        with np.errstate(over="ignore"):
+            width = abs(lo) + abs(hi) + (hi - lo)
+        if not np.isfinite(width):
+            raise ValueError("doppler_range is too wide: its span overflows the float range")
         gap = self.min_gap_cycles
         if not np.isfinite(gap):
             raise ValueError("doppler_min_gap must be finite")

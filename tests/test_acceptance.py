@@ -11,7 +11,7 @@ import pytest
 from irsradar.bounds import crb, fisher_information
 from irsradar.channel import IrsPanel
 from irsradar.cli import emit_csv, emit_plot, main
-from irsradar.estimator import NoiseModel, _whitened_gram, blue_estimate, estimator_mse
+from irsradar.estimator import NoiseModel, _model_gram, blue_estimate, estimator_mse
 from irsradar.harness import Scenario, sweep_gamma, sweep_noise
 from irsradar.model import build_sensing_matrix, make_random_waveform
 from irsradar.phaseopt import certify_optimum
@@ -179,7 +179,7 @@ def test_criterion_6_crb_identities(default_gamma_sweep):
         # block form versus Kronecker form of the same whitened Gram: the
         # 1e-13 claim is about the assembly identity, so both sides must
         # see one Gram, not two solver paths
-        gram = _whitened_gram(A, noise)[2]
+        gram = _model_gram(A, noise)[1]
         kron_fim = 2.0 * np.real(np.kron(v.conj().T @ v, gram))
         worst_kron = max(worst_kron, np.abs(fisher_information(A, noise) - kron_fim).max())
         # and the Gram itself against an independent dense solve, scaled by

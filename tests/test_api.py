@@ -56,3 +56,17 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    # the README's library example, run as a user would, so the docs cannot
+    # drift from the API
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "blue_estimate(" in code and "crb(" in code
+    src = Path(irsradar.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr

@@ -98,9 +98,12 @@ def test_conflicting_flags_rejected(tmp_path):
         parse_config(["sweep-gamma", "--config", str(cfgfile)])
 
 
-def test_value_validation():
-    with pytest.raises(UsageError, match="trials"):
-        parse_config(["sweep-gamma", "--trials", "0"])
+def test_value_validation(tmp_path, capsys):
+    # Scenario owns the trial count, so the rule fires in main, before --out is made
+    out = tmp_path / "out"
+    assert main(["sweep-gamma", "--trials", "0", "--out", str(out)]) == 2
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
     for bad in ("-1", str(2**64)):
         with pytest.raises(UsageError, match="seed"):
             parse_config(["sweep-gamma", "--seed", bad])
@@ -474,4 +477,22 @@ def test_seed_beyond_64_bits_exits_2_before_any_output(sub, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([sub, "--trials", "2", "--seed", str(2**64), "--out", str(out)]) == 2
     assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sweep-gamma", "--n", "4", "--k", "5"], "k must not exceed n"),
+    (["sweep-noise", "--gamma", "1e-40"], "gamma"),
+    (["sweep-gamma", "--sigma2", "1e40"], "sigma2"),
+    (["crb", "--m", "0"], "m must be positive"),
+    (["certify", "--csi", "{csi}"], "non-finite entry"),
+], ids=["k_above_n", "gamma_below_range", "sigma2_above_range", "crb_m_zero", "certify_bad_csi"])
+def test_rejected_inputs_exit_2_before_any_output(argv, name, tmp_path, capsys):
+    # the output directory is made only once every input is accepted
+    csi = tmp_path / "nan.csi"
+    csi.write_text("nan,0\n")
+    out = tmp_path / "out"
+    argv = [a.replace("{csi}", str(csi)) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
     assert not out.exists()

@@ -4,6 +4,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from irsradar import estimator
+from irsradar.bounds import fisher_information
 from irsradar.errors import SingularModelError, UndefinedMetricError
 from irsradar.estimator import (
     CONDITION_LIMIT,
@@ -12,7 +13,6 @@ from irsradar.estimator import (
     _gram_stack,
     blue_estimate,
     blue_gram,
-    blue_stack,
     estimator_mse,
     nmse_rows,
 )
@@ -168,27 +168,6 @@ def test_nmse_definition():
         nmse_rows(np.zeros((1, 2), dtype=complex), np.ones((1, 2), dtype=complex))
 
 
-def test_blue_stack_items_match_single_estimates():
-    # each item is estimated as if alone, and a singular item fails alone
-    rng = np.random.default_rng(23)
-    for T, N, K in ((6, 20, 3), (3, 256, 32)):
-        cols = crandn(rng, T, N, K)
-        cols[1, :, 1] = cols[1, :, 0]  # identical columns
-        y = crandn(rng, T, N)
-        for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
-            alpha_hat, cov, mse, errors = blue_stack(cols, noise, y)
-            for t in range(T):
-                if t == 1:
-                    assert isinstance(errors[t], SingularModelError)
-                    assert np.isnan(mse[t]) and np.all(np.isnan(alpha_hat[t]))
-                    continue
-                rep = blue_estimate(cols[t], noise, y[t])
-                assert errors[t] is None
-                np.testing.assert_array_equal(alpha_hat[t], rep.alpha_hat)
-                np.testing.assert_array_equal(cov[t], rep.covariance)
-                assert mse[t] == rep.mse
-
-
 SHAPES = [(50, 5), (256, 32)]
 
 
@@ -210,7 +189,7 @@ def assert_close_to_largest(got, ref, rtol=1e-12):
 
 
 @pytest.mark.parametrize("N, K", SHAPES)
-def test_blue_stack_matches_per_item_cholesky_solves(N, K):
+def test_blue_estimate_matches_per_item_cholesky_solves(N, K):
     # scipy's per-item cho_factor/cho_solve BLUE with b and eye(K) solved
     # apart, an oracle independent of the engine's stacked numpy path
     rng = np.random.default_rng(K)
@@ -221,17 +200,16 @@ def test_blue_stack_matches_per_item_cholesky_solves(N, K):
         (NoiseModel.scaled_identity(0.1, N), lambda b: b / 0.1),
         (NoiseModel(covariance=R), lambda b: cho_solve(cho_factor(R, lower=True), b)),
     ):
-        alpha_hat, cov, mse, errors = blue_stack(cols, noise, y)
         for t in range(T):
+            rep = blue_estimate(cols[t], noise, y[t])
             ria = solve(cols[t])
             gram = cols[t].conj().T @ ria
             factor = cho_factor(0.5 * (gram + gram.conj().T), lower=True)
             ref_cov = cho_solve(factor, np.eye(K))
             ref_cov = 0.5 * (ref_cov + ref_cov.conj().T)
-            assert errors[t] is None
-            assert_close_to_largest(alpha_hat[t], cho_solve(factor, ria.conj().T @ y[t]))
-            assert_close_to_largest(cov[t], ref_cov)
-            assert mse[t] == pytest.approx(np.trace(ref_cov).real, rel=1e-12)
+            assert_close_to_largest(rep.alpha_hat, cho_solve(factor, ria.conj().T @ y[t]))
+            assert_close_to_largest(rep.covariance, ref_cov)
+            assert rep.mse == pytest.approx(np.trace(ref_cov).real, rel=1e-12)
 
 
 def _stack_with_singular_item(rng, T, N, K):
@@ -241,7 +219,7 @@ def _stack_with_singular_item(rng, T, N, K):
 
 
 def _assert_items_equal(got, want, t, u):
-    # item t of one blue_stack result against item u of another, bit for bit
+    # item t of one _with_covariances result against item u of another, bit for bit
     alpha_hat, cov, mse, errors = got
     ref_hat, ref_cov, ref_mse, ref_errors = want
     np.testing.assert_array_equal(alpha_hat[t], ref_hat[u])
@@ -251,50 +229,6 @@ def _assert_items_equal(got, want, t, u):
     assert str(errors[t]) == str(ref_errors[u])
 
 
-@pytest.mark.parametrize("N, K", SHAPES)
-def test_blue_stack_items_do_not_depend_on_the_stack(N, K):
-    rng = np.random.default_rng(N * K)
-    T = 7
-    cols, y = _stack_with_singular_item(rng, T, N, K)
-    for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
-        full = blue_stack(cols, noise, y)
-        assert isinstance(full[3][2], SingularModelError)
-        assert sum(e is None for e in full[3]) == T - 1
-        for t in range(T):
-            _assert_items_equal(blue_stack(cols[t:t + 1], noise, y[t:t + 1]), full, 0, t)
-        # and in a shorter stack that still holds the singular item
-        part = blue_stack(cols[1:4], noise, y[1:4])
-        for t in range(3):
-            _assert_items_equal(part, full, t, t + 1)
-
-
-def test_blue_stack_factors_items_alone_when_the_stacked_cholesky_fails(monkeypatch):
-    # an indefinite Gram with a finite condition number passes the screen,
-    # so the stacked factorization raises and each item is factored alone
-    rng = np.random.default_rng(41)
-    T, N, K = 6, 20, 3
-    cols, y = _stack_with_singular_item(rng, T, N, K)
-    noise = NoiseModel.scaled_identity(0.1, N)
-    clean = blue_stack(cols, noise, y)
-    real_gram_stack = estimator._gram_stack
-
-    def indefinite_item_4(cols, noise):
-        ria, gram = real_gram_stack(cols, noise)
-        gram[4] = -gram[4]
-        return ria, gram
-
-    monkeypatch.setattr(estimator, "_gram_stack", indefinite_item_4)
-    got = blue_stack(cols, noise, y)
-    alpha_hat, cov, mse, errors = got
-    assert np.isfinite(_condition_numbers(_gram_stack(cols, noise)[1])[4])
-    assert isinstance(errors[4], SingularModelError)
-    assert str(errors[4]) == "Gram matrix is not positive definite"
-    assert np.isnan(mse[4]) and np.all(np.isnan(alpha_hat[4])) and np.all(np.isnan(cov[4]))
-    assert "condition number" in str(errors[2])
-    for t in (0, 1, 2, 3, 5):
-        _assert_items_equal(got, clean, t, t)
-
-
 def _kspace(cols, noise, y):
     # the Grams and matched filters A^H R^-1 A and A^H R^-1 y blue_gram takes
     ria, gram = _gram_stack(cols, noise)
@@ -302,12 +236,37 @@ def _kspace(cols, noise, y):
 
 
 def _with_covariances(result):
-    # blue_gram's result laid out as blue_stack's, L^-1 in the place of cov
+    # blue_gram's result as (alpha_hat, L^-1, mse, errors), L^-1 padded with nan
     alpha_hat, mse, errors, chol_inv = result
     ok = np.array([e is None for e in errors], dtype=bool)
     padded = np.full((ok.size, *chol_inv.shape[1:]), np.nan, dtype=complex)
     padded[ok] = chol_inv
     return alpha_hat, padded, mse, errors
+
+
+def test_blue_gram_items_match_single_estimates():
+    # each item is estimated as if alone, and a singular item fails alone
+    rng = np.random.default_rng(23)
+    for T, N, K in ((6, 20, 3), (3, 256, 32)):
+        cols = crandn(rng, T, N, K)
+        cols[1, :, 1] = cols[1, :, 0]  # identical columns
+        y = crandn(rng, T, N)
+        for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
+            alpha_hat, chol_inv, mse, errors = _with_covariances(blue_gram(*_kspace(cols, noise, y)))
+            cov = estimator._hermitian(chol_inv.conj().swapaxes(-1, -2) @ chol_inv)  # L^-H L^-1
+            for t in range(T):
+                if t == 1:
+                    assert isinstance(errors[t], SingularModelError)
+                    assert np.isnan(mse[t]) and np.all(np.isnan(alpha_hat[t]))
+                    with pytest.raises(SingularModelError) as alone:
+                        blue_estimate(cols[t], noise, y[t])
+                    assert str(alone.value) == str(errors[t])
+                    continue
+                rep = blue_estimate(cols[t], noise, y[t])
+                assert errors[t] is None
+                np.testing.assert_array_equal(alpha_hat[t], rep.alpha_hat)
+                np.testing.assert_array_equal(cov[t], rep.covariance)
+                assert mse[t] == rep.mse
 
 
 @pytest.mark.parametrize("N, K", SHAPES)
@@ -326,10 +285,6 @@ def test_blue_gram_items_do_not_depend_on_the_stack(N, K):
         part = _with_covariances(blue_gram(gram[1:4], b[1:4]))
         for t in range(3):
             _assert_items_equal(part, full, t, t + 1)
-        # blue_stack is this kernel on the same Grams
-        stacked = blue_stack(cols, noise, y)
-        np.testing.assert_array_equal(stacked[0], full[0])
-        np.testing.assert_array_equal(stacked[2], full[2])
 
 
 def test_blue_gram_factors_items_alone_when_the_stacked_cholesky_fails():
@@ -397,6 +352,16 @@ def test_condition_decision_matches_np_linalg_cond(N, K):
     _assert_same_errors(blue_gram(gram, b)[2], want)
     for t in range(len(cols)):
         _assert_same_errors(blue_gram(gram[t:t + 1], b[t:t + 1])[2], want[t:t + 1])
+    # and so do the library entries that take one model
+    for f in (fisher_information, estimator_mse):
+        got = []
+        for A in cols:
+            try:
+                f(A, noise)
+                got.append(None)
+            except SingularModelError as exc:
+                got.append(exc)
+        _assert_same_errors(got, want)
 
 
 def test_well_conditioned_grams_skip_the_eigenvalue_screen(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from irsradar import estimator, harness
 from irsradar.channel import IrsPanel, compose_paths, wrap_phase
 from irsradar.errors import DegeneratePathError, GenerationError, SingularModelError
-from irsradar.estimator import NoiseModel, blue_stack
+from irsradar.estimator import NoiseModel, blue_estimate
 from irsradar.harness import (
     LINK_MODES,
     MODE_LABELS,
@@ -47,29 +47,31 @@ def test_scenario_defaults():
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        Scenario(n=0)
-    with pytest.raises(ValueError):
+    # each message names the failing field, in the CLI's wording
+    for key in ("n", "k", "m", "trials"):
+        with pytest.raises(ValueError, match=f"^{key} must be positive$"):
+            Scenario(**{key: 0})
+    with pytest.raises(ValueError, match="k must not exceed n"):
         Scenario(k=60, n=50)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma2"):
         Scenario(sigma2=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma"):
         Scenario(gamma=-1.0)
     for bad in (-1, 2**64, 2**70):
         with pytest.raises(ValueError, match="master_seed"):
             Scenario(master_seed=bad)
     Scenario(master_seed=2**64 - 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="link mode"):
         Scenario(link_mode="nlos_psychic")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^nlos_form must be one of \(.*\), got 'cubed'$"):
         Scenario(nlos_form="cubed")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="doppler_range"):
         Scenario(doppler_range=(0.5, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="doppler_min_gap"):
         Scenario(k=5, doppler_min_gap=0.3)  # 5 paths cannot fit
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fixed_theta"):
         Scenario(link_mode="nlos_fixed")  # no fixed phases supplied
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="noise_cov"):
         Scenario(noise_cov=np.eye(3), n=50)
     # powers outside the supported range under- or overflow in the engine
     for field, bad in (("gamma", 1e-320), ("gamma", 1e31), ("sigma2", 1e-320), ("sigma2", 1e31)):
@@ -98,6 +100,17 @@ def test_doppler_inputs_must_be_finite():
         for rng in ((-bad, 0.5), (-0.5, bad), (bad, bad)):
             with pytest.raises(ValueError, match="doppler_range"):
                 Scenario(doppler_range=rng)
+
+
+def test_overflowing_doppler_range_is_named():
+    # a finite range whose span, or the draw's rounding margin on it,
+    # overflows used to be blamed on doppler_min_gap, or at k = 1 to be
+    # accepted and exclude every trial
+    for rng in ((-1e308, 1e308), (-8.9e307, 8.9e307), (np.float64(-1e308), np.float64(1e308))):
+        for k in (1, 5):
+            with pytest.raises(ValueError, match="^doppler_range"):
+                Scenario(k=k, doppler_range=rng)
+    Scenario(k=1, n=1, doppler_range=(-1e300, 1e300))
 
 
 def test_fixed_panels_must_be_finite():
@@ -675,7 +688,7 @@ def _full_noise_cov(n):
 @pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
 @pytest.mark.parametrize("n, k", [(20, 3), (50, 5), (256, 32)])
 def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
-    # the K-space estimate against blue_stack on A = Diag(x) P(nu) Diag(c)
+    # the K-space estimate against blue_estimate on A = Diag(x) P(nu) Diag(c)
     # and y = A alpha + w rebuilt per trial from the block's draws
     m, T, gamma = 4, 6, 0.3
     thetas = np.random.default_rng(k).uniform(0.0, 6.0, (k, m))
@@ -704,12 +717,11 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
             steer = np.exp(2j * np.pi * pulses * nus[None, :])
             A = np.diag(block["x"][t]) @ steer @ np.diag(coef)
             y = A @ truth + block["w"][t]
-            alpha_hat, _, mse, ref_errors = blue_stack(A[None], noise, y[None])
-            assert ref_errors == [None]
-            nmse = np.linalg.norm(truth - alpha_hat[0]) / np.linalg.norm(truth)
+            ref = blue_estimate(A, noise, y)
+            nmse = np.linalg.norm(truth - ref.alpha_hat) / np.linalg.norm(truth)
             np.testing.assert_allclose(records[0, t], nmse, rtol=1e-8, err_msg=mode)
-            np.testing.assert_allclose(records[1, t], mse[0] / norm**2, rtol=1e-10, err_msg=mode)
-            np.testing.assert_allclose(records[2, t], mse[0], rtol=1e-10, err_msg=mode)
+            np.testing.assert_allclose(records[1, t], ref.mse / norm**2, rtol=1e-10, err_msg=mode)
+            np.testing.assert_allclose(records[2, t], ref.mse, rtol=1e-10, err_msg=mode)
 
 
 def test_estimate_mode_checks_coefficients():
