@@ -482,9 +482,10 @@ def _run(cfg: RunConfig) -> None:
         _run_certify(cfg)
         return
     template = _scenario(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
+    # --out is made only once there is a result to write
     if cfg.subcommand == "single":
         result = _run_single(cfg, template)
+        os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, "single.csv")
         emit_csv(result, path)
         print(f"wrote {path}")
@@ -496,6 +497,7 @@ def _run(cfg: RunConfig) -> None:
         result, stem = sweep_gamma(template, axis), "sweep_gamma"
     else:
         result, stem = sweep_gamma(template, axis), "crb"
+    os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, stem + ".csv")
     emit_csv(result, csv_path)
     print(f"wrote {csv_path}")

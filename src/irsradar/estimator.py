@@ -141,10 +141,12 @@ def _condition_error(cond: float) -> SingularModelError:
 
 
 def _model_gram(A, noise: NoiseModel):
-    """R^-1 A and A^H R^-1 A of one N x K model, its shape checked against the noise."""
+    """R^-1 A and A^H R^-1 A of one N x K model, checked for shape and finite entries."""
     cols = _columns(A)
     if cols.shape[0] != noise.n:
         raise ValueError(f"A has {cols.shape[0]} rows but noise is {noise.n}-dimensional")
+    if not np.isfinite(cols).all():
+        raise ValueError("A has non-finite entries")
     return _gram_stack(cols, noise)
 
 
@@ -264,6 +266,8 @@ def blue_estimate(A, noise: NoiseModel, y) -> EstimationReport:
 
     Raises
     ------
+    ValueError
+        If A or y has the wrong shape or a non-finite entry.
     SingularModelError
         If cond(A^H R^-1 A) exceeds CONDITION_LIMIT; no silent
         regularization is applied.
@@ -272,6 +276,8 @@ def blue_estimate(A, noise: NoiseModel, y) -> EstimationReport:
     y = np.asarray(y, dtype=complex)
     if y.shape != (ria.shape[0],):
         raise ValueError("y length does not match A")
+    if not np.isfinite(y).all():
+        raise ValueError("y has non-finite entries")
     alpha_hat, mse, chol_inv = _blue_one(gram, ria.conj().T @ y)
     cov = _hermitian(chol_inv.conj().swapaxes(-1, -2) @ chol_inv)[0]
     return EstimationReport(alpha_hat=alpha_hat, covariance=cov, mse=mse)

@@ -8,36 +8,20 @@ each is solved independently.
 certify_panels checks the closed form against the maximum over the full
 G^M phase grid, for a stack of panels at once, in chunks of about
 CERTIFY_CHUNK_BYTES per stacked array.  It returns one CertifiedPanels:
-the grid maxima, closed forms, gaps and bounds as (P,) arrays, and the
-method.  Its grid maximum is the same float, bit for bit, as enumerating
-every node of one panel alone:
+the grid maxima, closed forms, gaps and bounds as (P,) arrays.  One
+kernel, _grid_max_pieces, finds every grid maximum without enumerating
+the grid: it evaluates the sums at the few candidate directions of the
+exact interval reduction (Zhang et al., IEEE JSTSP 2022), the same
+reduction at any M.  The modulus is np.hypot of the parts, which rounds
+as Python's abs of one complex value does.  The kernel evaluates one of
+the G rotations of the optimal node, all of which have the same exact
+modulus, so it can differ from a full enumeration (which keeps whichever
+rotation rounded highest) in the last bits; the tests hold it to such
+an enumeration within a few eps of the closed form.
 
-* "direct" enumerates the first M-1 terms' grid nodes, then adds only
-  the WINDOW nodes of the last term nearest alignment with each partial
-  sum w.  Each kept sum is formed with the same products, the same
-  addition and the same np.abs as the full enumeration.  The last term's
-  G products are padded by WINDOW//2 wrapped entries on each side, so
-  the window around a node is a run of that padded row and no node index
-  is wrapped.  A skipped node lies at least 1.5 grid steps from
-  alignment (the nearest node is found from rounded angles, so it may be
-  off by one), which caps its squared modulus at
-  |w|^2 + r^2 + 2|w| r cos(1.5 step), r the last term's modulus.  A
-  panel whose cap, widened by a 1e-12 relative safety factor, reaches
-  its windowed maximum is enumerated in full.  That happens when terms
-  are zero or tiny: the kept and skipped sums then differ by rounding
-  alone, and full enumeration picks the same one as before.
-* "pieces" evaluates, for every panel at once, the sums at the few
-  candidate directions of the exact interval reduction (see
-  _grid_max_pieces).  The modulus is np.hypot of the parts, which rounds
-  as Python's abs of one complex value does; np.abs on a complex array
-  rounds differently.
-
-certify_panels builds each kernel's phasor table once per call and
-passes it to every chunk: the grid phasors exp(2j pi n / G) for
-"direct" and exp(1j (k step)) for "pieces", each entry the same float
-expression the kernel would otherwise evaluate per node.  "pieces"
-builds its table only when it is no longer than the call's node phasors
-(P (2M+1) M of them); at a larger G it evaluates those directly.
+certify_panels builds the node phasor table exp(1j (k step)) once per
+call and passes it to every chunk, each entry the same float expression
+the kernel would otherwise evaluate per node.
 
 within_bound is the one home of the quantization-bound rule; the
 per-panel CertificationRecord and the CLI both apply it.
@@ -51,21 +35,11 @@ import numpy as np
 from .channel import IrsPanel
 from .errors import CapabilityError
 
-# Above this many grid nodes the direct enumeration is replaced by the
-# piecewise reduction (still exact on the same grid, see _grid_max_pieces).
-DIRECT_ENUMERATION_LIMIT = 2_000_000
-
 CERTIFY_MAX_ELEMENTS = 4
 
 # A chunk holds as many panels as fit about this many bytes of its largest
 # stacked complex array (at least one), which bounds the memory of a stack.
 CERTIFY_CHUNK_BYTES = 256 * 1024
-
-# Last-term grid nodes the direct method keeps around each alignment.
-WINDOW = 5
-
-# Relative widening of the skipped-node cap, far above its rounding error.
-_CAP_SAFETY = 1e-12
 
 
 def optimal_phases(g, h) -> np.ndarray:
@@ -99,7 +73,6 @@ class CertificationRecord:
     gap: float  # closed_form - grid_max, nonnegative
     bound: float  # worst-case quantization loss closed_form*(1-cos(pi/G))
     grid_points: int
-    method: str  # "direct" or "pieces"
 
     @property
     def within_bound(self) -> bool:
@@ -114,12 +87,6 @@ class CertifiedPanels:
     closed_form: np.ndarray  # attained value at theta = arg(c)
     gap: np.ndarray  # closed_form - grid_max
     bound: np.ndarray  # closed_form * (1 - cos(pi/G))
-    method: str  # "direct" or "pieces"
-
-
-def _grid_phasors(G: int) -> np.ndarray:
-    """exp(2j pi n / G) for n = 0..G-1."""
-    return np.exp(2j * np.pi * np.arange(G) / G)
 
 
 def _turns(G: int) -> np.ndarray:
@@ -132,42 +99,7 @@ def _turns(G: int) -> np.ndarray:
     return np.exp(1j * (np.arange(-(G // 2) - 2, G // 2 + 3) * step))
 
 
-def _enumerate(z: np.ndarray, phasors: np.ndarray) -> np.ndarray:
-    """All G^M grid sums of each row of a (P, M) stack, as (P, G^M), from the G grid phasors."""
-    acc = z[:, :1] * phasors
-    for m in range(1, z.shape[1]):
-        acc = (acc[:, :, None] + z[:, m, None, None] * phasors).reshape(len(z), -1)
-    return acc
-
-
-def _grid_max_direct(z: np.ndarray, G: int, phasors: np.ndarray) -> np.ndarray:
-    """Grid maximum of each row of a (P, M) stack by windowed enumeration."""
-    if z.shape[1] == 1 or G <= WINDOW:
-        return np.abs(_enumerate(z, phasors)).max(axis=1)
-    P = len(z)
-    step = 2.0 * np.pi / G
-    half = WINDOW // 2
-    prefix = _enumerate(z[:, :-1], phasors)
-    last = z[:, -1:]
-    products = _enumerate(last, phasors)
-    # each row padded by half wrapped products per side, so that the window
-    # around node n is padded[p, n:n + WINDOW]
-    padded = np.concatenate((products[:, -half:], products, products[:, :half]), axis=1)
-    nearest = np.rint((np.angle(prefix) - np.angle(last)) / step).astype(np.intp) % G
-    starts = nearest + (G + 2 * half) * np.arange(P)[:, None]
-    # (P, WINDOW, G^(M-1)), so each sum runs along the partial sums
-    kept = padded.take(starts[:, None, :] + np.arange(WINDOW)[:, None])
-    np.add(prefix[:, None, :], kept, out=kept)
-    best = np.abs(kept).reshape(P, -1).max(axis=1)
-    w = np.abs(prefix).max(axis=1)
-    r = np.abs(last[:, 0])
-    cap = w * w + r * r + 2.0 * w * r * np.cos(1.5 * step)
-    for p in np.flatnonzero(cap * (1.0 + _CAP_SAFETY) >= best * best):
-        best[p] = np.abs(_enumerate(z[p:p + 1], phasors)).max()
-    return best
-
-
-def _grid_max_pieces(z: np.ndarray, G: int, turns: np.ndarray | None) -> np.ndarray:
+def _grid_max_pieces(z: np.ndarray, G: int, turns: np.ndarray) -> np.ndarray:
     """Exact product-grid maximum of each row of a (P, M) stack, without enumeration.
 
     For a target direction phi, the best grid node for term m is the
@@ -188,9 +120,8 @@ def _grid_max_pieces(z: np.ndarray, G: int, turns: np.ndarray | None) -> np.ndar
     A candidate lies in [0, step] and an angle in [-pi, pi], so a finite
     node index k = round((candidate - angle) / step) lies in
     [-G/2, G/2 + 1] up to rounding; its phasor exp(1j (k step)) is read
-    from turns, the _turns(G) table, or evaluated when turns is None.  A
-    NaN term leaves k NaN; it reads entry k = 0, and its row's sums are
-    NaN whichever phasor it reads.
+    from turns, the _turns(G) table.  A NaN term leaves k NaN; it reads
+    entry k = 0, and its row's sums are NaN whichever phasor it reads.
     """
     step = 2.0 * np.pi / G
     live = z != 0
@@ -206,27 +137,18 @@ def _grid_max_pieces(z: np.ndarray, G: int, turns: np.ndarray | None) -> np.ndar
     # include the breakpoints themselves to catch boundary ties
     candidates = np.concatenate((mids, breaks), axis=1)
     k = np.round((candidates[:, :, None] - args[:, None, :]) / step)
-    if turns is None:
-        phasors = np.exp(1j * (k * step))
-    else:
-        phasors = turns[np.where(np.isfinite(k), k, 0).astype(np.intp) + (G // 2 + 2)]
+    phasors = turns[np.where(np.isfinite(k), k, 0).astype(np.intp) + (G // 2 + 2)]
     sums = np.sum(z[:, None, :] * phasors, axis=2)
     return np.hypot(sums.real, sums.imag).max(axis=1)
 
 
-def _panels_per_chunk(method: str, M: int, G: int) -> int:
+def _panels_per_chunk(M: int) -> int:
     """Panels whose largest stacked complex array fits CERTIFY_CHUNK_BYTES (at least one)."""
-    if method == "pieces":
-        per_panel = (2 * M + 1) * M  # candidate directions x terms
-    elif M == 1 or G <= WINDOW:
-        per_panel = G ** M  # every grid sum
-    else:
-        per_panel = WINDOW * G ** (M - 1)  # the kept sums
+    per_panel = (2 * M + 1) * M  # candidate directions x terms
     return max(1, CERTIFY_CHUNK_BYTES // (16 * per_panel))
 
 
-def certify_panels(g, h, beta, grid_points_per_phase: int,
-                   method: str = "auto") -> CertifiedPanels:
+def certify_panels(g, h, beta, grid_points_per_phase: int) -> CertifiedPanels:
     """Audit the closed-form phase optimum of a stack of panels on their grid.
 
     Parameters
@@ -237,13 +159,7 @@ def certify_panels(g, h, beta, grid_points_per_phase: int,
         Per-element gains.  No phases are passed: the grid ranges over them.
     grid_points_per_phase : int
         Grid density G per element; the searched set is the full G^M
-        product grid.
-    method : {"auto", "direct", "pieces"}
-        "direct" enumerates the grid (windowed on the last term, see the
-        module docstring), "pieces" uses the exact interval reduction;
-        "auto" picks "direct" when G^M is at most
-        DIRECT_ENUMERATION_LIMIT.  Both return the same value on the
-        same grid (cross-checked in the tests).
+        product grid, reduced exactly (see _grid_max_pieces).
 
     Returns the stacked audit; row p equals certifying panel p alone.
     """
@@ -256,36 +172,25 @@ def certify_panels(g, h, beta, grid_points_per_phase: int,
     G = int(grid_points_per_phase)
     if G < 2:
         raise ValueError("need at least 2 grid points per phase")
-    if method == "auto":
-        method = "direct" if G ** M <= DIRECT_ENUMERATION_LIMIT else "pieces"
-    kernel = {"direct": _grid_max_direct, "pieces": _grid_max_pieces}.get(method)
-    if kernel is None:
-        raise ValueError(f"unknown method: {method!r}")
-    if method == "direct":
-        table = _grid_phasors(G)
-    else:  # a turn table no longer than the node phasors the call evaluates
-        table = _turns(G) if G + 5 <= P * (2 * M + 1) * M else None
-    step = _panels_per_chunk(method, M, G)
+    turns = _turns(G)
+    step = _panels_per_chunk(M)
     grid_max = np.empty(P)
     for lo in range(0, P, step):
-        grid_max[lo:lo + step] = kernel(z[lo:lo + step], G, table)
+        grid_max[lo:lo + step] = _grid_max_pieces(z[lo:lo + step], G, turns)
     closed = np.sum(np.abs(z), axis=1)
     bound = closed * (1.0 - np.cos(np.pi / G))
-    return CertifiedPanels(grid_max, closed, closed - grid_max, bound, method)
+    return CertifiedPanels(grid_max, closed, closed - grid_max, bound)
 
 
-def certify_optimum(panel: IrsPanel, grid_points_per_phase: int,
-                    method: str = "auto") -> CertificationRecord:
+def certify_optimum(panel: IrsPanel, grid_points_per_phase: int) -> CertificationRecord:
     """Audit the closed-form phase optimum against one panel's grid.
 
     A stack of one for certify_panels: the panel's beta weights are
     honored and its theta is ignored.
     """
-    cert = certify_panels(
-        panel.g[None], panel.h[None], panel.beta[None], grid_points_per_phase, method
-    )
+    cert = certify_panels(panel.g[None], panel.h[None], panel.beta[None], grid_points_per_phase)
     return CertificationRecord(
         grid_max=float(cert.grid_max[0]), closed_form=float(cert.closed_form[0]),
         gap=float(cert.gap[0]), bound=float(cert.bound[0]),
-        grid_points=int(grid_points_per_phase), method=cert.method,
+        grid_points=int(grid_points_per_phase),
     )

@@ -396,7 +396,7 @@ def _record_rule(gmax, closed, gap, bound):
     """Failures and worst gap as the CLI counted them, one CertificationRecord per panel."""
     failures, worst = 0, 0.0
     for row in zip(gmax, closed, gap, bound):
-        rec = CertificationRecord(*row, grid_points=720, method="direct")
+        rec = CertificationRecord(*row, grid_points=720)
         worst = max(worst, rec.gap)
         failures += 0 if rec.within_bound else 1
     return failures, worst
@@ -412,7 +412,7 @@ def test_cli_certify_counts_by_the_record_rule(gap, tmp_path, capsys, monkeypatc
     closed = np.array([1.0, 2.0, 0.5, 1.0, 3.0])
     bound = closed * (1.0 - np.cos(np.pi / 720)) + np.array([0.0, 0.0, 0.0, 2e-3, 0.0])
     gap = np.array(gap)
-    cert = CertifiedPanels(closed - gap, closed, gap, bound, "direct")
+    cert = CertifiedPanels(closed - gap, closed, gap, bound)
     monkeypatch.setattr(cli, "certify_panels", lambda *args: cert)
     columns = [a.tolist() for a in (closed - gap, closed, gap, bound)]
     failures, worst = _record_rule(*columns)
@@ -434,7 +434,7 @@ def test_cli_certify_infinite_worst_gap(tmp_path, capsys, monkeypatch):
     closed = np.full(4, 1e3)
     gap = np.array([1e-2, np.inf, 1e-10, -1e-12])
     bound = np.full(4, np.inf)  # every gap is within an infinite bound
-    cert = CertifiedPanels(closed - gap, closed, gap, bound, "direct")
+    cert = CertifiedPanels(closed - gap, closed, gap, bound)
     assert _record_rule(*(a.tolist() for a in (closed - gap, closed, gap, bound))) == (0, np.inf)
     monkeypatch.setattr(cli, "certify_panels", lambda *args: cert)
     assert main(["certify", "--trials", "4", "--out", str(tmp_path)]) == 0
@@ -486,7 +486,10 @@ def test_seed_beyond_64_bits_exits_2_before_any_output(sub, tmp_path, capsys):
     (["sweep-gamma", "--sigma2", "1e40"], "sigma2"),
     (["crb", "--m", "0"], "m must be positive"),
     (["certify", "--csi", "{csi}"], "non-finite entry"),
-], ids=["k_above_n", "gamma_below_range", "sigma2_above_range", "crb_m_zero", "certify_bad_csi"])
+    (["sweep-gamma", "--axis-max", "1e40"], "gamma"),  # a swept value, checked by the sweep
+    (["sweep-noise", "--gamma", "0"], "gamma must be positive"),  # the los mode's rule
+], ids=["k_above_n", "gamma_below_range", "sigma2_above_range", "crb_m_zero", "certify_bad_csi",
+        "swept_gamma_above_range", "los_needs_gamma"])
 def test_rejected_inputs_exit_2_before_any_output(argv, name, tmp_path, capsys):
     # the output directory is made only once every input is accepted
     csi = tmp_path / "nan.csi"

@@ -132,6 +132,27 @@ def test_dimension_mismatch():
         blue_estimate(np.eye(3), NoiseModel.scaled_identity(1.0, 3), np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_nonfinite_model_is_named(bad):
+    # every library entry to the N-space Gram names A, not its conditioning
+    A = crandn(np.random.default_rng(5), 6, 2)
+    A[3, 1] = bad
+    noise = NoiseModel.scaled_identity(1.0, 6)
+    for call in (lambda: blue_estimate(A, noise, np.ones(6)), lambda: estimator_mse(A, noise),
+                 lambda: fisher_information(A, noise)):
+        with pytest.raises(ValueError, match="A has non-finite entries"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_observation_is_named(bad):
+    A = crandn(np.random.default_rng(6), 6, 2)
+    y = np.ones(6, dtype=complex)
+    y[2] = bad
+    with pytest.raises(ValueError, match="y has non-finite entries"):
+        blue_estimate(A, NoiseModel.scaled_identity(1.0, 6), y)
+
+
 def test_unbiased_and_covariance_match():
     # empirical moments over 2e4 noise draws at one fixed scenario
     rng = np.random.default_rng(11)

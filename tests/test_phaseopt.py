@@ -7,7 +7,6 @@ from irsradar.channel import IrsPanel, compose_paths, wrap_phase
 from irsradar.errors import CapabilityError
 from irsradar.harness import Scenario, _draw_block
 from irsradar.phaseopt import (
-    DIRECT_ENUMERATION_LIMIT,
     certify_optimum,
     certify_panels,
     optimal_phases,
@@ -107,32 +106,12 @@ def test_certify_aligned_channel_exact():
     assert abs(rec.gap) < 1e-12  # c real positive: theta = 0 is on the grid
 
 
-@pytest.mark.parametrize("M", [1, 2])
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
 def test_certify_direct_within_bound(M):
     rng = np.random.default_rng(8 + M)
     for _ in range(25):
-        rec = certify_optimum(random_panel(rng, M), 720, method="direct")
+        rec = certify_optimum(random_panel(rng, M), 720)
         assert rec.within_bound
-
-
-def test_pieces_equals_direct():
-    # the reduction must reproduce the enumerated maximum exactly
-    rng = np.random.default_rng(10)
-    for M in (1, 2, 3):
-        for G in (7, 36, 60):
-            p = random_panel(rng, M)
-            d = certify_optimum(p, G, method="direct")
-            r = certify_optimum(p, G, method="pieces")
-            assert abs(d.grid_max - r.grid_max) < 1e-12, (M, G)
-
-
-def test_pieces_equals_direct_dense_grid():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        p = random_panel(rng, 2)
-        d = certify_optimum(p, 720, method="direct")
-        r = certify_optimum(p, 720, method="pieces")
-        assert abs(d.grid_max - r.grid_max) < 1e-12
 
 
 def test_certify_beta_weighting():
@@ -142,21 +121,14 @@ def test_certify_beta_weighting():
     assert rec.within_bound
 
 
-def test_certify_auto_switches_method():
-    rng = np.random.default_rng(12)
-    small = certify_optimum(random_panel(rng, 2), 720)
-    assert small.method == "direct"
-    big = certify_optimum(random_panel(rng, 3), 720)
-    assert big.method == "pieces"
-
-
 def test_certify_rejects_large_m():
     rng = np.random.default_rng(13)
     with pytest.raises(CapabilityError):
         certify_optimum(random_panel(rng, 5), 16)
 
 
-# The per-panel kernels the stacked ones replaced, kept as references.
+# References for the stacked kernel: the exhaustive oracle and the
+# reduction it replaced, one panel at a time.
 def full_enumeration_max(z, G):
     """Every one of the G^M grid sums of one panel, enumerated."""
     phasors = np.exp(2j * np.pi * np.arange(G) / G)
@@ -184,7 +156,7 @@ def pieces_loop_max(z, G):
 
 
 def awkward_panels(rng, M, count=6):
-    """Random panels, then each kind of panel a windowed or reordered kernel can get wrong."""
+    """Random panels, then each kind of panel a reordered or rounding-sensitive kernel can get wrong."""
     g, h, beta = crandn(rng, count, M), crandn(rng, count, M), rng.uniform(0.0, 1.0, (count, M))
     special = []
     for m in range(M):
@@ -208,31 +180,45 @@ def awkward_panels(rng, M, count=6):
                  for a, f in ((g, "g"), (h, "h"), (beta, "beta")))
 
 
-KERNEL_CASES = [
-    (method, M, G)
-    for M in (1, 2, 3, 4)
-    for G in (2, 3, 7, 36, 90, 720)
-    for method in ("direct", "pieces")
-    if method == "pieces" or G ** M <= DIRECT_ENUMERATION_LIMIT
-]
+KERNEL_CASES = [(M, G) for M in (1, 2, 3, 4) for G in (2, 3, 7, 36, 90, 720)]
 
 
-@pytest.mark.parametrize("method,M,G", KERNEL_CASES)
-def test_stacked_grid_max_is_bit_identical(method, M, G, monkeypatch):
+@pytest.mark.parametrize("M,G", KERNEL_CASES, ids=[f"pieces-{M}-{G}" for M, G in KERNEL_CASES])
+def test_stacked_grid_max_is_bit_identical(M, G, monkeypatch):
     rng = np.random.default_rng(100 * M + G)
     g, h, beta = awkward_panels(rng, M)
     z = beta * np.conj(np.conj(g) * h)
-    reference = full_enumeration_max if method == "direct" else pieces_loop_max
-    expect = [reference(row, G) for row in z]
+    expect = [pieces_loop_max(row, G) for row in z]
     alone = [
-        certify_optimum(IrsPanel(g=g[p], h=h[p], beta=beta[p]), G, method).grid_max
+        certify_optimum(IrsPanel(g=g[p], h=h[p], beta=beta[p]), G).grid_max
         for p in range(len(z))
     ]
     assert alone == expect
-    assert certify_panels(g, h, beta, G, method).grid_max.tolist() == expect
+    assert certify_panels(g, h, beta, G).grid_max.tolist() == expect
     # chunks of three panels, so boundaries fall inside the stack
-    monkeypatch.setattr(phaseopt, "_panels_per_chunk", lambda method, M, G: 3)
-    assert certify_panels(g, h, beta, G, method).grid_max.tolist() == expect
+    monkeypatch.setattr(phaseopt, "_panels_per_chunk", lambda M: 3)
+    assert certify_panels(g, h, beta, G).grid_max.tolist() == expect
+
+
+# every kernel case whose grid the oracle can enumerate
+ORACLE_CASES = [(M, G) for M, G in KERNEL_CASES if G ** M <= 2_000_000]
+
+
+@pytest.mark.parametrize("M,G", ORACLE_CASES, ids=[f"{M}-{G}" for M, G in ORACLE_CASES])
+def test_grid_max_matches_full_enumeration(M, G):
+    # awkward_panels holds a zero and a 1e-13 term in every position, so
+    # (2, 720), the grid `irsradar certify` runs by default, includes
+    # zero and tiny last terms.  The kernel evaluates one of the G
+    # rotations of the optimal node, which have the same exact modulus;
+    # the enumeration keeps whichever rounded highest.
+    rng = np.random.default_rng(100 * M + G)
+    g, h, beta = awkward_panels(rng, M)
+    z = beta * np.conj(np.conj(g) * h)
+    cert = certify_panels(g, h, beta, G)
+    full = np.array([full_enumeration_max(row, G) for row in z])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(cert.grid_max - full) <= 8 * eps * cert.closed_form)
+    assert within_bound(cert.gap, cert.closed_form, cert.bound).all()
 
 
 def test_stacked_records_match_single_panels():
@@ -242,50 +228,12 @@ def test_stacked_records_match_single_panels():
     alone = [certify_optimum(IrsPanel(g=g[p], h=h[p], beta=beta[p]), 90) for p in range(len(g))]
     for field in ("grid_max", "closed_form", "gap", "bound"):
         assert getattr(stacked, field).tolist() == [getattr(rec, field) for rec in alone]
-    assert {rec.method for rec in alone} == {stacked.method} == {"direct"}
     assert {rec.grid_points for rec in alone} == {90}
     assert within_bound(stacked.gap, stacked.closed_form, stacked.bound).tolist() == [
         rec.within_bound for rec in alone
     ]
     empty = certify_panels(g[:0], h[:0], beta[:0], 90)
     assert empty.grid_max.shape == empty.gap.shape == (0,)
-
-
-def test_direct_equals_full_enumeration_at_benchmark_grid(monkeypatch):
-    # G = 720, M = 2 is what `irsradar certify` runs by default
-    G, M = 720, 2
-    rng = np.random.default_rng(15)
-    g, h, beta = crandn(rng, 40, M), crandn(rng, 40, M), np.ones((40, M))
-    guarded = []
-    for row in ({"last": 0.0}, {"last": 1e-13}, {"first": 0.0}):
-        gp, hp = crandn(rng, M), crandn(rng, M)
-        if "last" in row:
-            gp[-1] *= row["last"]
-        else:
-            gp[0] *= row["first"]
-        guarded.append((gp, hp))
-    g = np.concatenate([g, [gp for gp, _ in guarded]])
-    h = np.concatenate([h, [hp for _, hp in guarded]])
-    beta = np.ones(g.shape)
-    z = beta * np.conj(np.conj(g) * h)
-    full = np.abs(phaseopt._enumerate(z, phaseopt._grid_phasors(G))).max(axis=1)
-    assert full.tolist() == [full_enumeration_max(row, G) for row in z]
-
-    rows_enumerated = []
-    enumerate_ = phaseopt._enumerate
-
-    def counting(zs, phasors):
-        if zs.shape[1] == M:  # only the guard enumerates whole panels
-            rows_enumerated.append(len(zs))
-        return enumerate_(zs, phasors)
-
-    monkeypatch.setattr(phaseopt, "_enumerate", counting)
-    cert = certify_panels(g, h, beta, G)
-    assert cert.method == "direct"
-    assert cert.grid_max.tolist() == full.tolist()
-    # the zero and tiny last terms take the guard; the random panels do not
-    assert 2 <= len(rows_enumerated) <= len(guarded)
-    assert within_bound(cert.gap, cert.closed_form, cert.bound).all()
 
 
 def parent_grid_max_pieces(z, G):
@@ -317,51 +265,33 @@ def test_pieces_turn_table_is_bit_identical(M, G):
     z = np.concatenate([z, [np.full(M, -1.0 + 0j), np.full(M, -1.0 - 0j), np.full(M, 1e-300 + 0j)]])
     expect = parent_grid_max_pieces(z, G)
     assert phaseopt._grid_max_pieces(z, G, phaseopt._turns(G)).tolist() == expect.tolist()
-    # the path without a table, taken when the table would outgrow the call
-    assert phaseopt._grid_max_pieces(z, G, None).tolist() == expect.tolist()
 
 
-@pytest.mark.parametrize("method", ["direct", "pieces"])
-def test_nonfinite_terms_match_parent_kernels(method):
-    # overflowing CSI reaches the kernels as inf and NaN terms
+@pytest.mark.parametrize("kernel", ["pieces"])
+def test_nonfinite_terms_match_parent_kernels(kernel):
+    # overflowing CSI reaches the kernel as inf and NaN terms
     big = 1e200 + 1e200j
     z = np.array([[big * big, 1.0 + 0j], [1.0 + 0j, np.inf + 0j], [np.nan + 0j, 1.0 + 0j]])
     with np.errstate(invalid="ignore", over="ignore"):
-        if method == "direct":
-            phasors = phaseopt._grid_phasors(36)
-            got = phaseopt._grid_max_direct(z, 36, phasors)
-            expect = [np.max(np.abs(phaseopt._enumerate(z[p:p + 1], phasors))) for p in range(len(z))]
-        else:
-            got = phaseopt._grid_max_pieces(z, 36, phaseopt._turns(36))
-            expect = parent_grid_max_pieces(z, 36)
+        got = phaseopt._grid_max_pieces(z, 36, phaseopt._turns(36))
+        expect = parent_grid_max_pieces(z, 36)
     np.testing.assert_array_equal(got, expect)
-    if method == "pieces":
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.testing.assert_array_equal(phaseopt._grid_max_pieces(z, 36, None), expect)
 
 
 def test_each_table_is_built_once_per_call(monkeypatch):
-    built = {"direct": 0, "pieces": 0}
+    built, build = [], phaseopt._turns
 
-    def counted(method, build):
-        def wrapper(G):
-            built[method] += 1
-            return build(G)
-        return wrapper
+    def counted(G):
+        built.append(G)
+        return build(G)
 
-    monkeypatch.setattr(phaseopt, "_grid_phasors", counted("direct", phaseopt._grid_phasors))
-    monkeypatch.setattr(phaseopt, "_turns", counted("pieces", phaseopt._turns))
+    monkeypatch.setattr(phaseopt, "_turns", counted)
     rng = np.random.default_rng(23)
-    # 10 panels at G = 720, M = 2 span three direct chunks and one table
-    g, h = crandn(rng, 10, 2), crandn(rng, 10, 2)
-    certify_panels(g, h, np.ones((10, 2)), 720, method="direct")
-    assert built == {"direct": 1, "pieces": 0}
-    # at M = 3 a panel evaluates 7 x 3 = 21 node phasors, so the G + 5 = 725
-    # entry table is built from 35 panels on, and the results do not move
-    g, h = crandn(rng, 35, 3), crandn(rng, 35, 3)
+    # one panel is a call too; 2000 panels at M = 3 span three chunks
+    g, h = crandn(rng, 2000, 3), crandn(rng, 2000, 3)
     z = np.conj(np.conj(g) * h)
-    for P, tables in ((34, 0), (35, 1)):
-        built["pieces"] = 0
-        cert = certify_panels(g[:P], h[:P], np.ones((P, 3)), 720, method="pieces")
-        assert built["pieces"] == tables
+    for P in (1, 35, 2000):
+        built.clear()
+        cert = certify_panels(g[:P], h[:P], np.ones((P, 3)), 720)
+        assert built == [720]
         assert cert.grid_max.tolist() == parent_grid_max_pieces(z[:P], 720).tolist()
