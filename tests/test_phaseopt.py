@@ -221,6 +221,41 @@ def test_grid_max_matches_full_enumeration(M, G):
     assert within_bound(cert.gap, cert.closed_form, cert.bound).all()
 
 
+def test_pieces_equals_direct_dense_grid():
+    # the interval reduction against the direct enumeration of all 720^2 sums
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        p = random_panel(rng, 2)
+        z = p.beta * np.conj(np.conj(p.g) * p.h)
+        r = certify_optimum(p, 720)
+        assert abs(full_enumeration_max(z, 720) - r.grid_max) < 1e-12
+
+
+def test_direct_equals_full_enumeration_at_benchmark_grid():
+    # G = 720, M = 2 is what `irsradar certify` runs by default; random
+    # panels plus zero and 1e-13 last terms and a zero first term
+    G, M = 720, 2
+    rng = np.random.default_rng(15)
+    g, h = crandn(rng, 40, M), crandn(rng, 40, M)
+    edge = []
+    for row in ({"last": 0.0}, {"last": 1e-13}, {"first": 0.0}):
+        gp, hp = crandn(rng, M), crandn(rng, M)
+        if "last" in row:
+            gp[-1] *= row["last"]
+        else:
+            gp[0] *= row["first"]
+        edge.append((gp, hp))
+    g = np.concatenate([g, [gp for gp, _ in edge]])
+    h = np.concatenate([h, [hp for _, hp in edge]])
+    beta = np.ones(g.shape)
+    z = beta * np.conj(np.conj(g) * h)
+    cert = certify_panels(g, h, beta, G)
+    full = np.array([full_enumeration_max(row, G) for row in z])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(cert.grid_max - full) <= 8 * eps * cert.closed_form)
+    assert within_bound(cert.gap, cert.closed_form, cert.bound).all()
+
+
 def test_stacked_records_match_single_panels():
     rng = np.random.default_rng(14)
     g, h, beta = awkward_panels(rng, 3)
