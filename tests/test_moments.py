@@ -29,8 +29,10 @@ def _cases():
     """name: (template, axis name, axis values, modes, workers).
 
     The first two are the CLI's default sweep-gamma and sweep-noise; the
-    rest are the record cases of test_golden at CASE_TRIALS trials, kept
-    here as they were when the fixture was recorded.
+    next seven are the record cases of test_golden at CASE_TRIALS trials,
+    kept here as they were when the fixture was recorded.  The last two,
+    added later with --add-cases, are the large benchmark's sweep-noise
+    shape and a full noise_cov at N = 64.
     """
     base = dict(RECORD_BASE, trials=CASE_TRIALS)
     return {
@@ -49,6 +51,10 @@ def _cases():
         "workers_2": (Scenario(**base), "gamma", GAMMAS, SWEEP_MODES, 2),
         "exclusions": (Scenario(n=20, k=5, m=2, trials=CASE_TRIALS, master_seed=1,
                                 doppler_min_gap=0.155), "gamma", GAMMAS, SWEEP_MODES, 1),
+        "sweep_noise_large": (Scenario(n=256, k=32, m=64, gamma=1e-2, trials=CASE_TRIALS),
+                              "sigma2", np.geomspace(1e-5, 1.0, 3), SWEEP_MODES, 1),
+        "noise_cov_large": (Scenario(n=64, k=8, m=16, trials=CASE_TRIALS, master_seed=6,
+                                     noise_cov=_noise_cov(64)), "gamma", GAMMAS, SWEEP_MODES, 1),
     }
 
 
@@ -86,11 +92,27 @@ def test_nmse_means_match_fixture(case):
 
 
 def record_moments(argv=None):
-    """Print each case's worst nmse z-score; with --rewrite-fixture, rewrite the fixture."""
+    """Print each case's worst nmse z-score; with --rewrite-fixture, rewrite the fixture.
+
+    --add-cases records only the named cases and merges them into the
+    fixture, leaving every array already in it as it is.
+    """
     parser = argparse.ArgumentParser(description=record_moments.__doc__)
     parser.add_argument("--rewrite-fixture", action="store_true",
                         help=f"overwrite {MOMENTS_FIXTURE.name} with this engine's moments")
+    parser.add_argument("--add-cases", nargs="+", choices=sorted(_cases()), metavar="CASE",
+                        help=f"add these cases, not yet in {MOMENTS_FIXTURE.name}, to it")
     args = parser.parse_args(argv)
+    if args.add_cases:
+        with np.load(MOMENTS_FIXTURE) as ref:
+            arrays = {key: ref[key] for key in ref.files}
+        for case in args.add_cases:
+            if any(key.startswith(f"{case}.") for key in arrays):
+                parser.error(f"{case} is already in {MOMENTS_FIXTURE.name}")
+            arrays.update(case_moments(case))
+        np.savez_compressed(MOMENTS_FIXTURE, **arrays)
+        print(f"added {', '.join(args.add_cases)} to {MOMENTS_FIXTURE}")
+        return
     arrays = {}
     for case in sorted(_cases()):
         arrays.update(case_moments(case))
