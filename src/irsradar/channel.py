@@ -127,13 +127,35 @@ def compose_paths(g, h, theta, beta, form: str = "magnitude_squared") -> np.ndar
     each other and the result has their shape without the last axis; one
     panel's 1-D g, h, theta and beta give its coefficient as a 0-d array.
     theta must already be wrapped as a panel stores it (see wrap_phase).
-    All rows go through one np.vecdot, which runs the same BLAS dot on
-    each row as np.vdot on that row alone, so a row's value does not
-    depend on the rows stacked with it.
     """
     if form not in NLOS_FORMS:
         raise ValueError(f"unknown nlos form: {form!r}")
-    z = np.vecdot(np.conj(g) * h, beta * np.exp(1j * theta))
+    return combine_paths(np.conj(g) * h, beta * np.exp(1j * theta), form)
+
+
+def combine_paths(c, weights, form: str) -> np.ndarray:
+    """c_k^H weights_k of each (..., K, M) row, in the given nlos form.
+
+    weights holds each element's reflection beta * e^{j theta}, so this is
+    compose_paths once c = conj(g) * h and the phasors are formed.  All
+    rows go through one np.vecdot, which runs the same BLAS dot on each
+    row as np.vdot on that row alone, so a row's value does not depend on
+    the rows stacked with it.
+    """
+    return _in_form(np.vecdot(c, weights), form)
+
+
+def aligned_paths(c, beta, form: str) -> np.ndarray:
+    """The coefficients at the aligning phases theta = arg(c): sum_m beta_m |c_m|.
+
+    Each term of c^H (beta e^{j arg c}) is beta_m |c_m|, so the sum is
+    formed directly, with no angle or exponential; beta None means all 1.
+    """
+    gain = np.abs(c) if beta is None else beta * np.abs(c)
+    return _in_form(np.sum(gain, axis=-1).astype(complex), form)
+
+
+def _in_form(z, form: str):
     if form == "magnitude_squared":
         z = (z.real * z.real + z.imag * z.imag).astype(complex)
     return z

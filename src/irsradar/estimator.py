@@ -67,7 +67,7 @@ class NoiseModel:
         if self.is_scaled_identity:
             if self.sigma2 is None or self.sigma2 <= 0 or self.n is None:
                 raise ValueError("scaled identity needs sigma2 > 0 and n")
-            object.__setattr__(self, "_chol", None)
+            object.__setattr__(self, "_whiten", None)
             object.__setattr__(self, "_inv", None)
             return
         R = np.asarray(self.covariance, dtype=complex)
@@ -83,7 +83,7 @@ class NoiseModel:
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance is not positive definite") from exc
         chol_inv = np.linalg.inv(chol)
-        object.__setattr__(self, "_chol", chol)  # R = L L^H, which colours a draw
+        object.__setattr__(self, "_whiten", chol_inv)  # L^-1 with R = L L^H: L^-1 S is white
         object.__setattr__(self, "_inv", chol_inv.conj().T @ chol_inv)
 
     @classmethod

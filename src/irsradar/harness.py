@@ -7,12 +7,23 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011) keyed by
 (master_seed, axis_index): trial t's B 4-word blocks of a stream sit at
 the counters (t * B + j, stream id, scene attempt, 0), j = 1..B, B fixed
 by the stream's word count.  A given trial at a given axis point
-therefore reproduces the identical waveform, Doppler set, CSI, and
-noise in every link mode, so mode comparisons are paired; and any trial
-can be regenerated in isolation, which keeps sweeps bit-reproducible
-under any degree of parallelism.  A uniform is a word's top 53 bits
-times 2^-53; a complex Gaussian takes two words, for its modulus
-sqrt(-ln(1 - u)) and its angle 2 pi u.
+therefore reproduces the identical Doppler set, CSI, noise and (under
+noise_cov) code in every link mode, so mode comparisons are paired; and
+any trial can be regenerated in isolation, which keeps sweeps
+bit-reproducible under any degree of parallelism.  A uniform is a word's
+top 53 bits times 2^-53; a complex Gaussian takes two words, for its
+modulus sqrt(-ln(1 - u)) and its angle 2 pi u.
+
+What is drawn is what the BLUE sees, not the pulses.  The estimate
+depends on the data only through the steering Gram Q = S^H R^-1 S and
+v = S^H R^-1 w, and v ~ CN(0, Q) exactly for any R (Kay, Fundamentals of
+Statistical Signal Processing: Estimation Theory, 1993, ch. 6).  So the
+noise stream gives k + 1 complex normals z, and v = F z with Q = F F^H
+(see _steering_gram), not N noise samples.  A random panel enters only
+through c = conj(g) h, so the channel stream gives each element's c from
+three words (_path_products) rather than g and h from four.  With white
+noise Q does not depend on the code, so the code stream is read only
+under noise_cov, and freeze_waveform changes no bit of a white-noise run.
 
 Doppler convention
 ------------------
@@ -25,7 +36,9 @@ drawn exactly from uniform spacings (Pyke, "Spacings", JRSS-B 1965), not
 by rejection; see _dopplers.  Unresolvable paths make the Gram matrix
 arbitrarily ill-conditioned, so without the separation floor the
 per-axis means are dominated by rare near-singular draws and do not
-stabilize at realistic trial counts.
+stabilize at realistic trial counts.  doppler_range is at most one cycle
+wide: the steering vectors see nu only modulo one cycle, so on a wider
+range the separation floor would not separate the paths.
 
 Recorded metrics
 ----------------
@@ -56,46 +69,58 @@ Block evaluation
 A sweep evaluates each axis point's trials in blocks.  Consecutive
 trials' counter ranges are contiguous, so each stream of a block is one
 random_raw call; the scene redraw runs over the trials still pending,
-and all arithmetic on the words runs once over the block.
+and all arithmetic on the words runs once over the block.  The reflected
+modes' coefficients are composed from the phasors themselves:
+nlos_random weights c by the phasors of its phase words, nlos_optimal is
+sum_m beta_m |c_m|, the value composing at the aligning phases reaches,
+and nlos_fixed's weights are formed once per Scenario; no angle, wrap or
+exponential of a phase runs per trial.
 
 Estimation then runs in K-space.  Every link mode of a trial shares the
-code x, the Dopplers and the noise w; only the path coefficients differ,
-so a mode's model is A = S Diag(d), where S = Diag(x) P(nu) holds the
-steering columns of all 1 + k paths and d the mode's normalized
-coefficients.  Once per block, with the point's noise model, which all
-its modes share, the steering Gram Q = S^H R^-1 S and v = S^H R^-1 w are
-formed; this is the only work on N-vectors after the draw.  Each mode
-then takes its paths' part of Q and v (entry [0, 0] for the direct link,
-block [1:, 1:] for the reflected ones) and with D = Diag(d) has Gram
-D^H Q D = A^H R^-1 A and matched filter D^H (Q D alpha + v) = A^H R^-1 y,
-so neither A nor y is formed, and one stacked BLUE on those K x K
-quantities gives its records.
+Dopplers, the noise and, under noise_cov, the code; only the path
+coefficients differ, so a mode's model is A = S Diag(d), where S =
+Diag(x) P(nu) holds the steering columns of all 1 + k paths and d the
+mode's normalized coefficients.  Once per block, with the point's noise
+model, which all its modes share, Q and v are formed: with white noise
+Q = P^H P / sigma2 is the closed-form Dirichlet kernel (_dirichlet_gram),
+so no N-vector of a trial exists; under noise_cov S is whitened by R's
+factor, stored once per Scenario.  Each mode then takes its paths' part
+of Q and v (entry [0, 0] for the direct link, block [1:, 1:] for the
+reflected ones) and with D = Diag(d) has Gram D^H Q D = A^H R^-1 A and
+matched filter D^H (Q D alpha + v) = A^H R^-1 y, so neither A nor y is
+formed, and one stacked BLUE on those K x K quantities gives its
+records.  Q is singular when two paths coincide, or when k + 1 paths
+exceed N pulses; v then comes from an eigh square root of Q, whose law
+is the same, and only the mode whose own Gram is singular excludes the
+trial, through the BLUE's condition screen, as before.
 
-A block holds as many trials as its largest complex stack fits in
-BLOCK_BYTES (_block_trials): a trial counts 16 max(N (k + 1), k M) bytes,
-its N x (k + 1) steering columns or its k x M panel draws, whichever is
-larger.  No stage holds more than two steering-sized arrays of a trial
-(S and R^-1 S, each conjugated in place once spent) or about eight
-panel-sized ones (the channel words and the steps that turn them into
-normals, which write into arrays they read), so a block's memory stays
-within a small multiple of BLOCK_BYTES at any N, k and M.
+A block holds as many trials as its largest array fits in BLOCK_BYTES
+(_block_trials): a trial counts its 3 k M channel words, or under
+noise_cov its N x (k + 1) steering columns if larger.  No stage holds
+more than about six word-sized arrays of a trial (the words and the
+index, phasor and turn arrays that turn them into values, which reuse
+what they can), or two steering-sized ones under noise_cov, so a
+block's memory stays within a small multiple of BLOCK_BYTES at any N, k
+and M.
 
 A trial's records do not depend on the block it lands in, so they are
 the same bits as evaluating it alone with run_trial, whatever the block
 size or worker count.  The stacked steps are only those that apply the
 same kernel to every item: elementwise ufuncs, stacked matmul and
 np.vecdot (one BLAS call per item, the same dot np.vdot, a 1-D @ and
-np.linalg.norm make on one item), and numpy's stacked eigvalsh,
+np.linalg.norm make on one item), and numpy's stacked eigvalsh, eigh,
 cholesky and inv (one LAPACK call per item).  That covers each panel
 row's coefficient, each trial's alpha^T c zero check and normalization
-norm, the colouring of the noise with a full noise_cov, the steering
-table, the steering Gram, the Cholesky factorization and the NMSE norms.
-Replacing per-trial PCG64 streams by the Philox ranges above redrew
-every record: each mean NMSE stays within 4 standard errors of the
-moments in tests/data/moments_fixture.npz, recorded before it, and
-tests/data/records_fixture.npz holds the new records, which later
-engines keep within 1e-9.  A trial whose draw or any mode's estimate
-raises a NumericalError is excluded from every mode, as before.
+norm, the closed-form Gram, the whitened steering Gram, the square root
+of Q and v, the Cholesky factorization and the NMSE norms.
+Twice a change redrew every record: the Philox ranges that replaced
+per-trial PCG64 streams, and then the draw of v, c and the phasors in
+place of the pulses.  Each time every mean NMSE stayed within 4
+standard errors of the moments in tests/data/moments_fixture.npz,
+recorded before it, and tests/data/records_fixture.npz took the new
+records, which later engines keep within 1e-9.  A trial whose draw or
+any mode's estimate raises a NumericalError is excluded from every
+mode, as before.
 """
 from __future__ import annotations
 
@@ -105,11 +130,17 @@ from functools import cache
 import numpy as np
 from numpy.random import Philox
 
-from .channel import NLOS_FORMS, _same_value, compose_paths, stack_panels, wrap_phase
+from .channel import (
+    NLOS_FORMS,
+    _same_value,
+    aligned_paths,
+    combine_paths,
+    stack_panels,
+    wrap_phase,
+)
 from .errors import GenerationError
 from .estimator import NoiseModel, _hermitian, blue_gram, nmse_rows
 from .model import check_coefficients, random_code, steering_columns
-from .phaseopt import optimal_phases
 
 LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
 
@@ -128,9 +159,9 @@ SEED_BOUND = 2**64
 POWER_RANGE = (1e-30, 1e30)
 
 # A block holds as many trials as fit this many bytes of its largest
-# stacked complex array, and at least one; see _block_trials.  A block's
-# traced peak is about 2x this at large N and 8x at large M.
-BLOCK_BYTES = 512 * 1024
+# stacked array, and at least one; see _block_trials.  A block's traced
+# peak is about 2.5x this at large N, k and M.
+BLOCK_BYTES = 320 * 1024
 
 MODE_LABELS = {
     "los_only": "los",
@@ -153,8 +184,10 @@ class Scenario:
     master_seed: int = 0
     link_mode: str = "nlos_optimal"
     nlos_form: str = "complex"
-    doppler_range: tuple = (-0.5, 0.5)  # cycles per pulse
+    doppler_range: tuple = (-0.5, 0.5)  # cycles per pulse, at most one cycle wide
     doppler_min_gap: float = None  # cycles; None means 1/(4n)
+    # one code for every trial; the code is drawn only under noise_cov, since
+    # with white noise no record depends on it, so there this changes no bit
     freeze_waveform: bool = False
     fixed_theta: tuple = None  # k phase vectors of length m; required for link_mode="nlos_fixed"
     fixed_panels: tuple = None  # CSI replay; overrides the panel draw
@@ -184,11 +217,11 @@ class Scenario:
             raise ValueError("doppler_range bounds must be finite")
         if not lo < hi:
             raise ValueError("doppler_range must be a nonempty interval")
-        # the draw's rounding margin (_spacing_floor) sums |lo| + |hi| + span
+        # the steering vectors see nu only modulo one cycle, so on a wider
+        # range the separation floor would not separate the paths
         with np.errstate(over="ignore"):
-            width = abs(lo) + abs(hi) + (hi - lo)
-        if not np.isfinite(width):
-            raise ValueError("doppler_range is too wide: its span overflows the float range")
+            if not hi - lo <= 1.0:
+                raise ValueError(f"doppler_range must span at most one cycle, got {hi - lo:g}")
         gap = self.min_gap_cycles
         if not np.isfinite(gap):
             raise ValueError("doppler_min_gap must be finite")
@@ -196,9 +229,7 @@ class Scenario:
         floor = gap if self.k == 1 else _spacing_floor(lo, hi, gap)
         if gap < 0 or self.k * floor >= (hi - lo):
             raise ValueError("doppler_min_gap leaves no room for k paths")
-        # the draw's phase and panel arrays, each a K x M stack; not fields,
-        # so kept out of eq and repr like _noise below
-        theta = None
+        theta = None  # fixed_theta, wrapped as a panel stores its phases
         if self.fixed_theta is not None:
             thetas = [np.atleast_1d(np.asarray(t, dtype=float)) for t in self.fixed_theta]
             sizes = sorted({t.size for t in thetas})
@@ -210,7 +241,6 @@ class Scenario:
             if not np.all(np.isfinite(thetas)):
                 raise ValueError("fixed_theta has non-finite entries")
             theta = wrap_phase(np.stack(thetas))
-        object.__setattr__(self, "_theta", theta)
         if self.link_mode == "nlos_fixed" and self.fixed_theta is None:
             raise ValueError("nlos_fixed requires fixed_theta")
         panel_csi = None
@@ -233,7 +263,16 @@ class Scenario:
                     f"(sum_m beta_m |g_m h_m|)^2 of {', '.join(f'{p:.3g}' for p in aligned[bad])}, "
                     f"outside [{lo:g}, {hi:g}]"
                 )
+        # the draw's panel arrays and the fixed phases' element weights
+        # beta e^{j theta}, each a K x M stack formed once; not fields, so
+        # kept out of eq and repr like _noise below
         object.__setattr__(self, "_panel_csi", panel_csi)
+        weights = None
+        if theta is not None:
+            weights = np.exp(1j * theta)
+            if panel_csi is not None:
+                weights *= panel_csi[2]
+        object.__setattr__(self, "_fixed_weights", weights)
         if self.noise_cov is None:
             noise = NoiseModel.scaled_identity(self.sigma2, self.n)
         else:
@@ -312,25 +351,24 @@ def _unit_phasors(words: np.ndarray) -> np.ndarray:
     by d is 1 - d^2/2 + j d, whose truncation error d^3/6 is under 4e-17.
     The result is within a few eps of np.exp(2j * np.pi * u), at a third
     to a half of its cost, and elementwise, so stacking does not change it.
-    The index and turn arrays are reused, and each array is freed once
-    spent, so the chain holds one complex array besides its result.
+    Each field is cut from the words into one reused index array, and the
+    turn by d is built in the fine turn's array, so the chain holds two
+    complex arrays and one index array besides the words.
     """
     coarse, fine = _turn_tables()
-    v = words >> np.uint64(11)
-    i = v >> np.uint64(43)
+    i = words >> np.uint64(54)  # u's top 10 bits
     out = coarse[i]
-    np.right_shift(v, np.uint64(33), out=i)
-    i &= np.uint64(1023)
+    np.right_shift(words, np.uint64(44), out=i)
+    i &= np.uint64(1023)  # its next 10
     turn = fine[i]
-    del i
     out *= turn
-    v &= np.uint64(2**33 - 1)
-    d = v * (2.0 * np.pi * 2.0**-53)
-    del v
-    half = d * d
-    half *= 0.5
-    turn.real = np.subtract(1.0, half, out=half)
-    turn.imag = d
+    np.right_shift(words, np.uint64(11), out=i)
+    i &= np.uint64(2**33 - 1)  # its last 33
+    np.multiply(i, 2.0 * np.pi * 2.0**-53, out=turn.imag)  # d
+    del i
+    np.multiply(turn.imag, turn.imag, out=turn.real)
+    turn.real *= 0.5
+    np.subtract(1.0, turn.real, out=turn.real)
     out *= turn
     return out
 
@@ -347,6 +385,28 @@ def _complex_normals(words: np.ndarray) -> np.ndarray:
     radius = _uniforms(words[..., 0::2])
     for step in (np.negative, np.log1p, np.negative, np.sqrt):
         step(radius, out=radius)
+    return np.multiply(radius, phasors, out=phasors)
+
+
+def _path_products(words: np.ndarray) -> np.ndarray:
+    """conj(g) h of independent g, h ~ CN(0, 1) from word triples, (..., 3C) -> (..., C).
+
+    |g|^2 and |h|^2 are independent Exp(1) variables E1 and E2, and the
+    angles of g and h independent uniforms, independent of the moduli, so
+    conj(g) h has modulus sqrt(E1 E2) and a uniform angle independent of
+    it.  The triple's first two words give ln(1 - u) = -E as in
+    _complex_normals and its third the angle, so a product takes three
+    words and one phasor instead of the four words and two phasors of g
+    and h.
+    """
+    phasors = _unit_phasors(words[..., 2::3])
+    radius = _uniforms(words[..., 0::3])
+    other = _uniforms(words[..., 1::3])
+    for r in (radius, other):
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+    radius *= other
+    np.sqrt(radius, out=radius)
     return np.multiply(radius, phasors, out=phasors)
 
 
@@ -384,22 +444,20 @@ def _dopplers(u: np.ndarray, lo: float, hi: float, k: int, gap: float) -> np.nda
 def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     """Everything random in a block of trials; identical for every link mode.
 
-    Trial t reads its counter ranges (see the module docstring), the
-    waveform trial 0's when frozen.  A scene is redrawn, on the next
-    attempt's counters of the channel and phase streams, while
-    alpha_los * h_los or alpha^T c of any reflected mode is exactly zero,
-    so all link modes accept or reject identical draws and pairing is
-    preserved.  Phases are wrapped as often as the panel path wraps them:
-    once on fixed_theta and on the random phases, and once more on
-    optimal_phases' already wrapped output.
+    Trial t reads its counter ranges (see the module docstring), the code
+    trial 0's when frozen.  A scene is redrawn, on the next attempt's
+    counters of the channel and phase streams, while alpha_los * h_los or
+    alpha^T c of any reflected mode is exactly zero, so all link modes
+    accept or reject identical draws and pairing is preserved.
 
     Returns a dict over the drawn trials, in order: "drawn" their
-    positions in `trials`, "x" the (T, N) codes, "u" the (T, k + 1)
-    Dopplers in cycles (the direct path's first), "h_los" and
-    "alpha_los" (T,), "alpha" (T, k), "csi" mapping nlos_random,
-    nlos_optimal and, with fixed_theta, nlos_fixed to the (T, k) raw
-    composed coefficients, and "w" the (T, N) noise.  "failed" maps the other positions to the GenerationError that
-    excluded them.
+    positions in `trials`; "u" the (T, k + 1) Dopplers in cycles, the
+    direct path's first; "h_los" and "alpha_los" (T,); "alpha" (T, k);
+    "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
+    nlos_fixed to the (T, k) raw composed coefficients; "z" (T, k + 1)
+    CN(0, 1) values, from which _steering_gram forms the noise's matched
+    filter; and, under noise_cov only, "x" the (T, N) codes.  "failed"
+    maps the other positions to the GenerationError that excluded them.
     """
     trials = list(trials)
     if axis_index < 0 or min(trials, default=0) < 0:
@@ -414,8 +472,10 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     lo, hi = scenario.doppler_range
     u = _dopplers(_uniforms(words("doppler", 2 * k + 1)), lo, hi, k, scenario.min_gap_cycles)
 
-    fixed = scenario.fixed_panels is not None
-    sizes = (1, k, 1) if fixed else (1, k * m, k * m, k, 1)
+    # the channel stream: h_los, alpha and alpha_los as word pairs, then
+    # the k x M products conj(g) h of random panels as word triples
+    pairs = 2 * (k + 2)
+    count = pairs if scenario.fixed_panels is not None else pairs + 3 * k * m
     h_los = np.zeros(len(trials), complex)
     alpha_los = np.zeros(len(trials), complex)
     alpha = np.zeros((len(trials), k), complex)
@@ -425,32 +485,27 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         if todo.size == 0:
             break
         rows = [trials[j] for j in todo]
-        z = _complex_normals(words("channel", 2 * sum(sizes), rows, attempt))
-        parts = np.split(z, np.cumsum(sizes)[:-1], axis=1)
-        if fixed:
-            hl, al, al_los = parts
-            g, h, beta = scenario._panel_csi
-        else:
-            hl, g, h, al, al_los = parts
-            g, h, beta = g.reshape(-1, k, m), h.reshape(-1, k, m), np.ones((k, m))
+        w = words("channel", count, rows, attempt)
+        hl, al, al_los = np.split(_complex_normals(w[:, :pairs]), [1, k + 1], axis=1)
         hl, al_los = hl[:, 0], al_los[:, 0]
-        random_theta = 2.0 * np.pi * _uniforms(words("phase", k * m, rows, attempt))
-        thetas = {"nlos_random": wrap_phase(random_theta.reshape(-1, k, m)),
-                  "nlos_optimal": wrap_phase(optimal_phases(g, h))}
-        if scenario._theta is not None:
-            thetas["nlos_fixed"] = scenario._theta
+        if scenario.fixed_panels is not None:
+            g, h, beta = scenario._panel_csi
+            c = np.conj(g) * h
+        else:
+            c, beta = _path_products(w[:, pairs:]).reshape(-1, k, m), None
+        del w
         composed = {
-            mode: np.broadcast_to(compose_paths(g, h, theta, beta, scenario.nlos_form),
-                                  (todo.size, k))
-            for mode, theta in thetas.items()
+            mode: np.broadcast_to(coef, (todo.size, k))
+            for mode, coef in _compose_modes(scenario, c, beta,
+                                             words("phase", k * m, rows, attempt)).items()
         }
         ok = hl * al_los != 0
-        for c in composed.values():
-            ok &= _project(al, c) != 0
+        for coef in composed.values():
+            ok &= _project(al, coef) != 0
         done = todo[ok]
         h_los[done], alpha_los[done], alpha[done] = hl[ok], al_los[ok], al[ok]
-        for mode, c in composed.items():
-            csi.setdefault(mode, np.zeros((len(trials), k), complex))[done] = c[ok]
+        for mode, coef in composed.items():
+            csi.setdefault(mode, np.zeros((len(trials), k), complex))[done] = coef[ok]
         todo = todo[~ok]
     failed = {j: GenerationError("scene still degenerate after resample budget")
               for j in todo.tolist()}
@@ -458,24 +513,40 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     kept = np.ones(len(trials), dtype=bool)
     kept[todo] = False
     drawn = np.flatnonzero(kept)
-    w = _complex_normals(words("noise", 2 * n))[drawn]
-    if scenario.noise_cov is None:
-        w = np.sqrt(scenario.sigma2) * w
-    else:  # L w per trial, R = L L^H; one matrix-vector product each
-        w = (scenario._noise._chol @ w[..., None])[..., 0]
-    code = _uniforms(words("waveform", n, [0] if scenario.freeze_waveform else trials))
-    x = random_code(2.0 * np.pi * np.broadcast_to(code, (len(trials), n))[drawn])
-    return {
+    block = {
         "drawn": drawn,
-        "x": x,
         "u": u[drawn],
         "h_los": h_los[drawn],
         "csi": {mode: c[drawn] for mode, c in csi.items()},
         "alpha": alpha[drawn],
         "alpha_los": alpha_los[drawn],
-        "w": w,
+        "z": _complex_normals(words("noise", 2 * (k + 1)))[drawn],
         "failed": failed,
     }
+    if scenario.noise_cov is not None:
+        code = _uniforms(words("waveform", n, [0] if scenario.freeze_waveform else trials))
+        block["x"] = random_code(2.0 * np.pi * np.broadcast_to(code, (len(trials), n))[drawn])
+    return block
+
+
+def _compose_modes(scenario: Scenario, c: np.ndarray, beta, phase_words: np.ndarray) -> dict:
+    """The raw path coefficients of each reflected mode, from c = conj(g) * h.
+
+    c is (T, k, M), or (k, M) for replayed panels, whose gains beta are
+    then (k, M); beta None means all 1.  nlos_random weights the elements
+    by the phasors of its phase words (_unit_phasors), nlos_optimal takes
+    the aligned sum over beta |c| (channel.aligned_paths), and nlos_fixed
+    the weights the Scenario formed once from fixed_theta.
+    """
+    form = scenario.nlos_form
+    phasors = _unit_phasors(phase_words).reshape(-1, scenario.k, scenario.m)
+    if beta is not None:
+        phasors *= beta
+    composed = {"nlos_random": combine_paths(c, phasors, form),
+                "nlos_optimal": aligned_paths(c, beta, form)}
+    if scenario._fixed_weights is not None:
+        composed["nlos_fixed"] = combine_paths(c, scenario._fixed_weights, form)
+    return composed
 
 
 def _project(alpha: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -483,24 +554,86 @@ def _project(alpha: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (alpha[:, None, :] @ c[:, :, None])[:, 0, 0]
 
 
+def _dirichlet_gram(u: np.ndarray, n: int) -> np.ndarray:
+    """P^H P of each trial's steering columns p(nu) = exp(2 pi j nu (0..n-1)), in closed form.
+
+    Entry (k, l) is sum_i exp(2 pi j i d) = e^{j pi (n - 1) d} sin(n pi d) /
+    sin(pi d), the Dirichlet kernel at d = nu_l - nu_k cycles, which is
+    1-periodic; d is reduced to [-1/2, 1/2] first, so sin(pi d) is small
+    only for nearly coincident paths, where the ratio stays accurate, and
+    it is exactly 0 only at d = 0, where the entry is n.  Each off-diagonal
+    pair is formed once, the lower entry as the upper one's conjugate, so
+    the result is exactly Hermitian.  u is (T, k + 1) in cycles; the result
+    is (T, k + 1, k + 1), elementwise per trial, so stacking does not
+    change it.
+    """
+    size = u.shape[-1]
+    rows, cols = np.triu_indices(size, 1)
+    d = u[:, cols] - u[:, rows]  # nu_l - nu_k for k < l
+    d -= np.rint(d)
+    d *= np.pi
+    den = np.sin(d)
+    ratio = np.sin(n * d)
+    np.divide(ratio, den, out=ratio, where=den != 0)
+    ratio[den == 0] = n
+    d *= n - 1
+    entry = np.exp(1j * d)
+    entry *= ratio
+    gram = np.empty((len(u), size, size), complex)
+    gram[:, rows, cols] = entry
+    gram[:, cols, rows] = entry.conj()
+    gram[:, np.arange(size), np.arange(size)] = n
+    return gram
+
+
+def _gram_root(q: np.ndarray) -> np.ndarray:
+    """F with Q = F F^H for each Hermitian Q of a stack: its Cholesky factor where it has one.
+
+    Where Q is not positive definite to working precision (two paths
+    nearly coincide), F = U Lambda^1/2 from eigh, with the rounding's
+    negative eigenvalues set to 0; F z with z ~ CN(0, I) is CN(0, Q) for
+    either root.  Both run one LAPACK call per item, so an item's root does
+    not depend on the stack.
+    """
+    try:
+        return np.linalg.cholesky(q)
+    except np.linalg.LinAlgError:
+        pass
+    roots = np.empty_like(q)
+    for t in range(len(q)):
+        try:
+            roots[t] = np.linalg.cholesky(q[t])
+        except np.linalg.LinAlgError:
+            lam, vec = np.linalg.eigh(q[t])
+            roots[t] = vec * np.sqrt(np.maximum(lam, 0.0))
+    return roots
+
+
 def _steering_gram(block, noise: NoiseModel):
-    """Q = S^H R^-1 S and v = S^H R^-1 w of each trial in the block.
+    """Q = S^H R^-1 S and a draw of v = S^H R^-1 w for each trial in the block.
 
     S = Diag(x) P(nu) holds the steering columns of all k + 1 paths, the
     direct one first, so Q is (T, k + 1, k + 1) Hermitian and v (T, k + 1).
-    Every link mode's model is A = S Diag(c) on its paths, so its Gram
-    A^H R^-1 A and matched filter A^H R^-1 (A alpha + w) follow from Q and
-    v alone; see _estimate_mode.
+    With white noise |x_n| = 1 gives Q = P^H P / sigma2, the closed-form
+    Dirichlet kernel (_dirichlet_gram), with no code and no N-vector.
+    Under noise_cov S is whitened by R = L L^H's factor, W = L^-1 S, and
+    Q = W^H W.  For w ~ CN(0, R), v is exactly CN(0, Q), so it is drawn as
+    F z from a square root Q = F F^H (_gram_root) and the block's k + 1
+    normals z.  Every link mode's model is A = S Diag(c) on its paths, so
+    its Gram A^H R^-1 A and matched filter A^H R^-1 (A alpha + w) follow
+    from Q and v alone; see _estimate_mode.
     """
-    steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
-    ris = noise.solve(steer)
-    # S and R^-1 S are conjugated in place once spent as they are, and
-    # dropped before the Hermitian part is taken, so the block holds two
-    # (T, N, k + 1) arrays at most
-    q = np.conjugate(steer, out=steer).swapaxes(-1, -2) @ ris
-    v = (np.conjugate(ris, out=ris).swapaxes(-1, -2) @ block["w"][..., None])[..., 0]
-    del steer, ris
-    return _hermitian(q), v
+    if noise.is_scaled_identity:
+        q = _dirichlet_gram(block["u"], noise.n)
+        q /= noise.sigma2
+    else:
+        steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
+        white = noise._whiten @ steer
+        del steer
+        q = _hermitian(white.conj().swapaxes(-1, -2) @ white)
+        del white
+    v = (_gram_root(q) @ block["z"][..., None])[..., 0]
+    return q, v
 
 
 def _estimate_mode(scenario: Scenario, block, q, v, rows):
@@ -602,15 +735,19 @@ class SweepResult:
 
 
 def _block_trials(scenario: Scenario) -> int:
-    """Trials per block: as many as fit BLOCK_BYTES of the block's largest complex array.
+    """Trials per block: as many as fit BLOCK_BYTES of the block's largest array.
 
-    A trial's largest arrays are its N x (k + 1) steering columns and its
-    k x M panel draws, so it counts 16 max(N (k + 1), k M) bytes: 109
-    trials at the default N = 50, k = 5, M = 10, three at N = 256, k = 32,
-    M = 64, and one once k M exceeds 16384.
+    A trial's largest array is its channel draw's 3 k M words (24 k M
+    bytes), the words of its conj(g) h products, unless under noise_cov
+    its N x (k + 1) steering columns (16 N (k + 1) bytes) are larger; its
+    (k + 1) x (k + 1) Gram (16 (k + 1)^2) is the largest array of the
+    white-noise estimate.  That gives 273 trials at the default N = 50,
+    k = 5, M = 10, six at N = 256, k = 32, M = 64 (two under noise_cov),
+    and one once k M exceeds 6826.
     """
     n, k, m = scenario.n, scenario.k, scenario.m
-    return max(1, BLOCK_BYTES // (16 * max(n * (k + 1), k * m)))
+    steering = n * (k + 1) if scenario.noise_cov is not None else (k + 1) ** 2
+    return max(1, BLOCK_BYTES // max(24 * k * m, 16 * steering))
 
 
 def _point_trials(args):

@@ -118,10 +118,12 @@ def test_nlos_form_dispatch():
 @pytest.mark.parametrize("gamma", [1e-2, 1.0, 37.5])
 def test_normalization_hits_targets(form, gamma):
     # the engine's normalized scene, rebuilt from its draws as
-    # A = Diag(x) P(nu) Diag(c) with |alpha^T c| = 1 for the reflected modes
-    # and |alpha_los c|^2 = gamma for the direct link, must give the
-    # records' bound Tr((A^H A / sigma2)^-1), mse = bound / norm^2, and the
-    # nmse of the least-squares estimate (the BLUE under white noise)
+    # A = P(nu) Diag(c) with |alpha^T c| = 1 for the reflected modes and
+    # |alpha_los c|^2 = gamma for the direct link (a white-noise model does
+    # not depend on the unimodular code), must give the records' bound
+    # Tr((A^H A / sigma2)^-1), mse = bound / norm^2, and the nmse of the
+    # BLUE on the matched filter A^H A alpha / sigma2 + Diag(c)^H v, where
+    # v is the block's draw of the noise's matched filter
     n, sigma2 = 20, 1e-2
     for mode in ("los_only", "nlos_random", "nlos_optimal"):
         s = Scenario(n=n, k=3, m=4, gamma=gamma, sigma2=sigma2, link_mode=mode, nlos_form=form)
@@ -134,28 +136,30 @@ def test_normalization_hits_targets(form, gamma):
             if mode == "los_only":
                 raw, alpha = np.array([block["h_los"][t]]), np.array([block["alpha_los"][t]])
                 norm = abs(alpha[0] * raw[0]) / np.sqrt(gamma)
-                nus = block["u"][t, :1]
+                paths = slice(0, 1)
             else:
                 raw, alpha = block["csi"][mode][t], block["alpha"][t]
                 norm = abs(alpha @ raw)
-                nus = block["u"][t, 1:]
+                paths = slice(1, None)
             c = raw / norm
             target = gamma if mode == "los_only" else 1.0
             assert abs(abs(alpha @ c) ** 2 - target) < 1e-10 * target
-            P = np.exp(1j * np.outer(np.arange(n), 2.0 * np.pi * nus))
-            A = np.diag(block["x"][t]) @ P @ np.diag(c)
-            bound = np.trace(np.linalg.inv(A.conj().T @ A / sigma2)).real
+            P = np.exp(1j * np.outer(np.arange(n), 2.0 * np.pi * block["u"][t, paths]))
+            A = P @ np.diag(c)
+            gram = A.conj().T @ A / sigma2
+            bound = np.trace(np.linalg.inv(gram)).real
             assert records[2, t] == pytest.approx(bound, rel=1e-10)
             assert records[1, t] == pytest.approx(bound / norm**2, rel=1e-10)
-            est = np.linalg.lstsq(A, A @ alpha + block["w"][t], rcond=None)[0]
+            est = np.linalg.solve(gram, gram @ alpha + c.conj() * v[t, paths])
             nmse = np.linalg.norm(est - alpha) / np.linalg.norm(alpha)
             assert records[0, t] == pytest.approx(nmse, rel=1e-8)
 
 
 def test_degenerate_draw_raises(monkeypatch):
     # every composed path coefficient is zero, so every redraw is degenerate
-    real = harness.compose_paths
-    monkeypatch.setattr(harness, "compose_paths", lambda *args: 0 * real(*args))
+    real = harness._compose_modes
+    monkeypatch.setattr(harness, "_compose_modes",
+                        lambda *args: {mode: 0 * c for mode, c in real(*args).items()})
     panels = tuple(random_panel(np.random.default_rng(k), 4) for k in range(3))
     s = Scenario(n=20, k=3, m=4, fixed_panels=panels, nlos_form="magnitude_squared")
     with pytest.raises(GenerationError, match="scene still degenerate"):

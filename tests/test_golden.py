@@ -10,8 +10,13 @@ counter-based Philox streams with exact Doppler spacings, which redrew
 every random number: all sweep pins, the record hashes and
 tests/data/records_fixture.npz were recorded again on that draw, after
 test_moments had checked its sweep moments against the engine before
-it.  test_records_match_fixture holds the records to the fixture within
-1e-9 relative and with the same exclusions.  The certify pins moved
+it.  The same was done once more when the engine came to draw the
+BLUE's sufficient statistics (the noise's matched filter from its
+covariance's factor, each panel's conj(g) h, the closed-form white
+Gram) in place of the pulses, after the moments of the large
+sweep-noise shape and of a full noise_cov at N = 64 had been added on
+the engine before it.  test_records_match_fixture holds the records to
+the fixture within 1e-9 relative and with the same exclusions.  The certify pins moved
 once, when the windowed grid enumeration gave way to the interval
 reduction alone: that kernel evaluates one rotation of the optimal grid
 node where the enumeration kept whichever rounded highest, which moved
@@ -40,46 +45,46 @@ CASES = {
         ["sweep-gamma", *SMALL, "--axis-min", "1e-3", "--axis-max", "1e1",
          "--axis-points", "4", "--plot"],
         {
-            "sweep_gamma.csv": "3ff398309c549a2ea3670c80595a0123aeb166999f6d95a297ef3e2f6b85b718",
-            "sweep_gamma.svg": "96f40443e5daf758c9ab458013f7aeca5e646972f29aafa476692fbc75d8f53e",
+            "sweep_gamma.csv": "64e19288eb85ba3f85716921fde1ee618f808b81cd8df2109867ecf3535df048",
+            "sweep_gamma.svg": "0c698f71c9e19c2abbe60a383b0c976b1bf13cf0cc0e005e1beba1f4ee6e83bb",
         },
     ),
     "sweep_noise": (
         ["sweep-noise", *SMALL, "--gamma", "0.01", "--axis-min", "1e-4",
          "--axis-max", "1e-1", "--axis-points", "3"],
-        {"sweep_noise.csv": "5c99109955585a0412bbec39a9d7d7825c09b56342ca913d92d05ae5e61fc2a5"},
+        {"sweep_noise.csv": "9dd3dbf6155a217268f12f7c3a2bbecd75b0b032f40729e28bae0e77bee0b3ab"},
     ),
     "crb_plot": (
         ["crb", *SMALL, "--axis-min", "1e-2", "--axis-max", "1e2",
          "--axis-points", "3", "--plot"],
         {
-            "crb.csv": "a0f8b09189fbbd5d60a9288c458cbad4eefb9cd25eb6bf36c6cc99cf6b9a957c",
-            "crb.svg": "9aa602d56107938445d98aa48e88c02a0278747b1c45ba74223abc5d0bd1e140",
+            "crb.csv": "22e8481174407b534b7877a0d131d4d9ee881460a34e2e0ebace3cfb10860acc",
+            "crb.svg": "9a0910a35916be07d765653849f1321ec9a513302750361782097d0c29e07ea9",
         },
     ),
     "single": (
         ["single", *SMALL, "--gamma", "0.1"],
-        {"single.csv": "e6a269921c99b56aa1026c34b2c900bcaf2d0db674dcadef5bb73aab2d259980"},
+        {"single.csv": "f34d400a52ec4c165b15d96475c788a74085a95401aa698523206086d9aae402"},
     ),
     "single_optimal": (
         ["single", *SMALL, "--gamma", "0.1", "--policy", "optimal"],
-        {"single.csv": "47595c4108deeccd2f73c55dece67ea3e0e2cc3888925b6a8d7d501640f0f823"},
+        {"single.csv": "8c708991ac077748116646b49caa403db671a5ff24cf91ebf8574eacfe603a01"},
     ),
     "single_random": (
         ["single", *SMALL, "--gamma", "0.1", "--policy", "random"],
-        {"single.csv": "b2a5560b92e77f88378e897c266078b88b8f85693e95dc788c814607df57eaa5"},
+        {"single.csv": "33c3449015296c889af6bbaf9bf6cb2f3069c6591117ca97d4cf525e8709dfc4"},
     ),
     "single_fixed": (
         ["single", *SMALL, "--gamma", "0.1", "--policy", "fixed"],
-        {"single.csv": "4d48d6b74ea70a0391a2482a82abbde43356d118e2ae7ea103c197d8012dd0a9"},
+        {"single.csv": "6188e76f513d9e19df6ece0b58e416145829909d1f6a029021c5b58aa71c9b21"},
     ),
     "single_blocked_los": (
         ["single", *SMALL, "--gamma", "0", "--policy", "optimal"],
-        {"single.csv": "e2d9e1eb80b120b7e1438fafa0ab60f55465cd0ff6a6f1a0aaa79853b83ecee5"},
+        {"single.csv": "f840dd051ae0d3adf45e321aed8f7690c89b3e1f5c004ed45bba5ac5fbbc155e"},
     ),
     "single_csi_replay": (
         ["single", *SMALL, "--gamma", "0.1", "--csi", "{csi}"],
-        {"single.csv": "2d7f63786f733169375ab364435cc2c239f01855a324416ba73ec7faac1378aa"},
+        {"single.csv": "34f47f3acebfd63e812dac92d4c954923f75760a807e6ca0e5e4bc943851bc1e"},
     ),
     "certify_m2": (
         ["certify", "--trials", "6", "--m", "2", "--axis-points", "90", "--seed", "4"],
@@ -138,33 +143,35 @@ def _replay_panels():
 RECORD_CASES = {
     "noise_cov": (
         lambda: (Scenario(**RECORD_BASE, noise_cov=_noise_cov(20)), SWEEP_MODES, 1),
-        "1a448f5384cc96eac329ceb565c5ab58ecfe2acd4afd57c63e96be4e3820fb34",
+        "b5c246fb84899fda9a4500f24a09ca4aec430fe211484f0d18001995a6134c5e",
     ),
     "nlos_fixed": (
         lambda: (Scenario(**RECORD_BASE, fixed_theta=_fixed_policy()),
                  ("los_only", "nlos_fixed", "nlos_optimal"), 1),
-        "ab48ec90618ef4a8f96ec1ab205c6aacb93ceed18ef7516150d05e324fe08620",
+        "f7c2f97d575614e51df697121ffc1604a0f58c29b48b7252fc67fac25fb4a5a6",
     ),
     "magnitude_squared": (
         lambda: (Scenario(**RECORD_BASE, nlos_form="magnitude_squared"), SWEEP_MODES, 1),
-        "cfad958d4c6ad5b76cbbe4a659e1c713694e0f9e846c5ab4d49c8953699ab43a",
+        "7d5ff7955c823f745d582a422771bb0e7b1ddb089139ea223e9e8a96a845aaa1",
     ),
+    # the code is drawn only under noise_cov, so freezing it is tested there
     "freeze_waveform": (
-        lambda: (Scenario(**RECORD_BASE, freeze_waveform=True), SWEEP_MODES, 1),
-        "92336757392f021a4a368a2aa6c66203006a90dd115ff70b61d2fe683535dede",
+        lambda: (Scenario(**RECORD_BASE, freeze_waveform=True, noise_cov=_noise_cov(20)),
+                 SWEEP_MODES, 1),
+        "43dd78fa5c1f7cea5991cb5569e0fea3f95ea2611cd35c6fe2dbb9e8a8005f64",
     ),
     "fixed_panels": (
         lambda: (Scenario(**RECORD_BASE, fixed_panels=_replay_panels()), SWEEP_MODES, 1),
-        "0d46a498f9264fbf1001fc8c367dc3286eeaab338469f63d2f3d30ad6c5bbfd4",
+        "c4290f2a7db66619528b06aa106a60a3bebe38da64dd5418a3b3228686424fc0",
     ),
     "workers_2": (
         lambda: (Scenario(**RECORD_BASE), SWEEP_MODES, 2),
-        "c9777ffbf648407bda902db692f8bf9c395da38aef24ebfa17838b6bb33d6d81",
+        "483a7582433b8fcb423335332d29836fd1ea3769803e91134ddfb8c1d92d87e6",
     ),
     "exclusions": (
         lambda: (Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0),
                  SWEEP_MODES, 1),
-        "2689fb26853d9f1703a99105ff4aec5d30b8a04c5a5ba0c108ced0ce3be8857c",
+        "8016c3a187987f0e04cf7d26d33000acf6bdc992f3680245467580868dbe8f93",
     ),
 }
 
