@@ -96,12 +96,11 @@ trial, through the BLUE's condition screen, as before.
 
 A block holds as many trials as its largest array fits in BLOCK_BYTES
 (_block_trials): a trial counts its 3 k M channel words, or under
-noise_cov its N x (k + 1) steering columns if larger.  No stage holds
-more than about six word-sized arrays of a trial (the words and the
-index, phasor and turn arrays that turn them into values, which reuse
-what they can), or two steering-sized ones under noise_cov, so a
-block's memory stays within a small multiple of BLOCK_BYTES at any N, k
-and M.
+noise_cov its N x (k + 1) steering columns if larger.  The transforms
+that turn words into values reuse their index and turn arrays, and under
+noise_cov the steering columns are dropped once whitened, so a block's
+traced peak stays within a small multiple of BLOCK_BYTES at any N, k and
+M (about 2.7x at N = 256, k = 32, M = 64).
 
 A trial's records do not depend on the block it lands in, so they are
 the same bits as evaluating it alone with run_trial, whatever the block
@@ -160,7 +159,7 @@ POWER_RANGE = (1e-30, 1e30)
 
 # A block holds as many trials as fit this many bytes of its largest
 # stacked array, and at least one; see _block_trials.  A block's traced
-# peak is about 2.5x this at large N, k and M.
+# peak is about 2.7x this at N = 256, k = 32, M = 64.
 BLOCK_BYTES = 320 * 1024
 
 MODE_LABELS = {
@@ -590,10 +589,10 @@ def _gram_root(q: np.ndarray) -> np.ndarray:
     """F with Q = F F^H for each Hermitian Q of a stack: its Cholesky factor where it has one.
 
     Where Q is not positive definite to working precision (two paths
-    nearly coincide), F = U Lambda^1/2 from eigh, with the rounding's
-    negative eigenvalues set to 0; F z with z ~ CN(0, I) is CN(0, Q) for
-    either root.  Both run one LAPACK call per item, so an item's root does
-    not depend on the stack.
+    nearly coincide, or k + 1 paths exceed N pulses), F = U Lambda^1/2
+    from eigh, with the rounding's negative eigenvalues set to 0; F z with
+    z ~ CN(0, I) is CN(0, Q) for either root.  Both run one LAPACK call
+    per item, so an item's root does not depend on the stack.
     """
     try:
         return np.linalg.cholesky(q)

@@ -433,18 +433,20 @@ def test_fixed_panels_replayed_every_trial():
 
 
 def test_fixed_policy_with_optimal_thetas_matches_optimal_mode():
-    panels = random_panels(np.random.default_rng(8))
-    thetas = tuple(optimal_phases(p.g, p.h) for p in panels)
-    common = dict(n=20, k=3, m=4, trials=1, gamma=0.1, fixed_panels=panels)
-    opt = run_trial(Scenario(link_mode="nlos_optimal", **common), 0)
-    fix = run_trial(
-        Scenario(link_mode="nlos_fixed", fixed_theta=thetas, **common),
-        0,
-    )
-    # the optimal mode sums beta |c| where the fixed one composes the
-    # phases, so the two meet up to the rounding of the composition
-    for field in ("nmse", "mse", "crb_trace"):
-        assert getattr(fix, field) == pytest.approx(getattr(opt, field), rel=1e-12)
+    rng = np.random.default_rng(8)
+    for panels in (random_panels(rng),  # unit gains, and gains beta below 1
+                   tuple(replace(p, beta=rng.uniform(0.2, 1.0, 4)) for p in random_panels(rng))):
+        thetas = tuple(optimal_phases(p.g, p.h) for p in panels)
+        common = dict(n=20, k=3, m=4, trials=1, gamma=0.1, fixed_panels=panels)
+        opt = run_trial(Scenario(link_mode="nlos_optimal", **common), 0)
+        fix = run_trial(
+            Scenario(link_mode="nlos_fixed", fixed_theta=thetas, **common),
+            0,
+        )
+        # the optimal mode sums beta |c| where the fixed one composes the
+        # phases, so the two meet up to the rounding of the composition
+        for field in ("nmse", "mse", "crb_trace"):
+            assert getattr(fix, field) == pytest.approx(getattr(opt, field), rel=1e-12)
 
 
 def test_explicit_noise_covariance_matches_scaled_identity():
@@ -618,12 +620,12 @@ def _unit_uniforms(words):
 
 @pytest.mark.parametrize("freeze", [False, True])
 def test_block_words_sit_at_their_counters(freeze):
-    # the Doppler and noise words of trial t, and under noise_cov its code
-    # words (trial 0's when frozen), are those of a fresh Philox at the
-    # documented counters
-    n, k = 20, 3
+    # the Doppler, channel and noise words of trial t, and under noise_cov
+    # its code words (trial 0's when frozen), are those of a fresh Philox
+    # at the documented counters
+    n, k, m = 20, 3, 4
     for cov in (None, np.diag(np.linspace(0.01, 0.2, n))):
-        s = Scenario(n=n, k=k, m=4, master_seed=2**64 - 5, freeze_waveform=freeze,
+        s = Scenario(n=n, k=k, m=m, master_seed=2**64 - 5, freeze_waveform=freeze,
                      noise_cov=cov)
         block = _draw_block(s, 7, range(40, 49))
         assert block["drawn"].tolist() == list(range(9))
@@ -640,6 +642,34 @@ def test_block_words_sit_at_their_counters(freeze):
             noise = np.sqrt(-np.log1p(-u[:, 0])) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
             # the draw turns by tables, within a few eps of the direct exponential
             np.testing.assert_allclose(block["z"][i], noise, rtol=0, atol=1e-14)
+            # the channel: h_los, alpha and alpha_los from word pairs, then
+            # each element's |c| = sqrt(E1 E2) from the first two words of a
+            # triple, which nlos_optimal sums
+            words = _unit_uniforms(_philox_words(s.master_seed, 7, 2, t, 2 * (k + 2) + 3 * k * m))
+            pairs = words[: 2 * (k + 2)].reshape(-1, 2)
+            normals = np.sqrt(-np.log1p(-pairs[:, 0])) * np.exp(2j * np.pi * pairs[:, 1])
+            got = np.concatenate([block["h_los"][i:i + 1], block["alpha"][i],
+                                  block["alpha_los"][i:i + 1]])
+            np.testing.assert_allclose(got, normals, rtol=0, atol=1e-14)
+            triples = words[2 * (k + 2):].reshape(k, m, 3)
+            gains = np.sqrt(np.log1p(-triples[..., 0]) * np.log1p(-triples[..., 1]))
+            np.testing.assert_allclose(block["csi"]["nlos_optimal"][i], gains.sum(axis=1),
+                                       rtol=1e-14)
+
+
+def test_random_phases_compose_with_replayed_gains():
+    # nlos_random turns each element by the phasor of its phase word and
+    # weights it by the replayed panel's gain beta
+    rng = np.random.default_rng(12)
+    panels = tuple(replace(p, beta=rng.uniform(0.2, 1.0, 4)) for p in random_panels(rng))
+    for form in ("complex", "magnitude_squared"):
+        s = Scenario(n=20, k=3, m=4, fixed_panels=panels, nlos_form=form, master_seed=9)
+        block = _draw_block(s, 2, range(5, 9))
+        g, h, beta = (np.stack([getattr(p, f) for p in panels]) for f in ("g", "h", "beta"))
+        for i, t in enumerate(range(5, 9)):
+            theta = 2.0 * np.pi * _unit_uniforms(_philox_words(s.master_seed, 2, 4, t, 12))
+            expect = compose_paths(g, h, theta.reshape(3, 4), beta, form)
+            np.testing.assert_allclose(block["csi"]["nlos_random"][i], expect, rtol=1e-13)
 
 
 def test_draw_block_takes_trials_in_any_order():
