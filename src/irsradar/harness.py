@@ -92,7 +92,7 @@ formed, and one stacked BLUE on those K x K quantities gives its
 records.  Q is singular when two paths coincide, or when k + 1 paths
 exceed N pulses; v then comes from an eigh square root of Q, whose law
 is the same, and only the mode whose own Gram is singular excludes the
-trial, through the BLUE's condition screen, as before.
+trial, through the BLUE's condition screen.
 
 A block holds as many trials as its largest array fits in BLOCK_BYTES
 (_block_trials): a trial counts its 3 k M channel words, or under
@@ -111,15 +111,11 @@ np.linalg.norm make on one item), and numpy's stacked eigvalsh, eigh,
 cholesky and inv (one LAPACK call per item).  That covers each panel
 row's coefficient, each trial's alpha^T c zero check and normalization
 norm, the closed-form Gram, the whitened steering Gram, the square root
-of Q and v, the Cholesky factorization and the NMSE norms.
-Twice a change redrew every record: the Philox ranges that replaced
-per-trial PCG64 streams, and then the draw of v, c and the phasors in
-place of the pulses.  Each time every mean NMSE stayed within 4
-standard errors of the moments in tests/data/moments_fixture.npz,
-recorded before it, and tests/data/records_fixture.npz took the new
-records, which later engines keep within 1e-9.  A trial whose draw or
-any mode's estimate raises a NumericalError is excluded from every
-mode, as before.
+of Q and v, the Cholesky factorization and the NMSE norms.  Every mean
+NMSE stays within 4 standard errors of the moments in
+tests/data/moments_fixture.npz, and every record within 1e-9 of
+tests/data/records_fixture.npz.  A trial whose draw or any mode's
+estimate raises a NumericalError is excluded from every mode.
 """
 from __future__ import annotations
 
@@ -242,14 +238,13 @@ class Scenario:
             theta = wrap_phase(np.stack(thetas))
         if self.link_mode == "nlos_fixed" and self.fixed_theta is None:
             raise ValueError("nlos_fixed requires fixed_theta")
-        panel_csi = None
+        panel_paths = None
         if self.fixed_panels is not None:
             panels = tuple(self.fixed_panels)
             if len(panels) != self.k or any(p.m != self.m for p in panels):
                 raise ValueError("fixed panels must match k and m")
             object.__setattr__(self, "fixed_panels", panels)
-            panel_csi = stack_panels(panels)
-            g, h, beta = panel_csi
+            g, h, beta = stack_panels(panels)
             # the path power at the aligning phases; a product past the
             # float range is far outside POWER_RANGE either way
             with np.errstate(over="ignore"):
@@ -262,15 +257,17 @@ class Scenario:
                     f"(sum_m beta_m |g_m h_m|)^2 of {', '.join(f'{p:.3g}' for p in aligned[bad])}, "
                     f"outside [{lo:g}, {hi:g}]"
                 )
-        # the draw's panel arrays and the fixed phases' element weights
-        # beta e^{j theta}, each a K x M stack formed once; not fields, so
-        # kept out of eq and repr like _noise below
-        object.__setattr__(self, "_panel_csi", panel_csi)
+            panel_paths = (np.conj(g) * h, beta)
+        # the replayed panels' products c = conj(g) h with their gains
+        # beta, and the fixed phases' element weights beta e^{j theta},
+        # each a K x M stack formed once; not fields, so kept out of eq
+        # and repr like _noise below
+        object.__setattr__(self, "_panel_paths", panel_paths)
         weights = None
         if theta is not None:
             weights = np.exp(1j * theta)
-            if panel_csi is not None:
-                weights *= panel_csi[2]
+            if panel_paths is not None:
+                weights *= panel_paths[1]
         object.__setattr__(self, "_fixed_weights", weights)
         if self.noise_cov is None:
             noise = NoiseModel.scaled_identity(self.sigma2, self.n)
@@ -488,8 +485,7 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         hl, al, al_los = np.split(_complex_normals(w[:, :pairs]), [1, k + 1], axis=1)
         hl, al_los = hl[:, 0], al_los[:, 0]
         if scenario.fixed_panels is not None:
-            g, h, beta = scenario._panel_csi
-            c = np.conj(g) * h
+            c, beta = scenario._panel_paths
         else:
             c, beta = _path_products(w[:, pairs:]).reshape(-1, k, m), None
         del w

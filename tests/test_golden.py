@@ -10,13 +10,8 @@ counter-based Philox streams with exact Doppler spacings, which redrew
 every random number: all sweep pins, the record hashes and
 tests/data/records_fixture.npz were recorded again on that draw, after
 test_moments had checked its sweep moments against the engine before
-it.  The same was done once more when the engine came to draw the
-BLUE's sufficient statistics (the noise's matched filter from its
-covariance's factor, each panel's conj(g) h, the closed-form white
-Gram) in place of the pulses, after the moments of the large
-sweep-noise shape and of a full noise_cov at N = 64 had been added on
-the engine before it.  test_records_match_fixture holds the records to
-the fixture within 1e-9 relative and with the same exclusions.  The certify pins moved
+it.  test_records_match_fixture holds the records to the fixture within
+1e-9 relative and with the same exclusions.  The certify pins moved
 once, when the windowed grid enumeration gave way to the interval
 reduction alone: that kernel evaluates one rotation of the optimal grid
 node where the enumeration kept whichever rounded highest, which moved

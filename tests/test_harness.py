@@ -110,7 +110,7 @@ def test_overflowing_doppler_range_is_named():
         for k in (1, 5):
             with pytest.raises(ValueError, match="^doppler_range"):
                 Scenario(k=k, doppler_range=rng)
-    # a range wider than one cycle is now rejected whatever its size
+    # a range wider than one cycle is rejected whatever its size
     with pytest.raises(ValueError, match="^doppler_range"):
         Scenario(k=1, n=1, doppler_range=(-1e300, 1e300))
 
@@ -373,10 +373,24 @@ def test_mean_ordering_across_master_seeds():
 def test_stderr_shrinks_with_trials():
     lo = sweep_noise(Scenario(n=20, k=3, m=4, trials=300, master_seed=9), [1e-2])
     hi = sweep_noise(Scenario(n=20, k=3, m=4, trials=1200, master_seed=9), [1e-2])
-    # nlos_random is left out: a random-phase path comes near zero with
-    # density bounded away from 0, so P(nmse > x) falls off only as x^-2,
-    # its variance is infinite, and its sample stderr follows its largest
-    # draw rather than 1/sqrt(trials)
+
+    def log_stderr(nmse):
+        logs = np.log(nmse[~np.isnan(nmse)])
+        return np.std(logs, ddof=1) / np.sqrt(logs.size)
+
+    for lab in lo.modes:
+        for res in (lo, hi):  # the reported stderr is the records' sample stderr
+            nm = res.records[lab]["nmse"][0]
+            se = np.nanstd(nm, ddof=1) / np.sqrt(np.count_nonzero(~np.isnan(nm)))
+            assert res.stderr_nmse[lab][0] == pytest.approx(se, rel=1e-12)
+        # log(nmse) has a finite variance in every mode, so its stderr
+        # shrinks as 1/sqrt(trials) if the trials are independent draws
+        ratio = log_stderr(lo.records[lab]["nmse"][0]) / log_stderr(hi.records[lab]["nmse"][0])
+        assert 1.4 < ratio < 2.9, lab  # expect about 2 at 4x the trials
+    # the nmse itself has a finite variance only where no path's gain can
+    # come near zero.  A random-phase composition can: its density there is
+    # bounded away from 0, so P(nmse > x) falls off only as x^-2 and the
+    # sample stderr of nlos_random follows its largest draw instead
     for lab in ("los", "nlos_optimal"):
         ratio = lo.stderr_nmse[lab][0] / hi.stderr_nmse[lab][0]
         assert 1.4 < ratio < 2.9  # expect about 2 at 4x the trials
