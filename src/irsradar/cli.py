@@ -38,7 +38,7 @@ _COLORS = {
 
 _INT_KEYS = {"n", "k", "m", "trials", "seed", "axis_points"}
 _FLOAT_KEYS = {"gamma", "sigma2", "axis_min", "axis_max"}
-_BOOL_KEYS = {"plot", "freeze_waveform"}
+_BOOL_KEYS = {"plot"}
 _STR_KEYS = {"axis_scale", "policy", "nlos_form", "out", "csi"}
 _CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
 
@@ -59,7 +59,6 @@ _DEFAULTS = {
     "out": ".",
     "plot": False,
     "csi": None,
-    "freeze_waveform": False,
 }
 
 _SUB_DEFAULTS = {
@@ -102,7 +101,6 @@ _REJECTED = {
         "axis_max": "certify reuses --axis-points as grid density; no axis range",
         "axis_scale": "certify reuses --axis-points as grid density; no axis range",
         "plot": "certification produces a CSV table only",
-        "freeze_waveform": "certification involves no waveform",
     },
 }
 
@@ -128,7 +126,6 @@ class RunConfig:
     out: str
     plot: bool
     csi: str
-    freeze_waveform: bool
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,7 +243,7 @@ def parse_config(argv=None) -> RunConfig:
         merged.update(file_values)
         explicit |= set(file_values)
     for key in _CONFIG_KEYS:
-        flag = getattr(ns, key, None)  # freeze_waveform is config-file only
+        flag = getattr(ns, key, None)
         if flag is not None:
             merged[key] = flag
             explicit.add(key)
@@ -432,7 +429,6 @@ def _scenario(cfg: RunConfig) -> Scenario:
             trials=cfg.trials,
             master_seed=cfg.seed,
             nlos_form=cfg.nlos_form,
-            freeze_waveform=cfg.freeze_waveform,
             fixed_panels=panels,
         )
     except ValueError as exc:

@@ -12,17 +12,19 @@ inverts the factors together, and reads the estimate L^-H (L^-1 b) and
 the covariance trace Tr(G^-1) = ||L^-1||_F^2 off them without forming any
 covariance.  It also holds the only condition screen: cond(G) <= Tr(G)
 Tr(G^-1), so a Gram whose product lies well inside CONDITION_LIMIT is
-cleared without an eigenvalue call, and only the others, or every Gram
-when the stacked factorization fails, get their condition number from
-eigvalsh.  The sweep engine builds G and b itself from a steering Gram it
-shares between link modes.  The library's one N-space entry is
-_model_gram, which checks a single N x K model against the noise and
-forms R^-1 A and G, with a full R applied as its stored inverse
-L^-H L^-1; blue_estimate, estimator_mse and bounds.fisher_information
-each pass its Gram to blue_gram as a stack of one, and blue_estimate
-also returns the covariance L^-H L^-1.  Each stacked call runs one LAPACK
-or BLAS call per item, so an item's values do not depend on the stack it
-is in.
+cleared without an eigenvalue call, and only the others, among them any
+Gram without a Cholesky factor, get their condition number from
+eigvalsh.  A refused Gram comes back as a cause code and its condition
+number, not as an exception: _refusal builds the SingularModelError only
+where one model's refusal is raised.  The sweep engine builds G and b
+itself from a steering Gram it shares between link modes.  The
+library's one N-space entry is _model_gram, which checks a single N x K
+model against the noise and forms R^-1 A and G, with a full R applied as
+its stored inverse L^-H L^-1; blue_estimate, estimator_mse and
+bounds.fisher_information each pass its Gram to blue_gram as a stack of
+one, and blue_estimate also returns the covariance L^-H L^-1.  Each
+stacked call runs one LAPACK or BLAS call per item, so an item's values
+do not depend on the stack it is in.
 """
 from __future__ import annotations
 
@@ -133,8 +135,37 @@ def _condition_numbers(gram: np.ndarray) -> np.ndarray:
     return np.divide(top, bottom, out=np.full_like(top, np.inf), where=bottom > 0)
 
 
-def _condition_error(cond: float) -> SingularModelError:
-    """What a Gram matrix whose condition number fails `cond <= CONDITION_LIMIT` raises."""
+def _cholesky_factors(m: np.ndarray):
+    """Cholesky factors L, m = L L^H, of a Hermitian stack, and which items have one.
+
+    One stacked np.linalg.cholesky; only when it fails is each item
+    factored alone, and an item that is not positive definite to working
+    precision keeps a nan factor and is False in the mask.  Both run one
+    LAPACK call per item, so an item's factor does not depend on the stack.
+    """
+    try:
+        return np.linalg.cholesky(m), np.ones(len(m), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    factors = np.full_like(m, np.nan)
+    factored = np.zeros(len(m), dtype=bool)
+    for t in range(len(m)):
+        try:
+            factors[t] = np.linalg.cholesky(m[t])
+            factored[t] = True
+        except np.linalg.LinAlgError:
+            pass
+    return factors, factored
+
+
+# why blue_gram refuses an item: its cause code
+CLEARED, ILL_CONDITIONED, NOT_POSITIVE_DEFINITE = 0, 1, 2
+
+
+def _refusal(cause: int, cond: float) -> SingularModelError:
+    """The SingularModelError that blue_gram's cause code and condition number stand for."""
+    if cause == NOT_POSITIVE_DEFINITE:
+        return SingularModelError("Gram matrix is not positive definite")
     return SingularModelError(
         f"Gram matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
     )
@@ -150,39 +181,17 @@ def _model_gram(A, noise: NoiseModel):
     return _gram_stack(cols, noise)
 
 
-def _cholesky_stack(gram: np.ndarray, ok: np.ndarray, errors: list) -> np.ndarray:
-    """Cholesky factors of gram[ok], in order.
-
-    The condition screen keeps the stacked factorization from failing; if
-    it fails anyway, the items are factored one at a time, and each one
-    that is not positive definite drops out of ok and gets its
-    SingularModelError in errors.
-    """
-    try:
-        return np.linalg.cholesky(gram[ok])
-    except np.linalg.LinAlgError:
-        pass
-    factors = []
-    for t in np.flatnonzero(ok).tolist():
-        try:
-            factors.append(np.linalg.cholesky(gram[t]))
-        except np.linalg.LinAlgError:
-            ok[t] = False
-            errors[t] = SingularModelError("Gram matrix is not positive definite")
-    return np.array(factors).reshape(-1, *gram.shape[1:])
-
-
 def blue_gram(gram: np.ndarray, b: np.ndarray):
     """The BLUE of every model in a stack, from its Gram and matched filter.
 
-    Every Gram is factored, G = L L^H, and its factor inverted in one
-    stacked call each; Tr(G^-1) = ||L^-1||_F^2 then clears each item
-    whose Tr(G) Tr(G^-1) is within CONDITION_LIMIT * TRACE_BOUND_MARGIN.
-    The other items, or all of them when the stacked factorization fails,
-    are screened by their eigvalsh condition number as before, and an item
-    that passes that screen but is not positive definite is caught by
-    _cholesky_stack.  So every error is the one the eigenvalue screen
-    alone would give.
+    Every Gram is factored, G = L L^H (_cholesky_factors), and its factor
+    inverted in one stacked call each; Tr(G^-1) = ||L^-1||_F^2 then clears
+    each item whose Tr(G) Tr(G^-1) is within CONDITION_LIMIT *
+    TRACE_BOUND_MARGIN.  The other items, among them every item without a
+    factor, whose nan factor fails that bound, are screened by their
+    eigvalsh condition number, and an item that passes that screen but has
+    no factor is refused as not positive definite.  So every refusal is
+    the one the eigenvalue screen alone would give.
 
     Parameters
     ----------
@@ -193,53 +202,46 @@ def blue_gram(gram: np.ndarray, b: np.ndarray):
 
     Returns
     -------
-    (alpha_hat, mse, errors, chol_inv)
-        Estimates G^-1 b (T, K) and covariance traces Tr(G^-1) (T,);
-        errors[t] is None, or the SingularModelError item t raises, in
-        which case its estimate and trace are nan.  chol_inv holds L^-1,
-        G = L L^H, of the items without an error, in order.  Item t's
-        values do not depend on the other items: every step runs one
-        LAPACK or BLAS call per item.
+    (alpha_hat, mse, cause, cond, chol_inv)
+        Estimates G^-1 b (T, K) and covariance traces Tr(G^-1) (T,).
+        cause (T,) int8 is CLEARED, or why item t is refused,
+        ILL_CONDITIONED or NOT_POSITIVE_DEFINITE, in which case its
+        estimate, trace and L^-1 are nan; _refusal builds the
+        SingularModelError a refused item raises.  cond (T,) holds the
+        eigvalsh condition number of each screened item, nan for the
+        items the trace bound cleared.  chol_inv (T, K, K) holds L^-1.
+        Item t's values do not depend on the other items: every step runs
+        one LAPACK or BLAS call per item.
     """
     T, K = b.shape
-    errors = [None] * T
-    ok = np.ones(T, dtype=bool)
+    factors, factored = _cholesky_factors(gram)
+    cause = np.where(factored, CLEARED, NOT_POSITIVE_DEFINITE).astype(np.int8)
+    cond = np.full(T, np.nan)
     # a near-singular item's ||L^-1||_F^2 may overflow to inf, which the
     # bound below then leaves to the eigenvalue screen
     with np.errstate(over="ignore"):
-        try:
-            # with G = L L^H: G^-1 = L^-H L^-1 and Tr(G^-1) = ||L^-1||_F^2
-            chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
-            trace = _squared_norms(chol_inv.reshape(T, K * K))
-            bound = np.trace(gram, axis1=-2, axis2=-1).real * trace
-            screen = ~(bound <= CONDITION_LIMIT * TRACE_BOUND_MARGIN)  # nan too
-        except np.linalg.LinAlgError:
-            chol_inv = None
-            screen = ok.copy()
-        if screen.any():
-            rows = np.flatnonzero(screen)
-            cond = _condition_numbers(gram[rows])
-            for t, c in zip(rows.tolist(), cond):
-                if not c <= CONDITION_LIMIT:  # nan and inf fail too
-                    ok[t] = False
-                    errors[t] = _condition_error(c)
-        if chol_inv is None:
-            chol_inv = np.linalg.inv(_cholesky_stack(gram, ok, errors))
-            trace = _squared_norms(chol_inv.reshape(-1, K * K))
-        else:
-            chol_inv, trace = chol_inv[ok], trace[ok]
-    alpha_hat = np.full((T, K), np.nan, dtype=complex)
-    alpha_hat[ok] = (chol_inv.conj().swapaxes(-1, -2) @ (chol_inv @ b[ok][..., None]))[..., 0]
-    mse = np.full(T, np.nan)
-    mse[ok] = trace
-    return alpha_hat, mse, errors, chol_inv
+        # with G = L L^H: G^-1 = L^-H L^-1 and Tr(G^-1) = ||L^-1||_F^2
+        chol_inv = np.linalg.inv(factors)
+        mse = _squared_norms(chol_inv.reshape(T, K * K))
+        bound = np.trace(gram, axis1=-2, axis2=-1).real * mse
+    screen = np.flatnonzero(~(bound <= CONDITION_LIMIT * TRACE_BOUND_MARGIN))  # nan too
+    if screen.size:
+        cond[screen] = _condition_numbers(gram[screen])
+        failed = screen[~(cond[screen] <= CONDITION_LIMIT)]  # nan and inf fail too
+        cause[failed] = ILL_CONDITIONED
+    refused = cause != CLEARED
+    chol_inv[refused] = np.nan
+    mse[refused] = np.nan
+    alpha_hat = (chol_inv.conj().swapaxes(-1, -2) @ (chol_inv @ b[..., None]))[..., 0]
+    alpha_hat[refused] = np.nan  # whatever a BLAS makes of a nan L^-1 times a zero b
+    return alpha_hat, mse, cause, cond, chol_inv
 
 
 def _blue_one(gram: np.ndarray, b: np.ndarray):
-    """blue_gram on one Gram and matched filter: (alpha_hat, mse, L^-1), raising its error."""
-    alpha_hat, mse, errors, chol_inv = blue_gram(gram[None], b[None])
-    if errors[0] is not None:
-        raise errors[0]
+    """blue_gram on one Gram and matched filter: (alpha_hat, mse, L^-1), raising its refusal."""
+    alpha_hat, mse, cause, cond, chol_inv = blue_gram(gram[None], b[None])
+    if cause[0] != CLEARED:
+        raise _refusal(cause[0], cond[0])
     return alpha_hat[0], float(mse[0]), chol_inv
 
 

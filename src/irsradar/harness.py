@@ -66,10 +66,11 @@ mse        crb_trace / norm**2, where norm is the scene's normalization
 
 Block evaluation
 ----------------
-A sweep evaluates each axis point's trials in blocks.  Consecutive
-trials' counter ranges are contiguous, so each stream of a block is one
-random_raw call; the scene redraw runs over the trials still pending,
-and all arithmetic on the words runs once over the block.  The reflected
+A sweep evaluates each axis point's trials in blocks; with workers,
+each block is one pool task.  Consecutive trials' counter ranges are
+contiguous, so each stream of a block is one random_raw call; the scene
+redraw runs over the trials still pending, and all arithmetic on the
+words runs once over the block.  The reflected
 modes' coefficients are composed from the phasors themselves:
 nlos_random weights c by the phasors of its phase words, nlos_optimal is
 sum_m beta_m |c_m|, the value composing at the aligning phases reaches,
@@ -114,8 +115,11 @@ norm, the closed-form Gram, the whitened steering Gram, the square root
 of Q and v, the Cholesky factorization and the NMSE norms.  Every mean
 NMSE stays within 4 standard errors of the moments in
 tests/data/moments_fixture.npz, and every record within 1e-9 of
-tests/data/records_fixture.npz.  A trial whose draw or any mode's
-estimate raises a NumericalError is excluded from every mode.
+tests/data/records_fixture.npz.  A trial whose scene is still
+degenerate after the resample budget, or whose Gram the BLUE refuses in
+any mode, is excluded from every mode.  Exclusions travel as arrays: the
+draw's drawn positions and blue_gram's cause codes; the GenerationError
+or SingularModelError is built only where run_trial raises it.
 """
 from __future__ import annotations
 
@@ -134,7 +138,15 @@ from .channel import (
     wrap_phase,
 )
 from .errors import GenerationError
-from .estimator import NoiseModel, _hermitian, blue_gram, nmse_rows
+from .estimator import (
+    CLEARED,
+    NoiseModel,
+    _cholesky_factors,
+    _hermitian,
+    _refusal,
+    blue_gram,
+    nmse_rows,
+)
 from .model import check_coefficients, random_code, steering_columns
 
 LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
@@ -452,8 +464,9 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
     nlos_fixed to the (T, k) raw composed coefficients; "z" (T, k + 1)
     CN(0, 1) values, from which _steering_gram forms the noise's matched
-    filter; and, under noise_cov only, "x" the (T, N) codes.  "failed"
-    maps the other positions to the GenerationError that excluded them.
+    filter; and, under noise_cov only, "x" the (T, N) codes.  A trial
+    whose scene is still degenerate after RESAMPLE_BUDGET attempts is not
+    among the drawn ones.
     """
     trials = list(trials)
     if axis_index < 0 or min(trials, default=0) < 0:
@@ -502,8 +515,6 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         for mode, coef in composed.items():
             csi.setdefault(mode, np.zeros((len(trials), k), complex))[done] = coef[ok]
         todo = todo[~ok]
-    failed = {j: GenerationError("scene still degenerate after resample budget")
-              for j in todo.tolist()}
 
     kept = np.ones(len(trials), dtype=bool)
     kept[todo] = False
@@ -516,7 +527,6 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         "alpha": alpha[drawn],
         "alpha_los": alpha_los[drawn],
         "z": _complex_normals(words("noise", 2 * (k + 1)))[drawn],
-        "failed": failed,
     }
     if scenario.noise_cov is not None:
         code = _uniforms(words("waveform", n, [0] if scenario.freeze_waveform else trials))
@@ -590,17 +600,10 @@ def _gram_root(q: np.ndarray) -> np.ndarray:
     z ~ CN(0, I) is CN(0, Q) for either root.  Both run one LAPACK call
     per item, so an item's root does not depend on the stack.
     """
-    try:
-        return np.linalg.cholesky(q)
-    except np.linalg.LinAlgError:
-        pass
-    roots = np.empty_like(q)
-    for t in range(len(q)):
-        try:
-            roots[t] = np.linalg.cholesky(q[t])
-        except np.linalg.LinAlgError:
-            lam, vec = np.linalg.eigh(q[t])
-            roots[t] = vec * np.sqrt(np.maximum(lam, 0.0))
+    roots, factored = _cholesky_factors(q)
+    for t in np.flatnonzero(~factored).tolist():
+        lam, vec = np.linalg.eigh(q[t])
+        roots[t] = vec * np.sqrt(np.maximum(lam, 0.0))
     return roots
 
 
@@ -639,9 +642,10 @@ def _estimate_mode(scenario: Scenario, block, q, v, rows):
     the mode's paths (entry [0, 0] of q for the direct link, block
     [1:, 1:] for the reflected ones) its Gram is D^H Q D and its matched
     filter D^H (Q D alpha + v).  One stacked BLUE on those gives every
-    metric.  Returns (records, errors): records is (3, len(rows)) holding
-    nmse, mse and crb_trace (nan where singular), errors[i] is None or the
-    SingularModelError of rows[i].
+    metric.  Returns (records, cause, cond): records is (3, len(rows))
+    holding nmse, mse and crb_trace, nan where the BLUE refuses the trial,
+    and cause and cond are blue_gram's cause codes and screened condition
+    numbers, from which estimator._refusal builds a refused trial's error.
     """
     if scenario.link_mode == "los_only":
         h_los, truth = block["h_los"][rows], block["alpha_los"][rows]
@@ -660,24 +664,24 @@ def _estimate_mode(scenario: Scenario, block, q, v, rows):
     coef_h = coef.conj()
     gram = _hermitian(coef_h[:, :, None] * q * coef[:, None, :])
     b = coef_h * ((q @ (coef * truth)[..., None])[..., 0] + v)
-    alpha_hat, mse, errors, _ = blue_gram(gram, b)
+    alpha_hat, mse, cause, cond, _ = blue_gram(gram, b)
     records = np.full((3, len(rows)), np.nan)
-    ok = np.array([e is None for e in errors], dtype=bool)
+    ok = cause == CLEARED
     records[0, ok] = nmse_rows(truth[ok], alpha_hat[ok])
     records[1] = mse / norms**2
     records[2] = mse
-    return records, errors
+    return records, cause, cond
 
 
 def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> TrialRecord:
     """Generate one trial and estimate it under the scenario's link mode."""
     block = _draw_block(scenario, axis_index, [trial_index])
-    if block["failed"]:
-        raise block["failed"][0]
+    if block["drawn"].size == 0:
+        raise GenerationError("scene still degenerate after resample budget")
     q, v = _steering_gram(block, scenario._noise)
-    records, errors = _estimate_mode(scenario, block, q, v, np.arange(1))
-    if errors[0] is not None:
-        raise errors[0]
+    records, cause, cond = _estimate_mode(scenario, block, q, v, np.arange(1))
+    if cause[0] != CLEARED:
+        raise _refusal(cause[0], cond[0])
     nmse, mse, crb_trace = records[:, 0].tolist()
     return TrialRecord(nmse=nmse, mse=mse, crb_trace=crb_trace)
 
@@ -687,8 +691,9 @@ def _evaluate_block(scenarios, axis_index: int, trials: range) -> np.ndarray:
 
     Every scenario is one axis point's, so they share its noise model, and
     one steering Gram serves all of their modes.  A trial is excluded, nan
-    in every mode, when its draw or any mode's estimate raises a
-    NumericalError.  Modes run in order and each only on the trials the
+    in every mode, when its scene is not drawn or the BLUE refuses it in
+    any mode, where run_trial would raise a NumericalError; no exception
+    is built for it.  Modes run in order and each only on the trials the
     earlier ones kept, so a ValueError surfaces exactly where evaluating
     the trials one at a time would raise it.
     """
@@ -701,9 +706,9 @@ def _evaluate_block(scenarios, axis_index: int, trials: range) -> np.ndarray:
     kept = np.arange(drawn.size)
     records = np.full((len(scenarios), 3, drawn.size), np.nan)
     for mi, scenario in enumerate(scenarios):
-        recs, errors = _estimate_mode(scenario, block, q, v, kept)
+        recs, cause, _ = _estimate_mode(scenario, block, q, v, kept)
         records[mi][:, kept] = recs
-        kept = kept[[e is None for e in errors]]
+        kept = kept[cause == CLEARED]
         if kept.size == 0:
             return out
     out[:, :, drawn[kept]] = records[:, :, kept]
@@ -745,16 +750,6 @@ def _block_trials(scenario: Scenario) -> int:
     return max(1, BLOCK_BYTES // max(24 * k * m, 16 * steering))
 
 
-def _point_trials(args):
-    """Records of one axis point's trials [trial_lo, trial_hi), block by block."""
-    scenarios, axis_index, trial_lo, trial_hi = args
-    step = _block_trials(scenarios[0])
-    return np.concatenate([
-        _evaluate_block(scenarios, axis_index, range(lo, min(lo + step, trial_hi)))
-        for lo in range(trial_lo, trial_hi, step)
-    ], axis=2)
-
-
 def _sweep(template: Scenario, axis_name: str, axis_values, modes,
            workers: int = 1) -> SweepResult:
     """Run the link modes over the axis; every Scenario is validated up front."""
@@ -772,10 +767,12 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
     fields = ("nmse", "mse", "crb_trace")
     records = {lab: {f: np.full((P, T), np.nan) for f in fields} for lab in labels}
 
+    # one task per block; the block size depends on no swept value
+    step = _block_trials(template)
     tasks = [
-        (scenarios, i, lo, min(lo + 250, T))
+        (scenarios, i, range(lo, min(lo + step, T)))
         for i, scenarios in enumerate(points)
-        for lo in range(0, T, 250)
+        for lo in range(0, T, step)
     ]
     if workers > 1:
         # imported here: the pool's modules (multiprocessing, socket, ...) cost
@@ -783,14 +780,14 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_point_trials, tasks))
+            chunks = list(pool.map(_evaluate_block, *zip(*tasks)))
     else:
-        chunks = [_point_trials(t) for t in tasks]
+        chunks = [_evaluate_block(*task) for task in tasks]
 
-    for (_, i, lo, hi), chunk in zip(tasks, chunks):
+    for (_, i, trials), chunk in zip(tasks, chunks):
         for lab, recs in zip(labels, chunk):
             for f, vals in zip(fields, recs):
-                records[lab][f][i, lo:hi] = vals
+                records[lab][f][i, trials.start:trials.stop] = vals
 
     mean_nmse, stderr_nmse, mean_crb = {}, {}, {}
     for lab in labels:

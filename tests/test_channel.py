@@ -130,8 +130,8 @@ def test_normalization_hits_targets(form, gamma):
         block = _draw_block(s, 0, range(12))
         rows = np.arange(block["drawn"].size)
         q, v = _steering_gram(block, s._noise)
-        records, errors = _estimate_mode(s, block, q, v, rows)
-        assert rows.size == 12 and not any(errors)
+        records, cause, _ = _estimate_mode(s, block, q, v, rows)
+        assert rows.size == 12 and not cause.any()
         for t in rows:
             if mode == "los_only":
                 raw, alpha = np.array([block["h_los"][t]]), np.array([block["alpha_los"][t]])

@@ -78,6 +78,17 @@ def test_config_file_rejections(tmp_path):
         parse_config(["sweep-gamma", "--config", str(bad)])
 
 
+def test_freeze_waveform_key_is_unknown(tmp_path, capsys):
+    # the CLI sets only white noise, under which no code is drawn, so a key
+    # that would freeze the code could change no output byte
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("freeze_waveform = true\n")
+    out = tmp_path / "out"
+    assert main(["sweep-gamma", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "unknown key 'freeze_waveform'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conflicting_flags_rejected(tmp_path):
     with pytest.raises(UsageError, match="gamma"):
         parse_config(["sweep-gamma", "--gamma", "0.5"])

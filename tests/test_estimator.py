@@ -1,4 +1,6 @@
 """Estimator tests, anchored on an explicit dense-inverse oracle."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -7,16 +9,22 @@ from irsradar import estimator
 from irsradar.bounds import fisher_information
 from irsradar.errors import SingularModelError, UndefinedMetricError
 from irsradar.estimator import (
+    CLEARED,
     CONDITION_LIMIT,
+    ILL_CONDITIONED,
+    NOT_POSITIVE_DEFINITE,
     NoiseModel,
+    _blue_one,
+    _cholesky_factors,
     _condition_numbers,
     _gram_stack,
+    _refusal,
     blue_estimate,
     blue_gram,
     estimator_mse,
     nmse_rows,
 )
-from irsradar.harness import SWEEP_MODES, Scenario, _evaluate_block, _sweep
+from irsradar.harness import SWEEP_MODES, Scenario, _evaluate_block, _gram_root, _sweep, run_trial
 from irsradar.model import build_sensing_matrix, make_random_waveform
 
 from csi_draws import crandn
@@ -240,29 +248,16 @@ def _stack_with_singular_item(rng, T, N, K):
 
 
 def _assert_items_equal(got, want, t, u):
-    # item t of one _with_covariances result against item u of another, bit for bit
-    alpha_hat, cov, mse, errors = got
-    ref_hat, ref_cov, ref_mse, ref_errors = want
-    np.testing.assert_array_equal(alpha_hat[t], ref_hat[u])
-    np.testing.assert_array_equal(cov[t], ref_cov[u])
-    np.testing.assert_array_equal(mse[t], ref_mse[u])
-    assert type(errors[t]) is type(ref_errors[u])
-    assert str(errors[t]) == str(ref_errors[u])
+    # item t of one blue_gram result against item u of another, bit for
+    # bit: estimate, trace, cause code, condition number and L^-1
+    for field, ref in zip(got, want):
+        np.testing.assert_array_equal(field[t], ref[u])
 
 
 def _kspace(cols, noise, y):
     # the Grams and matched filters A^H R^-1 A and A^H R^-1 y blue_gram takes
     ria, gram = _gram_stack(cols, noise)
     return gram, (ria.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
-
-
-def _with_covariances(result):
-    # blue_gram's result as (alpha_hat, L^-1, mse, errors), L^-1 padded with nan
-    alpha_hat, mse, errors, chol_inv = result
-    ok = np.array([e is None for e in errors], dtype=bool)
-    padded = np.full((ok.size, *chol_inv.shape[1:]), np.nan, dtype=complex)
-    padded[ok] = chol_inv
-    return alpha_hat, padded, mse, errors
 
 
 def test_blue_gram_items_match_single_estimates():
@@ -273,18 +268,18 @@ def test_blue_gram_items_match_single_estimates():
         cols[1, :, 1] = cols[1, :, 0]  # identical columns
         y = crandn(rng, T, N)
         for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
-            alpha_hat, chol_inv, mse, errors = _with_covariances(blue_gram(*_kspace(cols, noise, y)))
+            alpha_hat, mse, cause, cond, chol_inv = blue_gram(*_kspace(cols, noise, y))
             cov = estimator._hermitian(chol_inv.conj().swapaxes(-1, -2) @ chol_inv)  # L^-H L^-1
             for t in range(T):
                 if t == 1:
-                    assert isinstance(errors[t], SingularModelError)
+                    assert cause[t] != CLEARED
                     assert np.isnan(mse[t]) and np.all(np.isnan(alpha_hat[t]))
                     with pytest.raises(SingularModelError) as alone:
                         blue_estimate(cols[t], noise, y[t])
-                    assert str(alone.value) == str(errors[t])
+                    assert str(alone.value) == str(_refusal(cause[t], cond[t]))
                     continue
                 rep = blue_estimate(cols[t], noise, y[t])
-                assert errors[t] is None
+                assert cause[t] == CLEARED
                 np.testing.assert_array_equal(alpha_hat[t], rep.alpha_hat)
                 np.testing.assert_array_equal(cov[t], rep.covariance)
                 assert mse[t] == rep.mse
@@ -297,13 +292,14 @@ def test_blue_gram_items_do_not_depend_on_the_stack(N, K):
     cols, y = _stack_with_singular_item(rng, T, N, K)
     for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
         gram, b = _kspace(cols, noise, y)
-        full = _with_covariances(blue_gram(gram, b))
-        assert isinstance(full[3][2], SingularModelError)
-        assert sum(e is None for e in full[3]) == T - 1
+        full = blue_gram(gram, b)
+        cause = full[2]
+        assert cause.dtype == np.int8 and cause[2] != CLEARED
+        assert np.count_nonzero(cause == CLEARED) == T - 1
         for t in range(T):
-            alone = _with_covariances(blue_gram(gram[t:t + 1], b[t:t + 1]))
+            alone = blue_gram(gram[t:t + 1], b[t:t + 1])
             _assert_items_equal(alone, full, 0, t)
-        part = _with_covariances(blue_gram(gram[1:4], b[1:4]))
+        part = blue_gram(gram[1:4], b[1:4])
         for t in range(3):
             _assert_items_equal(part, full, t, t + 1)
 
@@ -313,33 +309,69 @@ def test_blue_gram_factors_items_alone_when_the_stacked_cholesky_fails():
     T, N, K = 6, 20, 3
     cols, y = _stack_with_singular_item(rng, T, N, K)
     gram, b = _kspace(cols, NoiseModel.scaled_identity(0.1, N), y)
-    clean = _with_covariances(blue_gram(gram, b))
+    clean = blue_gram(gram, b)
     gram[4] = -gram[4]  # indefinite, with the same finite condition number
     assert np.isfinite(_condition_numbers(gram)[4])
-    got = _with_covariances(blue_gram(gram, b))
-    alpha_hat, chol_inv, mse, errors = got
-    assert isinstance(errors[4], SingularModelError)
-    assert str(errors[4]) == "Gram matrix is not positive definite"
+    got = blue_gram(gram, b)
+    alpha_hat, mse, cause, cond, chol_inv = got
+    assert cause[4] == NOT_POSITIVE_DEFINITE
     assert np.isnan(mse[4]) and np.all(np.isnan(alpha_hat[4])) and np.all(np.isnan(chol_inv[4]))
-    assert "condition number" in str(errors[2])
+    with pytest.raises(SingularModelError, match="^Gram matrix is not positive definite$"):
+        _blue_one(gram[4], b[4])
+    assert cause[2] == ILL_CONDITIONED
     for t in (0, 1, 2, 3, 5):
         _assert_items_equal(got, clean, t, t)
 
 
+@pytest.mark.parametrize("K", [1, 5, 32])
+def test_cholesky_factors_fall_back_item_by_item(K):
+    # one stacked factorization; when an item is indefinite, each item is
+    # factored alone, in the same bits, and the indefinite one is flagged
+    rng = np.random.default_rng(K)
+    T = 6
+    A = crandn(rng, T, 2 * K, K)
+    gram = estimator._hermitian(A.conj().swapaxes(-1, -2) @ A)
+    stacked, all_factored = _cholesky_factors(gram)
+    assert all_factored.all()
+    gram[3] = -gram[3]
+    factors, factored = _cholesky_factors(gram)
+    np.testing.assert_array_equal(factored, np.arange(T) != 3)
+    assert np.all(np.isnan(factors[3]))
+    root = _gram_root(gram)
+    for t in range(T):
+        alone, ok = _cholesky_factors(gram[t:t + 1])
+        assert ok[0] == factored[t]
+        np.testing.assert_array_equal(alone[0], factors[t])
+        if factored[t]:
+            np.testing.assert_array_equal(factors[t], stacked[t])
+            np.testing.assert_array_equal(root[t], factors[t])
+        else:  # _gram_root takes the eigh root for exactly the unfactored items
+            lam, vec = np.linalg.eigh(gram[t])
+            np.testing.assert_array_equal(root[t], vec * np.sqrt(np.maximum(lam, 0.0)))
+
+
 def _eigvalsh_screen(gram):
-    # the errors an eigenvalue screen alone gives: the condition number
-    # max|lambda| / min|lambda| of eigvalsh against CONDITION_LIMIT
-    errors = []
+    # the refusals an eigenvalue screen alone gives: the condition number
+    # max|lambda| / min|lambda| of eigvalsh against CONDITION_LIMIT, and
+    # the message each refusal raises, None where the Gram passes
+    messages = []
     for lam in np.abs(np.linalg.eigvalsh(gram)):
         cond = lam.max() / lam.min() if lam.min() > 0 else np.inf
-        errors.append(None if cond <= CONDITION_LIMIT else SingularModelError(
-            f"Gram matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"))
-    return errors
+        messages.append(None if cond <= CONDITION_LIMIT else
+                        f"Gram matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+    return messages
 
 
-def _assert_same_errors(got, want):
-    assert [type(e) for e in got] == [type(e) for e in want]
-    assert [str(e) for e in got] == [str(e) for e in want]
+def _raised_messages(calls):
+    # the message of the SingularModelError each call raises, None where it returns
+    out = []
+    for call in calls:
+        try:
+            call()
+            out.append(None)
+        except SingularModelError as exc:
+            out.append(str(exc))
+    return out
 
 
 @pytest.mark.parametrize("N, K", [*SHAPES, (50, 1)])
@@ -367,22 +399,44 @@ def test_condition_decision_matches_np_linalg_cond(N, K):
     well = ref < 1e8
     np.testing.assert_allclose(cond[well], ref[well], rtol=1e-6)
     # blue_gram screens from its Cholesky factor first, in the whole stack
-    # and item by item, and still gives the eigenvalue screen's errors
+    # and item by item, and still gives the eigenvalue screen's cause codes
     want = _eigvalsh_screen(gram)
+    want_cause = [CLEARED if m is None else ILL_CONDITIONED for m in want]
     b = crandn(rng, len(cols), K)
-    _assert_same_errors(blue_gram(gram, b)[2], want)
+    full = blue_gram(gram, b)
+    np.testing.assert_array_equal(full[2], want_cause)
     for t in range(len(cols)):
-        _assert_same_errors(blue_gram(gram[t:t + 1], b[t:t + 1])[2], want[t:t + 1])
-    # and so do the library entries that take one model
+        alone = blue_gram(gram[t:t + 1], b[t:t + 1])
+        np.testing.assert_array_equal(alone[2], want_cause[t:t + 1])
+        np.testing.assert_array_equal(alone[3], full[3][t:t + 1])
+    # and a refused model raises the eigenvalue screen's message, byte for
+    # byte, through _blue_one and the library entries that take one model
+    assert _raised_messages(lambda g=g, v=v: _blue_one(g, v) for g, v in zip(gram, b)) == want
     for f in (fisher_information, estimator_mse):
-        got = []
-        for A in cols:
-            try:
-                f(A, noise)
-                got.append(None)
-            except SingularModelError as exc:
-                got.append(exc)
-        _assert_same_errors(got, want)
+        assert _raised_messages(lambda A=A: f(A, noise) for A in cols) == want
+
+
+def test_run_trial_raises_the_screens_messages():
+    # the trials of the golden exclusions case that run_trial refuses,
+    # each with its message byte for byte
+    s = Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0)
+    want = {
+        (0, "nlos_random", 4): "Gram matrix condition number 1.176e+12 exceeds 1e+12",
+        (2, "nlos_random", 1): "Gram matrix condition number 1.451e+15 exceeds 1e+12",
+        (2, "nlos_random", 20): "Gram matrix condition number 6.010e+14 exceeds 1e+12",
+        (2, "nlos_optimal", 1): "Gram matrix condition number 1.488e+15 exceeds 1e+12",
+        (2, "nlos_optimal", 20): "Gram matrix condition number 4.778e+14 exceeds 1e+12",
+    }
+    got = {}
+    for i, gamma in enumerate((1e-3, 0.3, 30.0)):
+        for mode in SWEEP_MODES:
+            scenario = replace(s, link_mode=mode, gamma=gamma)
+            for t in range(s.trials):
+                try:
+                    run_trial(scenario, t, i)
+                except SingularModelError as exc:
+                    got[i, mode, t] = str(exc)
+    assert got == want
 
 
 def test_well_conditioned_grams_skip_the_eigenvalue_screen(monkeypatch):

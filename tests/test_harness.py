@@ -19,7 +19,6 @@ from irsradar.harness import (
     _draw_block,
     _dopplers,
     _estimate_mode,
-    _point_trials,
     _project,
     _steering_gram,
     _sweep,
@@ -219,7 +218,7 @@ def test_paired_modes_share_draws():
         ]
         b0 = drawn[0]
         keys = ["u", "z", "alpha", "h_los", "alpha_los"] + ([] if cov is None else ["x"])
-        assert sorted(b0) == sorted(keys + ["drawn", "csi", "failed"])
+        assert sorted(b0) == sorted(keys + ["drawn", "csi"])
         for b in drawn[1:]:
             for key in keys:
                 np.testing.assert_array_equal(b[key], b0[key])
@@ -245,7 +244,7 @@ def test_doppler_draws_respect_gap_and_range():
     s = Scenario(n=25, k=4, m=2, trials=1, doppler_range=(0.1, 0.4), doppler_min_gap=0.02)
     span = 0.3
     block = _draw_block(s, 0, range(300))
-    assert not block["failed"]
+    assert block["drawn"].size == 300
     for u in block["u"]:
         assert u.size == 5
         assert np.all((u >= 0.1) & (u < 0.4))
@@ -259,7 +258,7 @@ def test_near_span_gap_draws_every_trial():
     # almost never hits; the spacings draw needs no retry
     s = Scenario(n=20, k=5, m=2, trials=1, doppler_min_gap=0.19)
     block = _draw_block(s, 0, range(2000))
-    assert not block["failed"] and block["drawn"].size == 2000
+    assert block["drawn"].size == 2000
     u = block["u"]
     assert np.all((u >= -0.5) & (u < 0.5))
     srt = np.sort(u[:, 1:], axis=1)
@@ -420,6 +419,19 @@ def test_exclusions_are_counted_and_masked(monkeypatch):
         assert np.isfinite(res.mean_nmse[lab][0])
 
 
+def test_exclusions_build_no_exceptions(monkeypatch):
+    # refusals travel as arrays: the golden exclusions case refuses trials,
+    # yet its sweep constructs no exception
+    def refuse(self, *args):
+        raise AssertionError(f"a {type(self).__name__} was constructed")
+
+    for cls in (SingularModelError, GenerationError):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    s = Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0)
+    res = _sweep(s, "gamma", (1e-3, 0.3, 30.0), SWEEP_MODES)
+    assert res.excluded.sum() > 0
+
+
 def test_sweep_axis_validation():
     tpl = Scenario(**SMALL)
     with pytest.raises(ValueError):
@@ -575,8 +587,8 @@ def _traced_peak(run):
 
 
 def _point(tpl, trials):
-    scenarios = [replace(tpl, link_mode=mode) for mode in SWEEP_MODES]
-    return lambda: _point_trials((scenarios, 0, 0, trials))
+    # one axis point's sweep, which evaluates its trials block by block
+    return lambda: _sweep(replace(tpl, trials=trials), "gamma", [tpl.gamma], SWEEP_MODES)
 
 
 def test_large_m_point_memory_is_bounded():
@@ -733,19 +745,15 @@ def test_draw_block_matches_blocks_of_one(case, block_trials, monkeypatch):
     step = block_trials or harness._block_trials(s)
     if case == "large_n_and_k" and block_trials is None:
         assert 1 < step < s.trials
-    got = {}  # trial -> its fields, or the exception that excluded it
+    got = {}  # each drawn trial's block and position in it
     for lo in range(0, s.trials, step):
         block = _draw_block(s, 3, range(lo, min(lo + step, s.trials)))
-        for j, err in block["failed"].items():
-            got[lo + j] = err
         for i, j in enumerate(block["drawn"].tolist()):
             got[lo + j] = block, i
-    assert sorted(got) == list(range(s.trials))
     for t in range(s.trials):
         single = _draw_block(s, 3, [t])
-        if single["failed"]:
-            assert type(got[t]) is type(single["failed"][0])
-            assert str(got[t]) == str(single["failed"][0])
+        assert (t in got) == (single["drawn"].size == 1)
+        if t not in got:
             continue
         block, i = got[t]
         assert block.keys() == single.keys()
@@ -758,9 +766,11 @@ def test_draw_block_matches_blocks_of_one(case, block_trials, monkeypatch):
         assert block["csi"].keys() == single["csi"].keys()
         for mode in single["csi"]:
             np.testing.assert_array_equal(block["csi"][mode][i], single["csi"][mode][0])
-    excluded = sum(1 for v in got.values() if isinstance(v, GenerationError))
+    excluded = s.trials - len(got)
     if case == "degenerate_scene":
         assert excluded == s.trials
+        with pytest.raises(GenerationError, match="^scene still degenerate after resample budget$"):
+            run_trial(s, 0, 3)
     else:
         assert excluded == 0
 
@@ -791,8 +801,8 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
     noise = NoiseModel(covariance=s.noise_cov) if full_noise else NoiseModel.scaled_identity(0.05, n)
     pulses = np.arange(n)[:, None]
     for mode in LINK_MODES:
-        records, errors = _estimate_mode(replace(s, link_mode=mode), block, q, v, rows)
-        assert errors == [None] * T
+        records, cause, _ = _estimate_mode(replace(s, link_mode=mode), block, q, v, rows)
+        np.testing.assert_array_equal(cause, estimator.CLEARED)
         for t in rows:
             if mode == "los_only":
                 paths = slice(0, 1)
@@ -852,9 +862,9 @@ def test_whitened_noise_is_chi_square(full_noise):
             qp, vp = q[:, paths, paths], v[:, paths]
             gram = estimator._hermitian(d.conj()[:, :, None] * qp * d[:, None, :])
             b = d.conj() * vp
-            _, _, errors, chol_inv = estimator.blue_gram(gram, b)
-            ok = np.array([e is None for e in errors])
-            white = (chol_inv @ b[ok][..., None])[..., 0]
+            _, _, cause, _, chol_inv = estimator.blue_gram(gram, b)
+            ok = cause == estimator.CLEARED
+            white = (chol_inv[ok] @ b[ok][..., None])[..., 0]
             stat = np.sum(np.abs(white) ** 2, axis=1)
             K, T = d.shape[1], stat.size
             assert T >= 0.95 * s.trials
