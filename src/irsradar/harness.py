@@ -66,11 +66,16 @@ mse        crb_trace / norm**2, where norm is the scene's normalization
 
 Block evaluation
 ----------------
-A sweep evaluates each axis point's trials in blocks; with workers,
-each block is one pool task.  Consecutive trials' counter ranges are
-contiguous, so each stream of a block is one random_raw call; the scene
-redraw runs over the trials still pending, and all arithmetic on the
-words runs once over the block.  The reflected
+A sweep lays its (point, trial) pairs out as rows, point-major, and
+evaluates them in blocks of _block_trials rows, which may span axis
+points; with workers, each block is one pool task.  The counter ranges of
+consecutive trials at one point are contiguous, so each stream of a block
+is one random_raw call per point it touches; the scene redraw runs over
+the rows still pending, and all arithmetic on the words runs once over
+the block.  A block's points differ only in the swept gamma or sigma2,
+which no draw reads, so each row takes its own value only where it
+enters: sigma2 in Q and gamma in the direct link's normalization, both
+elementwise, so a row gets the bits its point alone would.  The reflected
 modes' coefficients are composed from the phasors themselves:
 nlos_random weights c by the phasors of its phase words, nlos_optimal is
 sum_m beta_m |c_m|, the value composing at the aligning phases reaches,
@@ -81,8 +86,8 @@ Estimation then runs in K-space.  Every link mode of a trial shares the
 Dopplers, the noise and, under noise_cov, the code; only the path
 coefficients differ, so a mode's model is A = S Diag(d), where S =
 Diag(x) P(nu) holds the steering columns of all 1 + k paths and d the
-mode's normalized coefficients.  Once per block, with the point's noise
-model, which all its modes share, Q and v are formed: with white noise
+mode's normalized coefficients.  Once per block, with the noise model
+that all its modes and points share, Q and v are formed: with white noise
 Q = P^H P / sigma2 is the closed-form Dirichlet kernel (_dirichlet_gram),
 so no N-vector of a trial exists; under noise_cov S is whitened by R's
 factor, stored once per Scenario.  Each mode then takes its paths' part
@@ -95,8 +100,8 @@ exceed N pulses; v then comes from an eigh square root of Q, whose law
 is the same, and only the mode whose own Gram is singular excludes the
 trial, through the BLUE's condition screen.
 
-A block holds as many trials as its largest array fits in BLOCK_BYTES
-(_block_trials): a trial counts its 3 k M channel words, or under
+A block holds as many rows as its largest array fits in BLOCK_BYTES
+(_block_trials): a row counts its 3 k M channel words, or under
 noise_cov its N x (k + 1) steering columns if larger.  The transforms
 that turn words into values reuse their index and turn arrays, and under
 noise_cov the steering columns are dropped once whitened, so a block's
@@ -118,8 +123,9 @@ tests/data/moments_fixture.npz, and every record within 1e-9 of
 tests/data/records_fixture.npz.  A trial whose scene is still
 degenerate after the resample budget, or whose Gram the BLUE refuses in
 any mode, is excluded from every mode.  Exclusions travel as arrays: the
-draw's drawn positions and blue_gram's cause codes; the GenerationError
-or SingularModelError is built only where run_trial raises it.
+draw's drawn positions and blue_gram's cause codes, which a sweep counts
+per point (SweepResult.excluded_by_cause); the GenerationError or
+SingularModelError is built only where run_trial raises it.
 """
 from __future__ import annotations
 
@@ -140,6 +146,8 @@ from .channel import (
 from .errors import GenerationError
 from .estimator import (
     CLEARED,
+    ILL_CONDITIONED,
+    NOT_POSITIVE_DEFINITE,
     NoiseModel,
     _cholesky_factors,
     _hermitian,
@@ -155,6 +163,12 @@ LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
 _STREAMS = {"waveform": 0, "doppler": 1, "channel": 2, "noise": 3, "phase": 4}
 
 RESAMPLE_BUDGET = 100
+
+# the cause code of a row whose scene is still degenerate after the
+# resample budget, beside blue_gram's; SweepResult.excluded_by_cause counts
+# the causes in this order
+UNDRAWN = 3
+EXCLUSION_CAUSES = (UNDRAWN, ILL_CONDITIONED, NOT_POSITIVE_DEFINITE)
 
 # master seeds lie in [0, SEED_BOUND): a stream's key holds the seed as one
 # unsigned 64-bit word
@@ -316,19 +330,23 @@ class TrialRecord:
     crb_trace: float
 
 
-def _stream_words(bitgen, state, stream: str, trials, count: int, attempt: int = 0):
-    """The first `count` words of a stream for each trial, (len(trials), count).
+def _stream_words(keys, stream: str, axis, trials, count: int, attempt: int = 0):
+    """The first `count` words of a stream for each row, (len(trials), count).
 
-    state is bitgen's fresh state; numpy's Philox advances the counter
-    before each block, so setting it to (t * B, ...) starts trial t's
-    range, and each run of consecutive trials is one random_raw call.
+    Row r reads trial trials[r]'s range at axis point axis[r]; keys maps
+    each axis index to its Philox and that generator's fresh state.
+    numpy's Philox advances the counter before each block, so setting it
+    to (t * B, ...) starts trial t's range, and each run of rows at one
+    point with consecutive trials is one random_raw call.
     """
     width = -(-count // 4)  # B
     t = np.asarray(trials, dtype=np.uint64)
     out = np.empty((t.size, 4 * width), np.uint64)
-    edges = [0, *(np.flatnonzero(np.diff(t) != 1) + 1).tolist(), t.size]
+    cuts = (np.diff(t) != 1) | (np.diff(axis) != 0)
+    edges = [0, *(np.flatnonzero(cuts) + 1).tolist(), t.size]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi > lo:
+            bitgen, state = keys[int(axis[lo])]
             counter = [int(t[lo]) * width, _STREAMS[stream], attempt, 0]
             state["state"]["counter"] = np.array(counter, np.uint64)
             bitgen.state = state
@@ -449,16 +467,21 @@ def _dopplers(u: np.ndarray, lo: float, hi: float, k: int, gap: float) -> np.nda
     return np.where(nu < hi, nu, lo)  # a value that rounds up to hi is lo on the circle
 
 
-def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
-    """Everything random in a block of trials; identical for every link mode.
+def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
+    """Everything random in a block of rows; identical for every link mode.
 
-    Trial t reads its counter ranges (see the module docstring), the code
-    trial 0's when frozen.  A scene is redrawn, on the next attempt's
-    counters of the channel and phase streams, while alpha_los * h_los or
-    alpha^T c of any reflected mode is exactly zero, so all link modes
-    accept or reject identical draws and pairing is preserved.
+    Row r is trial trials[r] at axis point axis_index[r], or at axis_index
+    itself when it is an int; one Philox per point the block touches is
+    built once.  A row reads its trial's counter ranges at its point (see
+    the module docstring), the code trial 0's of its own point when
+    frozen.  A scene is redrawn, on the next attempt's counters of the
+    channel and phase streams, while alpha_los * h_los or alpha^T c of any
+    reflected mode is exactly zero, so all link modes accept or reject
+    identical draws and pairing is preserved.  Every other field comes
+    from `scenario`, so the rows' points may differ only in what no draw
+    reads.
 
-    Returns a dict over the drawn trials, in order: "drawn" their
+    Returns a dict over the drawn rows, in order: "drawn" their
     positions in `trials`; "u" the (T, k + 1) Dopplers in cycles, the
     direct path's first; "h_los" and "alpha_los" (T,); "alpha" (T, k);
     "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
@@ -468,15 +491,19 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     whose scene is still degenerate after RESAMPLE_BUDGET attempts is not
     among the drawn ones.
     """
-    trials = list(trials)
-    if axis_index < 0 or min(trials, default=0) < 0:
+    trials = np.asarray(trials, dtype=np.int64)
+    axis = np.asarray(axis_index, dtype=np.int64)
+    if np.any(axis < 0) or np.any(trials < 0):
         raise ValueError("indices must be nonnegative")
+    axis = np.broadcast_to(axis, trials.shape)
     n, k, m = scenario.n, scenario.k, scenario.m
-    bitgen = Philox(key=np.array([scenario.master_seed, axis_index], np.uint64))
-    state = bitgen.state
+    keys = {}
+    for i in np.unique(axis).tolist():
+        bitgen = Philox(key=np.array([scenario.master_seed, i], np.uint64))
+        keys[i] = bitgen, bitgen.state
 
-    def words(stream, count, rows=trials, attempt=0):
-        return _stream_words(bitgen, state, stream, rows, count, attempt)
+    def words(stream, count, rows=slice(None), attempt=0):
+        return _stream_words(keys, stream, axis[rows], trials[rows], count, attempt)
 
     lo, hi = scenario.doppler_range
     u = _dopplers(_uniforms(words("doppler", 2 * k + 1)), lo, hi, k, scenario.min_gap_cycles)
@@ -493,8 +520,7 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
     for attempt in range(RESAMPLE_BUDGET):
         if todo.size == 0:
             break
-        rows = [trials[j] for j in todo]
-        w = words("channel", count, rows, attempt)
+        w = words("channel", count, todo, attempt)
         hl, al, al_los = np.split(_complex_normals(w[:, :pairs]), [1, k + 1], axis=1)
         hl, al_los = hl[:, 0], al_los[:, 0]
         if scenario.fixed_panels is not None:
@@ -505,7 +531,7 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         composed = {
             mode: np.broadcast_to(coef, (todo.size, k))
             for mode, coef in _compose_modes(scenario, c, beta,
-                                             words("phase", k * m, rows, attempt)).items()
+                                             words("phase", k * m, todo, attempt)).items()
         }
         ok = hl * al_los != 0
         for coef in composed.values():
@@ -529,8 +555,12 @@ def _draw_block(scenario: Scenario, axis_index: int, trials) -> dict:
         "z": _complex_normals(words("noise", 2 * (k + 1)))[drawn],
     }
     if scenario.noise_cov is not None:
-        code = _uniforms(words("waveform", n, [0] if scenario.freeze_waveform else trials))
-        block["x"] = random_code(2.0 * np.pi * np.broadcast_to(code, (len(trials), n))[drawn])
+        if scenario.freeze_waveform:  # trial 0's code of each row's point
+            points, at = np.unique(axis, return_inverse=True)
+            code = _uniforms(_stream_words(keys, "waveform", points, np.zeros_like(points), n))[at]
+        else:
+            code = _uniforms(words("waveform", n))
+        block["x"] = random_code(2.0 * np.pi * code[drawn])
     return block
 
 
@@ -607,7 +637,7 @@ def _gram_root(q: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _steering_gram(block, noise: NoiseModel):
+def _steering_gram(block, noise: NoiseModel, sigma2=None):
     """Q = S^H R^-1 S and a draw of v = S^H R^-1 w for each trial in the block.
 
     S = Diag(x) P(nu) holds the steering columns of all k + 1 paths, the
@@ -619,11 +649,14 @@ def _steering_gram(block, noise: NoiseModel):
     F z from a square root Q = F F^H (_gram_root) and the block's k + 1
     normals z.  Every link mode's model is A = S Diag(c) on its paths, so
     its Gram A^H R^-1 A and matched filter A^H R^-1 (A alpha + w) follow
-    from Q and v alone; see _estimate_mode.
+    from Q and v alone; see _estimate_mode.  sigma2, one per drawn row,
+    replaces a white noise model's power, for a block that spans the
+    points of a noise sweep; the elementwise division gives the bits the
+    scalar one does.
     """
     if noise.is_scaled_identity:
         q = _dirichlet_gram(block["u"], noise.n)
-        q /= noise.sigma2
+        q /= noise.sigma2 if sigma2 is None else sigma2[:, None, None]
     else:
         steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
         white = noise._whiten @ steer
@@ -634,7 +667,7 @@ def _steering_gram(block, noise: NoiseModel):
     return q, v
 
 
-def _estimate_mode(scenario: Scenario, block, q, v, rows):
+def _estimate_mode(scenario: Scenario, block, q, v, rows, gamma=None):
     """Estimate the scenario's link mode on the block's trials at `rows`.
 
     q and v are _steering_gram's output for the whole block.  Each trial's
@@ -646,11 +679,14 @@ def _estimate_mode(scenario: Scenario, block, q, v, rows):
     holding nmse, mse and crb_trace, nan where the BLUE refuses the trial,
     and cause and cond are blue_gram's cause codes and screened condition
     numbers, from which estimator._refusal builds a refused trial's error.
+    gamma, one per row of `rows`, replaces the scenario's in the direct
+    link's normalization, for a block that spans the points of a gamma
+    sweep; its elementwise root gives the bits the scalar's does.
     """
     if scenario.link_mode == "los_only":
         h_los, truth = block["h_los"][rows], block["alpha_los"][rows]
         check_coefficients(h_los)
-        root = np.sqrt(scenario.gamma)
+        root = np.sqrt(scenario.gamma if gamma is None else gamma)
         gain = np.abs(truth * h_los)
         coef, norms, truth = (h_los * root / gain)[:, None], gain / root, truth[:, None]
         paths = slice(0, 1)
@@ -686,33 +722,45 @@ def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> Tria
     return TrialRecord(nmse=nmse, mse=mse, crb_trace=crb_trace)
 
 
-def _evaluate_block(scenarios, axis_index: int, trials: range) -> np.ndarray:
-    """Records of every scenario on a block of trials, (modes, 3, trials).
+def _evaluate_block(points, axis, trials):
+    """Records of every mode on a block of rows, (modes, 3, rows), and each row's cause.
 
-    Every scenario is one axis point's, so they share its noise model, and
-    one steering Gram serves all of their modes.  A trial is excluded, nan
-    in every mode, when its scene is not drawn or the BLUE refuses it in
-    any mode, where run_trial would raise a NumericalError; no exception
-    is built for it.  Modes run in order and each only on the trials the
-    earlier ones kept, so a ValueError surfaces exactly where evaluating
-    the trials one at a time would raise it.
+    Row r is trial trials[r] of axis point axis[r], or of axis itself when
+    it is an int, and points holds the per-mode Scenarios of each point the
+    block touches, in order from axis[0]'s.  The rows' points share every
+    field but the swept one, so one draw and one steering Gram serve them
+    all, with each row's own sigma2 and gamma, and every mode is its first
+    point's Scenario.  A row is excluded, nan in every mode, when its scene
+    is not drawn or the BLUE refuses it in any mode, where run_trial would
+    raise a NumericalError; no exception is built for it.  Its cause
+    (int8) is UNDRAWN, or the blue_gram code of the first mode that refused
+    it, and CLEARED for a row kept.  Modes run in order and each only on
+    the rows the earlier ones kept, so a ValueError surfaces exactly where
+    evaluating the rows one at a time would raise it.
     """
-    out = np.full((len(scenarios), 3, len(trials)), np.nan)
-    block = _draw_block(scenarios[0], axis_index, trials)
+    trials = np.asarray(trials)
+    axis = np.broadcast_to(axis, trials.shape)
+    first = points[0]
+    out = np.full((len(first), 3, trials.size), np.nan)
+    cause = np.full(trials.size, UNDRAWN, np.int8)
+    block = _draw_block(first[0], axis, trials)
     drawn = block["drawn"]
     if drawn.size == 0:
-        return out
-    q, v = _steering_gram(block, scenarios[0]._noise)
+        return out, cause
+    at = (axis - axis[0])[drawn]
+    gamma, sigma2 = (np.array([getattr(p[0], f) for p in points])[at] for f in ("gamma", "sigma2"))
+    q, v = _steering_gram(block, first[0]._noise, sigma2)
     kept = np.arange(drawn.size)
-    records = np.full((len(scenarios), 3, drawn.size), np.nan)
-    for mi, scenario in enumerate(scenarios):
-        recs, cause, _ = _estimate_mode(scenario, block, q, v, kept)
+    records = np.full((len(first), 3, drawn.size), np.nan)
+    for mi, scenario in enumerate(first):
+        recs, refused, _ = _estimate_mode(scenario, block, q, v, kept, gamma[kept])
         records[mi][:, kept] = recs
-        kept = kept[cause == CLEARED]
+        cause[drawn[kept]] = refused
+        kept = kept[refused == CLEARED]
         if kept.size == 0:
-            return out
+            return out, cause
     out[:, :, drawn[kept]] = records[:, :, kept]
-    return out
+    return out, cause
 
 
 SWEEP_MODES = ("los_only", "nlos_random", "nlos_optimal")
@@ -731,19 +779,25 @@ class SweepResult:
     trials_used: int  # requested per point
     included: np.ndarray  # per point, after exclusions
     excluded: np.ndarray  # per point
+    # (points, 3): excluded rows by EXCLUSION_CAUSES, the scene not drawn,
+    # ILL_CONDITIONED and NOT_POSITIVE_DEFINITE, each row counted under the
+    # first mode that refused it
+    excluded_by_cause: np.ndarray
     records: dict  # label -> field -> (points, trials) array, nan where excluded
 
 
 def _block_trials(scenario: Scenario) -> int:
-    """Trials per block: as many as fit BLOCK_BYTES of the block's largest array.
+    """Rows per block: as many as fit BLOCK_BYTES of the block's largest array.
 
-    A trial's largest array is its channel draw's 3 k M words (24 k M
-    bytes), the words of its conj(g) h products, unless under noise_cov
-    its N x (k + 1) steering columns (16 N (k + 1) bytes) are larger; its
-    (k + 1) x (k + 1) Gram (16 (k + 1)^2) is the largest array of the
-    white-noise estimate.  That gives 273 trials at the default N = 50,
-    k = 5, M = 10, six at N = 256, k = 32, M = 64 (two under noise_cov),
-    and one once k M exceeds 6826.
+    A row is one (point, trial) of a sweep.  Its largest array is its
+    channel draw's 3 k M words (24 k M bytes), the words of its conj(g) h
+    products, unless under noise_cov its N x (k + 1) steering columns
+    (16 N (k + 1) bytes) are larger; its (k + 1) x (k + 1) Gram
+    (16 (k + 1)^2) is the largest array of the white-noise estimate.
+    That gives 273 rows at the default N = 50, k = 5, M = 10, six at
+    N = 256, k = 32, M = 64 (two under noise_cov), and one once k M
+    exceeds 6826.  A block may span axis points: its size depends on no
+    swept value, and a row's records do not depend on its block.
     """
     n, k, m = scenario.n, scenario.k, scenario.m
     steering = n * (k + 1) if scenario.noise_cov is not None else (k + 1) ** 2
@@ -765,15 +819,14 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
     labels = tuple(MODE_LABELS[m] for m in modes)
     P, T = values.size, template.trials
     fields = ("nmse", "mse", "crb_trace")
-    records = {lab: {f: np.full((P, T), np.nan) for f in fields} for lab in labels}
 
-    # one task per block; the block size depends on no swept value
+    # rows are (point, trial) pairs, point-major, and a block is a run of
+    # _block_trials rows, which may span points; one task per block
     step = _block_trials(template)
-    tasks = [
-        (scenarios, i, range(lo, min(lo + step, T)))
-        for i, scenarios in enumerate(points)
-        for lo in range(0, T, step)
-    ]
+    tasks = []
+    for lo in range(0, P * T, step):
+        axis, trials = np.divmod(np.arange(lo, min(lo + step, P * T)), T)
+        tasks.append((points[axis[0]:axis[-1] + 1], axis, trials))
     if workers > 1:
         # imported here: the pool's modules (multiprocessing, socket, ...) cost
         # every single-process run its start-up time
@@ -784,10 +837,11 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
     else:
         chunks = [_evaluate_block(*task) for task in tasks]
 
-    for (_, i, trials), chunk in zip(tasks, chunks):
-        for lab, recs in zip(labels, chunk):
-            for f, vals in zip(fields, recs):
-                records[lab][f][i, trials.start:trials.stop] = vals
+    # the blocks, in order, tile the rows
+    table, causes = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
+    records = {lab: {f: table[mi, fi].reshape(P, T) for fi, f in enumerate(fields)}
+               for mi, lab in enumerate(labels)}
+    causes = causes.reshape(P, T)
 
     mean_nmse, stderr_nmse, mean_crb = {}, {}, {}
     for lab in labels:
@@ -800,6 +854,7 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
         stderr_nmse[lab] = np.nanstd(nm, axis=1, ddof=1) / np.sqrt(counts)
         mean_crb[lab] = np.nanmean(records[lab]["crb_trace"], axis=1)
     excluded = T - (~np.isnan(records[labels[0]]["nmse"])).sum(axis=1)
+    by_cause = np.stack([(causes == c).sum(axis=1) for c in EXCLUSION_CAUSES], axis=1)
 
     return SweepResult(
         axis_name=axis_name,
@@ -811,6 +866,7 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
         trials_used=T,
         included=T - excluded,
         excluded=excluded,
+        excluded_by_cause=by_cause,
         records=records,
     )
 

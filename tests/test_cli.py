@@ -37,6 +37,7 @@ def _mk_result(axis, modes, values, included=None):
         trials_used=int(included.max()),
         included=included,
         excluded=included * 0,
+        excluded_by_cause=np.zeros((axis.size, 3), dtype=int),
         records={},
     )
 

@@ -449,8 +449,9 @@ def test_well_conditioned_grams_skip_the_eigenvalue_screen(monkeypatch):
 
     monkeypatch.setattr(estimator, "_condition_numbers", counting)
     points = [Scenario(link_mode=mode) for mode in SWEEP_MODES]
-    records = _evaluate_block(points, 0, range(65))
+    records, cause = _evaluate_block([points], 0, range(65))
     assert np.all(np.isfinite(records))
+    assert np.all(cause == estimator.CLEARED)
     assert sum(seen) == 0
     # the exclusions record case: its near-singular Grams are screened
     s = Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0)
