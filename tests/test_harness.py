@@ -566,6 +566,106 @@ def test_exclusion_mask_matches_run_trial(monkeypatch, block_trials):
     np.testing.assert_array_equal(res.excluded, singular.sum(axis=1))
 
 
+def _rows_by_run_trial(tpl, axis, values):
+    """Each (point, trial)'s records from run_trial, and each point's exclusions by cause.
+
+    A row is nan in every mode where run_trial raises in any mode, and is
+    counted under the error of the first mode that raises: not drawn,
+    ILL_CONDITIONED or NOT_POSITIVE_DEFINITE.
+    """
+    expect = {MODE_LABELS[m]: np.full((3, len(values), tpl.trials), np.nan) for m in SWEEP_MODES}
+    by_cause = np.zeros((len(values), 3), dtype=int)
+    not_pd = str(estimator._refusal(estimator.NOT_POSITIVE_DEFINITE, np.nan))
+    for i, value in enumerate(values):
+        for t in range(tpl.trials):
+            recs = {}
+            try:
+                for mode in SWEEP_MODES:
+                    point = replace(tpl, link_mode=mode, **{axis: value})
+                    recs[MODE_LABELS[mode]] = run_trial(point, t, axis_index=i)
+            except GenerationError:
+                by_cause[i, 0] += 1
+            except SingularModelError as exc:
+                by_cause[i, 2 if str(exc) == not_pd else 1] += 1
+            else:
+                for lab, rec in recs.items():
+                    expect[lab][:, i, t] = (rec.nmse, rec.mse, rec.crb_trace)
+    return expect, by_cause
+
+
+STRADDLE_CASES = {
+    "white": dict(n=20, k=3, m=4, master_seed=6),
+    # each row's frozen code is trial 0's of its own point
+    "frozen_code": dict(n=20, k=3, m=4, master_seed=6, freeze_waveform=True,
+                        noise_cov=np.diag(np.linspace(0.01, 0.2, 20)) + 0.004 * np.ones((20, 20))),
+    "fixed_panels": dict(n=20, k=3, m=4, master_seed=6,
+                         fixed_panels=random_panels(np.random.default_rng(5))),
+    # gap 0 refuses rows 4, 7, 9, 11 and 27 of the 30, rows 9 and 11 on
+    # either side of the first point boundary
+    "exclusions": dict(n=10, k=10, m=2, master_seed=4, doppler_min_gap=0),
+}
+
+
+@pytest.mark.parametrize("step", [1, 7, None])  # None: one block of every row
+@pytest.mark.parametrize("case", sorted(STRADDLE_CASES))
+def test_blocks_that_straddle_points_match_run_trial(case, step, monkeypatch):
+    # a block may hold the rows of several points; each row still takes its
+    # own point's gamma, sigma2, Philox key and frozen code
+    tpl = Scenario(trials=10, **STRADDLE_CASES[case])
+    axes = [("gamma", sweep_gamma, (1e-3, 0.3, 30.0))]
+    if tpl.noise_cov is None:  # sweep_noise rejects a template with noise_cov
+        axes.append(("sigma2", sweep_noise, (1e-3, 1e-2, 1e-1)))
+    for axis, sweep, values in axes:
+        rows = len(values) * tpl.trials
+        monkeypatch.setattr(harness, "_block_trials", lambda scenario: step or rows)
+        res = sweep(tpl, values)
+        expect, by_cause = _rows_by_run_trial(tpl, axis, values)
+        for lab in res.modes:
+            for j, field in enumerate(("nmse", "mse", "crb_trace")):
+                np.testing.assert_array_equal(res.records[lab][field], expect[lab][j])
+        np.testing.assert_array_equal(res.excluded_by_cause, by_cause)
+        if case == "exclusions":
+            assert by_cause.sum() == 5
+
+
+def test_exclusions_are_counted_by_cause(monkeypatch):
+    # the golden exclusions case: each point's counts by cause sum to its
+    # excluded count and are the errors run_trial raises for its trials
+    s = Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0)
+    gammas = (1e-3, 0.3, 30.0)
+    res = _sweep(s, "gamma", gammas, SWEEP_MODES)
+    _, by_cause = _rows_by_run_trial(s, "gamma", gammas)
+    np.testing.assert_array_equal(res.excluded_by_cause, by_cause)
+    np.testing.assert_array_equal(res.excluded_by_cause.sum(axis=1), res.excluded)
+    assert by_cause.tolist() == [[0, 1, 0], [0, 0, 0], [0, 2, 0]]
+    # a row whose scene the redraw budget loses is not drawn
+    real = harness._compose_modes
+    monkeypatch.setattr(harness, "_compose_modes",
+                        lambda *args: {mode: 0 * c for mode, c in real(*args).items()})
+    points = [[replace(s, link_mode=mode, gamma=g) for mode in SWEEP_MODES] for g in gammas[:2]]
+    records, cause = harness._evaluate_block(points, np.array([0, 0, 1]), np.array([22, 23, 0]))
+    assert np.all(np.isnan(records))
+    assert cause.tolist() == [harness.UNDRAWN] * 3
+
+
+def test_sweep_blocks_span_points(monkeypatch):
+    # rows run point-major across points, so a sweep makes ceil(P T / step)
+    # blocks, not P ceil(T / step)
+    sizes = []
+    real = harness._evaluate_block
+
+    def counting(*args):
+        sizes.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_evaluate_block", counting)
+    sweep_gamma(Scenario(trials=60), np.logspace(-5, 2, 21))  # the benchmark's shape
+    assert sizes == [273] * 4 + [1260 - 4 * 273]
+    sizes.clear()
+    sweep_noise(Scenario(n=256, k=32, m=64, trials=12), np.logspace(-3, 0, 3))
+    assert sizes == [6] * 6
+
+
 def test_block_trials_follow_the_largest_array():
     # N x (k + 1) steering columns set the size at large N and k, k x M
     # panel draws at large M
