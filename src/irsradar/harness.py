@@ -497,8 +497,8 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
         raise ValueError("indices must be nonnegative")
     axis = np.broadcast_to(axis, trials.shape)
     n, k, m = scenario.n, scenario.k, scenario.m
-    keys = {}
-    for i in np.unique(axis).tolist():
+    keys = {}  # np.unique would import numpy.ma, about 10 ms, into every CLI run
+    for i in sorted(set(axis.tolist())):
         bitgen = Philox(key=np.array([scenario.master_seed, i], np.uint64))
         keys[i] = bitgen, bitgen.state
 
@@ -556,8 +556,9 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     }
     if scenario.noise_cov is not None:
         if scenario.freeze_waveform:  # trial 0's code of each row's point
-            points, at = np.unique(axis, return_inverse=True)
-            code = _uniforms(_stream_words(keys, "waveform", points, np.zeros_like(points), n))[at]
+            points = np.array(list(keys))
+            code = _uniforms(_stream_words(keys, "waveform", points, np.zeros_like(points), n))
+            code = code[np.searchsorted(points, axis)]
         else:
             code = _uniforms(words("waveform", n))
         block["x"] = random_code(2.0 * np.pi * code[drawn])
