@@ -556,7 +556,7 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     }
     if scenario.noise_cov is not None:
         if scenario.freeze_waveform:  # trial 0's code of each row's point
-            points = np.array(list(keys))
+            points = np.array(list(keys))  # sorted, for searchsorted
             code = _uniforms(_stream_words(keys, "waveform", points, np.zeros_like(points), n))
             code = code[np.searchsorted(points, axis)]
         else:
@@ -749,7 +749,8 @@ def _evaluate_block(points, axis, trials):
     if drawn.size == 0:
         return out, cause
     at = (axis - axis[0])[drawn]
-    gamma, sigma2 = (np.array([getattr(p[0], f) for p in points])[at] for f in ("gamma", "sigma2"))
+    gamma = np.array([p[0].gamma for p in points])[at]
+    sigma2 = np.array([p[0].sigma2 for p in points])[at]
     q, v = _steering_gram(block, first[0]._noise, sigma2)
     kept = np.arange(drawn.size)
     records = np.full((len(first), 3, drawn.size), np.nan)
