@@ -30,9 +30,12 @@ def _cases():
 
     The first two are the CLI's default sweep-gamma and sweep-noise; the
     next seven are the record cases of test_golden at CASE_TRIALS trials,
-    kept here as they were when the fixture was recorded.  The last two,
+    kept here as they were when the fixture was recorded.  The last three,
     added later with --add-cases, are the large benchmark's sweep-noise
-    shape and a full noise_cov at N = 64.
+    shape, a full noise_cov at N = 64, and freeze_waveform under a full
+    noise_cov, where the frozen code reaches Q (with white noise the
+    freeze_waveform case draws no code, so it computes what workers_2
+    does).
     """
     base = dict(RECORD_BASE, trials=CASE_TRIALS)
     return {
@@ -55,6 +58,8 @@ def _cases():
                               "sigma2", np.geomspace(1e-5, 1.0, 3), SWEEP_MODES, 1),
         "noise_cov_large": (Scenario(n=64, k=8, m=16, trials=CASE_TRIALS, master_seed=6,
                                      noise_cov=_noise_cov(64)), "gamma", GAMMAS, SWEEP_MODES, 1),
+        "freeze_waveform_cov": (Scenario(**base, freeze_waveform=True, noise_cov=_noise_cov(20)),
+                                "gamma", GAMMAS, SWEEP_MODES, 1),
     }
 
 
