@@ -192,6 +192,31 @@ MODE_LABELS = {
 }
 
 
+def _check_powers(gamma, sigma2, modes):
+    """Raise the ValueError of the first point whose gamma or sigma2 no mode may take.
+
+    gamma and sigma2 are one value or one per point, and every point runs
+    each of the link modes.  sigma2 must lie in POWER_RANGE, gamma too
+    unless it is 0, which los_only cannot take.  The message is the one the
+    first bad point's first failing rule gives, as if each point's
+    Scenario were built in turn.
+    """
+    lo, hi = POWER_RANGE
+    gamma, sigma2 = np.broadcast_arrays(np.atleast_1d(gamma), sigma2)
+    bad_sigma2 = ~((lo <= sigma2) & (sigma2 <= hi))  # nan too
+    bad_gamma = ~((gamma == 0) | ((lo <= gamma) & (gamma <= hi)))
+    blocked = (gamma == 0) & ("los_only" in modes)
+    bad = np.flatnonzero(bad_sigma2 | bad_gamma | blocked)
+    if bad.size == 0:
+        return
+    first = bad[0]
+    if bad_sigma2[first]:
+        raise ValueError(f"sigma2 must lie in [{lo:g}, {hi:g}]")
+    if bad_gamma[first]:
+        raise ValueError(f"gamma must be 0 or lie in [{lo:g}, {hi:g}]")
+    raise ValueError("gamma must be positive for link_mode='los_only'")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed to regenerate one experiment deterministically."""
@@ -220,13 +245,7 @@ class Scenario:
                 raise ValueError(f"{key} must be positive")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
-        lo, hi = POWER_RANGE
-        if not lo <= self.sigma2 <= hi:
-            raise ValueError(f"sigma2 must lie in [{lo:g}, {hi:g}]")
-        if not (self.gamma == 0 or lo <= self.gamma <= hi):
-            raise ValueError(f"gamma must be 0 or lie in [{lo:g}, {hi:g}]")
-        if self.link_mode == "los_only" and self.gamma == 0:
-            raise ValueError("gamma must be positive for link_mode='los_only'")
+        _check_powers(self.gamma, self.sigma2, (self.link_mode,))
         if not 0 <= self.master_seed < SEED_BOUND:
             raise ValueError("master_seed must lie in [0, 2**64)")
         if self.link_mode not in LINK_MODES:
@@ -723,38 +742,35 @@ def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> Tria
     return TrialRecord(nmse=nmse, mse=mse, crb_trace=crb_trace)
 
 
-def _evaluate_block(points, axis, trials):
+def _evaluate_block(scenarios, axis, trials, gamma, sigma2):
     """Records of every mode on a block of rows, (modes, 3, rows), and each row's cause.
 
     Row r is trial trials[r] of axis point axis[r], or of axis itself when
-    it is an int, and points holds the per-mode Scenarios of each point the
-    block touches, in order from axis[0]'s.  The rows' points share every
-    field but the swept one, so one draw and one steering Gram serve them
-    all, with each row's own sigma2 and gamma, and every mode is its first
-    point's Scenario.  A row is excluded, nan in every mode, when its scene
-    is not drawn or the BLUE refuses it in any mode, where run_trial would
-    raise a NumericalError; no exception is built for it.  Its cause
-    (int8) is UNDRAWN, or the blue_gram code of the first mode that refused
-    it, and CLEARED for a row kept.  Modes run in order and each only on
-    the rows the earlier ones kept, so a ValueError surfaces exactly where
-    evaluating the rows one at a time would raise it.
+    it is an int, and scenarios holds one Scenario per mode, which share
+    every field but link_mode.  The rows' points differ only in gamma and
+    sigma2, given one per row, so one draw and one steering Gram serve
+    them all, with each row's own sigma2 and gamma.  A row is excluded, nan
+    in every mode, when its scene is not drawn or the BLUE refuses it in
+    any mode, where run_trial would raise a NumericalError; no exception is
+    built for it.  Its cause (int8) is UNDRAWN, or the blue_gram code of
+    the first mode that refused it, and CLEARED for a row kept.  Modes run
+    in order and each only on the rows the earlier ones kept, so a
+    ValueError surfaces exactly where evaluating the rows one at a time
+    would raise it.
     """
     trials = np.asarray(trials)
     axis = np.broadcast_to(axis, trials.shape)
-    first = points[0]
-    out = np.full((len(first), 3, trials.size), np.nan)
+    out = np.full((len(scenarios), 3, trials.size), np.nan)
     cause = np.full(trials.size, UNDRAWN, np.int8)
-    block = _draw_block(first[0], axis, trials)
+    block = _draw_block(scenarios[0], axis, trials)
     drawn = block["drawn"]
     if drawn.size == 0:
         return out, cause
-    at = (axis - axis[0])[drawn]
-    gamma = np.array([p[0].gamma for p in points])[at]
-    sigma2 = np.array([p[0].sigma2 for p in points])[at]
-    q, v = _steering_gram(block, first[0]._noise, sigma2)
+    gamma, sigma2 = np.asarray(gamma)[drawn], np.asarray(sigma2)[drawn]
+    q, v = _steering_gram(block, scenarios[0]._noise, sigma2)
     kept = np.arange(drawn.size)
-    records = np.full((len(first), 3, drawn.size), np.nan)
-    for mi, scenario in enumerate(first):
+    records = np.full((len(scenarios), 3, drawn.size), np.nan)
+    for mi, scenario in enumerate(scenarios):
         recs, refused, _ = _estimate_mode(scenario, block, q, v, kept, gamma[kept])
         records[mi][:, kept] = recs
         cause[drawn[kept]] = refused
@@ -808,18 +824,22 @@ def _block_trials(scenario: Scenario) -> int:
 
 def _sweep(template: Scenario, axis_name: str, axis_values, modes,
            workers: int = 1) -> SweepResult:
-    """Run the link modes over the axis; every Scenario is validated up front."""
+    """Run the link modes over the axis; every mode and swept value is validated up front."""
     values = np.asarray(list(axis_values), dtype=float)
     if values.size == 0:
         raise ValueError("axis must contain at least one value")
     if template.trials < 2:
         raise ValueError("a sweep needs trials >= 2 to estimate the spread of each point")
-    points = [
-        [replace(template, link_mode=mode, **{axis_name: float(v)}) for mode in modes]
-        for v in values
-    ]
-    labels = tuple(MODE_LABELS[m] for m in modes)
+    # one Scenario per mode, at the first point; the other points differ
+    # only in the swept value, checked here as an array with the rule
+    # Scenario applies, so the first bad point raises what its Scenario would
+    scenarios = [replace(template, link_mode=mode, **{axis_name: float(values[0])})
+                 for mode in modes]
     P, T = values.size, template.trials
+    powers = {"gamma": np.full(P, template.gamma), "sigma2": np.full(P, template.sigma2),
+              axis_name: values}
+    _check_powers(powers["gamma"], powers["sigma2"], modes)
+    labels = tuple(MODE_LABELS[m] for m in modes)
     fields = ("nmse", "mse", "crb_trace")
 
     # rows are (point, trial) pairs, point-major, and a block is a run of
@@ -828,7 +848,7 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
     tasks = []
     for lo in range(0, P * T, step):
         axis, trials = np.divmod(np.arange(lo, min(lo + step, P * T)), T)
-        tasks.append((points[axis[0]:axis[-1] + 1], axis, trials))
+        tasks.append((scenarios, axis, trials, powers["gamma"][axis], powers["sigma2"][axis]))
     if workers > 1:
         # imported here: the pool's modules (multiprocessing, socket, ...) cost
         # every single-process run its start-up time

@@ -448,8 +448,9 @@ def test_well_conditioned_grams_skip_the_eigenvalue_screen(monkeypatch):
         return real(gram)
 
     monkeypatch.setattr(estimator, "_condition_numbers", counting)
-    points = [Scenario(link_mode=mode) for mode in SWEEP_MODES]
-    records, cause = _evaluate_block([points], 0, range(65))
+    scenarios = [Scenario(link_mode=mode) for mode in SWEEP_MODES]
+    powers = np.full(65, 1e-2)  # the default gamma and sigma2 of every row
+    records, cause = _evaluate_block(scenarios, 0, range(65), powers, powers)
     assert np.all(np.isfinite(records))
     assert np.all(cause == estimator.CLEARED)
     assert sum(seen) == 0

@@ -91,6 +91,40 @@ def test_scenario_rejects_nonfinite_and_blocked_los():
     Scenario(link_mode="nlos_optimal", gamma=0.0)  # blocked LoS, reflected paths only
 
 
+def _first_point_error(tpl, axis, values, modes):
+    """The message of the first (point, mode) Scenario that raises, as built point by point."""
+    for value in values:
+        for mode in modes:
+            try:
+                replace(tpl, link_mode=mode, **{axis: float(value)})
+            except ValueError as exc:
+                return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("axis, values, modes", [
+    ("gamma", (0.1, 0.0, 1e40), SWEEP_MODES),  # the los mode's rule comes first
+    ("gamma", (0.1, 1e40, 0.0), SWEEP_MODES),
+    ("gamma", (0.1, 0.0, 1e40), ("nlos_random", "nlos_optimal")),  # 0 is legal there
+    ("gamma", (0.1, 0.2, np.nan), ("nlos_optimal", "los_only")),
+    ("sigma2", (1e-2, 1e-3, 0.0, np.inf), SWEEP_MODES),
+    ("sigma2", (1e-2, np.nan), ("los_only",)),
+])
+def test_sweeps_raise_the_first_bad_points_error(axis, values, modes, monkeypatch):
+    # the swept values are checked as one array, before any trial runs, and
+    # raise what building each point's Scenario in turn would
+    def no_trials(*args):
+        raise AssertionError("a trial was evaluated")
+
+    monkeypatch.setattr(harness, "_evaluate_block", no_trials)
+    tpl = Scenario(**SMALL)
+    want = _first_point_error(tpl, axis, values, modes)
+    assert want is not None and _first_point_error(tpl, axis, values[:1], modes) is None
+    with pytest.raises(ValueError) as exc:
+        _sweep(tpl, axis, values, modes)
+    assert str(exc.value) == want
+
+
 def test_doppler_inputs_must_be_finite():
     # a nan gap made both separation comparisons False and switched the check off
     for bad in (np.nan, np.inf):
@@ -642,8 +676,10 @@ def test_exclusions_are_counted_by_cause(monkeypatch):
     real = harness._compose_modes
     monkeypatch.setattr(harness, "_compose_modes",
                         lambda *args: {mode: 0 * c for mode, c in real(*args).items()})
-    points = [[replace(s, link_mode=mode, gamma=g) for mode in SWEEP_MODES] for g in gammas[:2]]
-    records, cause = harness._evaluate_block(points, np.array([0, 0, 1]), np.array([22, 23, 0]))
+    scenarios = [replace(s, link_mode=mode) for mode in SWEEP_MODES]
+    axis = np.array([0, 0, 1])
+    records, cause = harness._evaluate_block(scenarios, axis, np.array([22, 23, 0]),
+                                             np.take(gammas, axis), np.full(3, s.sigma2))
     assert np.all(np.isnan(records))
     assert cause.tolist() == [harness.UNDRAWN] * 3
 
