@@ -5,26 +5,33 @@ alpha_hat = (A^H R^-1 A)^-1 A^H R^-1 y with covariance (A^H R^-1 A)^-1,
 independent of the distribution of n beyond its second moment.
 
 Everything runs on numpy's LAPACK and BLAS.  The estimate needs the model
-only through its Gram G = A^H R^-1 A and matched filter b = A^H R^-1 y,
-and blue_gram, the one BLUE kernel, works on those K-space quantities
-alone: it factors every Gram with one stacked Cholesky, G = L L^H,
-inverts the factors together, and reads the estimate L^-H (L^-1 b) and
-the covariance trace Tr(G^-1) = ||L^-1||_F^2 off them without forming any
-covariance.  It also holds the only condition screen: cond(G) <= Tr(G)
-Tr(G^-1), so a Gram whose product lies well inside CONDITION_LIMIT is
-cleared without an eigenvalue call, and only the others, among them any
-Gram without a Cholesky factor, get their condition number from
+only through its Gram G = A^H R^-1 A and matched filter b = A^H R^-1 y.
+Every BLUE here factors a stack of Hermitian matrices with one stacked
+Cholesky, M = L L^H, and forms each L^-1 by one stacked forward
+substitution (_factor_inverse); no covariance is formed.  blue_gram, the
+library's BLUE, factors each Gram itself and reads the estimate
+L^-H (L^-1 b) and the covariance trace Tr(G^-1) = ||L^-1||_F^2 off it.
+The sweep's models share more: a link mode's model is A = S Diag(d), S
+the steering columns of its group of paths and d the mode's
+coefficients, so G = D^H Q D with Q = S^H R^-1 S the same for every mode
+on the group.  The BLUE is equivariant under that diagonal
+reparametrization, so _path_factor factors each Q once, and _blue_scaled
+reads every mode's error alpha_hat - alpha = (Q^-1 v) / d and trace
+Tr(G^-1) = sum_i (Q^-1)_ii / |d_i|^2 off that one factor.  Both hold the
+one condition screen (_screen): cond(G) <= Tr(G) Tr(G^-1), so a Gram
+whose product lies well inside CONDITION_LIMIT is cleared without an
+eigenvalue call, and only the others, among them any Gram without a
+Cholesky factor, are formed and get their condition number from
 eigvalsh.  A refused Gram comes back as a cause code and its condition
 number, not as an exception: _refusal builds the SingularModelError only
-where one model's refusal is raised.  The sweep engine builds G and b
-itself from a steering Gram it shares between link modes.  The
-library's one N-space entry is _model_gram, which checks a single N x K
-model against the noise and forms R^-1 A and G, with a full R applied as
-its stored inverse L^-H L^-1; blue_estimate, estimator_mse and
-bounds.fisher_information each pass its Gram to blue_gram as a stack of
-one, and blue_estimate also returns the covariance L^-H L^-1.  Each
-stacked call runs one LAPACK or BLAS call per item, so an item's values
-do not depend on the stack it is in.
+where one model's refusal is raised.  The library's one N-space entry is
+_model_gram, which checks a single N x K model against the noise and
+forms R^-1 A and G, with a full R applied as its stored inverse
+L^-H L^-1; blue_estimate, estimator_mse and bounds.fisher_information
+each pass its Gram to blue_gram as a stack of one, and blue_estimate also
+returns the covariance L^-H L^-1.  Each stacked step is elementwise or
+runs one LAPACK or BLAS call per item, so an item's values do not depend
+on the stack it is in.
 """
 from __future__ import annotations
 
@@ -41,18 +48,26 @@ TRACE_BOUND_MARGIN = 0.5
 """A Gram is cleared without eigvalsh when Tr(G) Tr(G^-1) <= CONDITION_LIMIT * this.
 
 For Hermitian positive definite G, lambda_max <= Tr(G) and 1 / lambda_min
-<= Tr(G^-1), so cond(G) <= Tr(G) Tr(G^-1).  blue_gram reads Tr(G^-1) off
-the computed factor, which is exact for G + dG with |dG| <= gamma_{K+1}
-|L| |L^H| (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-ed., 2002, Thm 10.3), so ||dG||_2 <= ||dG||_F <= gamma_{K+1} ||L||_F^2 =
-gamma_{K+1} Tr(G + dG), gamma_{K+1} = (K + 1) u / (1 - (K + 1) u).  Then
+<= Tr(G^-1), so cond(G) <= Tr(G) Tr(G^-1).  Tr(G^-1) is read off a
+computed Cholesky factor, which is exact for a nearby matrix (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, Thm
+10.3).  blue_gram factors G itself, exactly for G + dG with |dG| <=
+gamma_{K+1} |L| |L^H|, so ||dG||_2 <= ||dG||_F <= gamma_{K+1} ||L||_F^2 =
+gamma_{K+1} Tr(G + dG), gamma_{K+1} = (K + 1) u / (1 - (K + 1) u).  The
+sweep factors Q = L L^H, with G = D^H Q D, exactly for Q + dQ with |dQ|
+<= gamma_{K+1} |L| |L^H|, so it reads Tr(G^-1) of G + dG with dG = D^H dQ
+D, and ||dG||_F <= gamma_{K+1} || |D^H L| |L^H D| ||_F <= gamma_{K+1}
+||D^H L||_F^2 = gamma_{K+1} Tr(G + dG): the same bound.  Then
 lambda_min(G) >= 1 / Tr((G + dG)^-1) - ||dG||_2, and a cleared Gram has
 cond(G) <= 5e11 / (1 - 5e11 gamma_{K+1} (1 + gamma_{K+1})); the rounding
-of the inverse, the trace and the product adds a relative error of order
-K u sqrt(cond(G)), about 1e-8 here.  For K <= 100 that is below about
-5.03e11, so eigvalsh, whose eigenvalues are within a small multiple of
-u ||G||_2 of the exact ones, could not have read the Gram above 1e12:
-clearing it excludes nothing the eigenvalue screen would have.
+of the inverse, the sums and the product adds a relative error of order
+K u sqrt(cond(G)), about 1e-8 here, for either factor, since a
+triangular inverse's componentwise error, a small multiple of u |L^-1|
+|L| |L^-1| (Higham, ch. 8), scales column by column with D as the
+inverse does.  For K <= 100 that is below about 5.03e11, so eigvalsh,
+whose eigenvalues are within a small multiple of u ||G||_2 of the exact
+ones, could not have read the Gram above 1e12: clearing it excludes
+nothing the eigenvalue screen would have.
 """
 
 
@@ -158,8 +173,55 @@ def _cholesky_factors(m: np.ndarray):
     return factors, factored
 
 
+def _factor_inverse(m: np.ndarray):
+    """L^-1 of each Hermitian matrix m = L L^H of a stack, and which items have a factor.
+
+    L is _cholesky_factors'.  L^-1 comes from one stacked forward
+    substitution, row by row: row j of L^-1 is 1 / L_jj on the diagonal
+    and -(L[j, :j] L^-1[:j, :j]) / L_jj before it.  Each step is
+    elementwise or one stacked matmul, one BLAS call per item, so an
+    item's inverse does not depend on the stack; its K steps make about
+    K^3 / 6 complex multiply-adds per item, where np.linalg.inv would run
+    an LU solve against I.  An item without a factor has a nan L^-1, and
+    a near-singular item's may overflow to inf or nan, which the trace
+    bound then leaves to the eigenvalue screen (_screen).
+    """
+    factors, factored = _cholesky_factors(m)
+    inv = np.zeros_like(factors)
+    diag = factors.diagonal(axis1=-2, axis2=-1).real
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(m.shape[-1]):
+            inv[:, j, j] = 1.0 / diag[:, j]
+            if j:
+                row = factors[:, j:j + 1, :j] @ inv[:, :j, :j]
+                inv[:, j:j + 1, :j] = -row / diag[:, j, None, None]
+    return inv, factored
+
+
 # why blue_gram refuses an item: its cause code
 CLEARED, ILL_CONDITIONED, NOT_POSITIVE_DEFINITE = 0, 1, 2
+
+
+def _screen(bound: np.ndarray, factored: np.ndarray, grams):
+    """Each item's cause code and screened condition number, from its trace bound.
+
+    bound (T,) holds Tr(G) Tr(G^-1) read off each item's factor, nan for
+    an item without one.  An item within CONDITION_LIMIT *
+    TRACE_BOUND_MARGIN is cleared without eigvalsh; grams(rows) forms the
+    Grams of the others, whose condition numbers eigvalsh reads
+    (_condition_numbers).  One above CONDITION_LIMIT is ILL_CONDITIONED,
+    and one that passes but has no factor NOT_POSITIVE_DEFINITE, so every
+    refusal is the one the eigenvalue screen alone would give.  cond (T,)
+    is nan for the items the bound cleared.
+    """
+    cause = np.where(factored, CLEARED, NOT_POSITIVE_DEFINITE).astype(np.int8)
+    cond = np.full(len(bound), np.nan)
+    screen = np.flatnonzero(~(bound <= CONDITION_LIMIT * TRACE_BOUND_MARGIN))  # nan too
+    if screen.size:
+        cond[screen] = _condition_numbers(grams(screen))
+        failed = screen[~(cond[screen] <= CONDITION_LIMIT)]  # nan and inf fail too
+        cause[failed] = ILL_CONDITIONED
+    return cause, cond
 
 
 def _refusal(cause: int, cond: float) -> SingularModelError:
@@ -184,14 +246,10 @@ def _model_gram(A, noise: NoiseModel):
 def blue_gram(gram: np.ndarray, b: np.ndarray):
     """The BLUE of every model in a stack, from its Gram and matched filter.
 
-    Every Gram is factored, G = L L^H (_cholesky_factors), and its factor
-    inverted in one stacked call each; Tr(G^-1) = ||L^-1||_F^2 then clears
-    each item whose Tr(G) Tr(G^-1) is within CONDITION_LIMIT *
-    TRACE_BOUND_MARGIN.  The other items, among them every item without a
-    factor, whose nan factor fails that bound, are screened by their
-    eigvalsh condition number, and an item that passes that screen but has
-    no factor is refused as not positive definite.  So every refusal is
-    the one the eigenvalue screen alone would give.
+    Every Gram is factored, G = L L^H, and its factor inverted
+    (_factor_inverse); Tr(G^-1) = ||L^-1||_F^2 and Tr(G) then screen each
+    item (_screen), which forms no Gram for the items the trace bound
+    clears.
 
     Parameters
     ----------
@@ -210,31 +268,79 @@ def blue_gram(gram: np.ndarray, b: np.ndarray):
         SingularModelError a refused item raises.  cond (T,) holds the
         eigvalsh condition number of each screened item, nan for the
         items the trace bound cleared.  chol_inv (T, K, K) holds L^-1.
-        Item t's values do not depend on the other items: every step runs
-        one LAPACK or BLAS call per item.
+        Item t's values do not depend on the other items: every step is
+        elementwise or runs one LAPACK or BLAS call per item.
     """
     T, K = b.shape
-    factors, factored = _cholesky_factors(gram)
-    cause = np.where(factored, CLEARED, NOT_POSITIVE_DEFINITE).astype(np.int8)
-    cond = np.full(T, np.nan)
-    # a near-singular item's ||L^-1||_F^2 may overflow to inf, which the
-    # bound below then leaves to the eigenvalue screen
+    chol_inv, factored = _factor_inverse(gram)
     with np.errstate(over="ignore"):
         # with G = L L^H: G^-1 = L^-H L^-1 and Tr(G^-1) = ||L^-1||_F^2
-        chol_inv = np.linalg.inv(factors)
         mse = _squared_norms(chol_inv.reshape(T, K * K))
         bound = np.trace(gram, axis1=-2, axis2=-1).real * mse
-    screen = np.flatnonzero(~(bound <= CONDITION_LIMIT * TRACE_BOUND_MARGIN))  # nan too
-    if screen.size:
-        cond[screen] = _condition_numbers(gram[screen])
-        failed = screen[~(cond[screen] <= CONDITION_LIMIT)]  # nan and inf fail too
-        cause[failed] = ILL_CONDITIONED
+    cause, cond = _screen(bound, factored, gram.__getitem__)
     refused = cause != CLEARED
     chol_inv[refused] = np.nan
     mse[refused] = np.nan
     alpha_hat = (chol_inv.conj().swapaxes(-1, -2) @ (chol_inv @ b[..., None]))[..., 0]
     alpha_hat[refused] = np.nan  # whatever a BLAS makes of a nan L^-1 times a zero b
     return alpha_hat, mse, cause, cond, chol_inv
+
+
+def _scaled_gram(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D^H Q D with D = Diag(d), for each item of a (T, K, K) and (T, K) stack."""
+    return _hermitian(d.conj()[:, :, None] * q * d[:, None, :])
+
+
+def _path_factor(q: np.ndarray, v: np.ndarray):
+    """What every model on one group of paths shares: (diag(Q^-1), Q^-1 v, factored).
+
+    q (T, K, K) and v (T, K) are the group's block of the steering Gram Q
+    and of v = S^H R^-1 w.  With Q = L L^H (_factor_inverse), Q^-1 = L^-H
+    L^-1, so diag(Q^-1) holds the squared column norms of L^-1 and Q^-1 v
+    = L^-H (L^-1 v); both are nan where Q has no factor.  Each is
+    elementwise or one BLAS call per item, so an item's values do not
+    depend on the stack.
+    """
+    chol_inv, factored = _factor_inverse(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        white = chol_inv @ v[..., None]
+        err = (chol_inv.conj().swapaxes(-1, -2) @ white)[..., 0]
+        w = (chol_inv.real**2 + chol_inv.imag**2).sum(axis=-2)
+    return w, err, factored
+
+
+def _blue_scaled(q: np.ndarray, factor, d: np.ndarray):
+    """The BLUE of each model A = S Diag(d) on a group of paths, from its _path_factor.
+
+    The model's Gram is G = D^H Q D and its matched filter D^H (Q D alpha
+    + v), so alpha_hat - alpha = D^-1 Q^-1 v and Tr(G^-1) = sum_i
+    (Q^-1)_ii / |d_i|^2: the BLUE is equivariant under the diagonal
+    reparametrization (Kay, Fundamentals of Statistical Signal Processing:
+    Estimation Theory, 1993, ch. 6), and one factor of Q serves every d.
+    The trace bound Tr(G) Tr(G^-1) = (sum_i |d_i|^2 Q_ii) Tr(G^-1) screens
+    each item (_screen), and only the items it does not clear get G formed
+    (_scaled_gram), among them every item whose Q has no factor.  Such an
+    item is refused as NOT_POSITIVE_DEFINITE where eigvalsh does not find
+    G ill-conditioned, as blue_gram refuses a G without a factor: whether
+    Cholesky completes depends on a matrix through its diagonally scaled
+    form, which D leaves as it is up to phases.
+
+    Returns (err, trace, cause, cond): the estimation errors alpha_hat -
+    alpha (T, K) and Tr(G^-1) (T,), nan where the item is refused, and
+    _screen's cause codes and condition numbers, as blue_gram gives them
+    for G.  Every step is elementwise or one call per item.
+    """
+    w, err, factored = factor
+    power = d.real**2 + d.imag**2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        err = err / d
+        trace = (w / power).sum(axis=-1)
+        bound = (power * q.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1) * trace
+    cause, cond = _screen(bound, factored, lambda rows: _scaled_gram(q[rows], d[rows]))
+    refused = cause != CLEARED
+    err[refused] = np.nan
+    trace[refused] = np.nan
+    return err, trace, cause, cond
 
 
 def _blue_one(gram: np.ndarray, b: np.ndarray):
@@ -309,7 +415,12 @@ def nmse_rows(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
     Row t's value is norm(truth[t] - est[t]) / norm(truth[t]), the norms
     not squared, in the bits np.linalg.norm gives on that row alone.
     """
+    return _error_nmse(truth, truth - est)
+
+
+def _error_nmse(truth: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """norm(err[t]) / norm(truth[t]) of each row, the NMSE of an estimate that errs by err."""
     denom = _row_norms(truth)
     if np.any(denom == 0):
         raise UndefinedMetricError("NMSE undefined for a zero true vector")
-    return _row_norms(truth - est) / denom
+    return _row_norms(err) / denom

@@ -43,15 +43,20 @@ range the separation floor would not separate the paths.
 Recorded metrics
 ----------------
 A trial's draw composes each reflected mode's coefficients once; each
-trial-mode then normalizes its scene and runs one BLUE, and all three
-fields come from that one Gram factorization.  The same factor screens
-the Gram's conditioning: eigvalsh runs only for a Gram whose bound
-Tr(G) Tr(G^-1) the factor does not clear (estimator.TRACE_BOUND_MARGIN).
-nmse       against the trial's true reflectivities, on the normalized
-           scene (direct power gamma, reflected power 1).
+trial-mode then normalizes its scene to coefficients d, and all three
+fields come from one factor of its group of paths' steering Gram Q,
+shared by every mode on the group (see below).  The same factor screens
+the mode's conditioning: its Gram G = D^H Q D is formed, for eigvalsh,
+only where the bound Tr(G) Tr(G^-1) the factor gives is not cleared
+(estimator.TRACE_BOUND_MARGIN).
+nmse       ||alpha_hat - alpha|| / ||alpha|| against the trial's true
+           reflectivities, on the normalized scene (direct power gamma,
+           reflected power 1), with alpha_hat - alpha = (Q^-1 v) / d
+           formed directly rather than as a difference.
 crb_trace  Tr((A^H R^-1 A)^-1), the BLUE covariance trace on the
-           normalized scene, read off the Gram's Cholesky factor as
-           ||L^-1||_F^2 without forming the covariance.  For the linear
+           normalized scene, read off the shared factor Q = L L^H as
+           sum_i (Q^-1)_ii / |d_i|^2, (Q^-1)_ii the squared norm of column
+           i of L^-1, without forming a covariance.  For the linear
            Gaussian model this equals Tr(C_CRB), the bound the NMSE
            curves are held against.
 mse        crb_trace / norm**2, where norm is the scene's normalization
@@ -73,9 +78,11 @@ consecutive trials at one point are contiguous, so each stream of a block
 is one random_raw call per point it touches; the scene redraw runs over
 the rows still pending, and all arithmetic on the words runs once over
 the block.  A block's points differ only in the swept gamma or sigma2,
-which no draw reads, so each row takes its own value only where it
-enters: sigma2 in Q and gamma in the direct link's normalization, both
-elementwise, so a row gets the bits its point alone would.  The reflected
+which no draw reads, so a sweep builds one Scenario per mode, checks the
+swept values as one array (_check_powers), and each row takes its own
+value only where it enters: sigma2 in Q and gamma in the direct link's
+normalization, both elementwise, so a row gets the bits its point alone
+would.  The reflected
 modes' coefficients are composed from the phasors themselves:
 nlos_random weights c by the phasors of its phase words, nlos_optimal is
 sum_m beta_m |c_m|, the value composing at the aligning phases reaches,
@@ -94,11 +101,17 @@ factor, stored once per Scenario.  Each mode then takes its paths' part
 of Q and v (entry [0, 0] for the direct link, block [1:, 1:] for the
 reflected ones) and with D = Diag(d) has Gram D^H Q D = A^H R^-1 A and
 matched filter D^H (Q D alpha + v) = A^H R^-1 y, so neither A nor y is
-formed, and one stacked BLUE on those K x K quantities gives its
-records.  Q is singular when two paths coincide, or when k + 1 paths
-exceed N pulses; v then comes from an eigh square root of Q, whose law
-is the same, and only the mode whose own Gram is singular excludes the
-trial, through the BLUE's condition screen.
+formed.  Its BLUE errs by alpha_hat - alpha = D^-1 Q^-1 v and has
+covariance trace sum_i (Q^-1)_ii / |d_i|^2, so the modes on a group of
+paths differ only by the diagonal D (Kay 1993, ch. 6): each block
+factors each group's Q once (estimator._path_factor), forming L^-1, Q^-1
+v and diag(Q^-1), and each mode's records are elementwise work on its d
+(estimator._blue_scaled).  No mode Gram, matched filter or K x K
+inverse per mode is formed, except D^H Q D for the rows the trace bound
+does not clear.  Q is singular when two paths coincide, or when k + 1
+paths exceed N pulses; v then comes from an eigh square root of Q, whose
+law is the same, and only the mode whose own Gram is singular excludes
+the trial, through the condition screen.
 
 A block holds as many rows as its largest array fits in BLOCK_BYTES
 (_block_trials): a row counts its 3 k M channel words, or under
@@ -113,17 +126,18 @@ the same bits as evaluating it alone with run_trial, whatever the block
 size or worker count.  The stacked steps are only those that apply the
 same kernel to every item: elementwise ufuncs, stacked matmul and
 np.vecdot (one BLAS call per item, the same dot np.vdot, a 1-D @ and
-np.linalg.norm make on one item), and numpy's stacked eigvalsh, eigh,
-cholesky and inv (one LAPACK call per item).  That covers each panel
-row's coefficient, each trial's alpha^T c zero check and normalization
-norm, the closed-form Gram, the whitened steering Gram, the square root
-of Q and v, the Cholesky factorization and the NMSE norms.  Every mean
+np.linalg.norm make on one item), reductions along an item's own axes,
+and numpy's stacked eigvalsh, eigh and cholesky (one LAPACK call per
+item).  That covers each panel row's coefficient, each trial's alpha^T c
+zero check and normalization norm, the closed-form Gram, the whitened
+steering Gram, the square root of Q and v, the Cholesky factorization,
+its forward-substituted inverse and the NMSE norms.  Every mean
 NMSE stays within 4 standard errors of the moments in
 tests/data/moments_fixture.npz, and every record within 1e-9 of
 tests/data/records_fixture.npz.  A trial whose scene is still
 degenerate after the resample budget, or whose Gram the BLUE refuses in
 any mode, is excluded from every mode.  Exclusions travel as arrays: the
-draw's drawn positions and blue_gram's cause codes, which a sweep counts
+draw's drawn positions and the condition screen's cause codes, which a sweep counts
 per point (SweepResult.excluded_by_cause); the GenerationError or
 SingularModelError is built only where run_trial raises it.
 """
@@ -149,11 +163,12 @@ from .estimator import (
     ILL_CONDITIONED,
     NOT_POSITIVE_DEFINITE,
     NoiseModel,
+    _blue_scaled,
     _cholesky_factors,
+    _error_nmse,
     _hermitian,
+    _path_factor,
     _refusal,
-    blue_gram,
-    nmse_rows,
 )
 from .model import check_coefficients, random_code, steering_columns
 
@@ -165,7 +180,8 @@ _STREAMS = {"waveform": 0, "doppler": 1, "channel": 2, "noise": 3, "phase": 4}
 RESAMPLE_BUDGET = 100
 
 # the cause code of a row whose scene is still degenerate after the
-# resample budget, beside blue_gram's; SweepResult.excluded_by_cause counts
+# resample budget, beside the condition screen's (estimator._screen, which
+# blue_gram and the sweep share); SweepResult.excluded_by_cause counts
 # the causes in this order
 UNDRAWN = 3
 EXCLUSION_CAUSES = (UNDRAWN, ILL_CONDITIONED, NOT_POSITIVE_DEFINITE)
@@ -687,21 +703,31 @@ def _steering_gram(block, noise: NoiseModel, sigma2=None):
     return q, v
 
 
-def _estimate_mode(scenario: Scenario, block, q, v, rows, gamma=None):
+# the two groups of paths a link mode estimates: the direct link's, entry
+# [0, 0] of the steering Gram, and the reflected modes', block [1:, 1:]
+_PATH_GROUPS = {"direct": slice(0, 1), "reflected": slice(1, None)}
+
+
+def _estimate_mode(scenario: Scenario, block, q, v, rows, gamma=None, factors=None):
     """Estimate the scenario's link mode on the block's trials at `rows`.
 
-    q and v are _steering_gram's output for the whole block.  Each trial's
-    scene is normalized to path coefficients d, and with D = Diag(d) on
-    the mode's paths (entry [0, 0] of q for the direct link, block
-    [1:, 1:] for the reflected ones) its Gram is D^H Q D and its matched
-    filter D^H (Q D alpha + v).  One stacked BLUE on those gives every
-    metric.  Returns (records, cause, cond): records is (3, len(rows))
-    holding nmse, mse and crb_trace, nan where the BLUE refuses the trial,
-    and cause and cond are blue_gram's cause codes and screened condition
-    numbers, from which estimator._refusal builds a refused trial's error.
-    gamma, one per row of `rows`, replaces the scenario's in the direct
-    link's normalization, for a block that spans the points of a gamma
-    sweep; its elementwise root gives the bits the scalar's does.
+    q and v are _steering_gram's output for the whole block, and rows are
+    sorted positions among its trials.  Each trial's scene is normalized to
+    path coefficients d on the mode's group of paths, and the BLUE of A =
+    S Diag(d) is read off the group's shared factor (estimator._path_factor,
+    _blue_scaled): nmse = ||(Q^-1 v) / d|| / ||alpha||, crb_trace = sum_i
+    (Q^-1)_ii / |d_i|^2 and mse = crb_trace / norm**2, and only a trial
+    whose trace bound is not cleared has its Gram D^H Q D formed.  factors
+    maps a group to its factor over all of the block's trials, and is
+    filled on first use, so every mode of a block on one group shares one
+    factorization; a mode takes the factor's rows only where earlier modes
+    left some out.  Returns (records, cause, cond): records is (3,
+    len(rows)) holding nmse, mse and crb_trace, nan where the BLUE refuses
+    the trial, and cause and cond are the screen's cause codes and
+    condition numbers, from which estimator._refusal builds a refused
+    trial's error.  gamma, one per row of `rows`, replaces the scenario's
+    in the direct link's normalization, for a block that spans the points
+    of a gamma sweep; its elementwise root gives the bits the scalar's does.
     """
     if scenario.link_mode == "los_only":
         h_los, truth = block["h_los"][rows], block["alpha_los"][rows]
@@ -709,23 +735,23 @@ def _estimate_mode(scenario: Scenario, block, q, v, rows, gamma=None):
         root = np.sqrt(scenario.gamma if gamma is None else gamma)
         gain = np.abs(truth * h_los)
         coef, norms, truth = (h_los * root / gain)[:, None], gain / root, truth[:, None]
-        paths = slice(0, 1)
+        group = "direct"
     else:
         raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
         check_coefficients(raw)
         norms = np.abs(_project(truth, raw))
         coef = raw / norms[:, None]
-        paths = slice(1, None)
-    q, v = q[rows][:, paths, paths], v[rows][:, paths]
-    coef_h = coef.conj()
-    gram = _hermitian(coef_h[:, :, None] * q * coef[:, None, :])
-    b = coef_h * ((q @ (coef * truth)[..., None])[..., 0] + v)
-    alpha_hat, mse, cause, cond, _ = blue_gram(gram, b)
-    records = np.full((3, len(rows)), np.nan)
-    ok = cause == CLEARED
-    records[0, ok] = nmse_rows(truth[ok], alpha_hat[ok])
-    records[1] = mse / norms**2
-    records[2] = mse
+        group = "reflected"
+    paths = _PATH_GROUPS[group]
+    q = q[:, paths, paths]
+    factors = {} if factors is None else factors
+    if group not in factors:
+        factors[group] = _path_factor(q, v[:, paths])
+    factor = factors[group]
+    if rows.size < len(q):
+        q, factor = q[rows], tuple(a[rows] for a in factor)
+    err, trace, cause, cond = _blue_scaled(q, factor, coef)
+    records = np.stack([_error_nmse(truth, err), trace / norms**2, trace])
     return records, cause, cond
 
 
@@ -749,14 +775,15 @@ def _evaluate_block(scenarios, axis, trials, gamma, sigma2):
     it is an int, and scenarios holds one Scenario per mode, which share
     every field but link_mode.  The rows' points differ only in gamma and
     sigma2, given one per row, so one draw and one steering Gram serve
-    them all, with each row's own sigma2 and gamma.  A row is excluded, nan
-    in every mode, when its scene is not drawn or the BLUE refuses it in
-    any mode, where run_trial would raise a NumericalError; no exception is
-    built for it.  Its cause (int8) is UNDRAWN, or the blue_gram code of
-    the first mode that refused it, and CLEARED for a row kept.  Modes run
-    in order and each only on the rows the earlier ones kept, so a
-    ValueError surfaces exactly where evaluating the rows one at a time
-    would raise it.
+    them all, with each row's own sigma2 and gamma, and each group of
+    paths' Q is factored once for every mode on it (_estimate_mode's
+    factors).  A row is excluded, nan in every mode, when its scene is not
+    drawn or the BLUE refuses it in any mode, where run_trial would raise
+    a NumericalError; no exception is built for it.  Its cause (int8) is
+    UNDRAWN, or the screen's code of the first mode that refused it, and
+    CLEARED for a row kept.  Modes run in order and each only on the rows
+    the earlier ones kept, so a ValueError surfaces exactly where
+    evaluating the rows one at a time would raise it.
     """
     trials = np.asarray(trials)
     axis = np.broadcast_to(axis, trials.shape)
@@ -766,12 +793,13 @@ def _evaluate_block(scenarios, axis, trials, gamma, sigma2):
     drawn = block["drawn"]
     if drawn.size == 0:
         return out, cause
-    gamma, sigma2 = np.asarray(gamma)[drawn], np.asarray(sigma2)[drawn]
+    gamma, sigma2 = gamma[drawn], sigma2[drawn]
     q, v = _steering_gram(block, scenarios[0]._noise, sigma2)
     kept = np.arange(drawn.size)
+    factors = {}  # each group of paths' factor, shared by the modes on it
     records = np.full((len(scenarios), 3, drawn.size), np.nan)
     for mi, scenario in enumerate(scenarios):
-        recs, refused, _ = _estimate_mode(scenario, block, q, v, kept, gamma[kept])
+        recs, refused, _ = _estimate_mode(scenario, block, q, v, kept, gamma[kept], factors)
         records[mi][:, kept] = recs
         cause[drawn[kept]] = refused
         kept = kept[refused == CLEARED]

@@ -15,16 +15,31 @@ from irsradar.estimator import (
     NOT_POSITIVE_DEFINITE,
     NoiseModel,
     _blue_one,
+    _blue_scaled,
     _cholesky_factors,
     _condition_numbers,
+    _error_nmse,
     _gram_stack,
+    _path_factor,
     _refusal,
     blue_estimate,
     blue_gram,
     estimator_mse,
     nmse_rows,
 )
-from irsradar.harness import SWEEP_MODES, Scenario, _evaluate_block, _gram_root, _sweep, run_trial
+from irsradar.harness import (
+    LINK_MODES,
+    SWEEP_MODES,
+    Scenario,
+    _draw_block,
+    _estimate_mode,
+    _evaluate_block,
+    _gram_root,
+    _project,
+    _steering_gram,
+    _sweep,
+    run_trial,
+)
 from irsradar.model import build_sensing_matrix, make_random_waveform
 
 from csi_draws import crandn
@@ -243,7 +258,10 @@ def test_blue_estimate_matches_per_item_cholesky_solves(N, K):
 
 def _stack_with_singular_item(rng, T, N, K):
     cols, y = crandn(rng, T, N, K), crandn(rng, T, N)
-    cols[2, :, 1] = cols[2, :, 0]  # identical columns
+    if K > 1:
+        cols[2, :, 1] = cols[2, :, 0]  # identical columns
+    else:
+        cols[2] = 0  # a zero column
     return cols, y
 
 
@@ -285,23 +303,35 @@ def test_blue_gram_items_match_single_estimates():
                 assert mse[t] == rep.mse
 
 
-@pytest.mark.parametrize("N, K", SHAPES)
+def _shared_blue(q, v, d):
+    # the sweep's BLUE of the models A = S Diag(d), from one factor of each
+    # steering Gram Q: the factor's arrays, then (err, trace, cause, cond)
+    factor = _path_factor(q, v)
+    return (*factor, *_blue_scaled(q, factor, d))
+
+
+@pytest.mark.parametrize("N, K", [*SHAPES, (50, 1)])
 def test_blue_gram_items_do_not_depend_on_the_stack(N, K):
     rng = np.random.default_rng(N * K + 1)
     T = 7
     cols, y = _stack_with_singular_item(rng, T, N, K)
+    d = crandn(rng, T, K)
     for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
         gram, b = _kspace(cols, noise, y)
-        full = blue_gram(gram, b)
-        cause = full[2]
-        assert cause.dtype == np.int8 and cause[2] != CLEARED
-        assert np.count_nonzero(cause == CLEARED) == T - 1
-        for t in range(T):
-            alone = blue_gram(gram[t:t + 1], b[t:t + 1])
-            _assert_items_equal(alone, full, 0, t)
-        part = blue_gram(gram[1:4], b[1:4])
-        for t in range(3):
-            _assert_items_equal(part, full, t, t + 1)
+        # blue_gram on the Grams, and the sweep's helpers with them as one
+        # group's steering Grams Q and b as v; the cause code is field 2
+        # of blue_gram's result and field 5 of the helpers'
+        for blue, at in ((lambda rows: blue_gram(gram[rows], b[rows]), 2),
+                         (lambda rows: _shared_blue(gram[rows], b[rows], d[rows]), 5)):
+            full = blue(slice(None))
+            cause = full[at]
+            assert cause.dtype == np.int8 and cause[2] != CLEARED
+            assert np.count_nonzero(cause == CLEARED) == T - 1
+            for t in range(T):
+                _assert_items_equal(blue(slice(t, t + 1)), full, 0, t)
+            part = blue(slice(1, 4))
+            for t in range(3):
+                _assert_items_equal(part, full, t, t + 1)
 
 
 def test_blue_gram_factors_items_alone_when_the_stacked_cholesky_fails():
@@ -321,6 +351,65 @@ def test_blue_gram_factors_items_alone_when_the_stacked_cholesky_fails():
     assert cause[2] == ILL_CONDITIONED
     for t in (0, 1, 2, 3, 5):
         _assert_items_equal(got, clean, t, t)
+
+
+def _mode_paths(block, mode, gamma):
+    """A mode's normalized coefficients d, true reflectivities and group of paths, per trial."""
+    if mode == "los_only":
+        h_los, alpha_los = block["h_los"], block["alpha_los"]
+        d = h_los * np.sqrt(gamma) / np.abs(alpha_los * h_los)
+        return d[:, None], alpha_los[:, None], slice(0, 1)
+    raw, alpha = block["csi"][mode], block["alpha"]
+    return raw / np.abs(_project(alpha, raw))[:, None], alpha, slice(1, None)
+
+
+@pytest.mark.parametrize("n, k", SHAPES)
+def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
+    # every mode's BLUE, read off its group's one factor of Q, against
+    # blue_gram on the mode's own Gram D^H Q D and matched filter
+    # D^H (Q D alpha + v), formed explicitly.  Besides the drawn trials,
+    # one with two nearly coincident Dopplers, the stack holds a trial
+    # whose d has a zero entry and one whose Q is indefinite.  Cause codes
+    # and screened condition numbers agree bit for bit, and the records of
+    # a kept trial within 64 K eps cond(G)
+    T, gamma = 8, 0.3
+    thetas = np.random.default_rng(k).uniform(0.0, 6.0, (k, 4))
+    s = Scenario(n=n, k=k, m=4, gamma=gamma, trials=T, master_seed=9, fixed_theta=thetas)
+    block = _draw_block(s, 0, range(T))
+    block["u"][1, 1:3] = 0.1, 0.1 + 1e-9  # two reflected paths 1e-9 cycles apart
+    q, v = _steering_gram(block, s._noise)
+    for mode in LINK_MODES:
+        d, truth, paths = _mode_paths(block, mode, gamma)
+        qp, vp = q[:, paths, paths], v[:, paths]
+        dz = d[:1].copy()
+        dz[0, 0] = 0  # a path with no coefficient
+        qs = np.concatenate([qp, qp[:1], -qp[2:3]])  # the last Q indefinite
+        vs, ds, ts = (np.concatenate([x, x[:1], x[2:3]]) for x in (vp, d, truth))
+        ds[T] = dz[0]
+        err, trace, cause, cond = _blue_scaled(qs, _path_factor(qs, vs), ds)
+        gram = estimator._hermitian(ds.conj()[:, :, None] * qs * ds[:, None, :])
+        b = ds.conj() * ((qs @ (ds * ts)[..., None])[..., 0] + vs)
+        alpha_hat, mse, want_cause, want_cond, _ = blue_gram(gram, b)
+        np.testing.assert_array_equal(cause, want_cause, err_msg=mode)
+        np.testing.assert_array_equal(cond, want_cond, err_msg=mode)
+        assert cause[T] == ILL_CONDITIONED and cause[T + 1] == NOT_POSITIVE_DEFINITE
+        assert cause[1] == (CLEARED if mode == "los_only" else ILL_CONDITIONED)
+        ok = cause == CLEARED
+        assert ok.sum() == (T if mode == "los_only" else T - 1)
+        assert np.all(np.isnan(trace[~ok])) and np.all(np.isnan(err[~ok]))
+        tol = 64 * d.shape[1] * np.finfo(float).eps * np.linalg.cond(gram[ok])
+        np.testing.assert_array_less(np.abs(trace[ok] - mse[ok]), tol * mse[ok])
+        scale = np.linalg.norm(ts[ok], axis=1)
+        got = np.linalg.norm(err[ok], axis=1) / scale
+        want = np.linalg.norm(alpha_hat[ok] - ts[ok], axis=1) / scale
+        np.testing.assert_array_less(np.abs(got - want), tol * (1 + want))
+        # the harness reads the drawn trials' records off the same factor
+        records, mode_cause, mode_cond = _estimate_mode(replace(s, link_mode=mode), block, q, v,
+                                                        np.arange(T))
+        np.testing.assert_array_equal(mode_cause, cause[:T])
+        np.testing.assert_array_equal(mode_cond, cond[:T])
+        np.testing.assert_array_equal(records[2], trace[:T])
+        np.testing.assert_array_equal(records[0], _error_nmse(ts[:T], err[:T]))
 
 
 @pytest.mark.parametrize("K", [1, 5, 32])

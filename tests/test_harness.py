@@ -702,6 +702,44 @@ def test_sweep_blocks_span_points(monkeypatch):
     assert sizes == [6] * 6
 
 
+@pytest.mark.parametrize("modes", [SWEEP_MODES, (*SWEEP_MODES, "nlos_fixed")])
+def test_each_group_of_paths_is_factored_once_per_block(modes, monkeypatch):
+    # every mode on a group of paths reads the group's one factor of Q: the
+    # direct link's 1 x 1 block and the reflected k x k block are each
+    # factored once per block, whatever the number of modes; no blue_gram
+    # runs, and no mode Gram D^H Q D is formed for a trial the trace bound
+    # clears, which is every trial at the default shape
+    factored, formed = [], []  # per block: the size of each factored Q; rows formed
+    real_block, real_factor = harness._evaluate_block, estimator._factor_inverse
+    real_gram = estimator._scaled_gram
+
+    def block(*args):
+        factored.append([])
+        return real_block(*args)
+
+    def factor(m):
+        factored[-1].append(m.shape[-1])
+        return real_factor(m)
+
+    def blue_gram(*args):
+        raise AssertionError("the sweep ran blue_gram")
+
+    def gram(q, d):
+        formed.append(len(q))
+        return real_gram(q, d)
+
+    monkeypatch.setattr(harness, "_evaluate_block", block)
+    monkeypatch.setattr(estimator, "_factor_inverse", factor)
+    monkeypatch.setattr(estimator, "blue_gram", blue_gram)
+    monkeypatch.setattr(estimator, "_scaled_gram", gram)
+    monkeypatch.setattr(harness, "_block_trials", lambda scenario: 40)
+    thetas = np.random.default_rng(3).uniform(0.0, 6.0, (5, 10))
+    res = _sweep(Scenario(trials=30, fixed_theta=thetas), "gamma", (1e-3, 0.3, 30.0), modes)
+    assert res.excluded.sum() == 0
+    assert factored == [[1, 5]] * 3  # 90 rows in blocks of 40
+    assert formed == []
+
+
 def test_block_trials_follow_the_largest_array():
     # N x (k + 1) steering columns set the size at large N and k, k x M
     # panel draws at large M
