@@ -137,9 +137,10 @@ tests/data/moments_fixture.npz, and every record within 1e-9 of
 tests/data/records_fixture.npz.  A trial whose scene is still
 degenerate after the resample budget, or whose Gram the BLUE refuses in
 any mode, is excluded from every mode.  Exclusions travel as arrays: the
-draw's drawn positions and the condition screen's cause codes, which a sweep counts
-per point (SweepResult.excluded_by_cause); the GenerationError or
-SingularModelError is built only where run_trial raises it.
+draw's drawn positions and the condition screen's cause codes, which a
+sweep counts per point (SweepResult.excluded_by_cause); the
+GenerationError or SingularModelError is built only where run_trial
+raises it.
 """
 from __future__ import annotations
 

@@ -371,7 +371,8 @@ def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
     # one with two nearly coincident Dopplers, the stack holds a trial
     # whose d has a zero entry and one whose Q is indefinite.  Cause codes
     # and screened condition numbers agree bit for bit, and the records of
-    # a kept trial within 64 K eps cond(G)
+    # a kept trial within 64 K eps cond(G): crb_trace relative to itself,
+    # nmse, already relative to ||alpha||, times 1 + nmse
     T, gamma = 8, 0.3
     thetas = np.random.default_rng(k).uniform(0.0, 6.0, (k, 4))
     s = Scenario(n=n, k=k, m=4, gamma=gamma, trials=T, master_seed=9, fixed_theta=thetas)
@@ -381,11 +382,9 @@ def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
     for mode in LINK_MODES:
         d, truth, paths = _mode_paths(block, mode, gamma)
         qp, vp = q[:, paths, paths], v[:, paths]
-        dz = d[:1].copy()
-        dz[0, 0] = 0  # a path with no coefficient
         qs = np.concatenate([qp, qp[:1], -qp[2:3]])  # the last Q indefinite
         vs, ds, ts = (np.concatenate([x, x[:1], x[2:3]]) for x in (vp, d, truth))
-        ds[T] = dz[0]
+        ds[T, 0] = 0  # a path with no coefficient
         err, trace, cause, cond = _blue_scaled(qs, _path_factor(qs, vs), ds)
         gram = estimator._hermitian(ds.conj()[:, :, None] * qs * ds[:, None, :])
         b = ds.conj() * ((qs @ (ds * ts)[..., None])[..., 0] + vs)

@@ -702,7 +702,8 @@ def test_sweep_blocks_span_points(monkeypatch):
     assert sizes == [6] * 6
 
 
-@pytest.mark.parametrize("modes", [SWEEP_MODES, (*SWEEP_MODES, "nlos_fixed")])
+@pytest.mark.parametrize("modes", [SWEEP_MODES, (*SWEEP_MODES, "nlos_fixed")],
+                         ids=["three_modes", "four_modes"])
 def test_each_group_of_paths_is_factored_once_per_block(modes, monkeypatch):
     # every mode on a group of paths reads the group's one factor of Q: the
     # direct link's 1 x 1 block and the reflected k x k block are each
