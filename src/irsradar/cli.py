@@ -16,9 +16,16 @@ import numpy as np
 from .channel import NLOS_FORMS, read_csi_file, split_crandn, stack_panels
 from .errors import NumericalError, UsageError
 from .harness import SEED_BOUND, Scenario, SweepResult, _sweep, sweep_gamma, sweep_noise
-from .phaseopt import CERTIFY_MAX_ELEMENTS, certify_panels, within_bound
+from .phaseopt import CERTIFY_MAX_ELEMENTS, _panels_per_chunk, certify_panels, within_bound
 
-SUBCOMMANDS = ("sweep-gamma", "sweep-noise", "crb", "single", "certify")
+_HELP = {
+    "sweep-gamma": "NMSE versus direct-link strength",
+    "sweep-noise": "NMSE versus noise power",
+    "crb": "estimation bound versus direct-link strength",
+    "single": "one operating point, full detail",
+    "certify": "grid-check the closed-form phase optimum",
+}
+SUBCOMMANDS = tuple(_HELP)
 
 CSV_HEADER = "axis,mode,mean_nmse,stderr_nmse,mean_crb_trace,trials"
 
@@ -129,39 +136,38 @@ class RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, help="pulses per observation (default 50)")
-    common.add_argument("--k", type=int, help="reflecting platforms (default 5)")
-    common.add_argument("--m", type=int, help="elements per platform (default 10)")
-    common.add_argument("--trials", type=int, help="Monte-Carlo trials per point (default 1000)")
-    common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--gamma", type=float, help="direct-to-reflected power ratio")
-    common.add_argument("--sigma2", type=float, help="noise power (default 1e-2)")
-    common.add_argument("--axis-min", type=float, help="sweep axis lower end")
-    common.add_argument("--axis-max", type=float, help="sweep axis upper end")
-    common.add_argument("--axis-points", type=int, help="sweep points (certify: grid density)")
-    common.add_argument("--axis-scale", choices=("log", "linear"), help="axis spacing")
-    common.add_argument(
+    # one flat parser: every subcommand takes the same flags, and _REJECTED
+    # owns the conflicts between a flag and a subcommand
+    parser = argparse.ArgumentParser(
+        prog="irsradar",
+        usage="%(prog)s [-h] subcommand [flags]",
+        description="Monte-Carlo study of reflecting-surface-aided target estimation.",
+        epilog="subcommands:\n" + "".join(f"  {sub:<13} {text}\n" for sub, text in _HELP.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("subcommand", choices=SUBCOMMANDS, metavar="subcommand",
+                        help="one of the subcommands listed below")
+    parser.add_argument("--n", type=int, help="pulses per observation (default 50)")
+    parser.add_argument("--k", type=int, help="reflecting platforms (default 5)")
+    parser.add_argument("--m", type=int, help="elements per platform (default 10)")
+    parser.add_argument("--trials", type=int, help="Monte-Carlo trials per point (default 1000)")
+    parser.add_argument("--seed", type=int, help="master seed (default 0)")
+    parser.add_argument("--gamma", type=float, help="direct-to-reflected power ratio")
+    parser.add_argument("--sigma2", type=float, help="noise power (default 1e-2)")
+    parser.add_argument("--axis-min", type=float, help="sweep axis lower end")
+    parser.add_argument("--axis-max", type=float, help="sweep axis upper end")
+    parser.add_argument("--axis-points", type=int, help="sweep points (certify: grid density)")
+    parser.add_argument("--axis-scale", choices=("log", "linear"), help="axis spacing")
+    parser.add_argument(
         "--policy",
         choices=("optimal", "random", "fixed"),
         help="phase policy for 'single' (fixed means all-zero shifts)",
     )
-    common.add_argument("--nlos-form", choices=NLOS_FORMS, help="reflected coefficient form")
-    common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--plot", action="store_true", default=None, help="also write an SVG")
-    common.add_argument("--config", help="flat key = value file; flags override it")
-    common.add_argument("--csi", help="replay fixed panel gains from file")
-
-    parser = argparse.ArgumentParser(
-        prog="irsradar",
-        description="Monte-Carlo study of reflecting-surface-aided target estimation.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("sweep-gamma", parents=[common], help="NMSE versus direct-link strength")
-    sub.add_parser("sweep-noise", parents=[common], help="NMSE versus noise power")
-    sub.add_parser("crb", parents=[common], help="estimation bound versus direct-link strength")
-    sub.add_parser("single", parents=[common], help="one operating point, full detail")
-    sub.add_parser("certify", parents=[common], help="grid-check the closed-form phase optimum")
+    parser.add_argument("--nlos-form", choices=NLOS_FORMS, help="reflected coefficient form")
+    parser.add_argument("--out", help="output directory (default .)")
+    parser.add_argument("--plot", action="store_true", default=None, help="also write an SVG")
+    parser.add_argument("--config", help="flat key = value file; flags override it")
+    parser.add_argument("--csi", help="replay fixed panel gains from file")
     return parser
 
 
@@ -444,6 +450,189 @@ def _run_single(cfg: RunConfig, template: Scenario) -> SweepResult:
     return _sweep(template, "gamma", [cfg.gamma], (mode,))
 
 
+# Exact '%.9e' from uint64 words (_sci_words, _write_certify).  Every
+# field is padded to whole words with NUL bytes, which no text contains,
+# and a chunk's rows are written with the NULs deleted.
+_ASCII = 0x3030303030303030  # '0' in each byte
+_TIE = 1e-5  # scaled mantissas this close to a rounding tie go to '%.9e'
+_EXP_RANGE = 300  # the exponent table's |e|; the exact path needs |e| <= 292
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+# entry c: _ASCII on all but the first c bytes, for a word led by c bytes of padding
+_INDEX_ASCII = np.array([_ASCII >> 8 * c << 8 * c for c in range(9)], dtype=np.uint64)
+
+
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each v < 10^8, one per byte, leading digit in the low byte.
+
+    Each step splits every lane of x in two, the quotient q in the low
+    half and the remainder in the high half, as (x << w) - q (d 2^w - 1):
+    first d = 10^4 with q = v // 10^4, then in both 32-bit lanes d = 100
+    with q = x * 5243 >> 19 (x // 100 for x < 10^4), then in all four
+    16-bit lanes d = 10 with q = x * 103 >> 10 (x // 10 for x < 100).
+    The bytes are digit values; OR _ASCII to print them.
+    """
+    q = v // 10000
+    x = v << 32
+    x -= q * (10000 << 32) - q
+    q = x * 5243
+    q >>= 19
+    q &= 0x7F0000007F
+    x <<= 16
+    x -= q * (100 << 16) - q
+    q = x * 103
+    q >>= 10
+    q &= 0xF000F000F000F
+    x <<= 8
+    x -= q * (10 << 8) - q
+    return x
+
+
+def _format_tables():
+    """_sci_words' lookups: word 0 by the two leading digits, "d.d" in bytes 5
+    to 7, and word 2 by column and exponent, 'e', the sign and two or three
+    digits in bytes 0 to 4 and the column's separator in byte 5; then each
+    column's offset into the second."""
+    d = np.arange(100, dtype=np.uint64)
+    heads = (d // 10 | 0x30) << 40 | np.uint64(0x2E << 48) | (d % 10 | 0x30) << 56
+    e = np.arange(-_EXP_RANGE, _EXP_RANGE + 1)
+    a = np.abs(e).astype(np.uint64)
+    h, t, u = a // 100 | 0x30, a // 10 % 10 | 0x30, a % 10 | 0x30
+    tails = np.where(e < 0, np.uint64(0x2D65), np.uint64(0x2B65))
+    tails |= np.where(a >= 100, h << 16 | t << 24 | u << 32, t << 16 | u << 24)
+    separators = np.array([ord(c) << 40 for c in ",,,\n"], dtype=np.uint64)
+    return heads, (tails | separators[:, None]).ravel(), _EXP_RANGE + e.size * np.arange(4)
+
+
+def _powers_of_ten(lo: int, hi: int) -> np.ndarray:
+    # int -> float and int / int are correctly rounded
+    return np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(lo, hi + 1)])
+
+
+def _sci_words(v, tables, out, low8) -> np.ndarray:
+    """Lay out '%.9e' % x of each x in the (R, 4) v; return the flat indices left to '%.9e'.
+
+    out[..., 0] gets the sign in byte 4 and "d.d" in bytes 5 to 7,
+    out[..., 2] the exponent and the column's separator (_format_tables),
+    and low8 the last eight digits as a number, for _digits8.
+
+    The path is exact by construction.  Only x with 1e-290 <= |x| <= 1e290
+    take it, so every power and product below is a normal float.  With
+    e = floor(log10|x|) the scaled mantissa is s = |x| 10^(9-e), formed
+    as one product with 10^(9-e) correctly rounded (_powers_of_ten), so
+    s = s_exact (1 + d1)(1 + d2) with |d1|, |d2| <= 2^-53.  Every s that
+    is used has s < 1e10 + 1/2, so |s - s_exact| <= 1.1e10 * 2.3e-16 <
+    2.6e-6, well under _TIE = 1e-5.
+
+    - For 1e9 <= s < 1e10 - 1/2, '%.9e' rounds s_exact to an integer n
+      (if s_exact < 1e9 by the error above, its ten digits at e - 1
+      round up to 10^10 and print the same "1.000000000" at e).  When s
+      is more than _TIE from every tie k + 1/2, s and s_exact lie on
+      the same side of each, so rint(s) = n.
+    - A log10 that misses by one leaves s below 1e9 or from 1e10 + 1/2
+      up: e moves by one and s is formed again from |x|, not by
+      dividing, so the bound above holds.  An s still outside goes to
+      '%.9e'.
+    - For 1e10 - 1/2 + _TIE < s < 1e10 + 1/2, '%.9e' prints 1.000000000
+      at e + 1: an s_exact below 10^10 rounds up to it, and one from
+      10^10 up has ten digits 10^9 at e + 1.
+    - nan, inf, 0, subnormals, |x| outside the range and near-ties are
+      left to the caller.
+    """
+    heads, tails, columns = tables
+    a = np.abs(v)
+    exact = a >= 1e-290
+    exact &= a <= 1e290
+    a = np.where(exact, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    k0 = 8 - int(e.max())  # 10^k0 ... cover 9 - e with e off by one either way
+    powers = _powers_of_ten(k0, 10 - int(e.min()))
+    s = np.take(powers, (9 - k0) - e)
+    s *= a
+    rare = np.flatnonzero((s < 1e9) | (s >= 1e10 - 0.5))
+    if rare.size:
+        er, sr = e.flat[rare], s.flat[rare]
+        er += sr >= 1e10 + 0.5
+        er -= sr < 1e9
+        sr = a.flat[rare] * np.take(powers, (9 - k0) - er)
+        carry = sr >= 1e10 - 0.5
+        exact.flat[rare[(sr < 1e9) | (sr >= 1e10 + 0.5) | (carry & (sr - (1e10 - 0.5) <= _TIE))]] = False
+        sr[carry] = 1e9
+        er += carry
+        e.flat[rare], s.flat[rare] = er, sr
+    n = np.rint(s)
+    s -= n
+    np.abs(s, out=s)
+    exact &= s < 0.5 - _TIE
+    n = n.astype(np.uint64)
+    lead = n // 10**8
+    np.subtract(n, lead * 10**8, out=low8)
+    lead = np.take(heads, lead, mode="clip")
+    np.bitwise_or(lead, np.signbit(v) * np.uint64(0x2D << 32), out=out[..., 0])
+    e += columns
+    np.take(tails, e, mode="clip", out=out[..., 2])
+    return np.flatnonzero(~exact)
+
+
+def _index_groups(index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Split each index into out's columns, eight digits each, leading group first.
+
+    Returns the masks to OR into the groups' _digits8 words: ASCII for
+    every digit from the index's first on, so the leading zeros stay
+    padding and the index prints right-aligned.
+    """
+    words = out.shape[1]
+    for j in range(words):
+        scale = 10 ** (8 * (words - 1 - j))
+        part = index // np.uint64(scale) if scale > 1 else index
+        out[:, j] = part % np.uint64(10**8) if j else part
+    pad = (8 * words - 1) - np.searchsorted(_POW10, index, side="right")  # leading padding bytes
+    return np.take(_INDEX_ASCII, np.clip(pad[:, None] - np.arange(0, 8 * words, 8), 0, 8))
+
+
+def _write_certify(path: str, m: int, grid_points: int, columns) -> None:
+    """Write certify.csv, byte for byte the rows "%d,m,G,%.9e,%.9e,%.9e,%.9e\\n" % (p, *values).
+
+    A chunk of phaseopt's _panels_per_chunk(m) panels at a time is
+    formatted into one reused uint64 buffer, a row per panel: the panel
+    index right-aligned in whole words, the constant ",m,G," and three
+    words per value (_sci_words), then written with the padding deleted.
+    Memory is bounded by the chunk and no Python float is made per value,
+    except for the few values _sci_words leaves to '%.9e'.
+    """
+    P = len(columns[0])
+    step = min(_panels_per_chunk(m), P)
+    index_words = -(-len(str(max(P - 1, 0))) // 8)
+    fixed = f",{m},{grid_points},".encode()
+    first = index_words + -(-len(fixed) // 8)  # the first value's word
+    buf = np.zeros((step, first + 12), dtype="<u8")
+    buf.view(np.uint8)[:, 8 * index_words:8 * index_words + len(fixed)] = np.frombuffer(fixed, np.uint8)
+    slots = buf[:, first:].reshape(step, 4, 3)
+    # the eight-digit groups of the values, then of the index, for one _digits8
+    digits = np.empty((step, 4 + index_words), dtype=np.uint64)
+    tables = _format_tables()
+    with open(path, "wb") as fh:
+        fh.write(b"panel,m,grid_points,grid_max,closed_form,gap,bound\n")
+        for lo in range(0, P, step):
+            R = min(step, P - lo)
+            v = np.stack([c[lo:lo + R] for c in columns], axis=1)
+            d = digits[:R]
+            left = _sci_words(v, tables, slots[:R], d[:, :4])
+            masks = _index_groups(np.arange(lo, lo + R, dtype=np.uint64), d[:, 4:])
+            d = _digits8(d)
+            np.bitwise_or(d[:, :4], _ASCII, out=slots[:R, :, 1])
+            np.bitwise_or(d[:, 4:], masks, out=buf[:R, :index_words])
+            if left.size:
+                # the text ends before the separator, byte 21 of the value's 24
+                slot = slots[:R].view(np.uint8)
+                for j, x in zip(left.tolist(), v.flat[left].tolist()):
+                    if x == 0:  # +-0 directly
+                        text = b"-0.000000000e+00" if np.signbit(x) else b"0.000000000e+00"
+                    else:
+                        text = b"%.9e" % x
+                    slot[j // 4, j % 4, :21] = np.frombuffer(text.rjust(21, b"\0"), np.uint8)
+            fh.write(buf[:R].tobytes().translate(None, b"\0"))
+
+
 def _run_certify(cfg: RunConfig) -> None:
     if cfg.csi:
         g, h, beta = stack_panels(read_csi_file(cfg.csi, cfg.k, cfg.m))
@@ -454,17 +643,15 @@ def _run_certify(cfg: RunConfig) -> None:
         beta = np.ones(g.shape)
     cert = certify_panels(g, h, beta, cfg.axis_points)
     P = len(cert.gap)
-    # one %-format for every row; "%d" prints the float panel index exactly
-    row = f"%d,{cfg.m},{cfg.axis_points},%.9e,%.9e,%.9e,%.9e\n"
-    table = np.column_stack((np.arange(P), cert.grid_max, cert.closed_form, cert.gap, cert.bound))
-    text = "panel,m,grid_points,grid_max,closed_form,gap,bound\n" + row * P % tuple(table.ravel().tolist())
     failures = int(np.count_nonzero(~within_bound(cert.gap, cert.closed_form, cert.bound)))
     # the largest positive gap, 0 if none; NaN gaps count as failures above
     worst = float(np.max(cert.gap, where=cert.gap > 0, initial=0.0))
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "certify.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    # the bytes of '%.9e' per value: an exact vectorized path, and '%.9e'
+    # itself for each value that path leaves (_write_certify)
+    _write_certify(path, cfg.m, cfg.axis_points,
+                   (cert.grid_max, cert.closed_form, cert.gap, cert.bound))
     if failures:
         raise NumericalError(
             f"{failures} of {P} panels exceeded the quantization bound; see {path}"

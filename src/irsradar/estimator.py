@@ -409,15 +409,6 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(_squared_norms(z))
 
 
-def nmse_rows(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """NMSE of each row of a (T, K) estimate stack against its truth row.
-
-    Row t's value is norm(truth[t] - est[t]) / norm(truth[t]), the norms
-    not squared, in the bits np.linalg.norm gives on that row alone.
-    """
-    return _error_nmse(truth, truth - est)
-
-
 def _error_nmse(truth: np.ndarray, err: np.ndarray) -> np.ndarray:
     """norm(err[t]) / norm(truth[t]) of each row, the NMSE of an estimate that errs by err."""
     denom = _row_norms(truth)

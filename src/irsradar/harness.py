@@ -415,14 +415,15 @@ def _unit_phasors(words: np.ndarray) -> np.ndarray:
     to a half of its cost, and elementwise, so stacking does not change it.
     Each field is cut from the words into one reused index array, and the
     turn by d is built in the fine turn's array, so the chain holds two
-    complex arrays and one index array besides the words.
+    complex arrays and one index array besides the words.  np.take gathers
+    the same values as indexing, in less time on a uint64 index.
     """
     coarse, fine = _turn_tables()
     i = words >> np.uint64(54)  # u's top 10 bits
-    out = coarse[i]
+    out = np.take(coarse, i)
     np.right_shift(words, np.uint64(44), out=i)
     i &= np.uint64(1023)  # its next 10
-    turn = fine[i]
+    turn = np.take(fine, i)
     out *= turn
     np.right_shift(words, np.uint64(11), out=i)
     i &= np.uint64(2**33 - 1)  # its last 33

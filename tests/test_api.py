@@ -1,5 +1,6 @@
 """The package's public names, pinned so that an added or removed export shows in review."""
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -70,6 +71,23 @@ def test_sweeps_leave_numpy_ma_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_certify_run_loads_no_module_past_its_setup(tmp_path):
+    # a certify run writes its CSV from numpy arrays as bytes: no numpy.ma,
+    # numpy.char, numpy.strings or decimal.  Only the first argparse parser
+    # adds modules after the import: locale, through gettext
+    src = Path(irsradar.__file__).resolve().parent.parent
+    argv = ["certify", "--m", "3", "--trials", "900", "--out", str(tmp_path)]
+    code = ("import json, sys, irsradar.cli as cli; imported = set(sys.modules); "
+            f"cli.parse_config({argv!r}); parsed = set(sys.modules); "
+            f"assert cli.main({argv!r}) == 0; "
+            "print(json.dumps([sorted(parsed - imported), sorted(set(sys.modules) - parsed)]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    by_parse, by_run = json.loads(out.stdout.strip().splitlines()[-1])
+    assert set(by_parse) <= {"locale", "_locale"}
+    assert by_run == []
 
 
 def test_readme_library_example_runs():

@@ -136,6 +136,17 @@ def test_value_validation(tmp_path, capsys):
         parse_config(["sweep-gamma", "--axis-scale", "cubic"])
 
 
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        parse_config(["-h"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for sub, text in cli._HELP.items():
+        assert any(line.split() == [sub, *text.split()] for line in lines), sub
+    assert list(cli._HELP) == list(cli.SUBCOMMANDS) == [
+        "sweep-gamma", "sweep-noise", "crb", "single", "certify"]
+
+
 def test_csv_golden(tmp_path):
     res = _mk_result(
         [1.0, 0.1],
