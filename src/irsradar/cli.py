@@ -473,17 +473,17 @@ def _digits8(v: np.ndarray) -> np.ndarray:
     """
     q = v // 10000
     x = v << 32
-    x -= q * (10000 << 32) - q
+    x -= q * (10000 * 2**32 - 1)
     q = x * 5243
     q >>= 19
     q &= 0x7F0000007F
     x <<= 16
-    x -= q * (100 << 16) - q
+    x -= q * (100 * 2**16 - 1)
     q = x * 103
     q >>= 10
     q &= 0xF000F000F000F
     x <<= 8
-    x -= q * (10 << 8) - q
+    x -= q * (10 * 2**8 - 1)
     return x
 
 
