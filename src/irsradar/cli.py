@@ -4,12 +4,10 @@ Outputs are fully determined by (config, seed): file contents carry no
 timestamps, machine names, or float formatting that could vary between
 runs, so re-running a configuration reproduces every byte.
 """
-from __future__ import annotations
-
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,30 +41,7 @@ _COLORS = {
     "nlos_fixed": "#9467bd",
 }
 
-_INT_KEYS = {"n", "k", "m", "trials", "seed", "axis_points"}
-_FLOAT_KEYS = {"gamma", "sigma2", "axis_min", "axis_max"}
-_BOOL_KEYS = {"plot"}
-_STR_KEYS = {"axis_scale", "policy", "nlos_form", "out", "csi"}
-_CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
-
-_DEFAULTS = {
-    "n": 50,
-    "k": 5,
-    "m": 10,
-    "trials": 1000,
-    "seed": 0,
-    "gamma": 1e-2,
-    "sigma2": 1e-2,
-    "axis_min": None,
-    "axis_max": None,
-    "axis_points": 21,
-    "axis_scale": "log",
-    "policy": None,
-    "nlos_form": "complex",
-    "out": ".",
-    "plot": False,
-    "csi": None,
-}
+_POLICY_MODES = {"optimal": "nlos_optimal", "random": "nlos_random", "fixed": "nlos_fixed"}
 
 _SUB_DEFAULTS = {
     "sweep-gamma": {"axis_min": 1e-5, "axis_max": 1e5},
@@ -79,23 +54,12 @@ _SUB_DEFAULTS = {
 
 # keys whose explicit presence contradicts the subcommand
 _REJECTED = {
-    "sweep-gamma": {
-        "gamma": "gamma is the sweep axis; set --axis-min/--axis-max instead",
-        "policy": "sweeps always run all three link policies",
-    },
-    "crb": {
-        "gamma": "gamma is the sweep axis; set --axis-min/--axis-max instead",
-        "policy": "sweeps always run all three link policies",
-    },
-    "sweep-noise": {
-        "sigma2": "sigma2 is the sweep axis; set --axis-min/--axis-max instead",
-        "policy": "sweeps always run all three link policies",
-    },
+    **{sub: {axis: f"{axis} is the sweep axis; set --axis-min/--axis-max instead",
+             "policy": "sweeps always run all three link policies"}
+       for sub, axis in (("sweep-gamma", "gamma"), ("crb", "gamma"), ("sweep-noise", "sigma2"))},
     "single": {
-        "axis_min": "single evaluates one point; it has no axis",
-        "axis_max": "single evaluates one point; it has no axis",
-        "axis_points": "single evaluates one point; it has no axis",
-        "axis_scale": "single evaluates one point; it has no axis",
+        **dict.fromkeys(("axis_min", "axis_max", "axis_points", "axis_scale"),
+                        "single evaluates one point; it has no axis"),
         "plot": "a single point cannot be plotted; read the CSV output",
     },
     "certify": {
@@ -104,35 +68,51 @@ _REJECTED = {
         "sigma2": "certification involves no noise",
         "nlos_form": "certification checks the phase optimum only",
         "policy": "certification always compares against the optimal phases",
-        "axis_min": "certify reuses --axis-points as grid density; no axis range",
-        "axis_max": "certify reuses --axis-points as grid density; no axis range",
-        "axis_scale": "certify reuses --axis-points as grid density; no axis range",
+        **dict.fromkeys(("axis_min", "axis_max", "axis_scale"),
+                        "certify reuses --axis-points as grid density; no axis range"),
         "plot": "certification produces a CSV table only",
     },
 }
 
 
+def _key(default, text: str, choices: tuple = ()):
+    """A run key: a RunConfig field that is also a flag and a config-file key."""
+    return field(default=default, metadata={"help": text, "choices": choices})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved invocation; everything a run needs."""
+    """One fully resolved invocation; everything a run needs.
+
+    Every field after subcommand is a run key, declared here only: the
+    flag --axis-min and the config-file key axis_min both set axis_min.
+    The field's type is the value's type and its default the default
+    (before _SUB_DEFAULTS); its metadata holds the help text and any
+    choices.  The parser reads the types at run time, so this module
+    does without `from __future__ import annotations`.
+    """
 
     subcommand: str
-    n: int
-    k: int
-    m: int
-    trials: int
-    seed: int
-    gamma: float
-    sigma2: float
-    axis_min: float
-    axis_max: float
-    axis_points: int
-    axis_scale: str
-    policy: str
-    nlos_form: str
-    out: str
-    plot: bool
-    csi: str
+    n: int = _key(50, "pulses per observation (default 50)")
+    k: int = _key(5, "reflecting platforms (default 5)")
+    m: int = _key(10, "elements per platform (default 10)")
+    trials: int = _key(1000, "Monte-Carlo trials per point (default 1000)")
+    seed: int = _key(0, "master seed (default 0)")
+    gamma: float = _key(1e-2, "direct-to-reflected power ratio")
+    sigma2: float = _key(1e-2, "noise power (default 1e-2)")
+    axis_min: float = _key(None, "sweep axis lower end")
+    axis_max: float = _key(None, "sweep axis upper end")
+    axis_points: int = _key(21, "sweep points (certify: grid density)")
+    axis_scale: str = _key("log", "axis spacing", ("log", "linear"))
+    policy: str = _key(None, "phase policy for 'single' (fixed means all-zero shifts)",
+                       tuple(_POLICY_MODES))
+    nlos_form: str = _key("complex", "reflected coefficient form", NLOS_FORMS)
+    out: str = _key(".", "output directory (default .)")
+    plot: bool = _key(False, "also write an SVG")
+    csi: str = _key(None, "replay fixed panel gains from file")
+
+
+_RUN_KEYS = {f.name: f for f in fields(RunConfig)[1:]}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,50 +127,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("subcommand", choices=SUBCOMMANDS, metavar="subcommand",
                         help="one of the subcommands listed below")
-    parser.add_argument("--n", type=int, help="pulses per observation (default 50)")
-    parser.add_argument("--k", type=int, help="reflecting platforms (default 5)")
-    parser.add_argument("--m", type=int, help="elements per platform (default 10)")
-    parser.add_argument("--trials", type=int, help="Monte-Carlo trials per point (default 1000)")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--gamma", type=float, help="direct-to-reflected power ratio")
-    parser.add_argument("--sigma2", type=float, help="noise power (default 1e-2)")
-    parser.add_argument("--axis-min", type=float, help="sweep axis lower end")
-    parser.add_argument("--axis-max", type=float, help="sweep axis upper end")
-    parser.add_argument("--axis-points", type=int, help="sweep points (certify: grid density)")
-    parser.add_argument("--axis-scale", choices=("log", "linear"), help="axis spacing")
-    parser.add_argument(
-        "--policy",
-        choices=("optimal", "random", "fixed"),
-        help="phase policy for 'single' (fixed means all-zero shifts)",
-    )
-    parser.add_argument("--nlos-form", choices=NLOS_FORMS, help="reflected coefficient form")
-    parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--plot", action="store_true", default=None, help="also write an SVG")
+    for key, f in _RUN_KEYS.items():
+        flag, text, choices = "--" + key.replace("_", "-"), f.metadata["help"], f.metadata["choices"]
+        if f.type is bool:
+            parser.add_argument(flag, action="store_true", default=None, help=text)
+        elif choices:
+            parser.add_argument(flag, choices=choices, help=text)
+        else:
+            parser.add_argument(flag, type=f.type, help=text)
     parser.add_argument("--config", help="flat key = value file; flags override it")
-    parser.add_argument("--csi", help="replay fixed panel gains from file")
     return parser
 
 
 def _coerce(key: str, raw: str, where: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise UsageError(f"{where}: key {key!r} needs a number, got {raw!r}") from None
-    if key in _BOOL_KEYS:
+    f = _RUN_KEYS[key]
+    choices = f.metadata["choices"]
+    if f.type is bool:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise UsageError(f"{where}: key {key!r} needs true/false, got {raw!r}")
-    return raw
+    if choices:
+        if raw not in choices:
+            raise UsageError(f"{where}: key {key!r} needs one of {', '.join(choices)}, got {raw!r}")
+        return raw
+    try:
+        return f.type(raw)
+    except ValueError:
+        raise UsageError(f"{where}: key {key!r} needs a number, got {raw!r}") from None
 
 
 def _parse_config_file(path: str) -> dict:
-    out = {}
+    out, first_line = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -200,8 +170,11 @@ def _parse_config_file(path: str) -> dict:
             key, raw = key.strip(), raw.strip()
             if not sep or not key or not raw:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            if key not in _CONFIG_KEYS:
+            if key not in _RUN_KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise UsageError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+            first_line[key] = lineno
             out[key] = _coerce(key, raw, where=f"{path}:{lineno}")
     return out
 
@@ -212,10 +185,6 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("seed must lie in [0, 2**64)")
     if cfg.axis_points < 2:
         raise UsageError("axis_points must be at least 2")
-    if cfg.axis_scale not in ("log", "linear"):
-        raise UsageError(f"axis_scale must be log or linear, got {cfg.axis_scale!r}")
-    if cfg.policy not in (None, "optimal", "random", "fixed"):
-        raise UsageError(f"policy must be optimal, random, or fixed, got {cfg.policy!r}")
     if cfg.subcommand == "certify":
         for key in ("k", "m", "trials"):
             if getattr(cfg, key) < 1:
@@ -241,15 +210,15 @@ def parse_config(argv=None) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     sub = ns.subcommand
 
-    merged = dict(_DEFAULTS)
+    merged = {key: f.default for key, f in _RUN_KEYS.items()}
     merged.update(_SUB_DEFAULTS[sub])
     explicit = set()
     if ns.config is not None:
         file_values = _parse_config_file(ns.config)
         merged.update(file_values)
         explicit |= set(file_values)
-    for key in _CONFIG_KEYS:
-        flag = getattr(ns, key, None)
+    for key in _RUN_KEYS:
+        flag = getattr(ns, key)
         if flag is not None:
             merged[key] = flag
             explicit.add(key)
@@ -444,7 +413,7 @@ def _scenario(cfg: RunConfig) -> Scenario:
 def _run_single(cfg: RunConfig, template: Scenario) -> SweepResult:
     if cfg.policy is None:
         return sweep_gamma(template, [cfg.gamma])
-    mode = {"optimal": "nlos_optimal", "random": "nlos_random", "fixed": "nlos_fixed"}[cfg.policy]
+    mode = _POLICY_MODES[cfg.policy]
     if cfg.policy == "fixed":
         template = replace(template, fixed_theta=np.zeros((cfg.k, cfg.m)))
     return _sweep(template, "gamma", [cfg.gamma], (mode,))
@@ -665,30 +634,21 @@ def _run(cfg: RunConfig) -> None:
         _run_certify(cfg)
         return
     template = _scenario(cfg)
-    # --out is made only once there is a result to write
     if cfg.subcommand == "single":
         result = _run_single(cfg, template)
-        os.makedirs(cfg.out, exist_ok=True)
-        path = os.path.join(cfg.out, "single.csv")
-        emit_csv(result, path)
-        print(f"wrote {path}")
-        return
-    axis = _axis_values(cfg)
-    if cfg.subcommand == "sweep-noise":
-        result, stem = sweep_noise(template, axis), "sweep_noise"
-    elif cfg.subcommand == "sweep-gamma":
-        result, stem = sweep_gamma(template, axis), "sweep_gamma"
+    elif cfg.subcommand == "sweep-noise":
+        result = sweep_noise(template, _axis_values(cfg))
     else:
-        result, stem = sweep_gamma(template, axis), "crb"
+        result = sweep_gamma(template, _axis_values(cfg))
+    # --out is made only once there is a result to write
     os.makedirs(cfg.out, exist_ok=True)
-    csv_path = os.path.join(cfg.out, stem + ".csv")
-    emit_csv(result, csv_path)
-    print(f"wrote {csv_path}")
-    if cfg.plot:
-        svg_path = os.path.join(cfg.out, stem + ".svg")
-        field = "mean_crb_trace" if cfg.subcommand == "crb" else "mean_nmse"
-        emit_plot(result, svg_path, field=field)
-        print(f"wrote {svg_path}")
+    stem = os.path.join(cfg.out, cfg.subcommand.replace("-", "_"))
+    emit_csv(result, stem + ".csv")
+    print(f"wrote {stem}.csv")
+    if cfg.plot:  # single rejects --plot
+        emit_plot(result, stem + ".svg",
+                  field="mean_crb_trace" if cfg.subcommand == "crb" else "mean_nmse")
+        print(f"wrote {stem}.svg")
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,6 @@
 """CLI front end: config resolution, CSV/SVG emission, exit codes."""
+import dataclasses
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -77,6 +79,52 @@ def test_config_file_rejections(tmp_path):
     bad.write_text("just-a-token\n")
     with pytest.raises(UsageError, match="key = value"):
         parse_config(["sweep-gamma", "--config", str(bad)])
+
+
+def test_config_key_given_twice_is_rejected(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("trials = 10\n# a comment\nn = 20\ntrials = 2000\n")
+    with pytest.raises(UsageError, match=re.escape(f"{cfgfile}:4: key 'trials' repeats line 1")):
+        parse_config(["sweep-gamma", "--config", str(cfgfile)])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("axis_scale", "cubic"), ("policy", "bogus"), ("nlos_form", "cubed")])
+def test_config_choice_values_are_checked_when_read(tmp_path, key, value):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"n = 20\n{key} = {value}\n")
+    with pytest.raises(UsageError, match=re.escape(f"{cfgfile}:2: key '{key}'")):
+        parse_config(["sweep-gamma", "--config", str(cfgfile)])
+
+
+def _sample(f):
+    """A value for run key f that differs from its default and passes validation."""
+    if f.type is bool:
+        return True
+    if f.metadata["choices"]:
+        return next(c for c in f.metadata["choices"] if c != f.default)
+    if f.type is int:
+        return f.default + 1
+    return 0.5 if f.type is float else "elsewhere"
+
+
+def test_every_run_key_is_one_flag_one_config_key_one_default(tmp_path, capsys):
+    keys = dataclasses.fields(cli.RunConfig)[1:]
+    with pytest.raises(SystemExit):
+        parse_config(["-h"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    defaults = parse_config(["single"])
+    for f in keys:
+        flag = "--" + f.name.replace("_", "-")
+        assert f"{flag} " in help_text and " ".join(f.metadata["help"].split()) in help_text, f.name
+        assert getattr(defaults, f.name) == f.default, f.name
+        value = _sample(f)
+        sub = "sweep-gamma" if f.name in cli._REJECTED["single"] else "single"
+        by_flag = parse_config([sub, flag] if value is True else [sub, flag, str(value)])
+        cfgfile = tmp_path / f"{f.name}.cfg"
+        cfgfile.write_text(f"{f.name} = {str(value).lower() if value is True else value}\n")
+        by_file = parse_config([sub, "--config", str(cfgfile)])
+        assert getattr(by_flag, f.name) == getattr(by_file, f.name) == value, f.name
 
 
 def test_freeze_waveform_key_is_unknown(tmp_path, capsys):
