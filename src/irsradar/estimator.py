@@ -9,29 +9,30 @@ only through its Gram G = A^H R^-1 A and matched filter b = A^H R^-1 y.
 Every BLUE here factors a stack of Hermitian matrices with one stacked
 Cholesky, M = L L^H, and forms each L^-1 by one stacked forward
 substitution (_factor_inverse); no covariance is formed.  blue_gram, the
-library's BLUE, factors each Gram itself and reads the estimate
-L^-H (L^-1 b) and the covariance trace Tr(G^-1) = ||L^-1||_F^2 off it.
-The sweep's models share more: a link mode's model is A = S Diag(d), S
-the steering columns of its group of paths and d the mode's
-coefficients, so G = D^H Q D with Q = S^H R^-1 S the same for every mode
-on the group.  The BLUE is equivariant under that diagonal
-reparametrization, so _path_factor factors each Q once, and _blue_scaled
-reads every mode's error alpha_hat - alpha = (Q^-1 v) / d and trace
-Tr(G^-1) = sum_i (Q^-1)_ii / |d_i|^2 off that one factor.  Both hold the
-one condition screen (_screen): cond(G) <= Tr(G) Tr(G^-1), so a Gram
-whose product lies well inside CONDITION_LIMIT is cleared without an
-eigenvalue call, and only the others, among them any Gram without a
-Cholesky factor, are formed and get their condition number from
-eigvalsh.  A refused Gram comes back as a cause code and its condition
-number, not as an exception: _refusal builds the SingularModelError only
-where one model's refusal is raised.  The library's one N-space entry is
-_model_gram, which checks a single N x K model against the noise and
-forms R^-1 A and G, with a full R applied as its stored inverse
-L^-H L^-1; blue_estimate, estimator_mse and bounds.fisher_information
-each pass its Gram to blue_gram as a stack of one, and blue_estimate also
-returns the covariance L^-H L^-1.  Each stacked step is elementwise or
-runs one LAPACK or BLAS call per item, so an item's values do not depend
-on the stack it is in.
+library's BLUE, factors each Gram itself and reads the estimate L^-H
+(L^-1 b) and the covariance trace Tr(G^-1) = ||L^-1||_F^2 off it.  The
+sweep's models share more: a link mode's model is A = S Diag(d), S the
+steering columns of its group of paths and d the mode's coefficients, so
+G = D^H Q D with Q = S^H R^-1 S the same for every mode on the group.
+The BLUE is equivariant under that diagonal reparametrization, so
+_path_factor factors each Q = L L^H once, and _blue_scaled reads every
+mode's error alpha_hat - alpha = (Q^-1 v) / d and trace Tr(G^-1) = sum_i
+(Q^-1)_ii / |d_i|^2 off that one factor; the noise's matched filter v ~
+CN(0, Q) is drawn as L z, so Q^-1 v = L^-H z is one triangular product,
+with no v formed.  Both hold the one condition screen (_screen): cond(G)
+<= Tr(G) Tr(G^-1), so a Gram whose product lies well inside
+CONDITION_LIMIT is cleared without an eigenvalue call, and only the
+others, among them any Gram without a Cholesky factor, are formed and get
+their condition number from eigvalsh.  A refused Gram comes back as a
+cause code and its condition number, not as an exception: _refusal builds
+the SingularModelError only where one model's refusal is raised.  The
+library's one N-space entry is _model_gram, which checks a single N x K
+model against the noise and forms R^-1 A and G, with a full R applied as
+its stored inverse L^-H L^-1; blue_estimate, estimator_mse and
+bounds.fisher_information each pass its Gram to blue_gram as a stack of
+one, and blue_estimate also returns the covariance L^-H L^-1.  Each
+stacked step is elementwise or runs one LAPACK or BLAS call per item, so
+an item's values do not depend on the stack it is in.
 """
 from __future__ import annotations
 
@@ -291,20 +292,19 @@ def _scaled_gram(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     return _hermitian(d.conj()[:, :, None] * q * d[:, None, :])
 
 
-def _path_factor(q: np.ndarray, v: np.ndarray):
+def _path_factor(q: np.ndarray, z: np.ndarray):
     """What every model on one group of paths shares: (diag(Q^-1), Q^-1 v, factored).
 
-    q (T, K, K) and v (T, K) are the group's block of the steering Gram Q
-    and of v = S^H R^-1 w.  With Q = L L^H (_factor_inverse), Q^-1 = L^-H
-    L^-1, so diag(Q^-1) holds the squared column norms of L^-1 and Q^-1 v
-    = L^-H (L^-1 v); both are nan where Q has no factor.  Each is
-    elementwise or one BLAS call per item, so an item's values do not
-    depend on the stack.
+    q (T, K, K) is the group's block of the steering Gram Q and z (T, K)
+    the group's CN(0, I) normals.  With Q = L L^H (_factor_inverse), the
+    noise's matched filter v = S^H R^-1 w ~ CN(0, Q) is drawn as v = L z,
+    so Q^-1 v = L^-H z, and diag(Q^-1) holds the squared column norms of
+    L^-1; both are nan where Q has no factor.  Each is elementwise or one
+    BLAS call per item, so an item's values do not depend on the stack.
     """
     chol_inv, factored = _factor_inverse(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        white = chol_inv @ v[..., None]
-        err = (chol_inv.conj().swapaxes(-1, -2) @ white)[..., 0]
+        err = (chol_inv.conj().swapaxes(-1, -2) @ z[..., None])[..., 0]
         w = (chol_inv.real**2 + chol_inv.imag**2).sum(axis=-2)
     return w, err, factored
 

@@ -7,19 +7,23 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011) keyed by
 (master_seed, axis_index): trial t's B 4-word blocks of a stream sit at
 the counters (t * B + j, stream id, scene attempt, 0), j = 1..B, B fixed
 by the stream's word count.  A given trial at a given axis point
-therefore reproduces the identical Doppler set, CSI, noise and (under
-noise_cov) code in every link mode, so mode comparisons are paired; and
-any trial can be regenerated in isolation, which keeps sweeps
-bit-reproducible under any degree of parallelism.  A uniform is a word's
-top 53 bits times 2^-53; a complex Gaussian takes two words, for its
-modulus sqrt(-ln(1 - u)) and its angle 2 pi u.
+therefore reproduces the identical Doppler set, CSI and (under
+noise_cov) code in every link mode, and the identical noise in every
+mode on a group of paths, so mode comparisons are paired; and any trial
+can be regenerated in isolation, which keeps sweeps bit-reproducible
+under any degree of parallelism.  A uniform is a word's top 53 bits
+times 2^-53; a complex Gaussian takes two words, for its modulus
+sqrt(-ln(1 - u)) and its angle 2 pi u.
 
-What is drawn is what the BLUE sees, not the pulses.  The estimate
-depends on the data only through the steering Gram Q = S^H R^-1 S and
-v = S^H R^-1 w, and v ~ CN(0, Q) exactly for any R (Kay, Fundamentals of
-Statistical Signal Processing: Estimation Theory, 1993, ch. 6).  So the
-noise stream gives k + 1 complex normals z, and v = F z with Q = F F^H
-(see _steering_gram), not N noise samples.  A random panel enters only
+What is drawn is what the BLUE sees, not the pulses.  A mode estimates
+one group of paths, the direct link or the k reflected ones, and depends
+on the data only through that group's steering Gram Q_g = S_g^H R^-1 S_g
+and v_g = S_g^H R^-1 w, with v_g ~ CN(0, Q_g) exactly for any R (Kay,
+Fundamentals of Statistical Signal Processing: Estimation Theory, 1993,
+ch. 6).  So the noise stream gives k + 1 complex normals z, the first
+the direct link's and the rest the reflected paths', and v_g = L_g z_g
+with Q_g = L_g L_g^H, not N noise samples; no record combines the two
+groups, so they read disjoint normals.  A random panel enters only
 through c = conj(g) h, so the channel stream gives each element's c from
 three words (_path_products) rather than g and h from four.  With white
 noise Q does not depend on the code, so the code stream is read only
@@ -51,8 +55,8 @@ only where the bound Tr(G) Tr(G^-1) the factor gives is not cleared
 (estimator.TRACE_BOUND_MARGIN).
 nmse       ||alpha_hat - alpha|| / ||alpha|| against the trial's true
            reflectivities, on the normalized scene (direct power gamma,
-           reflected power 1), with alpha_hat - alpha = (Q^-1 v) / d
-           formed directly rather than as a difference.
+           reflected power 1), with alpha_hat - alpha = (Q^-1 v) / d =
+           (L^-H z) / d formed directly rather than as a difference.
 crb_trace  Tr((A^H R^-1 A)^-1), the BLUE covariance trace on the
            normalized scene, read off the shared factor Q = L L^H as
            sum_i (Q^-1)_ii / |d_i|^2, (Q^-1)_ii the squared norm of column
@@ -90,28 +94,29 @@ and nlos_fixed's weights are formed once per Scenario; no angle, wrap or
 exponential of a phase runs per trial.
 
 Estimation then runs in K-space.  Every link mode of a trial shares the
-Dopplers, the noise and, under noise_cov, the code; only the path
-coefficients differ, so a mode's model is A = S Diag(d), where S =
-Diag(x) P(nu) holds the steering columns of all 1 + k paths and d the
-mode's normalized coefficients.  Once per block, with the noise model
-that all its modes and points share, Q and v are formed: with white noise
-Q = P^H P / sigma2 is the closed-form Dirichlet kernel (_dirichlet_gram),
-so no N-vector of a trial exists; under noise_cov S is whitened by R's
-factor, stored once per Scenario.  Each mode then takes its paths' part
-of Q and v (entry [0, 0] for the direct link, block [1:, 1:] for the
-reflected ones) and with D = Diag(d) has Gram D^H Q D = A^H R^-1 A and
-matched filter D^H (Q D alpha + v) = A^H R^-1 y, so neither A nor y is
-formed.  Its BLUE errs by alpha_hat - alpha = D^-1 Q^-1 v and has
-covariance trace sum_i (Q^-1)_ii / |d_i|^2, so the modes on a group of
-paths differ only by the diagonal D (Kay 1993, ch. 6): each block
-factors each group's Q once (estimator._path_factor), forming L^-1, Q^-1
-v and diag(Q^-1), and each mode's records are elementwise work on its d
-(estimator._blue_scaled).  No mode Gram, matched filter or K x K
-inverse per mode is formed, except D^H Q D for the rows the trace bound
-does not clear.  Q is singular when two paths coincide, or when k + 1
-paths exceed N pulses; v then comes from an eigh square root of Q, whose
-law is the same, and only the mode whose own Gram is singular excludes
-the trial, through the condition screen.
+Dopplers and, under noise_cov, the code, and every mode on a group of
+paths its noise; only the path coefficients differ, so a mode's model is
+A = S Diag(d), where S = Diag(x) P(nu) holds the steering columns of all
+1 + k paths and d the mode's normalized coefficients.  Once per block,
+with the noise model that all its modes and points share, Q is formed:
+with white noise Q = P^H P / sigma2 is the closed-form Dirichlet kernel
+(_dirichlet_gram), so no N-vector of a trial exists; under noise_cov S
+is whitened by R's factor, stored once per Scenario.  Each mode then
+takes its group's part of Q (entry [0, 0] for the direct link, block
+[1:, 1:] for the reflected ones) and with D = Diag(d) has Gram D^H Q D =
+A^H R^-1 A and matched filter D^H (Q D alpha + v) = A^H R^-1 y, so
+neither A nor y is formed.  Its BLUE errs by alpha_hat - alpha = D^-1
+Q^-1 v and has covariance trace sum_i (Q^-1)_ii / |d_i|^2, so the modes
+on a group of paths differ only by the diagonal D (Kay 1993, ch. 6):
+each block factors each group's Q = L L^H once (estimator._path_factor),
+forming L^-1, Q^-1 v = L^-H z from the group's normals and diag(Q^-1),
+and each mode's records are elementwise work on its d
+(estimator._blue_scaled).  These two are a block's only Cholesky
+factorizations; the full Q is never factored.  No mode Gram, matched
+filter or K x K inverse per mode is formed, except D^H Q D for the rows
+the trace bound does not clear.  A group's Q is singular when two of its
+paths coincide, or when k paths exceed N pulses; only the modes on it
+then exclude the trial, through the condition screen.
 
 A block holds as many rows as its largest array fits in BLOCK_BYTES
 (_block_trials): a row counts its 3 k M channel words, or under
@@ -127,11 +132,11 @@ size or worker count.  The stacked steps are only those that apply the
 same kernel to every item: elementwise ufuncs, stacked matmul and
 np.vecdot (one BLAS call per item, the same dot np.vdot, a 1-D @ and
 np.linalg.norm make on one item), reductions along an item's own axes,
-and numpy's stacked eigvalsh, eigh and cholesky (one LAPACK call per
-item).  That covers each panel row's coefficient, each trial's alpha^T c
-zero check and normalization norm, the closed-form Gram, the whitened
-steering Gram, the square root of Q and v, the Cholesky factorization,
-its forward-substituted inverse and the NMSE norms.  Every mean
+and numpy's stacked eigvalsh and cholesky (one LAPACK call per item).
+That covers each panel row's coefficient, each trial's alpha^T c zero
+check and normalization norm, the closed-form Gram, the whitened
+steering Gram, the Cholesky factorization, its forward-substituted
+inverse, the error L^-H z and the NMSE norms.  Every mean
 NMSE stays within 4 standard errors of the moments in
 tests/data/moments_fixture.npz, and every record within 1e-9 of
 tests/data/records_fixture.npz.  A trial whose scene is still
@@ -165,7 +170,6 @@ from .estimator import (
     NOT_POSITIVE_DEFINITE,
     NoiseModel,
     _blue_scaled,
-    _cholesky_factors,
     _error_nmse,
     _hermitian,
     _path_factor,
@@ -523,8 +527,9 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     direct path's first; "h_los" and "alpha_los" (T,); "alpha" (T, k);
     "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
     nlos_fixed to the (T, k) raw composed coefficients; "z" (T, k + 1)
-    CN(0, 1) values, from which _steering_gram forms the noise's matched
-    filter; and, under noise_cov only, "x" the (T, N) codes.  A trial
+    CN(0, 1) values, the direct path's first, from which each group of
+    paths draws its noise (estimator._path_factor); and, under noise_cov
+    only, "x" the (T, N) codes.  A trial
     whose scene is still degenerate after RESAMPLE_BUDGET attempts is not
     among the drawn ones.
     """
@@ -659,50 +664,28 @@ def _dirichlet_gram(u: np.ndarray, n: int) -> np.ndarray:
     return gram
 
 
-def _gram_root(q: np.ndarray) -> np.ndarray:
-    """F with Q = F F^H for each Hermitian Q of a stack: its Cholesky factor where it has one.
-
-    Where Q is not positive definite to working precision (two paths
-    nearly coincide, or k + 1 paths exceed N pulses), F = U Lambda^1/2
-    from eigh, with the rounding's negative eigenvalues set to 0; F z with
-    z ~ CN(0, I) is CN(0, Q) for either root.  Both run one LAPACK call
-    per item, so an item's root does not depend on the stack.
-    """
-    roots, factored = _cholesky_factors(q)
-    for t in np.flatnonzero(~factored).tolist():
-        lam, vec = np.linalg.eigh(q[t])
-        roots[t] = vec * np.sqrt(np.maximum(lam, 0.0))
-    return roots
-
-
 def _steering_gram(block, noise: NoiseModel, sigma2=None):
-    """Q = S^H R^-1 S and a draw of v = S^H R^-1 w for each trial in the block.
+    """Q = S^H R^-1 S for each trial in the block, (T, k + 1, k + 1) Hermitian.
 
     S = Diag(x) P(nu) holds the steering columns of all k + 1 paths, the
-    direct one first, so Q is (T, k + 1, k + 1) Hermitian and v (T, k + 1).
-    With white noise |x_n| = 1 gives Q = P^H P / sigma2, the closed-form
-    Dirichlet kernel (_dirichlet_gram), with no code and no N-vector.
-    Under noise_cov S is whitened by R = L L^H's factor, W = L^-1 S, and
-    Q = W^H W.  For w ~ CN(0, R), v is exactly CN(0, Q), so it is drawn as
-    F z from a square root Q = F F^H (_gram_root) and the block's k + 1
-    normals z.  Every link mode's model is A = S Diag(c) on its paths, so
-    its Gram A^H R^-1 A and matched filter A^H R^-1 (A alpha + w) follow
-    from Q and v alone; see _estimate_mode.  sigma2, one per drawn row,
-    replaces a white noise model's power, for a block that spans the
-    points of a noise sweep; the elementwise division gives the bits the
-    scalar one does.
+    direct one first.  With white noise |x_n| = 1 gives Q = P^H P /
+    sigma2, the closed-form Dirichlet kernel (_dirichlet_gram), with no
+    code and no N-vector.  Under noise_cov S is whitened by R = L L^H's
+    factor, W = L^-1 S, and Q = W^H W.  Every link mode's model is A = S
+    Diag(c) on its paths, so its Gram A^H R^-1 A follows from its group's
+    block of Q alone, and its noise from that block's factor; see
+    _estimate_mode.  sigma2, one per drawn row, replaces a white noise
+    model's power, for a block that spans the points of a noise sweep; the
+    elementwise division gives the bits the scalar one does.
     """
     if noise.is_scaled_identity:
         q = _dirichlet_gram(block["u"], noise.n)
         q /= noise.sigma2 if sigma2 is None else sigma2[:, None, None]
-    else:
-        steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
-        white = noise._whiten @ steer
-        del steer
-        q = _hermitian(white.conj().swapaxes(-1, -2) @ white)
-        del white
-    v = (_gram_root(q) @ block["z"][..., None])[..., 0]
-    return q, v
+        return q
+    steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
+    white = noise._whiten @ steer
+    del steer
+    return _hermitian(white.conj().swapaxes(-1, -2) @ white)
 
 
 # the two groups of paths a link mode estimates: the direct link's, entry
@@ -710,26 +693,26 @@ def _steering_gram(block, noise: NoiseModel, sigma2=None):
 _PATH_GROUPS = {"direct": slice(0, 1), "reflected": slice(1, None)}
 
 
-def _estimate_mode(scenario: Scenario, block, q, v, rows, gamma=None, factors=None):
+def _estimate_mode(scenario: Scenario, block, q, rows, gamma=None, factors=None):
     """Estimate the scenario's link mode on the block's trials at `rows`.
 
-    q and v are _steering_gram's output for the whole block, and rows are
-    sorted positions among its trials.  Each trial's scene is normalized to
-    path coefficients d on the mode's group of paths, and the BLUE of A =
-    S Diag(d) is read off the group's shared factor (estimator._path_factor,
-    _blue_scaled): nmse = ||(Q^-1 v) / d|| / ||alpha||, crb_trace = sum_i
-    (Q^-1)_ii / |d_i|^2 and mse = crb_trace / norm**2, and only a trial
-    whose trace bound is not cleared has its Gram D^H Q D formed.  factors
-    maps a group to its factor over all of the block's trials, and is
-    filled on first use, so every mode of a block on one group shares one
-    factorization; a mode takes the factor's rows only where earlier modes
-    left some out.  Returns (records, cause, cond): records is (3,
-    len(rows)) holding nmse, mse and crb_trace, nan where the BLUE refuses
-    the trial, and cause and cond are the screen's cause codes and
-    condition numbers, from which estimator._refusal builds a refused
-    trial's error.  gamma, one per row of `rows`, replaces the scenario's
-    in the direct link's normalization, for a block that spans the points
-    of a gamma sweep; its elementwise root gives the bits the scalar's does.
+    q is _steering_gram's output for the whole block, and rows are sorted
+    positions among its trials.  Each trial's scene is normalized to path
+    coefficients d on the mode's group of paths, and the BLUE of A = S Diag(d)
+    is read off the group's shared factor Q = L L^H and its share of the
+    block's normals z (estimator._path_factor, _blue_scaled): nmse = ||(L^-H
+    z) / d|| / ||alpha||, crb_trace = sum_i (Q^-1)_ii / |d_i|^2 and mse =
+    crb_trace / norm**2, and only a trial whose trace bound is not cleared has
+    its Gram D^H Q D formed.  factors maps a group to its factor over all of
+    the block's trials, and is filled on first use, so every mode of a block
+    on one group shares one factorization; a mode takes the factor's rows only
+    where earlier modes left some out.  Returns (records, cause, cond):
+    records is (3, len(rows)) holding nmse, mse and crb_trace, nan where the
+    BLUE refuses the trial, and cause and cond are the screen's cause codes
+    and condition numbers, from which estimator._refusal builds a refused
+    trial's error.  gamma, one per row of `rows`, replaces the scenario's in
+    the direct link's normalization, for a block that spans the points of a
+    gamma sweep; its elementwise root gives the bits the scalar's does.
     """
     if scenario.link_mode == "los_only":
         h_los, truth = block["h_los"][rows], block["alpha_los"][rows]
@@ -748,7 +731,7 @@ def _estimate_mode(scenario: Scenario, block, q, v, rows, gamma=None, factors=No
     q = q[:, paths, paths]
     factors = {} if factors is None else factors
     if group not in factors:
-        factors[group] = _path_factor(q, v[:, paths])
+        factors[group] = _path_factor(q, block["z"][:, paths])
     factor = factors[group]
     if rows.size < len(q):
         q, factor = q[rows], tuple(a[rows] for a in factor)
@@ -762,8 +745,8 @@ def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> Tria
     block = _draw_block(scenario, axis_index, [trial_index])
     if block["drawn"].size == 0:
         raise GenerationError("scene still degenerate after resample budget")
-    q, v = _steering_gram(block, scenario._noise)
-    records, cause, cond = _estimate_mode(scenario, block, q, v, np.arange(1))
+    q = _steering_gram(block, scenario._noise)
+    records, cause, cond = _estimate_mode(scenario, block, q, np.arange(1))
     if cause[0] != CLEARED:
         raise _refusal(cause[0], cond[0])
     nmse, mse, crb_trace = records[:, 0].tolist()
@@ -796,12 +779,12 @@ def _evaluate_block(scenarios, axis, trials, gamma, sigma2):
     if drawn.size == 0:
         return out, cause
     gamma, sigma2 = gamma[drawn], sigma2[drawn]
-    q, v = _steering_gram(block, scenarios[0]._noise, sigma2)
+    q = _steering_gram(block, scenarios[0]._noise, sigma2)
     kept = np.arange(drawn.size)
     factors = {}  # each group of paths' factor, shared by the modes on it
     records = np.full((len(scenarios), 3, drawn.size), np.nan)
     for mi, scenario in enumerate(scenarios):
-        recs, refused, _ = _estimate_mode(scenario, block, q, v, kept, gamma[kept], factors)
+        recs, refused, _ = _estimate_mode(scenario, block, q, kept, gamma[kept], factors)
         records[mi][:, kept] = recs
         cause[drawn[kept]] = refused
         kept = kept[refused == CLEARED]

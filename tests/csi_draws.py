@@ -1,9 +1,12 @@
 """Complex Gaussian and CSI draws from a numpy Generator, for the tests.
 
 The engine draws from Philox counters (harness); these helpers give tests
-their own reproducible complex data, and the CSI layout the replayed
-panels of test_golden were drawn in.
+their own reproducible complex data, the CSI layout the replayed panels
+of test_golden were drawn in, and the noise matched filter the engine
+draws on each group of paths.
 """
+import numpy as np
+
 from irsradar.channel import _complex_gaussian, split_crandn
 
 
@@ -28,3 +31,20 @@ def split_csi(z, M: int, K: int):
     """
     h_los, g, h, alpha, alpha_los = split_crandn(z, 1, K * M, K * M, K, 1)
     return h_los, g.reshape(-1, K, M), h.reshape(-1, K, M), alpha, alpha_los
+
+
+def noise_matched_filter(q, z, paths=slice(None)):
+    """v = L z on one group of paths for each trial, with Q_g = L L^H.
+
+    q (T, K, K) is a block's steering Gram, z (T, K) its normals and paths
+    the group's slice; each trial's Q_g is factored alone, and a trial
+    whose Q_g has no Cholesky factor gets nan.
+    """
+    qg, zg = q[:, paths, paths], z[:, paths]
+    v = np.full(zg.shape, np.nan, complex)
+    for t in range(len(qg)):
+        try:
+            v[t] = np.linalg.cholesky(qg[t]) @ zg[t]
+        except np.linalg.LinAlgError:
+            pass
+    return v

@@ -23,7 +23,7 @@ from irsradar.harness import (
     run_trial,
 )
 
-from csi_draws import crandn, csi_draw_size, split_csi
+from csi_draws import crandn, csi_draw_size, noise_matched_filter, split_csi
 
 
 def random_panel(rng, M, random_theta=True):
@@ -123,24 +123,25 @@ def test_normalization_hits_targets(form, gamma):
     # not depend on the unimodular code), must give the records' bound
     # Tr((A^H A / sigma2)^-1), mse = bound / norm^2, and the nmse of the
     # BLUE on the matched filter A^H A alpha / sigma2 + Diag(c)^H v, where
-    # v is the block's draw of the noise's matched filter
+    # v = L z is the noise's matched filter on the mode's group of paths,
+    # drawn from the group's normals z with Q_g = L L^H
     n, sigma2 = 20, 1e-2
     for mode in ("los_only", "nlos_random", "nlos_optimal"):
         s = Scenario(n=n, k=3, m=4, gamma=gamma, sigma2=sigma2, link_mode=mode, nlos_form=form)
         block = _draw_block(s, 0, range(12))
         rows = np.arange(block["drawn"].size)
-        q, v = _steering_gram(block, s._noise)
-        records, cause, _ = _estimate_mode(s, block, q, v, rows)
+        q = _steering_gram(block, s._noise)
+        records, cause, _ = _estimate_mode(s, block, q, rows)
         assert rows.size == 12 and not cause.any()
+        paths = slice(0, 1) if mode == "los_only" else slice(1, None)
+        v = noise_matched_filter(q, block["z"], paths)
         for t in rows:
             if mode == "los_only":
                 raw, alpha = np.array([block["h_los"][t]]), np.array([block["alpha_los"][t]])
                 norm = abs(alpha[0] * raw[0]) / np.sqrt(gamma)
-                paths = slice(0, 1)
             else:
                 raw, alpha = block["csi"][mode][t], block["alpha"][t]
                 norm = abs(alpha @ raw)
-                paths = slice(1, None)
             c = raw / norm
             target = gamma if mode == "los_only" else 1.0
             assert abs(abs(alpha @ c) ** 2 - target) < 1e-10 * target
@@ -150,7 +151,7 @@ def test_normalization_hits_targets(form, gamma):
             bound = np.trace(np.linalg.inv(gram)).real
             assert records[2, t] == pytest.approx(bound, rel=1e-10)
             assert records[1, t] == pytest.approx(bound / norm**2, rel=1e-10)
-            est = np.linalg.solve(gram, gram @ alpha + c.conj() * v[t, paths])
+            est = np.linalg.solve(gram, gram @ alpha + c.conj() * v[t])
             nmse = np.linalg.norm(est - alpha) / np.linalg.norm(alpha)
             assert records[0, t] == pytest.approx(nmse, rel=1e-8)
 

@@ -33,7 +33,6 @@ from irsradar.harness import (
     _draw_block,
     _estimate_mode,
     _evaluate_block,
-    _gram_root,
     _project,
     _steering_gram,
     _sweep,
@@ -41,7 +40,7 @@ from irsradar.harness import (
 )
 from irsradar.model import build_sensing_matrix, make_random_waveform
 
-from csi_draws import crandn
+from csi_draws import crandn, noise_matched_filter
 
 
 def oracle_blue(A, R, y):
@@ -303,10 +302,11 @@ def test_blue_gram_items_match_single_estimates():
                 assert mse[t] == rep.mse
 
 
-def _shared_blue(q, v, d):
+def _shared_blue(q, z, d):
     # the sweep's BLUE of the models A = S Diag(d), from one factor of each
-    # steering Gram Q: the factor's arrays, then (err, trace, cause, cond)
-    factor = _path_factor(q, v)
+    # steering Gram Q and the normals z: the factor's arrays, then (err,
+    # trace, cause, cond)
+    factor = _path_factor(q, z)
     return (*factor, *_blue_scaled(q, factor, d))
 
 
@@ -319,7 +319,7 @@ def test_blue_gram_items_do_not_depend_on_the_stack(N, K):
     for noise in (NoiseModel.scaled_identity(0.1, N), NoiseModel(covariance=random_spd(rng, N))):
         gram, b = _kspace(cols, noise, y)
         # blue_gram on the Grams, and the sweep's helpers with them as one
-        # group's steering Grams Q and b as v; the cause code is field 2
+        # group's steering Grams Q and b as z; the cause code is field 2
         # of blue_gram's result and field 5 of the helpers'
         for blue, at in ((lambda rows: blue_gram(gram[rows], b[rows]), 2),
                          (lambda rows: _shared_blue(gram[rows], b[rows], d[rows]), 5)):
@@ -367,7 +367,8 @@ def _mode_paths(block, mode, gamma):
 def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
     # every mode's BLUE, read off its group's one factor of Q, against
     # blue_gram on the mode's own Gram D^H Q D and matched filter
-    # D^H (Q D alpha + v), formed explicitly.  Besides the drawn trials,
+    # D^H (Q D alpha + v), formed explicitly with v = L z from the group's
+    # Q = L L^H and normals z.  Besides the drawn trials,
     # one with two nearly coincident Dopplers, the stack holds a trial
     # whose d has a zero entry and one whose Q is indefinite.  Cause codes
     # and screened condition numbers agree bit for bit, and the records of
@@ -378,14 +379,15 @@ def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
     s = Scenario(n=n, k=k, m=4, gamma=gamma, trials=T, master_seed=9, fixed_theta=thetas)
     block = _draw_block(s, 0, range(T))
     block["u"][1, 1:3] = 0.1, 0.1 + 1e-9  # two reflected paths 1e-9 cycles apart
-    q, v = _steering_gram(block, s._noise)
+    q = _steering_gram(block, s._noise)
     for mode in LINK_MODES:
         d, truth, paths = _mode_paths(block, mode, gamma)
-        qp, vp = q[:, paths, paths], v[:, paths]
+        qp, zp = q[:, paths, paths], block["z"][:, paths]
         qs = np.concatenate([qp, qp[:1], -qp[2:3]])  # the last Q indefinite
-        vs, ds, ts = (np.concatenate([x, x[:1], x[2:3]]) for x in (vp, d, truth))
+        zs, ds, ts = (np.concatenate([x, x[:1], x[2:3]]) for x in (zp, d, truth))
+        vs = noise_matched_filter(qs, zs)  # nan where Q has no factor
         ds[T, 0] = 0  # a path with no coefficient
-        err, trace, cause, cond = _blue_scaled(qs, _path_factor(qs, vs), ds)
+        err, trace, cause, cond = _blue_scaled(qs, _path_factor(qs, zs), ds)
         gram = estimator._hermitian(ds.conj()[:, :, None] * qs * ds[:, None, :])
         b = ds.conj() * ((qs @ (ds * ts)[..., None])[..., 0] + vs)
         alpha_hat, mse, want_cause, want_cond, _ = blue_gram(gram, b)
@@ -403,7 +405,7 @@ def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
         want = np.linalg.norm(alpha_hat[ok] - ts[ok], axis=1) / scale
         np.testing.assert_array_less(np.abs(got - want), tol * (1 + want))
         # the harness reads the drawn trials' records off the same factor
-        records, mode_cause, mode_cond = _estimate_mode(replace(s, link_mode=mode), block, q, v,
+        records, mode_cause, mode_cond = _estimate_mode(replace(s, link_mode=mode), block, q,
                                                         np.arange(T))
         np.testing.assert_array_equal(mode_cause, cause[:T])
         np.testing.assert_array_equal(mode_cond, cond[:T])
@@ -425,17 +427,12 @@ def test_cholesky_factors_fall_back_item_by_item(K):
     factors, factored = _cholesky_factors(gram)
     np.testing.assert_array_equal(factored, np.arange(T) != 3)
     assert np.all(np.isnan(factors[3]))
-    root = _gram_root(gram)
     for t in range(T):
         alone, ok = _cholesky_factors(gram[t:t + 1])
         assert ok[0] == factored[t]
         np.testing.assert_array_equal(alone[0], factors[t])
         if factored[t]:
             np.testing.assert_array_equal(factors[t], stacked[t])
-            np.testing.assert_array_equal(root[t], factors[t])
-        else:  # _gram_root takes the eigh root for exactly the unfactored items
-            lam, vec = np.linalg.eigh(gram[t])
-            np.testing.assert_array_equal(root[t], vec * np.sqrt(np.maximum(lam, 0.0)))
 
 
 def _eigvalsh_screen(gram):

@@ -46,46 +46,46 @@ CASES = {
         ["sweep-gamma", *SMALL, "--axis-min", "1e-3", "--axis-max", "1e1",
          "--axis-points", "4", "--plot"],
         {
-            "sweep_gamma.csv": "64e19288eb85ba3f85716921fde1ee618f808b81cd8df2109867ecf3535df048",
-            "sweep_gamma.svg": "0c698f71c9e19c2abbe60a383b0c976b1bf13cf0cc0e005e1beba1f4ee6e83bb",
+            "sweep_gamma.csv": "231839fd0f8dcce48cdea4d6708c67bacbb1df8a92d8b6e457a8372d9c219563",
+            "sweep_gamma.svg": "b9bd3bf5ba72385888f9e02728f27ceb282e5b3563c25dcdcac2db7f959084de",
         },
     ),
     "sweep_noise": (
         ["sweep-noise", *SMALL, "--gamma", "0.01", "--axis-min", "1e-4",
          "--axis-max", "1e-1", "--axis-points", "3"],
-        {"sweep_noise.csv": "9dd3dbf6155a217268f12f7c3a2bbecd75b0b032f40729e28bae0e77bee0b3ab"},
+        {"sweep_noise.csv": "c47fe5f2c8eec0be1831f743561677a8d7838c35e80ca2abedd9b8c58be673e6"},
     ),
     "crb_plot": (
         ["crb", *SMALL, "--axis-min", "1e-2", "--axis-max", "1e2",
          "--axis-points", "3", "--plot"],
         {
-            "crb.csv": "22e8481174407b534b7877a0d131d4d9ee881460a34e2e0ebace3cfb10860acc",
+            "crb.csv": "f960f02e8fbfe5b651b1ad1738a42d6399d2a24c5dd5f2b99f348d072f19b66b",
             "crb.svg": "9a0910a35916be07d765653849f1321ec9a513302750361782097d0c29e07ea9",
         },
     ),
     "single": (
         ["single", *SMALL, "--gamma", "0.1"],
-        {"single.csv": "f34d400a52ec4c165b15d96475c788a74085a95401aa698523206086d9aae402"},
+        {"single.csv": "6b1949d4bff654bb1ce40f97bcfe9723b32693dd783c94ca888afd67f5f409d0"},
     ),
     "single_optimal": (
         ["single", *SMALL, "--gamma", "0.1", "--policy", "optimal"],
-        {"single.csv": "8c708991ac077748116646b49caa403db671a5ff24cf91ebf8574eacfe603a01"},
+        {"single.csv": "b66cbafbd10f4675f8b2a7a2b11d890def5e78bea6dfc3c20dc8fe66f9556aa6"},
     ),
     "single_random": (
         ["single", *SMALL, "--gamma", "0.1", "--policy", "random"],
-        {"single.csv": "33c3449015296c889af6bbaf9bf6cb2f3069c6591117ca97d4cf525e8709dfc4"},
+        {"single.csv": "89195523b2a824ad8729a1764163a7897d4f1c746bc5313990c60db017ed9018"},
     ),
     "single_fixed": (
         ["single", *SMALL, "--gamma", "0.1", "--policy", "fixed"],
-        {"single.csv": "6188e76f513d9e19df6ece0b58e416145829909d1f6a029021c5b58aa71c9b21"},
+        {"single.csv": "fbbaf7c0d1334ff275605fd512ec950cd687585945744bbccc79e349a54ed9a6"},
     ),
     "single_blocked_los": (
         ["single", *SMALL, "--gamma", "0", "--policy", "optimal"],
-        {"single.csv": "f840dd051ae0d3adf45e321aed8f7690c89b3e1f5c004ed45bba5ac5fbbc155e"},
+        {"single.csv": "99635d80a4e65c4552001417ca2b76a95e3290f6b104f06a9af4ac6d600b52cc"},
     ),
     "single_csi_replay": (
         ["single", *SMALL, "--gamma", "0.1", "--csi", "{csi}"],
-        {"single.csv": "34f47f3acebfd63e812dac92d4c954923f75760a807e6ca0e5e4bc943851bc1e"},
+        {"single.csv": "d354b3c1f7611562edd05790fb49ddf1c134281d79ec8d281a1308e789838b55"},
     ),
     "certify_m2": (
         ["certify", "--trials", "6", "--m", "2", "--axis-points", "90", "--seed", "4"],
@@ -144,35 +144,35 @@ def _replay_panels():
 RECORD_CASES = {
     "noise_cov": (
         lambda: (Scenario(**RECORD_BASE, noise_cov=_noise_cov(20)), SWEEP_MODES, 1),
-        "b47b39bc671abf81c9afcb020c32d3ab52698122fde1c60406db04c6c7ced947",
+        "d69f5a182c64e4946df291592602a86b7de38dd167439e9fa477182e3551d5dd",
     ),
     "nlos_fixed": (
         lambda: (Scenario(**RECORD_BASE, fixed_theta=_fixed_policy()),
                  ("los_only", "nlos_fixed", "nlos_optimal"), 1),
-        "03d879ff3b1250b3e45b0489a14b07eada80c044ff80441de3ec1882eefca6a9",
+        "cce7a4d05afa002cfa776a992416bab91c5d345dfd2e3fe8506e92e172120d25",
     ),
     "magnitude_squared": (
         lambda: (Scenario(**RECORD_BASE, nlos_form="magnitude_squared"), SWEEP_MODES, 1),
-        "c6d0df0f52671f90e7b80ddb0bcefb1e6e8b79e269feb4eb6bee2f36c0bf4200",
+        "9b963f1e143e05bcccaa2f7615a47d5c7c97c408d07f4086a000146d12cd48d8",
     ),
     # the code is drawn only under noise_cov, so freezing it is tested there
     "freeze_waveform": (
         lambda: (Scenario(**RECORD_BASE, freeze_waveform=True, noise_cov=_noise_cov(20)),
                  SWEEP_MODES, 1),
-        "7705316be28c63e9e03c8321493157e6e06bc0e53987412605d6ed01daf2ffe8",
+        "c4edb1efdd354d4fddb17b851809a3d16cf090d77f0a4dc13ef77772dea8ffaa",
     ),
     "fixed_panels": (
         lambda: (Scenario(**RECORD_BASE, fixed_panels=_replay_panels()), SWEEP_MODES, 1),
-        "b72804a9bbf264d6010290589b81021811097b0abbc629ed4013ef59f8f23a65",
+        "cf88c4b1f0b792c1f94bd744d6b90e10cac53126c03cc88c64bf59a76331294e",
     ),
     "workers_2": (
         lambda: (Scenario(**RECORD_BASE), SWEEP_MODES, 2),
-        "56220be402e223863a2b58dbd286dfc6469149bdff02d947e959d9ddefe58ab2",
+        "a56ffa72640c03a4e563e6a5c09fae1fd6d4c30e6f58795529f561cd7628e4a7",
     ),
     "exclusions": (
         lambda: (Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0),
                  SWEEP_MODES, 1),
-        "809b68d34a34239b38c1cea53c91eb650db271b81aa80904315f0e19acf2fdd5",
+        "f671c06388d94b43a406cb1d7d78cbeaeb26f636a6c1a1bcccb061883faeaf76",
     ),
 }
 

@@ -28,7 +28,7 @@ from irsradar.harness import (
 )
 from irsradar.phaseopt import optimal_phases
 
-from csi_draws import crandn
+from csi_draws import crandn, noise_matched_filter
 
 SMALL = dict(n=20, k=3, m=4, trials=8)
 
@@ -684,6 +684,26 @@ def test_exclusions_are_counted_by_cause(monkeypatch):
     assert cause.tolist() == [harness.UNDRAWN] * 3
 
 
+def test_k_equal_to_n_needs_no_eigh_root(monkeypatch):
+    # k + 1 paths in n pulses make every full steering Gram singular, and
+    # with no Doppler gap many have no Cholesky factor; each group of paths
+    # draws its noise from its own factor, so no eigh root is taken, and a
+    # row is excluded only where a mode's own Gram is refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    s = Scenario(n=10, k=10, m=2, trials=40, master_seed=1, doppler_min_gap=0)
+    gammas = (1e-2, 1.0)
+    res = sweep_gamma(s, gammas)
+    expect, by_cause = _rows_by_run_trial(s, "gamma", gammas)
+    for lab in res.modes:
+        for j, field in enumerate(("nmse", "mse", "crb_trace")):
+            np.testing.assert_array_equal(res.records[lab][field], expect[lab][j])
+    np.testing.assert_array_equal(res.excluded_by_cause, by_cause)
+    assert res.excluded_by_cause.tolist() == [[0, 1, 0], [0, 2, 0]]
+
+
 def test_sweep_blocks_span_points(monkeypatch):
     # rows run point-major across points, so a sweep makes ceil(P T / step)
     # blocks, not P ceil(T / step)
@@ -707,20 +727,27 @@ def test_sweep_blocks_span_points(monkeypatch):
 def test_each_group_of_paths_is_factored_once_per_block(modes, monkeypatch):
     # every mode on a group of paths reads the group's one factor of Q: the
     # direct link's 1 x 1 block and the reflected k x k block are each
-    # factored once per block, whatever the number of modes; no blue_gram
-    # runs, and no mode Gram D^H Q D is formed for a trial the trace bound
-    # clears, which is every trial at the default shape
+    # factored once per block, whatever the number of modes, and these are
+    # the block's only Cholesky factorizations (the full Q is not factored);
+    # no blue_gram runs, and no mode Gram D^H Q D is formed for a trial the
+    # trace bound clears, which is every trial at the default shape
     factored, formed = [], []  # per block: the size of each factored Q; rows formed
+    cholesky = []  # per block: the size of each np.linalg.cholesky call
     real_block, real_factor = harness._evaluate_block, estimator._factor_inverse
-    real_gram = estimator._scaled_gram
+    real_gram, real_cholesky = estimator._scaled_gram, np.linalg.cholesky
 
     def block(*args):
         factored.append([])
+        cholesky.append([])
         return real_block(*args)
 
     def factor(m):
         factored[-1].append(m.shape[-1])
         return real_factor(m)
+
+    def counted_cholesky(m):
+        cholesky[-1].append(m.shape[-1])
+        return real_cholesky(m)
 
     def blue_gram(*args):
         raise AssertionError("the sweep ran blue_gram")
@@ -733,11 +760,13 @@ def test_each_group_of_paths_is_factored_once_per_block(modes, monkeypatch):
     monkeypatch.setattr(estimator, "_factor_inverse", factor)
     monkeypatch.setattr(estimator, "blue_gram", blue_gram)
     monkeypatch.setattr(estimator, "_scaled_gram", gram)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     monkeypatch.setattr(harness, "_block_trials", lambda scenario: 40)
     thetas = np.random.default_rng(3).uniform(0.0, 6.0, (5, 10))
     res = _sweep(Scenario(trials=30, fixed_theta=thetas), "gamma", (1e-3, 0.3, 30.0), modes)
     assert res.excluded.sum() == 0
     assert factored == [[1, 5]] * 3  # 90 rows in blocks of 40
+    assert cholesky == [[1, 5]] * 3
     assert formed == []
 
 
@@ -963,29 +992,31 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
     # rebuilt per trial from the block's draws, with the direct exponential
     # (white noise draws no code, and its model does not depend on one, so
     # x = 1 there).  No noise vector is drawn: the matched filter is
-    # A^H R^-1 A alpha + Diag(c)^H v with the block's v, whose estimate is
-    # blue_estimate's covariance times it
+    # A^H R^-1 A alpha + Diag(c)^H v with v = L z on the mode's group of
+    # paths, Q_g = L L^H, whose estimate is blue_estimate's covariance times it
     m, T, gamma = 4, 6, 0.3
     thetas = np.random.default_rng(k).uniform(0.0, 6.0, (k, m))
     s = Scenario(n=n, k=k, m=m, gamma=gamma, sigma2=0.05, trials=T, master_seed=8,
                  fixed_theta=thetas, noise_cov=_full_noise_cov(n) if full_noise else None)
     block = _draw_block(s, 1, range(T))
-    q, v = _steering_gram(block, s._noise)
+    q = _steering_gram(block, s._noise)
+    v = {group: noise_matched_filter(q, block["z"], paths)
+         for group, paths in harness._PATH_GROUPS.items()}
     rows = np.arange(block["drawn"].size)
     assert rows.size == T
     noise = NoiseModel(covariance=s.noise_cov) if full_noise else NoiseModel.scaled_identity(0.05, n)
     pulses = np.arange(n)[:, None]
     for mode in LINK_MODES:
-        records, cause, _ = _estimate_mode(replace(s, link_mode=mode), block, q, v, rows)
+        records, cause, _ = _estimate_mode(replace(s, link_mode=mode), block, q, rows)
         np.testing.assert_array_equal(cause, estimator.CLEARED)
+        group = "direct" if mode == "los_only" else "reflected"
+        paths = harness._PATH_GROUPS[group]
         for t in rows:
             if mode == "los_only":
-                paths = slice(0, 1)
                 truth = np.array([block["alpha_los"][t]])
                 norm = abs(block["alpha_los"][t] * block["h_los"][t]) / np.sqrt(gamma)
                 coef = np.array([block["h_los"][t]]) / norm
             else:
-                paths = slice(1, None)
                 truth = block["alpha"][t]
                 norm = abs(truth @ block["csi"][mode][t])
                 coef = block["csi"][mode][t] / norm
@@ -993,7 +1024,7 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
             x = block["x"][t] if full_noise else np.ones(n)
             A = np.diag(x) @ steer @ np.diag(coef)
             ref = blue_estimate(A, noise, A @ truth)
-            b = np.linalg.solve(ref.covariance, truth) + coef.conj() * v[t, paths]
+            b = np.linalg.solve(ref.covariance, truth) + coef.conj() * v[group][t]
             nmse = np.linalg.norm(truth - ref.covariance @ b) / np.linalg.norm(truth)
             np.testing.assert_allclose(records[0, t], nmse, rtol=1e-8, err_msg=mode)
             np.testing.assert_allclose(records[1, t], ref.mse / norm**2, rtol=1e-10, err_msg=mode)
@@ -1003,28 +1034,29 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
 def test_estimate_mode_checks_coefficients():
     s = Scenario(n=20, k=3, m=4, trials=4, master_seed=3, link_mode="nlos_random")
     block = _draw_block(s, 0, range(4))
-    q, v = _steering_gram(block, s._noise)
+    q = _steering_gram(block, s._noise)
     rows = np.arange(4)
-    _estimate_mode(s, block, q, v, rows)  # the draw as it is passes
+    _estimate_mode(s, block, q, rows)  # the draw as it is passes
     csi = block["csi"]["nlos_random"]
     csi[2, 1] = np.nan
     # the rules run before the normalization, so numpy never warns on the NaN
     with pytest.raises(ValueError, match="must be finite"):
-        _estimate_mode(s, block, q, v, rows)
+        _estimate_mode(s, block, q, rows)
     csi[2, 1] = 0.0
     with pytest.raises(DegeneratePathError):
-        _estimate_mode(s, block, q, v, rows)
+        _estimate_mode(s, block, q, rows)
 
 
 @pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
 def test_whitened_noise_is_chi_square(full_noise):
-    # the noise part of a mode's matched filter, D^H v, is CN(0, G) with
-    # G = D^H Q D = L L^H, so ||L^-1 D^H v||^2 ~ Gamma(K, 1) whatever the
+    # the noise part of a mode's matched filter, D^H v with v = L_g z on
+    # its group of paths, Q_g = L_g L_g^H, is CN(0, G) with
+    # G = D^H Q_g D = L L^H, so ||L^-1 D^H v||^2 ~ Gamma(K, 1) whatever the
     # scene (Kay 1993, ch. 6); its mean over T trials is K within sqrt(K/T)
     s = Scenario(gamma=0.3, trials=400, noise_cov=_full_noise_cov(50) if full_noise else None)
     for axis_index in range(3):
         block = _draw_block(s, axis_index, range(s.trials))
-        q, v = _steering_gram(block, s._noise)
+        q = _steering_gram(block, s._noise)
         for mode in SWEEP_MODES:
             if mode == "los_only":
                 h_los, alpha_los = np.array(block["h_los"]), np.array(block["alpha_los"])
@@ -1034,7 +1066,7 @@ def test_whitened_noise_is_chi_square(full_noise):
                 raw = block["csi"][mode]
                 d = raw / np.abs(_project(block["alpha"], raw))[:, None]
                 paths = slice(1, None)
-            qp, vp = q[:, paths, paths], v[:, paths]
+            qp, vp = q[:, paths, paths], noise_matched_filter(q, block["z"], paths)
             gram = estimator._hermitian(d.conj()[:, :, None] * qp * d[:, None, :])
             b = d.conj() * vp
             _, _, cause, _, chol_inv = estimator.blue_gram(gram, b)
@@ -1100,7 +1132,7 @@ def test_closed_form_gram_matches_explicit_steering_gram(n, k):
 
 def test_white_noise_sweep_forms_no_steering_columns_or_code(monkeypatch):
     # with white noise no N-vector of a trial is formed: the Gram is the
-    # closed form and v is drawn from its factor
+    # closed form and each group's noise comes from its factor
     def refuse(*args):
         raise AssertionError("an N-length array was formed")
 
@@ -1122,28 +1154,3 @@ def test_freeze_waveform_is_inert_only_under_white_noise():
         same = all(np.array_equal(free[lab][f], frozen[lab][f])
                    for lab in free for f in ("nmse", "mse", "crb_trace"))
         assert same == (cov is None)
-
-
-def test_singular_steering_gram_draws_v_from_its_eigh_root():
-    # k = n puts k + 1 paths in n pulses, so every full Q is singular, and
-    # with no Doppler gap many have no Cholesky factor in floating point;
-    # v = F z from F = U Lambda^1/2 still has Q as its covariance, and each
-    # item's root does not depend on the stack
-    s = Scenario(n=10, k=10, m=2, trials=40, master_seed=1, doppler_min_gap=0)
-    block = _draw_block(s, 0, range(40))
-    q, v = _steering_gram(block, s._noise)
-    failing = []
-    for t in range(len(q)):
-        try:
-            np.linalg.cholesky(q[t])
-        except np.linalg.LinAlgError:
-            failing.append(t)
-    assert 0 < len(failing) < len(q)
-    root = harness._gram_root(q)
-    scale = s.n / s.sigma2
-    assert np.max(np.abs(root @ root.conj().swapaxes(-1, -2) - q)) <= 1e-12 * scale
-    np.testing.assert_array_equal(v, (root @ block["z"][..., None])[..., 0])
-    for t in range(len(q)):
-        np.testing.assert_array_equal(harness._gram_root(q[t:t + 1])[0], root[t])
-        if t not in failing:
-            np.testing.assert_array_equal(root[t], np.linalg.cholesky(q[t]))
