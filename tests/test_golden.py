@@ -17,7 +17,17 @@ read off one factor per group of paths, after the moments and every CLI
 pin had passed unchanged and the records had been checked against the
 fixture before it: the records moved by at most 3.4e-13 relative, except
 in the exclusions case, whose ill-conditioned Grams moved records by
-under cond(G) eps.  The certify pins moved
+under cond(G) eps.  Then each group of paths came to draw its noise from
+its own factor, v_g = L_g z_g, in place of v = F z from a factor of the
+full steering Gram.  Before any pin moved, test_moments passed
+unchanged and the records were checked against the fixture of the
+engine before: every mse and crb_trace and
+every exclusion bit-equal, and the direct link's nmse within 4.8e-16
+relative, except in the exclusions rows whose full Q had no Cholesky
+factor.  Only the reflected modes' nmse was redrawn, with the same law,
+so the record hashes, the fixture and the sweep and single pins were
+recorded again; crb.svg, certify.csv and every CSV's los rows and
+mean_crb_trace and trials columns kept their bytes.  The certify pins moved
 once, when the windowed grid enumeration gave way to the interval
 reduction alone: that kernel evaluates one rotation of the optimal grid
 node where the enumeration kept whichever rounded highest, which moved
