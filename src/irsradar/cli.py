@@ -259,30 +259,6 @@ def emit_csv(result: SweepResult, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path: str) -> list:
-    """Read an emit_csv file back as one dict per row, numerics parsed."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields")
-            rows.append(
-                {
-                    "axis": float(parts[0]),
-                    "mode": parts[1],
-                    "mean_nmse": float(parts[2]),
-                    "stderr_nmse": float(parts[3]),
-                    "mean_crb_trace": float(parts[4]),
-                    "trials": int(parts[5]),
-                }
-            )
-    return rows
-
-
 def _log_spaced(x: np.ndarray) -> bool:
     if np.any(x <= 0) or x.size < 2:
         return False

@@ -295,8 +295,8 @@ def _scaled_gram(q: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _path_factor(q: np.ndarray, z: np.ndarray):
     """What every model on one group of paths shares: (diag(Q^-1), Q^-1 v, factored).
 
-    q (T, K, K) is the group's block of the steering Gram Q and z (T, K)
-    the group's CN(0, I) normals.  With Q = L L^H (_factor_inverse), the
+    q (T, K, K) is the group's steering Gram Q = S_g^H R^-1 S_g and z
+    (T, K) the group's CN(0, I) normals.  With Q = L L^H (_factor_inverse), the
     noise's matched filter v = S^H R^-1 w ~ CN(0, Q) is drawn as v = L z,
     so Q^-1 v = L^-H z, and diag(Q^-1) holds the squared column norms of
     L^-1; both are nan where Q has no factor.  Each is elementwise or one

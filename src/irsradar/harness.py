@@ -96,27 +96,28 @@ exponential of a phase runs per trial.
 Estimation then runs in K-space.  Every link mode of a trial shares the
 Dopplers and, under noise_cov, the code, and every mode on a group of
 paths its noise; only the path coefficients differ, so a mode's model is
-A = S Diag(d), where S = Diag(x) P(nu) holds the steering columns of all
-1 + k paths and d the mode's normalized coefficients.  Once per block,
-with the noise model that all its modes and points share, Q is formed:
-with white noise Q = P^H P / sigma2 is the closed-form Dirichlet kernel
-(_dirichlet_gram), so no N-vector of a trial exists; under noise_cov S
-is whitened by R's factor, stored once per Scenario.  Each mode then
-takes its group's part of Q (entry [0, 0] for the direct link, block
-[1:, 1:] for the reflected ones) and with D = Diag(d) has Gram D^H Q D =
-A^H R^-1 A and matched filter D^H (Q D alpha + v) = A^H R^-1 y, so
-neither A nor y is formed.  Its BLUE errs by alpha_hat - alpha = D^-1
-Q^-1 v and has covariance trace sum_i (Q^-1)_ii / |d_i|^2, so the modes
-on a group of paths differ only by the diagonal D (Kay 1993, ch. 6):
-each block factors each group's Q = L L^H once (estimator._path_factor),
-forming L^-1, Q^-1 v = L^-H z from the group's normals and diag(Q^-1),
-and each mode's records are elementwise work on its d
-(estimator._blue_scaled).  These two are a block's only Cholesky
-factorizations; the full Q is never factored.  No mode Gram, matched
-filter or K x K inverse per mode is formed, except D^H Q D for the rows
-the trace bound does not clear.  A group's Q is singular when two of its
-paths coincide, or when k paths exceed N pulses; only the modes on it
-then exclude the trial, through the condition screen.
+A = S_g Diag(d), where S = Diag(x) P(nu) holds the steering columns of
+the 1 + k paths, S_g its group's, and d the mode's normalized
+coefficients.  Once per block, with the noise model that all its modes
+and points share, each group's Q_g = S_g^H R^-1 S_g is formed
+(_path_models): with white noise Q_g = P_g^H P_g / sigma2 is the
+closed-form Dirichlet kernel of the group's own Dopplers
+(_dirichlet_gram), so no N-vector of a trial and no pair across the
+groups exists; under noise_cov S is whitened by R's factor, stored once
+per Scenario, and each group takes its block of the whitened product.
+With D = Diag(d) a mode has Gram D^H Q_g D = A^H R^-1 A and matched
+filter D^H (Q_g D alpha + v_g) = A^H R^-1 y, so neither A nor y is
+formed.  Its BLUE errs by alpha_hat - alpha = D^-1 Q_g^-1 v_g and has
+covariance trace sum_i (Q_g^-1)_ii / |d_i|^2, so the modes on a group
+differ only by the diagonal D (Kay 1993, ch. 6): each block factors each
+Q_g = L L^H once (estimator._path_factor), forming L^-1, Q_g^-1 v_g =
+L^-H z_g and diag(Q_g^-1), and each mode's records are elementwise work
+on its d (estimator._blue_scaled).  These two are a block's only
+Cholesky factorizations.  No mode Gram, matched filter or K x K inverse
+per mode is formed, except D^H Q_g D for the rows the trace bound does
+not clear.  A group's Q_g is singular when two of its paths coincide, or
+when k paths exceed N pulses; only the modes on it then exclude the
+trial, through the condition screen.
 
 A block holds as many rows as its largest array fits in BLOCK_BYTES
 (_block_trials): a row counts its 3 k M channel words, or under
@@ -641,9 +642,9 @@ def _dirichlet_gram(u: np.ndarray, n: int) -> np.ndarray:
     only for nearly coincident paths, where the ratio stays accurate, and
     it is exactly 0 only at d = 0, where the entry is n.  Each off-diagonal
     pair is formed once, the lower entry as the upper one's conjugate, so
-    the result is exactly Hermitian.  u is (T, k + 1) in cycles; the result
-    is (T, k + 1, k + 1), elementwise per trial, so stacking does not
-    change it.
+    the result is exactly Hermitian.  u is (T, K) in cycles, any number K
+    of paths; the result is (T, K, K), elementwise per trial and per pair,
+    so neither stacking nor leaving out paths changes an entry.
     """
     size = u.shape[-1]
     rows, cols = np.triu_indices(size, 1)
@@ -664,55 +665,60 @@ def _dirichlet_gram(u: np.ndarray, n: int) -> np.ndarray:
     return gram
 
 
-def _steering_gram(block, noise: NoiseModel, sigma2=None):
-    """Q = S^H R^-1 S for each trial in the block, (T, k + 1, k + 1) Hermitian.
-
-    S = Diag(x) P(nu) holds the steering columns of all k + 1 paths, the
-    direct one first.  With white noise |x_n| = 1 gives Q = P^H P /
-    sigma2, the closed-form Dirichlet kernel (_dirichlet_gram), with no
-    code and no N-vector.  Under noise_cov S is whitened by R = L L^H's
-    factor, W = L^-1 S, and Q = W^H W.  Every link mode's model is A = S
-    Diag(c) on its paths, so its Gram A^H R^-1 A follows from its group's
-    block of Q alone, and its noise from that block's factor; see
-    _estimate_mode.  sigma2, one per drawn row, replaces a white noise
-    model's power, for a block that spans the points of a noise sweep; the
-    elementwise division gives the bits the scalar one does.
-    """
-    if noise.is_scaled_identity:
-        q = _dirichlet_gram(block["u"], noise.n)
-        q /= noise.sigma2 if sigma2 is None else sigma2[:, None, None]
-        return q
-    steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
-    white = noise._whiten @ steer
-    del steer
-    return _hermitian(white.conj().swapaxes(-1, -2) @ white)
-
-
-# the two groups of paths a link mode estimates: the direct link's, entry
-# [0, 0] of the steering Gram, and the reflected modes', block [1:, 1:]
+# the two groups of paths a link mode estimates, as columns of the draw's
+# u and z: the direct link's and the reflected modes'
 _PATH_GROUPS = {"direct": slice(0, 1), "reflected": slice(1, None)}
 
 
-def _estimate_mode(scenario: Scenario, block, q, rows, gamma=None, factors=None):
+def _path_models(block, noise: NoiseModel, sigma2=None):
+    """Each group of paths' steering Gram Q_g and its factor, over all of the block's trials.
+
+    Returns {group: (Q_g, _path_factor(Q_g, z_g))} for the direct and the
+    reflected group, Q_g = S_g^H R^-1 S_g (T, K_g, K_g) with S = Diag(x)
+    P(nu) the steering columns, the direct path first, and z_g the group's
+    share of the block's normals.  No record combines the two groups, and a
+    mode's Gram and noise follow from its group's Q_g and factor alone (see
+    _estimate_mode), so every mode on a group shares them.  With white noise
+    |x_n| = 1 gives Q_g = P_g^H P_g / sigma2, the closed-form Dirichlet
+    kernel of the group's own Dopplers (_dirichlet_gram), with no code, no
+    N-vector and no pair across the groups; the direct link's is n / sigma2.
+    Under noise_cov S is whitened by R = L L^H's factor, W = L^-1 S, and
+    each Q_g is a diagonal block of W^H W.  sigma2, one per drawn row,
+    replaces a white noise model's power, for a block that spans the points
+    of a noise sweep; the elementwise division gives the bits the scalar
+    one does.
+    """
+    if noise.is_scaled_identity:
+        power = noise.sigma2 if sigma2 is None else sigma2[:, None, None]
+        grams = {group: _dirichlet_gram(block["u"][:, paths], noise.n) / power
+                 for group, paths in _PATH_GROUPS.items()}
+    else:
+        steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
+        white = noise._whiten @ steer
+        del steer
+        q = _hermitian(white.conj().swapaxes(-1, -2) @ white)
+        grams = {group: q[:, paths, paths] for group, paths in _PATH_GROUPS.items()}
+    return {group: (q, _path_factor(q, block["z"][:, _PATH_GROUPS[group]]))
+            for group, q in grams.items()}
+
+
+def _estimate_mode(scenario: Scenario, block, models, rows, gamma=None):
     """Estimate the scenario's link mode on the block's trials at `rows`.
 
-    q is _steering_gram's output for the whole block, and rows are sorted
+    models is _path_models' output for the whole block, and rows are sorted
     positions among its trials.  Each trial's scene is normalized to path
-    coefficients d on the mode's group of paths, and the BLUE of A = S Diag(d)
-    is read off the group's shared factor Q = L L^H and its share of the
-    block's normals z (estimator._path_factor, _blue_scaled): nmse = ||(L^-H
+    coefficients d on the mode's group of paths, and the BLUE of A = S
+    Diag(d) is read off the group's Q_g = L L^H and the factor every mode on
+    the group shares (estimator._path_factor, _blue_scaled): nmse = ||(L^-H
     z) / d|| / ||alpha||, crb_trace = sum_i (Q^-1)_ii / |d_i|^2 and mse =
     crb_trace / norm**2, and only a trial whose trace bound is not cleared has
-    its Gram D^H Q D formed.  factors maps a group to its factor over all of
-    the block's trials, and is filled on first use, so every mode of a block
-    on one group shares one factorization; a mode takes the factor's rows only
-    where earlier modes left some out.  Returns (records, cause, cond):
-    records is (3, len(rows)) holding nmse, mse and crb_trace, nan where the
-    BLUE refuses the trial, and cause and cond are the screen's cause codes
-    and condition numbers, from which estimator._refusal builds a refused
-    trial's error.  gamma, one per row of `rows`, replaces the scenario's in
-    the direct link's normalization, for a block that spans the points of a
-    gamma sweep; its elementwise root gives the bits the scalar's does.
+    its Gram D^H Q D formed.  Returns (records, cause, cond): records is (3,
+    len(rows)) holding nmse, mse and crb_trace, nan where the BLUE refuses the
+    trial, and cause and cond are the screen's cause codes and condition
+    numbers, from which estimator._refusal builds a refused trial's error.
+    gamma, one per row of `rows`, replaces the scenario's in the direct link's
+    normalization, for a block that spans the points of a gamma sweep; its
+    elementwise root gives the bits the scalar's does.
     """
     if scenario.link_mode == "los_only":
         h_los, truth = block["h_los"][rows], block["alpha_los"][rows]
@@ -720,19 +726,13 @@ def _estimate_mode(scenario: Scenario, block, q, rows, gamma=None, factors=None)
         root = np.sqrt(scenario.gamma if gamma is None else gamma)
         gain = np.abs(truth * h_los)
         coef, norms, truth = (h_los * root / gain)[:, None], gain / root, truth[:, None]
-        group = "direct"
+        q, factor = models["direct"]
     else:
         raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
         check_coefficients(raw)
         norms = np.abs(_project(truth, raw))
         coef = raw / norms[:, None]
-        group = "reflected"
-    paths = _PATH_GROUPS[group]
-    q = q[:, paths, paths]
-    factors = {} if factors is None else factors
-    if group not in factors:
-        factors[group] = _path_factor(q, block["z"][:, paths])
-    factor = factors[group]
+        q, factor = models["reflected"]
     if rows.size < len(q):
         q, factor = q[rows], tuple(a[rows] for a in factor)
     err, trace, cause, cond = _blue_scaled(q, factor, coef)
@@ -745,8 +745,8 @@ def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> Tria
     block = _draw_block(scenario, axis_index, [trial_index])
     if block["drawn"].size == 0:
         raise GenerationError("scene still degenerate after resample budget")
-    q = _steering_gram(block, scenario._noise)
-    records, cause, cond = _estimate_mode(scenario, block, q, np.arange(1))
+    models = _path_models(block, scenario._noise)
+    records, cause, cond = _estimate_mode(scenario, block, models, np.arange(1))
     if cause[0] != CLEARED:
         raise _refusal(cause[0], cond[0])
     nmse, mse, crb_trace = records[:, 0].tolist()
@@ -759,10 +759,10 @@ def _evaluate_block(scenarios, axis, trials, gamma, sigma2):
     Row r is trial trials[r] of axis point axis[r], or of axis itself when
     it is an int, and scenarios holds one Scenario per mode, which share
     every field but link_mode.  The rows' points differ only in gamma and
-    sigma2, given one per row, so one draw and one steering Gram serve
-    them all, with each row's own sigma2 and gamma, and each group of
-    paths' Q is factored once for every mode on it (_estimate_mode's
-    factors).  A row is excluded, nan in every mode, when its scene is not
+    sigma2, given one per row, so one draw and one _path_models serve
+    them all, with each row's own sigma2 and gamma: each group of paths'
+    Q_g is formed and factored once for every mode on it.  A row is
+    excluded, nan in every mode, when its scene is not
     drawn or the BLUE refuses it in any mode, where run_trial would raise
     a NumericalError; no exception is built for it.  Its cause (int8) is
     UNDRAWN, or the screen's code of the first mode that refused it, and
@@ -779,12 +779,11 @@ def _evaluate_block(scenarios, axis, trials, gamma, sigma2):
     if drawn.size == 0:
         return out, cause
     gamma, sigma2 = gamma[drawn], sigma2[drawn]
-    q = _steering_gram(block, scenarios[0]._noise, sigma2)
+    models = _path_models(block, scenarios[0]._noise, sigma2)
     kept = np.arange(drawn.size)
-    factors = {}  # each group of paths' factor, shared by the modes on it
     records = np.full((len(scenarios), 3, drawn.size), np.nan)
     for mi, scenario in enumerate(scenarios):
-        recs, refused, _ = _estimate_mode(scenario, block, q, kept, gamma[kept], factors)
+        recs, refused, _ = _estimate_mode(scenario, block, models, kept, gamma[kept])
         records[mi][:, kept] = recs
         cause[drawn[kept]] = refused
         kept = kept[refused == CLEARED]
@@ -823,8 +822,8 @@ def _block_trials(scenario: Scenario) -> int:
     A row is one (point, trial) of a sweep.  Its largest array is its
     channel draw's 3 k M words (24 k M bytes), the words of its conj(g) h
     products, unless under noise_cov its N x (k + 1) steering columns
-    (16 N (k + 1) bytes) are larger; its (k + 1) x (k + 1) Gram
-    (16 (k + 1)^2) is the largest array of the white-noise estimate.
+    (16 N (k + 1) bytes) are larger; 16 (k + 1)^2 bounds its k x k
+    reflected Gram, the largest array of the white-noise estimate.
     That gives 273 rows at the default N = 50, k = 5, M = 10, six at
     N = 256, k = 32, M = 64 (two under noise_cov), and one once k M
     exceeds 6826.  A block may span axis points: its size depends on no

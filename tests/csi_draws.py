@@ -33,18 +33,17 @@ def split_csi(z, M: int, K: int):
     return h_los, g.reshape(-1, K, M), h.reshape(-1, K, M), alpha, alpha_los
 
 
-def noise_matched_filter(q, z, paths=slice(None)):
+def noise_matched_filter(q, z):
     """v = L z on one group of paths for each trial, with Q_g = L L^H.
 
-    q (T, K, K) is a block's steering Gram, z (T, K) its normals and paths
-    the group's slice; each trial's Q_g is factored alone, and a trial
-    whose Q_g has no Cholesky factor gets nan.
+    q (T, K, K) is the group's steering Gram Q_g and z (T, K) its normals;
+    each trial's Q_g is factored alone, and a trial whose Q_g has no
+    Cholesky factor gets nan.
     """
-    qg, zg = q[:, paths, paths], z[:, paths]
-    v = np.full(zg.shape, np.nan, complex)
-    for t in range(len(qg)):
+    v = np.full(z.shape, np.nan, complex)
+    for t in range(len(q)):
         try:
-            v[t] = np.linalg.cholesky(qg[t]) @ zg[t]
+            v[t] = np.linalg.cholesky(q[t]) @ z[t]
         except np.linalg.LinAlgError:
             pass
     return v

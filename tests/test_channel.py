@@ -18,7 +18,7 @@ from irsradar.harness import (
     Scenario,
     _draw_block,
     _estimate_mode,
-    _steering_gram,
+    _path_models,
     _sweep,
     run_trial,
 )
@@ -130,11 +130,12 @@ def test_normalization_hits_targets(form, gamma):
         s = Scenario(n=n, k=3, m=4, gamma=gamma, sigma2=sigma2, link_mode=mode, nlos_form=form)
         block = _draw_block(s, 0, range(12))
         rows = np.arange(block["drawn"].size)
-        q = _steering_gram(block, s._noise)
-        records, cause, _ = _estimate_mode(s, block, q, rows)
+        models = _path_models(block, s._noise)
+        records, cause, _ = _estimate_mode(s, block, models, rows)
         assert rows.size == 12 and not cause.any()
-        paths = slice(0, 1) if mode == "los_only" else slice(1, None)
-        v = noise_matched_filter(q, block["z"], paths)
+        group = "direct" if mode == "los_only" else "reflected"
+        paths = harness._PATH_GROUPS[group]
+        v = noise_matched_filter(models[group][0], block["z"][:, paths])
         for t in rows:
             if mode == "los_only":
                 raw, alpha = np.array([block["h_los"][t]]), np.array([block["alpha_los"][t]])

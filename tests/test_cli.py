@@ -17,13 +17,36 @@ from irsradar.cli import (
     emit_plot,
     main,
     parse_config,
-    read_csv,
 )
 from irsradar.errors import UsageError
 from irsradar.harness import SweepResult
 from irsradar.phaseopt import CertificationRecord, CertifiedPanels
 
 SMALL_ARGS = ["--n", "20", "--k", "3", "--m", "4", "--trials", "30"]
+
+
+def read_csv(path: str) -> list:
+    """Read an emit_csv file back as one dict per row, numerics parsed."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != CSV_HEADER:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 6:
+                raise ValueError(f"{path}:{lineno}: expected 6 fields")
+            rows.append(
+                {
+                    "axis": float(parts[0]),
+                    "mode": parts[1],
+                    "mean_nmse": float(parts[2]),
+                    "stderr_nmse": float(parts[3]),
+                    "mean_crb_trace": float(parts[4]),
+                    "trials": int(parts[5]),
+                }
+            )
+    return rows
 
 
 def _mk_result(axis, modes, values, included=None):
@@ -338,6 +361,18 @@ def test_cli_crb_plots_the_bound(tmp_path):
     svg = (tmp_path / "crb.svg").read_text()
     assert "mean_crb_trace" in svg
     assert read_csv(str(tmp_path / "crb.csv"))  # same schema as the sweeps
+
+
+@pytest.mark.parametrize("flags", [
+    [*SMALL_ARGS, "--seed", "3", "--axis-min", "1e-2", "--axis-max", "1e2", "--axis-points", "3"],
+    ["--trials", "50"],
+], ids=["small", "defaults"])
+def test_cli_crb_table_is_the_gamma_sweeps(flags, tmp_path):
+    # crb is sweep-gamma with the bound plotted: the same draws, estimates
+    # and table, byte for byte; only the SVG's field differs
+    assert main(["crb", *flags, "--out", str(tmp_path)]) == 0
+    assert main(["sweep-gamma", *flags, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "crb.csv").read_bytes() == (tmp_path / "sweep_gamma.csv").read_bytes()
 
 
 def test_cli_noise_sweep_runs(tmp_path):

@@ -33,8 +33,8 @@ from irsradar.harness import (
     _draw_block,
     _estimate_mode,
     _evaluate_block,
+    _path_models,
     _project,
-    _steering_gram,
     _sweep,
     run_trial,
 )
@@ -379,10 +379,10 @@ def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
     s = Scenario(n=n, k=k, m=4, gamma=gamma, trials=T, master_seed=9, fixed_theta=thetas)
     block = _draw_block(s, 0, range(T))
     block["u"][1, 1:3] = 0.1, 0.1 + 1e-9  # two reflected paths 1e-9 cycles apart
-    q = _steering_gram(block, s._noise)
+    models = _path_models(block, s._noise)
     for mode in LINK_MODES:
         d, truth, paths = _mode_paths(block, mode, gamma)
-        qp, zp = q[:, paths, paths], block["z"][:, paths]
+        qp, zp = models["direct" if mode == "los_only" else "reflected"][0], block["z"][:, paths]
         qs = np.concatenate([qp, qp[:1], -qp[2:3]])  # the last Q indefinite
         zs, ds, ts = (np.concatenate([x, x[:1], x[2:3]]) for x in (zp, d, truth))
         vs = noise_matched_filter(qs, zs)  # nan where Q has no factor
@@ -405,7 +405,7 @@ def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
         want = np.linalg.norm(alpha_hat[ok] - ts[ok], axis=1) / scale
         np.testing.assert_array_less(np.abs(got - want), tol * (1 + want))
         # the harness reads the drawn trials' records off the same factor
-        records, mode_cause, mode_cond = _estimate_mode(replace(s, link_mode=mode), block, q,
+        records, mode_cause, mode_cond = _estimate_mode(replace(s, link_mode=mode), block, models,
                                                         np.arange(T))
         np.testing.assert_array_equal(mode_cause, cause[:T])
         np.testing.assert_array_equal(mode_cond, cond[:T])

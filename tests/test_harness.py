@@ -19,8 +19,8 @@ from irsradar.harness import (
     _draw_block,
     _dopplers,
     _estimate_mode,
+    _path_models,
     _project,
-    _steering_gram,
     _sweep,
     run_trial,
     sweep_gamma,
@@ -730,16 +730,25 @@ def test_each_group_of_paths_is_factored_once_per_block(modes, monkeypatch):
     # factored once per block, whatever the number of modes, and these are
     # the block's only Cholesky factorizations (the full Q is not factored);
     # no blue_gram runs, and no mode Gram D^H Q D is formed for a trial the
-    # trace bound clears, which is every trial at the default shape
+    # trace bound clears, which is every trial at the default shape.  Each
+    # group's steering Gram is its own Dirichlet kernel, over 1 and k paths:
+    # no pair across the two groups is formed
     factored, formed = [], []  # per block: the size of each factored Q; rows formed
     cholesky = []  # per block: the size of each np.linalg.cholesky call
+    kernels = []  # per block: the path count of each _dirichlet_gram call
     real_block, real_factor = harness._evaluate_block, estimator._factor_inverse
     real_gram, real_cholesky = estimator._scaled_gram, np.linalg.cholesky
+    real_kernel = harness._dirichlet_gram
 
     def block(*args):
         factored.append([])
         cholesky.append([])
+        kernels.append([])
         return real_block(*args)
+
+    def kernel(u, n):
+        kernels[-1].append(u.shape[-1])
+        return real_kernel(u, n)
 
     def factor(m):
         factored[-1].append(m.shape[-1])
@@ -761,12 +770,14 @@ def test_each_group_of_paths_is_factored_once_per_block(modes, monkeypatch):
     monkeypatch.setattr(estimator, "blue_gram", blue_gram)
     monkeypatch.setattr(estimator, "_scaled_gram", gram)
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(harness, "_dirichlet_gram", kernel)
     monkeypatch.setattr(harness, "_block_trials", lambda scenario: 40)
     thetas = np.random.default_rng(3).uniform(0.0, 6.0, (5, 10))
     res = _sweep(Scenario(trials=30, fixed_theta=thetas), "gamma", (1e-3, 0.3, 30.0), modes)
     assert res.excluded.sum() == 0
     assert factored == [[1, 5]] * 3  # 90 rows in blocks of 40
     assert cholesky == [[1, 5]] * 3
+    assert kernels == [[1, 5]] * 3
     assert formed == []
 
 
@@ -999,15 +1010,15 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
     s = Scenario(n=n, k=k, m=m, gamma=gamma, sigma2=0.05, trials=T, master_seed=8,
                  fixed_theta=thetas, noise_cov=_full_noise_cov(n) if full_noise else None)
     block = _draw_block(s, 1, range(T))
-    q = _steering_gram(block, s._noise)
-    v = {group: noise_matched_filter(q, block["z"], paths)
+    models = _path_models(block, s._noise)
+    v = {group: noise_matched_filter(models[group][0], block["z"][:, paths])
          for group, paths in harness._PATH_GROUPS.items()}
     rows = np.arange(block["drawn"].size)
     assert rows.size == T
     noise = NoiseModel(covariance=s.noise_cov) if full_noise else NoiseModel.scaled_identity(0.05, n)
     pulses = np.arange(n)[:, None]
     for mode in LINK_MODES:
-        records, cause, _ = _estimate_mode(replace(s, link_mode=mode), block, q, rows)
+        records, cause, _ = _estimate_mode(replace(s, link_mode=mode), block, models, rows)
         np.testing.assert_array_equal(cause, estimator.CLEARED)
         group = "direct" if mode == "los_only" else "reflected"
         paths = harness._PATH_GROUPS[group]
@@ -1034,17 +1045,17 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
 def test_estimate_mode_checks_coefficients():
     s = Scenario(n=20, k=3, m=4, trials=4, master_seed=3, link_mode="nlos_random")
     block = _draw_block(s, 0, range(4))
-    q = _steering_gram(block, s._noise)
+    models = _path_models(block, s._noise)
     rows = np.arange(4)
-    _estimate_mode(s, block, q, rows)  # the draw as it is passes
+    _estimate_mode(s, block, models, rows)  # the draw as it is passes
     csi = block["csi"]["nlos_random"]
     csi[2, 1] = np.nan
     # the rules run before the normalization, so numpy never warns on the NaN
     with pytest.raises(ValueError, match="must be finite"):
-        _estimate_mode(s, block, q, rows)
+        _estimate_mode(s, block, models, rows)
     csi[2, 1] = 0.0
     with pytest.raises(DegeneratePathError):
-        _estimate_mode(s, block, q, rows)
+        _estimate_mode(s, block, models, rows)
 
 
 @pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
@@ -1056,17 +1067,18 @@ def test_whitened_noise_is_chi_square(full_noise):
     s = Scenario(gamma=0.3, trials=400, noise_cov=_full_noise_cov(50) if full_noise else None)
     for axis_index in range(3):
         block = _draw_block(s, axis_index, range(s.trials))
-        q = _steering_gram(block, s._noise)
+        models = _path_models(block, s._noise)
         for mode in SWEEP_MODES:
             if mode == "los_only":
                 h_los, alpha_los = np.array(block["h_los"]), np.array(block["alpha_los"])
                 d = (h_los * np.sqrt(s.gamma) / np.abs(alpha_los * h_los))[:, None]
-                paths = slice(0, 1)
+                group = "direct"
             else:
                 raw = block["csi"][mode]
                 d = raw / np.abs(_project(block["alpha"], raw))[:, None]
-                paths = slice(1, None)
-            qp, vp = q[:, paths, paths], noise_matched_filter(q, block["z"], paths)
+                group = "reflected"
+            qp = models[group][0]
+            vp = noise_matched_filter(qp, block["z"][:, harness._PATH_GROUPS[group]])
             gram = estimator._hermitian(d.conj()[:, :, None] * qp * d[:, None, :])
             b = d.conj() * vp
             _, _, cause, _, chol_inv = estimator.blue_gram(gram, b)
@@ -1128,6 +1140,46 @@ def test_closed_form_gram_matches_explicit_steering_gram(n, k):
     np.testing.assert_array_equal(got[8:, 0, 1], n / sigma2)  # coincident paths
     for t in range(len(u)):  # each trial's Gram is its own, whatever the stack
         np.testing.assert_array_equal(harness._dirichlet_gram(u[t:t + 1], n)[0] / sigma2, got[t])
+
+
+@pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
+@pytest.mark.parametrize("n, k", [(50, 5), (256, 32), (10, 10)])
+def test_each_group_gets_its_block_of_the_steering_gram(n, k, full_noise):
+    # each group of paths' Q_g is bit-equal to its diagonal block of the
+    # full (k + 1) x (k + 1) steering Gram: under white noise the Dirichlet
+    # kernel of all paths over sigma2 (one sigma2 or one per row), the
+    # direct link's n / sigma2 whatever its Doppler, and under noise_cov the
+    # whitened product W^H W; its factor is the group's own.  Besides random
+    # Dopplers, a row puts the direct path on a reflected one (a cross-group
+    # pair at d = 0) and one puts two reflected paths together
+    from irsradar.model import random_code, steering_columns
+
+    T, sigma2 = 8, 0.3
+    rng = np.random.default_rng(n + k)
+    u = rng.uniform(-0.5, 0.5, (T, k + 1))
+    u[1, 0] = u[1, 1]
+    u[2, k] = u[2, 1]
+    block = {"u": u, "z": crandn(rng, T, k + 1), "x": random_code(rng.uniform(0, 6.3, (T, n)))}
+    if full_noise:
+        noise = NoiseModel(covariance=_full_noise_cov(n))
+        white = noise._whiten @ steering_columns(block["x"], 2.0 * np.pi * u)
+        cases = [(None, None, estimator._hermitian(white.conj().swapaxes(-1, -2) @ white))]
+    else:
+        noise = NoiseModel.scaled_identity(sigma2, n)
+        per_row = rng.uniform(0.1, 1.0, T)
+        cases = [(power, scale, harness._dirichlet_gram(u, n) / scale)
+                 for power, scale in ((None, sigma2), (per_row, per_row[:, None, None]))]
+    for power, scale, full in cases:
+        models = harness._path_models(block, noise, power)
+        assert models.keys() == harness._PATH_GROUPS.keys()
+        for group, paths in harness._PATH_GROUPS.items():
+            q, factor = models[group]
+            np.testing.assert_array_equal(q, full[:, paths, paths], err_msg=group)
+            want = estimator._path_factor(full[:, paths, paths], block["z"][:, paths])
+            for got, ref in zip(factor, want):
+                np.testing.assert_array_equal(got, ref, err_msg=group)
+        if scale is not None:
+            np.testing.assert_array_equal(models["direct"][0], np.full((T, 1, 1), n + 0j) / scale)
 
 
 def test_white_noise_sweep_forms_no_steering_columns_or_code(monkeypatch):
