@@ -79,19 +79,23 @@ A sweep lays its (point, trial) pairs out as rows, point-major, and
 evaluates them in blocks of _block_trials rows, which may span axis
 points; with workers, each block is one pool task.  The counter ranges of
 consecutive trials at one point are contiguous, so each stream of a block
-is one random_raw call per point it touches; the scene redraw runs over
-the rows still pending, and all arithmetic on the words runs once over
-the block.  A block's points differ only in the swept gamma or sigma2,
-which no draw reads, so a sweep builds one Scenario per mode, checks the
-swept values as one array (_check_powers), and each row takes its own
-value only where it enters: sigma2 in Q and gamma in the direct link's
-normalization, both elementwise, so a row gets the bits its point alone
-would.  The reflected
-modes' coefficients are composed from the phasors themselves:
-nlos_random weights c by the phasors of its phase words, nlos_optimal is
-sum_m beta_m |c_m|, the value composing at the aligning phases reaches,
-and nlos_fixed's weights are formed once per Scenario; no angle, wrap or
-exponential of a phase runs per trial.
+is one random_raw call per point it touches, all from the block's one
+Philox, which each call sets to its point's key and counter; the block's
+runs are cut once for every stream.  The scene redraw runs over the rows
+still pending, and all arithmetic on the words runs once over the block.
+When attempt 0 draws every row, as at any usual shape, and while every
+mode keeps every row, a block's arrays are read and written whole, with
+no redraw table, gather or scatter.  A block's points differ only in the
+swept gamma or sigma2, which no draw reads, so a sweep builds one
+Scenario per mode, checks the swept values as one array (_check_powers),
+and each row takes its own value only where it enters: sigma2 in Q and
+gamma in the direct link's normalization, both elementwise, so a row
+gets the bits its point alone would.  The reflected modes' coefficients
+are composed from the phasors themselves: nlos_random weights c by the
+phasors of its phase words, nlos_optimal is sum_m beta_m |c_m|, the value
+composing at the aligning phases reaches, and nlos_fixed's weights are
+formed once per Scenario; no angle, wrap or exponential of a phase runs
+per trial.
 
 Estimation then runs in K-space.  Every link mode of a trial shares the
 Dopplers and, under noise_cov, the code, and every mode on a group of
@@ -371,27 +375,36 @@ class TrialRecord:
     crb_trace: float
 
 
-def _stream_words(keys, stream: str, axis, trials, count: int, attempt: int = 0):
-    """The first `count` words of a stream for each row, (len(trials), count).
+def _runs(keys, axis, trials):
+    """The rows' runs of consecutive trials at one point: (lo, hi, key, first trial) each.
 
-    Row r reads trial trials[r]'s range at axis point axis[r]; keys maps
-    each axis index to its Philox and that generator's fresh state.
-    numpy's Philox advances the counter before each block, so setting it
-    to (t * B, ...) starts trial t's range, and each run of rows at one
-    point with consecutive trials is one random_raw call.
+    keys maps each axis index to its Philox key (master_seed, axis index).
+    Rows lo..hi - 1 read trials trial, trial + 1, ... at one point, so a
+    run is one random_raw call per stream (_stream_words).
     """
+    cuts = np.flatnonzero((np.diff(trials) != 1) | (np.diff(axis) != 0)) + 1
+    edges = [0, *cuts.tolist(), len(trials)]
+    return [(lo, hi, keys[int(axis[lo])], int(trials[lo]))
+            for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
+def _stream_words(source, runs, stream: str, count: int, attempt: int = 0):
+    """The first `count` words of a stream for each row of the runs, (rows, count).
+
+    source is a Philox and a dict of its state, on which each run sets its
+    point's key and its counter (_runs), so one generator serves every
+    point.  numpy's Philox advances the counter before each block, so
+    setting it to (t * B, ...) starts trial t's range.
+    """
+    bitgen, state = source
     width = -(-count // 4)  # B
-    t = np.asarray(trials, dtype=np.uint64)
-    out = np.empty((t.size, 4 * width), np.uint64)
-    cuts = (np.diff(t) != 1) | (np.diff(axis) != 0)
-    edges = [0, *(np.flatnonzero(cuts) + 1).tolist(), t.size]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi > lo:
-            bitgen, state = keys[int(axis[lo])]
-            counter = [int(t[lo]) * width, _STREAMS[stream], attempt, 0]
-            state["state"]["counter"] = np.array(counter, np.uint64)
-            bitgen.state = state
-            out[lo:hi] = bitgen.random_raw(4 * width * (hi - lo)).reshape(hi - lo, -1)
+    out = np.empty((runs[-1][1] if runs else 0, 4 * width), np.uint64)
+    for lo, hi, key, trial in runs:
+        state["state"]["key"] = key
+        state["state"]["counter"] = np.array([trial * width, _STREAMS[stream], attempt, 0],
+                                             np.uint64)
+        bitgen.state = state
+        out[lo:hi] = bitgen.random_raw(4 * width * (hi - lo)).reshape(hi - lo, -1)
     return out[:, :count]
 
 
@@ -513,15 +526,20 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     """Everything random in a block of rows; identical for every link mode.
 
     Row r is trial trials[r] at axis point axis_index[r], or at axis_index
-    itself when it is an int; one Philox per point the block touches is
-    built once.  A row reads its trial's counter ranges at its point (see
-    the module docstring), the code trial 0's of its own point when
-    frozen.  A scene is redrawn, on the next attempt's counters of the
+    itself when it is an int.  A row reads its trial's counter ranges at its
+    point (see the module docstring), the code trial 0's of its own point
+    when frozen.  The block builds one Philox, and each run of rows at one
+    point with consecutive trials sets its point's key with the counter
+    (_runs, _stream_words); the runs are cut once and every stream reads
+    them.  A scene is redrawn, on the next attempt's counters of the
     channel and phase streams, while alpha_los * h_los or alpha^T c of any
     reflected mode is exactly zero, so all link modes accept or reject
-    identical draws and pairing is preserved.  Every other field comes
-    from `scenario`, so the rows' points may differ only in what no draw
-    reads.
+    identical draws and pairing is preserved; a redraw reads only the rows
+    still pending, on runs cut from them.  When attempt 0 draws every row,
+    as at any usual shape, the block keeps that attempt's arrays as they
+    are, with no redraw tables, scatters or gathers.  Every other field
+    comes from `scenario`, so the rows' points may differ only in what no
+    draw reads.
 
     Returns a dict over the drawn rows, in order: "drawn" their
     positions in `trials`; "u" the (T, k + 1) Dopplers in cycles, the
@@ -540,30 +558,29 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
         raise ValueError("indices must be nonnegative")
     axis = np.broadcast_to(axis, trials.shape)
     n, k, m = scenario.n, scenario.k, scenario.m
-    keys = {}  # np.unique would import numpy.ma, about 10 ms, into every CLI run
-    for i in sorted(set(axis.tolist())):
-        bitgen = Philox(key=np.array([scenario.master_seed, i], np.uint64))
-        keys[i] = bitgen, bitgen.state
+    # np.unique would import numpy.ma, about 10 ms, into every CLI run
+    keys = {i: np.array([scenario.master_seed, i], np.uint64) for i in sorted(set(axis.tolist()))}
+    bitgen = Philox(key=np.zeros(2, np.uint64))  # each run sets its own key and counter
+    source = bitgen, bitgen.state
+    runs = _runs(keys, axis, trials)
 
-    def words(stream, count, rows=slice(None), attempt=0):
-        return _stream_words(keys, stream, axis[rows], trials[rows], count, attempt)
+    def words(stream, count, at=runs, attempt=0):
+        return _stream_words(source, at, stream, count, attempt)
 
     lo, hi = scenario.doppler_range
     u = _dopplers(_uniforms(words("doppler", 2 * k + 1)), lo, hi, k, scenario.min_gap_cycles)
+    z = _complex_normals(words("noise", 2 * (k + 1)))
 
     # the channel stream: h_los, alpha and alpha_los as word pairs, then
     # the k x M products conj(g) h of random panels as word triples
     pairs = 2 * (k + 2)
     count = pairs if scenario.fixed_panels is not None else pairs + 3 * k * m
-    h_los = np.zeros(len(trials), complex)
-    alpha_los = np.zeros(len(trials), complex)
-    alpha = np.zeros((len(trials), k), complex)
-    csi = {}
-    todo = np.arange(len(trials))
-    for attempt in range(RESAMPLE_BUDGET):
-        if todo.size == 0:
-            break
-        w = words("channel", count, todo, attempt)
+
+    def scene(at, attempt):
+        # the scene of the rows of runs `at` on an attempt's counters: h_los,
+        # alpha, alpha_los and each reflected mode's (rows, k) coefficients,
+        # and which rows it draws
+        w = words("channel", count, at, attempt)
         hl, al, al_los = np.split(_complex_normals(w[:, :pairs]), [1, k + 1], axis=1)
         hl, al_los = hl[:, 0], al_los[:, 0]
         if scenario.fixed_panels is not None:
@@ -571,36 +588,45 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
         else:
             c, beta = _path_products(w[:, pairs:]).reshape(-1, k, m), None
         del w
-        composed = {
-            mode: np.broadcast_to(coef, (todo.size, k))
-            for mode, coef in _compose_modes(scenario, c, beta,
-                                             words("phase", k * m, todo, attempt)).items()
-        }
+        fields = {"h_los": hl, "alpha": al, "alpha_los": al_los}
         ok = hl * al_los != 0
-        for coef in composed.values():
-            ok &= _project(al, coef) != 0
-        done = todo[ok]
-        h_los[done], alpha_los[done], alpha[done] = hl[ok], al_los[ok], al[ok]
-        for mode, coef in composed.items():
-            csi.setdefault(mode, np.zeros((len(trials), k), complex))[done] = coef[ok]
-        todo = todo[~ok]
+        for mode, coef in _compose_modes(scenario, c, beta,
+                                         words("phase", k * m, at, attempt)).items():
+            # a replayed panel's coefficients are one row for every trial;
+            # each mode gets its own writable table
+            fields[mode] = np.tile(coef, (len(al), 1)) if coef.ndim == 1 else coef
+            ok &= _project(al, fields[mode]) != 0
+        return fields, ok
 
-    kept = np.ones(len(trials), dtype=bool)
-    kept[todo] = False
-    drawn = np.flatnonzero(kept)
-    block = {
-        "drawn": drawn,
-        "u": u[drawn],
-        "h_los": h_los[drawn],
-        "csi": {mode: c[drawn] for mode, c in csi.items()},
-        "alpha": alpha[drawn],
-        "alpha_los": alpha_los[drawn],
-        "z": _complex_normals(words("noise", 2 * (k + 1)))[drawn],
-    }
+    fields, ok = scene(runs, 0)
+    drawn = np.arange(len(trials))
+    if not ok.all():
+        # redraw the degenerate rows on the next attempts' counters
+        tables = {name: np.zeros((len(trials), *value.shape[1:]), complex)
+                  for name, value in fields.items()}
+        todo = drawn
+        for attempt in range(1, RESAMPLE_BUDGET + 1):
+            done = todo[ok]
+            for name, table in tables.items():
+                table[done] = fields[name][ok]
+            todo = todo[~ok]
+            if todo.size == 0 or attempt == RESAMPLE_BUDGET:
+                break
+            fields, ok = scene(_runs(keys, axis[todo], trials[todo]), attempt)
+        kept = np.ones(len(trials), dtype=bool)
+        kept[todo] = False
+        drawn = np.flatnonzero(kept)
+        fields = {name: table[drawn] for name, table in tables.items()}
+        u, z = u[drawn], z[drawn]
+    block = {"drawn": drawn, "u": u, "z": z}
+    for name in ("h_los", "alpha", "alpha_los"):
+        block[name] = fields.pop(name)
+    block["csi"] = fields  # what is left: each reflected mode's coefficients
     if scenario.noise_cov is not None:
         if scenario.freeze_waveform:  # trial 0's code of each row's point
             points = np.array(list(keys))  # sorted, for searchsorted
-            code = _uniforms(_stream_words(keys, "waveform", points, np.zeros_like(points), n))
+            code = _uniforms(_stream_words(source, _runs(keys, points, np.zeros_like(points)),
+                                           "waveform", n))
             code = code[np.searchsorted(points, axis)]
         else:
             code = _uniforms(words("waveform", n))
@@ -647,7 +673,12 @@ def _dirichlet_gram(u: np.ndarray, n: int) -> np.ndarray:
     so neither stacking nor leaving out paths changes an entry.
     """
     size = u.shape[-1]
-    rows, cols = np.triu_indices(size, 1)
+    gram = np.empty((len(u), size, size), complex)
+    flat = gram.reshape(len(u), -1)
+    flat[:, ::size + 1] = n
+    if size == 1:  # one path has no pairs
+        return gram
+    rows, cols, upper, lower = _pair_indices(size)
     d = u[:, cols] - u[:, rows]  # nu_l - nu_k for k < l
     d -= np.rint(d)
     d *= np.pi
@@ -658,11 +689,22 @@ def _dirichlet_gram(u: np.ndarray, n: int) -> np.ndarray:
     d *= n - 1
     entry = np.exp(1j * d)
     entry *= ratio
-    gram = np.empty((len(u), size, size), complex)
-    gram[:, rows, cols] = entry
-    gram[:, cols, rows] = entry.conj()
-    gram[:, np.arange(size), np.arange(size)] = n
+    flat[:, upper] = entry
+    flat[:, lower] = entry.conj()
     return gram
+
+
+@cache
+def _pair_indices(size: int):
+    """A size x size matrix's pairs k < l: k, l and the flat (k, l) and (l, k) positions.
+
+    Built once per path count; read-only, as every caller shares them.
+    """
+    rows, cols = np.triu_indices(size, 1)
+    indices = rows, cols, rows * size + cols, cols * size + rows
+    for a in indices:
+        a.flags.writeable = False
+    return indices
 
 
 # the two groups of paths a link mode estimates, as columns of the draw's
@@ -670,15 +712,21 @@ def _dirichlet_gram(u: np.ndarray, n: int) -> np.ndarray:
 _PATH_GROUPS = {"direct": slice(0, 1), "reflected": slice(1, None)}
 
 
-def _path_models(block, noise: NoiseModel, sigma2=None):
+def _mode_group(link_mode: str) -> str:
+    """The group of paths a link mode estimates."""
+    return "direct" if link_mode == "los_only" else "reflected"
+
+
+def _path_models(block, noise: NoiseModel, sigma2=None, groups=tuple(_PATH_GROUPS)):
     """Each group of paths' steering Gram Q_g and its factor, over all of the block's trials.
 
-    Returns {group: (Q_g, _path_factor(Q_g, z_g))} for the direct and the
-    reflected group, Q_g = S_g^H R^-1 S_g (T, K_g, K_g) with S = Diag(x)
-    P(nu) the steering columns, the direct path first, and z_g the group's
-    share of the block's normals.  No record combines the two groups, and a
-    mode's Gram and noise follow from its group's Q_g and factor alone (see
-    _estimate_mode), so every mode on a group shares them.  With white noise
+    Returns {group: (Q_g, _path_factor(Q_g, z_g))} for each of `groups`,
+    by default the direct and the reflected group, Q_g = S_g^H R^-1 S_g
+    (T, K_g, K_g) with S = Diag(x) P(nu) the steering columns, the direct
+    path first, and z_g the group's share of the block's normals.  No
+    record combines the two groups, and a mode's Gram and noise follow from
+    its group's Q_g and factor alone (see _estimate_mode), so every mode on
+    a group shares them, and run_trial forms only its mode's group.  With white noise
     |x_n| = 1 gives Q_g = P_g^H P_g / sigma2, the closed-form Dirichlet
     kernel of the group's own Dopplers (_dirichlet_gram), with no code, no
     N-vector and no pair across the groups; the direct link's is n / sigma2.
@@ -690,14 +738,14 @@ def _path_models(block, noise: NoiseModel, sigma2=None):
     """
     if noise.is_scaled_identity:
         power = noise.sigma2 if sigma2 is None else sigma2[:, None, None]
-        grams = {group: _dirichlet_gram(block["u"][:, paths], noise.n) / power
-                 for group, paths in _PATH_GROUPS.items()}
+        grams = {group: _dirichlet_gram(block["u"][:, _PATH_GROUPS[group]], noise.n) / power
+                 for group in groups}
     else:
         steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
         white = noise._whiten @ steer
         del steer
         q = _hermitian(white.conj().swapaxes(-1, -2) @ white)
-        grams = {group: q[:, paths, paths] for group, paths in _PATH_GROUPS.items()}
+        grams = {group: q[:, _PATH_GROUPS[group], _PATH_GROUPS[group]] for group in groups}
     return {group: (q, _path_factor(q, block["z"][:, _PATH_GROUPS[group]]))
             for group, q in grams.items()}
 
@@ -705,20 +753,22 @@ def _path_models(block, noise: NoiseModel, sigma2=None):
 def _estimate_mode(scenario: Scenario, block, models, rows, gamma=None):
     """Estimate the scenario's link mode on the block's trials at `rows`.
 
-    models is _path_models' output for the whole block, and rows are sorted
-    positions among its trials.  Each trial's scene is normalized to path
-    coefficients d on the mode's group of paths, and the BLUE of A = S
-    Diag(d) is read off the group's Q_g = L L^H and the factor every mode on
-    the group shares (estimator._path_factor, _blue_scaled): nmse = ||(L^-H
-    z) / d|| / ||alpha||, crb_trace = sum_i (Q^-1)_ii / |d_i|^2 and mse =
-    crb_trace / norm**2, and only a trial whose trace bound is not cleared has
-    its Gram D^H Q D formed.  Returns (records, cause, cond): records is (3,
-    len(rows)) holding nmse, mse and crb_trace, nan where the BLUE refuses the
-    trial, and cause and cond are the screen's cause codes and condition
-    numbers, from which estimator._refusal builds a refused trial's error.
-    gamma, one per row of `rows`, replaces the scenario's in the direct link's
-    normalization, for a block that spans the points of a gamma sweep; its
-    elementwise root gives the bits the scalar's does.
+    models is _path_models' output for the whole block, holding at least
+    the mode's group, and rows are sorted positions among its trials, or a
+    slice: slice(None), every row, reads the block's arrays as they are,
+    with no gather.  Each trial's scene is normalized to path coefficients
+    d on the mode's group of paths, and the BLUE of A = S Diag(d) is read
+    off the group's Q_g = L L^H and the factor every mode on the group
+    shares (estimator._path_factor, _blue_scaled): nmse = ||(L^-H z) / d||
+    / ||alpha||, crb_trace = sum_i (Q^-1)_ii / |d_i|^2 and mse = crb_trace /
+    norm**2, and only a trial whose trace bound is not cleared has its Gram
+    D^H Q D formed.  Returns (records, cause, cond): records is (3, R) over
+    the R rows, holding nmse, mse and crb_trace, nan where the BLUE refuses
+    the trial, and cause and cond are the screen's cause codes and
+    condition numbers, from which estimator._refusal builds a refused
+    trial's error.  gamma, one per row of `rows`, replaces the scenario's
+    in the direct link's normalization, for a block that spans the points
+    of a gamma sweep; its elementwise root gives the bits the scalar's does.
     """
     if scenario.link_mode == "los_only":
         h_los, truth = block["h_los"][rows], block["alpha_los"][rows]
@@ -726,15 +776,13 @@ def _estimate_mode(scenario: Scenario, block, models, rows, gamma=None):
         root = np.sqrt(scenario.gamma if gamma is None else gamma)
         gain = np.abs(truth * h_los)
         coef, norms, truth = (h_los * root / gain)[:, None], gain / root, truth[:, None]
-        q, factor = models["direct"]
     else:
         raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
         check_coefficients(raw)
         norms = np.abs(_project(truth, raw))
         coef = raw / norms[:, None]
-        q, factor = models["reflected"]
-    if rows.size < len(q):
-        q, factor = q[rows], tuple(a[rows] for a in factor)
+    q, factor = models[_mode_group(scenario.link_mode)]
+    q, factor = q[rows], tuple(a[rows] for a in factor)
     err, trace, cause, cond = _blue_scaled(q, factor, coef)
     records = np.stack([_error_nmse(truth, err), trace / norms**2, trace])
     return records, cause, cond
@@ -745,8 +793,8 @@ def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> Tria
     block = _draw_block(scenario, axis_index, [trial_index])
     if block["drawn"].size == 0:
         raise GenerationError("scene still degenerate after resample budget")
-    models = _path_models(block, scenario._noise)
-    records, cause, cond = _estimate_mode(scenario, block, models, np.arange(1))
+    models = _path_models(block, scenario._noise, groups=(_mode_group(scenario.link_mode),))
+    records, cause, cond = _estimate_mode(scenario, block, models, slice(None))
     if cause[0] != CLEARED:
         raise _refusal(cause[0], cond[0])
     nmse, mse, crb_trace = records[:, 0].tolist()
@@ -778,18 +826,25 @@ def _evaluate_block(scenarios, axis, trials, gamma, sigma2):
     drawn = block["drawn"]
     if drawn.size == 0:
         return out, cause
-    gamma, sigma2 = gamma[drawn], sigma2[drawn]
+    # the drawn rows every mode so far kept, as positions among the drawn
+    # rows and among the block's: slices while every row is in play, so
+    # nothing is gathered or scattered
+    rows = at = slice(None)
+    if drawn.size < trials.size:
+        at = drawn
+        gamma, sigma2 = gamma[drawn], sigma2[drawn]
     models = _path_models(block, scenarios[0]._noise, sigma2)
-    kept = np.arange(drawn.size)
-    records = np.full((len(scenarios), 3, drawn.size), np.nan)
     for mi, scenario in enumerate(scenarios):
-        recs, refused, _ = _estimate_mode(scenario, block, models, kept, gamma[kept])
-        records[mi][:, kept] = recs
-        cause[drawn[kept]] = refused
-        kept = kept[refused == CLEARED]
-        if kept.size == 0:
-            return out, cause
-    out[:, :, drawn[kept]] = records[:, :, kept]
+        recs, refused, _ = _estimate_mode(scenario, block, models, rows, gamma[rows])
+        out[mi][:, at] = recs
+        cause[at] = refused
+        kept = refused == CLEARED
+        if not kept.all():
+            rows = np.arange(drawn.size)[rows][kept]
+            at = drawn[rows]
+            if rows.size == 0:
+                break
+    out[:, :, cause != CLEARED] = np.nan  # a row some mode refused is kept in none
     return out, cause
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import irsradar
 
 PUBLIC = {
@@ -88,6 +90,25 @@ def test_certify_run_loads_no_module_past_its_setup(tmp_path):
     by_parse, by_run = json.loads(out.stdout.strip().splitlines()[-1])
     assert set(by_parse) <= {"locale", "_locale"}
     assert by_run == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-gamma", "--axis-points", "3", "--trials", "4", "--plot"],
+    ["certify", "--m", "2", "--trials", "3"],
+], ids=["sweep-gamma", "certify"])
+def test_cli_main_imports_nothing_past_parse_config(argv, tmp_path):
+    # the benchmark times `cli.main` apart from the import and parse_config,
+    # so a lazy import inside a run (numpy.ma through np.unique, say) would
+    # land in the timed run of every CLI command
+    src = Path(irsradar.__file__).resolve().parent.parent
+    argv = [*argv, "--out", str(tmp_path)]
+    code = ("import json, sys, irsradar.cli as cli; "
+            f"cli.parse_config({argv!r}); parsed = set(sys.modules); "
+            f"assert cli.main({argv!r}) == 0; "
+            "print(json.dumps(sorted(set(sys.modules) - parsed)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == []
 
 
 def test_readme_library_example_runs():

@@ -1206,3 +1206,100 @@ def test_freeze_waveform_is_inert_only_under_white_noise():
         same = all(np.array_equal(free[lab][f], frozen[lab][f])
                    for lab in free for f in ("nmse", "mse", "crb_trace"))
         assert same == (cov is None)
+
+
+def test_a_block_builds_one_philox(monkeypatch):
+    # each run of rows sets its point's key with the counter on the block's
+    # one generator, so a block builds one Philox however many points,
+    # frozen codes and scene redraws it reads
+    built = []
+    real_philox, real_block = harness.Philox, harness._evaluate_block
+
+    def philox(*args, **kwargs):
+        built.append(1)
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "Philox", philox)
+    axis, trials = np.repeat(np.arange(5), 3), np.tile([4, 5, 6], 5)  # five points
+    frozen = dict(noise_cov=np.diag(np.linspace(0.01, 0.2, 20)), freeze_waveform=True)
+    for extra in ({}, frozen):
+        assert _draw_block(Scenario(**SMALL, **extra), axis, trials)["drawn"].size == 15
+        assert len(built) == 1
+        built.clear()
+    real_compose = harness._compose_modes
+    with monkeypatch.context() as patch:  # every attempt degenerate: a full redraw budget
+        patch.setattr(harness, "_compose_modes",
+                      lambda *args: {mode: 0 * c for mode, c in real_compose(*args).items()})
+        assert _draw_block(Scenario(**SMALL), axis, trials)["drawn"].size == 0
+    assert len(built) == 1
+    built.clear()
+    blocks = []
+
+    def block(*args):
+        blocks.append(1)
+        return real_block(*args)
+
+    monkeypatch.setattr(harness, "_evaluate_block", block)
+    monkeypatch.setattr(harness, "_block_trials", lambda scenario: 7)
+    sweep_gamma(Scenario(**SMALL), [1e-2, 1.0, 30.0])  # 24 rows in blocks of 7
+    assert len(built) == len(blocks) == 4
+
+
+@pytest.mark.parametrize("step", [7, None])  # None: one block of every row
+def test_a_block_where_only_some_rows_redraw(step, monkeypatch):
+    # a few rows' attempt-0 scenes read alpha^T c = 0, so they alone redraw
+    # on attempt 1's counters while the rest of their block keeps attempt
+    # 0's; each row's draw is still its block-of-one draw, and the sweep's
+    # records still run_trial's
+    tpl = Scenario(**SMALL, master_seed=11)
+    values = (1e-2, 1.0, 30.0)
+    chosen = [(0, 1), (0, 2), (1, 7), (2, 0)]  # (point, trial)
+    # each chosen row's first alpha entry on attempt 0 marks its scene
+    marks = np.array([_draw_block(tpl, p, [t])["alpha"][0, 0] for p, t in chosen])
+    real = harness._project
+
+    def project(alpha, c):
+        out = real(alpha, c)
+        out[np.isin(alpha[:, 0], marks)] = 0
+        return out
+
+    monkeypatch.setattr(harness, "_project", project)
+    rows = len(values) * tpl.trials
+    step = step or rows
+    axis, trials = np.divmod(np.arange(rows), tpl.trials)
+    for lo in range(0, rows, step):
+        block = _draw_block(tpl, axis[lo:lo + step], trials[lo:lo + step])
+        assert block["drawn"].tolist() == list(range(len(block["drawn"])))
+        for i, (p, t) in enumerate(zip(axis[lo:lo + step], trials[lo:lo + step])):
+            single = _draw_block(tpl, p, [t])
+            assert single["drawn"].size == 1
+            assert single["alpha"][0, 0] not in marks  # a chosen row was redrawn
+            for key in ("u", "z", "alpha", "h_los", "alpha_los"):
+                np.testing.assert_array_equal(block[key][i], single[key][0])
+            for mode in single["csi"]:
+                np.testing.assert_array_equal(block["csi"][mode][i], single["csi"][mode][0])
+    monkeypatch.setattr(harness, "_block_trials", lambda scenario: step)
+    res = sweep_gamma(tpl, values)
+    expect, by_cause = _rows_by_run_trial(tpl, "gamma", values)
+    for lab in res.modes:
+        for j, field in enumerate(("nmse", "mse", "crb_trace")):
+            np.testing.assert_array_equal(res.records[lab][field], expect[lab][j])
+    assert by_cause.sum() == 0 and res.excluded.sum() == 0
+
+
+def test_run_trial_factors_only_its_group(monkeypatch):
+    # a trial estimates one group of paths, so only that group's Q is
+    # formed and factored: the direct link's 1 x 1 or the reflected k x k
+    sizes = []
+    real = estimator._factor_inverse
+
+    def factor(m):
+        sizes.append(m.shape[-1])
+        return real(m)
+
+    monkeypatch.setattr(estimator, "_factor_inverse", factor)
+    for mode, size in (("los_only", 1), ("nlos_random", 3), ("nlos_optimal", 3)):
+        for cov in (None, np.diag(np.linspace(0.01, 0.2, 20))):
+            run_trial(Scenario(**SMALL, link_mode=mode, noise_cov=cov), 2, 1)
+            assert sizes == [size]
+            sizes.clear()
