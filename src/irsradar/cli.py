@@ -390,8 +390,8 @@ def _run_single(cfg: RunConfig, template: Scenario) -> SweepResult:
     if cfg.policy is None:
         return sweep_gamma(template, [cfg.gamma])
     mode = _POLICY_MODES[cfg.policy]
-    if cfg.policy == "fixed":
-        template = replace(template, fixed_theta=np.zeros((cfg.k, cfg.m)))
+    fixed = np.zeros((cfg.k, cfg.m)) if cfg.policy == "fixed" else None
+    template = replace(template, link_mode=mode, fixed_theta=fixed)
     return _sweep(template, "gamma", [cfg.gamma], (mode,))
 
 

@@ -40,4 +40,9 @@ class GenerationError(NumericalError):
 
 
 class UnboundedCrbError(NumericalError):
-    """Fisher information is singular; the bound is infinite."""
+    """Fisher information is singular; the bound is infinite.
+
+    No library call raises it: bounds.crb inverts only an information
+    matrix whose Gram the BLUE's condition screen has cleared, raising
+    SingularModelError otherwise.
+    """

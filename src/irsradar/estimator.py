@@ -74,20 +74,21 @@ nothing the eigenvalue screen would have.
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise second-order description; scaled identity gets a fast path."""
+    """Noise second-order description: a covariance, or sigma2 I with a fast path."""
 
     covariance: np.ndarray = None  # N x N Hermitian positive definite
-    is_scaled_identity: bool = False
-    sigma2: float = None  # valid when is_scaled_identity
+    sigma2: float = None  # the power of white noise, given with n and no covariance
     n: int = None
 
     def __post_init__(self):
         if self.is_scaled_identity:
-            if self.sigma2 is None or self.sigma2 <= 0 or self.n is None:
-                raise ValueError("scaled identity needs sigma2 > 0 and n")
+            if self.sigma2 is None or not 0 < self.sigma2 < np.inf or self.n is None:
+                raise ValueError("scaled identity needs a finite sigma2 > 0 and n")
             object.__setattr__(self, "_whiten", None)
             object.__setattr__(self, "_inv", None)
             return
+        if self.sigma2 is not None:
+            raise ValueError("give a covariance or sigma2, not both")
         R = np.asarray(self.covariance, dtype=complex)
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("covariance must be square")
@@ -104,9 +105,14 @@ class NoiseModel:
         object.__setattr__(self, "_whiten", chol_inv)  # L^-1 with R = L L^H: L^-1 S is white
         object.__setattr__(self, "_inv", chol_inv.conj().T @ chol_inv)
 
+    @property
+    def is_scaled_identity(self) -> bool:
+        """Whether the noise is white, sigma2 I: no covariance is given."""
+        return self.covariance is None
+
     @classmethod
     def scaled_identity(cls, sigma2: float, n: int) -> "NoiseModel":
-        return cls(is_scaled_identity=True, sigma2=float(sigma2), n=int(n))
+        return cls(sigma2=float(sigma2), n=int(n))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """R^-1 b; b may be a (..., N, K) stack, each item multiplied alone."""

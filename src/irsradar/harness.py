@@ -82,20 +82,20 @@ consecutive trials at one point are contiguous, so each stream of a block
 is one random_raw call per point it touches, all from the block's one
 Philox, which each call sets to its point's key and counter; the block's
 runs are cut once for every stream.  The scene redraw runs over the rows
-still pending, and all arithmetic on the words runs once over the block.
-When attempt 0 draws every row, as at any usual shape, and while every
-mode keeps every row, a block's arrays are read and written whole, with
-no redraw table, gather or scatter.  A block's points differ only in the
-swept gamma or sigma2, which no draw reads, so a sweep builds one
-Scenario per mode, checks the swept values as one array (_check_powers),
-and each row takes its own value only where it enters: sigma2 in Q and
-gamma in the direct link's normalization, both elementwise, so a row
-gets the bits its point alone would.  The reflected modes' coefficients
-are composed from the phasors themselves: nlos_random weights c by the
-phasors of its phase words, nlos_optimal is sum_m beta_m |c_m|, the value
-composing at the aligning phases reaches, and nlos_fixed's weights are
-formed once per Scenario; no angle, wrap or exponential of a phase runs
-per trial.
+still pending and overwrites their entries of attempt 0's arrays, and all
+arithmetic on the words runs once over the block.  Every mode then runs
+on every drawn row, and a row some mode refused is set nan in all of
+them.  A block's points differ only in the swept gamma or sigma2, which
+no draw reads, so a sweep passes its template and the modes' names to
+every block, builds no other Scenario, checks the swept values as one
+array (_check_powers), and each row takes its own value only where it
+enters: sigma2 in Q and gamma in the direct link's normalization, both
+elementwise, so a row gets the bits its point alone would.  The
+reflected modes' coefficients are composed from the phasors themselves:
+nlos_random weights c by the phasors of its phase words, nlos_optimal is
+sum_m beta_m |c_m|, the value composing at the aligning phases reaches,
+and nlos_fixed's weights are formed once per Scenario; no angle, wrap or
+exponential of a phase runs per trial.
 
 Estimation then runs in K-space.  Every link mode of a trial shares the
 Dopplers and, under noise_cov, the code, and every mode on a group of
@@ -132,8 +132,8 @@ traced peak stays within a small multiple of BLOCK_BYTES at any N, k and
 M (about 2.7x at N = 256, k = 32, M = 64).
 
 A trial's records do not depend on the block it lands in, so they are
-the same bits as evaluating it alone with run_trial, whatever the block
-size or worker count.  The stacked steps are only those that apply the
+the same bits whatever the block size or worker count, and run_trial is
+a block of one row.  The stacked steps are only those that apply the
 same kernel to every item: elementwise ufuncs, stacked matmul and
 np.vecdot (one BLAS call per item, the same dot np.vdot, a 1-D @ and
 np.linalg.norm make on one item), reductions along an item's own axes,
@@ -147,14 +147,15 @@ tests/data/moments_fixture.npz, and every record within 1e-9 of
 tests/data/records_fixture.npz.  A trial whose scene is still
 degenerate after the resample budget, or whose Gram the BLUE refuses in
 any mode, is excluded from every mode.  Exclusions travel as arrays: the
-draw's drawn positions and the condition screen's cause codes, which a
-sweep counts per point (SweepResult.excluded_by_cause); the
-GenerationError or SingularModelError is built only where run_trial
-raises it.
+draw's drawn positions and the condition screen's cause codes and
+condition numbers, which a sweep counts per point
+(SweepResult.excluded_by_cause); the GenerationError or
+SingularModelError is built only where run_trial raises it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -266,8 +267,13 @@ class Scenario:
     noise_cov: np.ndarray = None  # full N x N covariance; overrides sigma2
 
     def __post_init__(self):
-        for key in ("n", "k", "m", "trials"):
-            if getattr(self, key) < 1:
+        for key in ("n", "k", "m", "trials", "master_seed"):
+            value = getattr(self, key)
+            try:
+                value = operator.index(value)  # ints, numpy's too, but no float
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            if value < 1 and key != "master_seed":
                 raise ValueError(f"{key} must be positive")
         if self.k > self.n:
             raise ValueError("k must not exceed n")
@@ -535,11 +541,10 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     channel and phase streams, while alpha_los * h_los or alpha^T c of any
     reflected mode is exactly zero, so all link modes accept or reject
     identical draws and pairing is preserved; a redraw reads only the rows
-    still pending, on runs cut from them.  When attempt 0 draws every row,
-    as at any usual shape, the block keeps that attempt's arrays as they
-    are, with no redraw tables, scatters or gathers.  Every other field
-    comes from `scenario`, so the rows' points may differ only in what no
-    draw reads.
+    still pending, on runs cut from them, and overwrites their entries of
+    attempt 0's arrays.  Only when some row stays undrawn are the arrays
+    gathered to the drawn rows.  Every other field comes from `scenario`,
+    so the rows' points may differ only in what no draw reads.
 
     Returns a dict over the drawn rows, in order: "drawn" their
     positions in `trials`; "u" the (T, k + 1) Dopplers in cycles, the
@@ -599,24 +604,19 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
         return fields, ok
 
     fields, ok = scene(runs, 0)
+    todo = np.flatnonzero(~ok)
+    # redraw the degenerate rows on the next attempts' counters, in place
+    for attempt in range(1, RESAMPLE_BUDGET):
+        if todo.size == 0:
+            break
+        redrawn, ok = scene(_runs(keys, axis[todo], trials[todo]), attempt)
+        for name, value in fields.items():
+            value[todo[ok]] = redrawn[name][ok]
+        todo = todo[~ok]
     drawn = np.arange(len(trials))
-    if not ok.all():
-        # redraw the degenerate rows on the next attempts' counters
-        tables = {name: np.zeros((len(trials), *value.shape[1:]), complex)
-                  for name, value in fields.items()}
-        todo = drawn
-        for attempt in range(1, RESAMPLE_BUDGET + 1):
-            done = todo[ok]
-            for name, table in tables.items():
-                table[done] = fields[name][ok]
-            todo = todo[~ok]
-            if todo.size == 0 or attempt == RESAMPLE_BUDGET:
-                break
-            fields, ok = scene(_runs(keys, axis[todo], trials[todo]), attempt)
-        kept = np.ones(len(trials), dtype=bool)
-        kept[todo] = False
-        drawn = np.flatnonzero(kept)
-        fields = {name: table[drawn] for name, table in tables.items()}
+    if todo.size:
+        drawn = np.delete(drawn, todo)
+        fields = {name: value[drawn] for name, value in fields.items()}
         u, z = u[drawn], z[drawn]
     block = {"drawn": drawn, "u": u, "z": z}
     for name in ("h_los", "alpha", "alpha_los"):
@@ -717,16 +717,16 @@ def _mode_group(link_mode: str) -> str:
     return "direct" if link_mode == "los_only" else "reflected"
 
 
-def _path_models(block, noise: NoiseModel, sigma2=None, groups=tuple(_PATH_GROUPS)):
+def _path_models(block, noise: NoiseModel, sigma2=None, modes=LINK_MODES):
     """Each group of paths' steering Gram Q_g and its factor, over all of the block's trials.
 
-    Returns {group: (Q_g, _path_factor(Q_g, z_g))} for each of `groups`,
-    by default the direct and the reflected group, Q_g = S_g^H R^-1 S_g
-    (T, K_g, K_g) with S = Diag(x) P(nu) the steering columns, the direct
-    path first, and z_g the group's share of the block's normals.  No
-    record combines the two groups, and a mode's Gram and noise follow from
-    its group's Q_g and factor alone (see _estimate_mode), so every mode on
-    a group shares them, and run_trial forms only its mode's group.  With white noise
+    Returns {group: (Q_g, _path_factor(Q_g, z_g))} for the groups the link
+    modes estimate (_mode_group), Q_g = S_g^H R^-1 S_g (T, K_g, K_g) with
+    S = Diag(x) P(nu) the steering columns, the direct path first, and z_g
+    the group's share of the block's normals.  No record combines the two
+    groups, and a mode's Gram and noise follow from its group's Q_g and
+    factor alone (see _estimate_mode), so every mode on a group shares
+    them, and a block of one mode forms only its group.  With white noise
     |x_n| = 1 gives Q_g = P_g^H P_g / sigma2, the closed-form Dirichlet
     kernel of the group's own Dopplers (_dirichlet_gram), with no code, no
     N-vector and no pair across the groups; the direct link's is n / sigma2.
@@ -736,6 +736,8 @@ def _path_models(block, noise: NoiseModel, sigma2=None, groups=tuple(_PATH_GROUP
     of a noise sweep; the elementwise division gives the bits the scalar
     one does.
     """
+    needed = {_mode_group(mode) for mode in modes}
+    groups = [group for group in _PATH_GROUPS if group in needed]
     if noise.is_scaled_identity:
         power = noise.sigma2 if sigma2 is None else sigma2[:, None, None]
         grams = {group: _dirichlet_gram(block["u"][:, _PATH_GROUPS[group]], noise.n) / power
@@ -750,102 +752,92 @@ def _path_models(block, noise: NoiseModel, sigma2=None, groups=tuple(_PATH_GROUP
             for group, q in grams.items()}
 
 
-def _estimate_mode(scenario: Scenario, block, models, rows, gamma=None):
-    """Estimate the scenario's link mode on the block's trials at `rows`.
+def _estimate_mode(mode: str, block, models, gamma):
+    """Estimate a link mode on every trial of the block.
 
-    models is _path_models' output for the whole block, holding at least
-    the mode's group, and rows are sorted positions among its trials, or a
-    slice: slice(None), every row, reads the block's arrays as they are,
-    with no gather.  Each trial's scene is normalized to path coefficients
-    d on the mode's group of paths, and the BLUE of A = S Diag(d) is read
+    models is _path_models' output for the block, holding at least the
+    mode's group.  Each trial's scene is normalized to path coefficients d
+    on the mode's group of paths, and the BLUE of A = S Diag(d) is read
     off the group's Q_g = L L^H and the factor every mode on the group
     shares (estimator._path_factor, _blue_scaled): nmse = ||(L^-H z) / d||
     / ||alpha||, crb_trace = sum_i (Q^-1)_ii / |d_i|^2 and mse = crb_trace /
     norm**2, and only a trial whose trace bound is not cleared has its Gram
-    D^H Q D formed.  Returns (records, cause, cond): records is (3, R) over
-    the R rows, holding nmse, mse and crb_trace, nan where the BLUE refuses
-    the trial, and cause and cond are the screen's cause codes and
-    condition numbers, from which estimator._refusal builds a refused
-    trial's error.  gamma, one per row of `rows`, replaces the scenario's
-    in the direct link's normalization, for a block that spans the points
-    of a gamma sweep; its elementwise root gives the bits the scalar's does.
+    D^H Q D formed.  Returns (records, cause, cond): records is (3, T),
+    holding nmse, mse and crb_trace, nan where the BLUE refuses the trial,
+    and cause and cond are the screen's cause codes and condition numbers,
+    from which estimator._refusal builds a refused trial's error.  gamma,
+    one value or one per trial, enters the direct link's normalization; an
+    elementwise root gives every trial the bits its scalar's does.
     """
-    if scenario.link_mode == "los_only":
-        h_los, truth = block["h_los"][rows], block["alpha_los"][rows]
+    if mode == "los_only":
+        h_los, truth = block["h_los"], block["alpha_los"]
         check_coefficients(h_los)
-        root = np.sqrt(scenario.gamma if gamma is None else gamma)
+        root = np.sqrt(gamma)
         gain = np.abs(truth * h_los)
         coef, norms, truth = (h_los * root / gain)[:, None], gain / root, truth[:, None]
     else:
-        raw, truth = block["csi"][scenario.link_mode][rows], block["alpha"][rows]
+        raw, truth = block["csi"][mode], block["alpha"]
         check_coefficients(raw)
         norms = np.abs(_project(truth, raw))
         coef = raw / norms[:, None]
-    q, factor = models[_mode_group(scenario.link_mode)]
-    q, factor = q[rows], tuple(a[rows] for a in factor)
+    q, factor = models[_mode_group(mode)]
     err, trace, cause, cond = _blue_scaled(q, factor, coef)
     records = np.stack([_error_nmse(truth, err), trace / norms**2, trace])
     return records, cause, cond
 
 
 def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> TrialRecord:
-    """Generate one trial and estimate it under the scenario's link mode."""
-    block = _draw_block(scenario, axis_index, [trial_index])
-    if block["drawn"].size == 0:
+    """Generate one trial and estimate it under the scenario's link mode.
+
+    This is a block of one row (_evaluate_block): a trial's records do not
+    depend on its block, so they are the bits a sweep records for it.
+    """
+    records, cause, cond = _evaluate_block(scenario, (scenario.link_mode,), axis_index,
+                                           [trial_index], np.array([scenario.gamma]),
+                                           np.array([scenario.sigma2]))
+    if cause[0] == UNDRAWN:
         raise GenerationError("scene still degenerate after resample budget")
-    models = _path_models(block, scenario._noise, groups=(_mode_group(scenario.link_mode),))
-    records, cause, cond = _estimate_mode(scenario, block, models, slice(None))
     if cause[0] != CLEARED:
         raise _refusal(cause[0], cond[0])
-    nmse, mse, crb_trace = records[:, 0].tolist()
+    nmse, mse, crb_trace = records[0, :, 0].tolist()
     return TrialRecord(nmse=nmse, mse=mse, crb_trace=crb_trace)
 
 
-def _evaluate_block(scenarios, axis, trials, gamma, sigma2):
-    """Records of every mode on a block of rows, (modes, 3, rows), and each row's cause.
+def _evaluate_block(template: Scenario, modes, axis, trials, gamma, sigma2):
+    """Records of the link modes on a block of rows, (modes, 3, rows), and each row's refusal.
 
     Row r is trial trials[r] of axis point axis[r], or of axis itself when
-    it is an int, and scenarios holds one Scenario per mode, which share
-    every field but link_mode.  The rows' points differ only in gamma and
-    sigma2, given one per row, so one draw and one _path_models serve
-    them all, with each row's own sigma2 and gamma: each group of paths'
-    Q_g is formed and factored once for every mode on it.  A row is
-    excluded, nan in every mode, when its scene is not
-    drawn or the BLUE refuses it in any mode, where run_trial would raise
-    a NumericalError; no exception is built for it.  Its cause (int8) is
-    UNDRAWN, or the screen's code of the first mode that refused it, and
-    CLEARED for a row kept.  Modes run in order and each only on the rows
-    the earlier ones kept, so a ValueError surfaces exactly where
-    evaluating the rows one at a time would raise it.
+    it is an int.  Every field of `template` but link_mode applies; the
+    rows' points differ only in gamma and sigma2, given one per row, so one
+    draw and one _path_models serve them all, with each row's own sigma2
+    and gamma: each group of paths' Q_g is formed and factored once for
+    every mode on it.  Every mode runs on every drawn row.  A row is
+    excluded, nan in every mode, when its scene is not drawn or the BLUE
+    refuses it in any mode, where run_trial would raise a NumericalError;
+    no exception is built for it.  Returns (records, cause, cond): cause
+    (int8) is UNDRAWN, or the screen's code of the first mode that refused
+    the row, and CLEARED for a row kept; cond is that mode's screened
+    condition number, nan for a row kept or undrawn.
     """
     trials = np.asarray(trials)
-    axis = np.broadcast_to(axis, trials.shape)
-    out = np.full((len(scenarios), 3, trials.size), np.nan)
+    out = np.full((len(modes), 3, trials.size), np.nan)
     cause = np.full(trials.size, UNDRAWN, np.int8)
-    block = _draw_block(scenarios[0], axis, trials)
+    cond = np.full(trials.size, np.nan)
+    block = _draw_block(template, axis, trials)
     drawn = block["drawn"]
     if drawn.size == 0:
-        return out, cause
-    # the drawn rows every mode so far kept, as positions among the drawn
-    # rows and among the block's: slices while every row is in play, so
-    # nothing is gathered or scattered
-    rows = at = slice(None)
+        return out, cause, cond
     if drawn.size < trials.size:
-        at = drawn
         gamma, sigma2 = gamma[drawn], sigma2[drawn]
-    models = _path_models(block, scenarios[0]._noise, sigma2)
-    for mi, scenario in enumerate(scenarios):
-        recs, refused, _ = _estimate_mode(scenario, block, models, rows, gamma[rows])
-        out[mi][:, at] = recs
-        cause[at] = refused
-        kept = refused == CLEARED
-        if not kept.all():
-            rows = np.arange(drawn.size)[rows][kept]
-            at = drawn[rows]
-            if rows.size == 0:
-                break
+    models = _path_models(block, template._noise, sigma2, modes)
+    refusal, screened = np.full(drawn.size, CLEARED, np.int8), np.full(drawn.size, np.nan)
+    for mi, mode in enumerate(modes):
+        out[mi][:, drawn], mode_cause, mode_cond = _estimate_mode(mode, block, models, gamma)
+        first = (refusal == CLEARED) & (mode_cause != CLEARED)  # the rows this mode refuses first
+        refusal[first], screened[first] = mode_cause[first], mode_cond[first]
+    cause[drawn], cond[drawn] = refusal, screened
     out[:, :, cause != CLEARED] = np.nan  # a row some mode refused is kept in none
-    return out, cause
+    return out, cause, cond
 
 
 SWEEP_MODES = ("los_only", "nlos_random", "nlos_optimal")
@@ -891,17 +883,19 @@ def _block_trials(scenario: Scenario) -> int:
 
 def _sweep(template: Scenario, axis_name: str, axis_values, modes,
            workers: int = 1) -> SweepResult:
-    """Run the link modes over the axis; every mode and swept value is validated up front."""
+    """Run the named link modes over the axis; every swept value is validated up front.
+
+    The template holds every field but the swept one and link_mode, and
+    must admit each of the modes: nlos_fixed needs its fixed_theta.
+    """
     values = np.asarray(list(axis_values), dtype=float)
     if values.size == 0:
         raise ValueError("axis must contain at least one value")
     if template.trials < 2:
         raise ValueError("a sweep needs trials >= 2 to estimate the spread of each point")
-    # one Scenario per mode, at the first point; the other points differ
-    # only in the swept value, checked here as an array with the rule
-    # Scenario applies, so the first bad point raises what its Scenario would
-    scenarios = [replace(template, link_mode=mode, **{axis_name: float(values[0])})
-                 for mode in modes]
+    # the points differ only in the swept value, checked here as an array
+    # with the rule Scenario applies, so the first bad point raises what its
+    # Scenario would
     P, T = values.size, template.trials
     powers = {"gamma": np.full(P, template.gamma), "sigma2": np.full(P, template.sigma2),
               axis_name: values}
@@ -915,7 +909,8 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
     tasks = []
     for lo in range(0, P * T, step):
         axis, trials = np.divmod(np.arange(lo, min(lo + step, P * T)), T)
-        tasks.append((scenarios, axis, trials, powers["gamma"][axis], powers["sigma2"][axis]))
+        tasks.append((template, modes, axis, trials, powers["gamma"][axis],
+                      powers["sigma2"][axis]))
     if workers > 1:
         # imported here: the pool's modules (multiprocessing, socket, ...) cost
         # every single-process run its start-up time
@@ -927,7 +922,7 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
         chunks = [_evaluate_block(*task) for task in tasks]
 
     # the blocks, in order, tile the rows
-    table, causes = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
+    table, causes, _ = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
     records = {lab: {f: table[mi, fi].reshape(P, T) for fi, f in enumerate(fields)}
                for mi, lab in enumerate(labels)}
     causes = causes.reshape(P, T)

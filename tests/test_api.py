@@ -1,4 +1,5 @@
 """The package's public names, pinned so that an added or removed export shows in review."""
+import ast
 import inspect
 import json
 import os
@@ -36,6 +37,30 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC
+
+
+def _unused_imports(path: Path) -> list:
+    """'file:line name' of each name a module imports and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:  # `import a.b` binds a
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports to export, so it is left out
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for p in sorted((root / "src" / "irsradar").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "tests").glob("*.py"))
+    assert len(paths) > 10
+    assert [line for path in paths for line in _unused_imports(path)] == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -11,7 +11,6 @@ from irsradar.channel import (
     compose_paths,
     read_csi_file,
     split_crandn,
-    wrap_phase,
 )
 from irsradar.errors import GenerationError
 from irsradar.harness import (
@@ -131,7 +130,7 @@ def test_normalization_hits_targets(form, gamma):
         block = _draw_block(s, 0, range(12))
         rows = np.arange(block["drawn"].size)
         models = _path_models(block, s._noise)
-        records, cause, _ = _estimate_mode(s, block, models, rows)
+        records, cause, _ = _estimate_mode(mode, block, models, gamma)
         assert rows.size == 12 and not cause.any()
         group = "direct" if mode == "los_only" else "reflected"
         paths = harness._PATH_GROUPS[group]

@@ -148,6 +148,21 @@ def test_singular_gram_rejected():
     assert "condition number" in str(err.value)
 
 
+def test_noise_model_takes_a_covariance_or_a_finite_power():
+    # white noise is the model without a covariance; a covariance given with
+    # sigma2 was once read as sigma2 I, and a non-finite sigma2 failed deep
+    # inside the estimate
+    R = 5.0 * np.eye(3)
+    assert not NoiseModel(covariance=R).is_scaled_identity
+    assert NoiseModel.scaled_identity(0.5, 3).is_scaled_identity
+    assert blue_estimate(np.eye(3), NoiseModel(covariance=R), np.ones(3)).mse == pytest.approx(15)
+    with pytest.raises(ValueError, match="not both"):
+        NoiseModel(covariance=R, sigma2=1.0, n=3)
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite sigma2"):
+            NoiseModel.scaled_identity(bad, 3)
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         blue_estimate(np.eye(3), NoiseModel.scaled_identity(1.0, 3), np.zeros(4))
@@ -405,8 +420,7 @@ def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
         want = np.linalg.norm(alpha_hat[ok] - ts[ok], axis=1) / scale
         np.testing.assert_array_less(np.abs(got - want), tol * (1 + want))
         # the harness reads the drawn trials' records off the same factor
-        records, mode_cause, mode_cond = _estimate_mode(replace(s, link_mode=mode), block, models,
-                                                        np.arange(T))
+        records, mode_cause, mode_cond = _estimate_mode(mode, block, models, gamma)
         np.testing.assert_array_equal(mode_cause, cause[:T])
         np.testing.assert_array_equal(mode_cond, cond[:T])
         np.testing.assert_array_equal(records[2], trace[:T])
@@ -533,9 +547,8 @@ def test_well_conditioned_grams_skip_the_eigenvalue_screen(monkeypatch):
         return real(gram)
 
     monkeypatch.setattr(estimator, "_condition_numbers", counting)
-    scenarios = [Scenario(link_mode=mode) for mode in SWEEP_MODES]
     powers = np.full(65, 1e-2)  # the default gamma and sigma2 of every row
-    records, cause = _evaluate_block(scenarios, 0, range(65), powers, powers)
+    records, cause, _ = _evaluate_block(Scenario(), SWEEP_MODES, 0, range(65), powers, powers)
     assert np.all(np.isfinite(records))
     assert np.all(cause == estimator.CLEARED)
     assert sum(seen) == 0

@@ -80,6 +80,17 @@ def test_scenario_validation():
         Scenario(gamma=edge, sigma2=edge)
 
 
+def test_scenario_counts_must_be_integers():
+    # a fractional count or seed would build a Gram for 20.5 pulses, reseed
+    # a run silently, or fail deep inside the draw
+    for key, bad in (("n", 20.5), ("k", 2.5), ("m", 4.0), ("trials", 8.5),
+                     ("master_seed", 1.5), ("master_seed", "1")):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            Scenario(**{**SMALL, key: bad})
+    s = Scenario(**{**SMALL, "n": np.int64(20), "k": np.int32(3), "master_seed": np.uint64(7)})
+    assert run_trial(s, 0) == run_trial(Scenario(**SMALL, master_seed=7), 0)
+
+
 def test_scenario_rejects_nonfinite_and_blocked_los():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="gamma"):
@@ -676,12 +687,50 @@ def test_exclusions_are_counted_by_cause(monkeypatch):
     real = harness._compose_modes
     monkeypatch.setattr(harness, "_compose_modes",
                         lambda *args: {mode: 0 * c for mode, c in real(*args).items()})
-    scenarios = [replace(s, link_mode=mode) for mode in SWEEP_MODES]
     axis = np.array([0, 0, 1])
-    records, cause = harness._evaluate_block(scenarios, axis, np.array([22, 23, 0]),
-                                             np.take(gammas, axis), np.full(3, s.sigma2))
+    records, cause, _ = harness._evaluate_block(s, SWEEP_MODES, axis, np.array([22, 23, 0]),
+                                                np.take(gammas, axis), np.full(3, s.sigma2))
     assert np.all(np.isnan(records))
     assert cause.tolist() == [harness.UNDRAWN] * 3
+
+
+def test_block_condition_numbers_are_run_trials():
+    # the golden exclusions case: each refused row's condition number, from
+    # the first mode that refused it, is the one run_trial's message reports
+    s = Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0)
+    refused = 0
+    for i, gamma in enumerate((1e-3, 0.3, 30.0)):
+        powers = np.full(s.trials, gamma), np.full(s.trials, s.sigma2)
+        _, cause, cond = harness._evaluate_block(s, SWEEP_MODES, i, range(s.trials), *powers)
+        assert np.all(np.isnan(cond[cause == estimator.CLEARED]))
+        for t in np.flatnonzero(cause != estimator.CLEARED):
+            messages = []
+            for mode in SWEEP_MODES:
+                try:
+                    run_trial(replace(s, link_mode=mode, gamma=gamma), t, i)
+                except SingularModelError as exc:
+                    messages.append(str(exc))
+            assert messages[0] == str(estimator._refusal(cause[t], cond[t]))
+            assert f"{cond[t]:.3e}" in messages[0]
+            refused += 1
+    assert refused == 3
+
+
+def test_a_sweep_builds_no_scenario_beyond_its_template(monkeypatch):
+    # the modes travel as names: no Scenario is built per mode or per point
+    built = []
+    real = Scenario.__post_init__
+
+    def counting(self):
+        built.append(self.link_mode)
+        real(self)
+
+    tpl = Scenario(**SMALL, fixed_theta=np.zeros((3, 4)))
+    monkeypatch.setattr(Scenario, "__post_init__", counting)
+    sweep_gamma(tpl, [1e-2, 1.0])
+    sweep_noise(tpl, [1e-2, 1.0])
+    _sweep(tpl, "gamma", [1e-2, 1.0], (*SWEEP_MODES, "nlos_fixed"))
+    assert built == []
 
 
 def test_k_equal_to_n_needs_no_eigh_root(monkeypatch):
@@ -711,7 +760,7 @@ def test_sweep_blocks_span_points(monkeypatch):
     real = harness._evaluate_block
 
     def counting(*args):
-        sizes.append(len(args[2]))
+        sizes.append(len(args[3]))
         return real(*args)
 
     monkeypatch.setattr(harness, "_evaluate_block", counting)
@@ -1018,7 +1067,7 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
     noise = NoiseModel(covariance=s.noise_cov) if full_noise else NoiseModel.scaled_identity(0.05, n)
     pulses = np.arange(n)[:, None]
     for mode in LINK_MODES:
-        records, cause, _ = _estimate_mode(replace(s, link_mode=mode), block, models, rows)
+        records, cause, _ = _estimate_mode(mode, block, models, gamma)
         np.testing.assert_array_equal(cause, estimator.CLEARED)
         group = "direct" if mode == "los_only" else "reflected"
         paths = harness._PATH_GROUPS[group]
@@ -1046,16 +1095,15 @@ def test_estimate_mode_checks_coefficients():
     s = Scenario(n=20, k=3, m=4, trials=4, master_seed=3, link_mode="nlos_random")
     block = _draw_block(s, 0, range(4))
     models = _path_models(block, s._noise)
-    rows = np.arange(4)
-    _estimate_mode(s, block, models, rows)  # the draw as it is passes
+    _estimate_mode(s.link_mode, block, models, s.gamma)  # the draw as it is passes
     csi = block["csi"]["nlos_random"]
     csi[2, 1] = np.nan
     # the rules run before the normalization, so numpy never warns on the NaN
     with pytest.raises(ValueError, match="must be finite"):
-        _estimate_mode(s, block, models, rows)
+        _estimate_mode(s.link_mode, block, models, s.gamma)
     csi[2, 1] = 0.0
     with pytest.raises(DegeneratePathError):
-        _estimate_mode(s, block, models, rows)
+        _estimate_mode(s.link_mode, block, models, s.gamma)
 
 
 @pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
