@@ -36,7 +36,11 @@ class SingularModelError(NumericalError):
 
 
 class GenerationError(NumericalError):
-    """Scene generation still degenerate after the bounded resample budget."""
+    """A trial's scene is degenerate, or a sweep point lost almost all its trials.
+
+    A scene is degenerate where some estimate would divide by exactly zero;
+    it is drawn once and excluded, not redrawn (harness._draw_block).
+    """
 
 
 class UnboundedCrbError(NumericalError):

@@ -72,18 +72,30 @@ nothing the eigenvalue screen would have.
 """
 
 
+# The supported range of a noise power, sigma2 or each eigenvalue of a
+# covariance, and of a scene's nonzero gamma.  Far outside it a scene's
+# normalization or the noise solve under- or overflows, and every trial
+# would fail or come out non-finite.
+POWER_RANGE = (1e-30, 1e30)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise second-order description: a covariance, or sigma2 I with a fast path."""
+    """Noise second-order description: a covariance, or sigma2 I with a fast path.
+
+    sigma2, or every eigenvalue of the covariance, lies in POWER_RANGE, and
+    an n given with a covariance is its dimension.
+    """
 
     covariance: np.ndarray = None  # N x N Hermitian positive definite
     sigma2: float = None  # the power of white noise, given with n and no covariance
     n: int = None
 
     def __post_init__(self):
+        lo, hi = POWER_RANGE
         if self.is_scaled_identity:
-            if self.sigma2 is None or not 0 < self.sigma2 < np.inf or self.n is None:
-                raise ValueError("scaled identity needs a finite sigma2 > 0 and n")
+            if self.sigma2 is None or not lo <= self.sigma2 <= hi or self.n is None:  # nan too
+                raise ValueError(f"scaled identity needs a finite sigma2 in [{lo:g}, {hi:g}] and n")
             object.__setattr__(self, "_whiten", None)
             object.__setattr__(self, "_inv", None)
             return
@@ -92,8 +104,15 @@ class NoiseModel:
         R = np.asarray(self.covariance, dtype=complex)
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("covariance must be square")
+        if self.n is not None and self.n != R.shape[0]:
+            raise ValueError(f"covariance is {R.shape[0]} x {R.shape[0]}, but n is {self.n}")
+        if not np.isfinite(R).all():
+            raise ValueError("covariance entries must be finite")
         if np.max(np.abs(R - R.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(R))):
             raise ValueError("covariance must be Hermitian")
+        lam = np.linalg.eigvalsh(R)
+        if not (lo <= lam[0] and lam[-1] <= hi):
+            raise ValueError(f"covariance eigenvalues must lie in [{lo:g}, {hi:g}]")
         object.__setattr__(self, "covariance", R)
         object.__setattr__(self, "n", R.shape[0])
         try:

@@ -5,8 +5,9 @@ Draw discipline
 Every random word comes from numpy's counter-based Philox (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011) keyed by
 (master_seed, axis_index): trial t's B 4-word blocks of a stream sit at
-the counters (t * B + j, stream id, scene attempt, 0), j = 1..B, B fixed
-by the stream's word count.  A given trial at a given axis point
+the counters (t * B + j, stream id, 0, 0), j = 1..B, B fixed by the
+stream's word count; each trial's scene is drawn once, so the third word
+is always 0.  A given trial at a given axis point
 therefore reproduces the identical Doppler set, CSI and (under
 noise_cov) code in every link mode, and the identical noise in every
 mode on a group of paths, so mode comparisons are paired; and any trial
@@ -81,11 +82,10 @@ points; with workers, each block is one pool task.  The counter ranges of
 consecutive trials at one point are contiguous, so each stream of a block
 is one random_raw call per point it touches, all from the block's one
 Philox, which each call sets to its point's key and counter; the block's
-runs are cut once for every stream.  The scene redraw runs over the rows
-still pending and overwrites their entries of attempt 0's arrays, and all
-arithmetic on the words runs once over the block.  Every mode then runs
-on every drawn row, and a row some mode refused is set nan in all of
-them.  A block's points differ only in the swept gamma or sigma2, which
+runs are cut once for every stream, on the third counter word 0, and
+all arithmetic on the words runs once over the block.  Every mode then
+runs on every drawn row, and a row some mode refused is set nan in all
+of them.  A block's points differ only in the swept gamma or sigma2, which
 no draw reads, so a sweep passes its template and the modes' names to
 every block, builds no other Scenario, checks the swept values as one
 array (_check_powers), and each row takes its own value only where it
@@ -144,9 +144,10 @@ steering Gram, the Cholesky factorization, its forward-substituted
 inverse, the error L^-H z and the NMSE norms.  Every mean
 NMSE stays within 4 standard errors of the moments in
 tests/data/moments_fixture.npz, and every record within 1e-9 of
-tests/data/records_fixture.npz.  A trial whose scene is still
-degenerate after the resample budget, or whose Gram the BLUE refuses in
-any mode, is excluded from every mode.  Exclusions travel as arrays: the
+tests/data/records_fixture.npz.  A trial whose scene is degenerate,
+where some estimate would divide by exactly zero (_draw_block), or whose
+Gram the BLUE refuses in any mode, is excluded from every mode; no
+degenerate scene is redrawn.  Exclusions travel as arrays: the
 draw's drawn positions and the condition screen's cause codes and
 condition numbers, which a sweep counts per point
 (SweepResult.excluded_by_cause); the GenerationError or
@@ -174,6 +175,7 @@ from .estimator import (
     CLEARED,
     ILL_CONDITIONED,
     NOT_POSITIVE_DEFINITE,
+    POWER_RANGE,
     NoiseModel,
     _blue_scaled,
     _error_nmse,
@@ -181,30 +183,22 @@ from .estimator import (
     _path_factor,
     _refusal,
 )
-from .model import check_coefficients, random_code, steering_columns
+from .model import random_code, steering_columns
 
 LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
 
 # stable stream ids; appending is fine, reordering breaks reproducibility
 _STREAMS = {"waveform": 0, "doppler": 1, "channel": 2, "noise": 3, "phase": 4}
 
-RESAMPLE_BUDGET = 100
-
-# the cause code of a row whose scene is still degenerate after the
-# resample budget, beside the condition screen's (estimator._screen, which
-# blue_gram and the sweep share); SweepResult.excluded_by_cause counts
-# the causes in this order
+# the cause code of a row whose scene is degenerate (_draw_block), beside
+# the condition screen's (estimator._screen, which blue_gram and the sweep
+# share); SweepResult.excluded_by_cause counts the causes in this order
 UNDRAWN = 3
 EXCLUSION_CAUSES = (UNDRAWN, ILL_CONDITIONED, NOT_POSITIVE_DEFINITE)
 
 # master seeds lie in [0, SEED_BOUND): a stream's key holds the seed as one
 # unsigned 64-bit word
 SEED_BOUND = 2**64
-
-# The supported range of sigma2 and of a nonzero gamma.  Far outside it a
-# scene's normalization or the noise solve under- or overflows, and every
-# trial would fail or come out non-finite.
-POWER_RANGE = (1e-30, 1e30)
 
 # A block holds as many trials as fit this many bytes of its largest
 # stacked array, and at least one; see _block_trials.  A block's traced
@@ -242,6 +236,15 @@ def _check_powers(gamma, sigma2, modes):
     if bad_gamma[first]:
         raise ValueError(f"gamma must be 0 or lie in [{lo:g}, {hi:g}]")
     raise ValueError("gamma must be positive for link_mode='los_only'")
+
+
+def _check_panel_powers(power, what: str):
+    """Raise the ValueError that names each replayed panel whose power leaves POWER_RANGE."""
+    lo, hi = POWER_RANGE
+    bad = np.flatnonzero(~((lo <= power) & (power <= hi)))  # nan too
+    if bad.size:
+        raise ValueError(f"fixed_panels {bad.tolist()} have {what} of "
+                         f"{', '.join(f'{p:.3g}' for p in power[bad])}, outside [{lo:g}, {hi:g}]")
 
 
 @dataclass(frozen=True)
@@ -326,14 +329,7 @@ class Scenario:
             # float range is far outside POWER_RANGE either way
             with np.errstate(over="ignore"):
                 aligned = np.sum(beta * np.abs(g) * np.abs(h), axis=1) ** 2
-            lo, hi = POWER_RANGE
-            bad = np.flatnonzero(~((lo <= aligned) & (aligned <= hi)))
-            if bad.size:
-                raise ValueError(
-                    f"fixed_panels {bad.tolist()} have aligned path power "
-                    f"(sum_m beta_m |g_m h_m|)^2 of {', '.join(f'{p:.3g}' for p in aligned[bad])}, "
-                    f"outside [{lo:g}, {hi:g}]"
-                )
+            _check_panel_powers(aligned, "aligned path power (sum_m beta_m |g_m h_m|)^2")
             panel_paths = (np.conj(g) * h, beta)
         # the replayed panels' products c = conj(g) h with their gains
         # beta, and the fixed phases' element weights beta e^{j theta},
@@ -345,21 +341,21 @@ class Scenario:
             weights = np.exp(1j * theta)
             if panel_paths is not None:
                 weights *= panel_paths[1]
+                # every trial of nlos_fixed composes these very paths, the
+                # aligned power's bound keeps them finite, and one of power
+                # 0 would be degenerate in every trial
+                fixed = np.abs(np.vecdot(panel_paths[0], weights)) ** 2
+                _check_panel_powers(
+                    fixed, "fixed path power |sum_m beta_m conj(c_m) e^(j theta_m)|^2")
         object.__setattr__(self, "_fixed_weights", weights)
         if self.noise_cov is None:
             noise = NoiseModel.scaled_identity(self.sigma2, self.n)
         else:
-            R = np.asarray(self.noise_cov, dtype=complex)
-            if R.shape != (self.n, self.n):
-                raise ValueError("noise_cov must be n x n")
-            if not np.all(np.isfinite(R)):
-                raise ValueError("noise_cov entries must be finite")
-            lam = np.linalg.eigvalsh(R)
-            lo, hi = POWER_RANGE
-            if not (lo <= lam[0] and lam[-1] <= hi):
-                raise ValueError(f"noise_cov eigenvalues must lie in [{lo:g}, {hi:g}]")
-            object.__setattr__(self, "noise_cov", R)
-            noise = NoiseModel(covariance=R)
+            try:  # the noise rules are NoiseModel's
+                noise = NoiseModel(covariance=self.noise_cov, n=self.n)
+            except ValueError as exc:
+                raise ValueError(f"noise_cov: {exc}") from None
+            object.__setattr__(self, "noise_cov", noise.covariance)
         object.__setattr__(self, "_noise", noise)
 
     def __eq__(self, other):
@@ -394,7 +390,7 @@ def _runs(keys, axis, trials):
             for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
-def _stream_words(source, runs, stream: str, count: int, attempt: int = 0):
+def _stream_words(source, runs, stream: str, count: int):
     """The first `count` words of a stream for each row of the runs, (rows, count).
 
     source is a Philox and a dict of its state, on which each run sets its
@@ -407,8 +403,7 @@ def _stream_words(source, runs, stream: str, count: int, attempt: int = 0):
     out = np.empty((runs[-1][1] if runs else 0, 4 * width), np.uint64)
     for lo, hi, key, trial in runs:
         state["state"]["key"] = key
-        state["state"]["counter"] = np.array([trial * width, _STREAMS[stream], attempt, 0],
-                                             np.uint64)
+        state["state"]["counter"] = np.array([trial * width, _STREAMS[stream], 0, 0], np.uint64)
         bitgen.state = state
         out[lo:hi] = bitgen.random_raw(4 * width * (hi - lo)).reshape(hi - lo, -1)
     return out[:, :count]
@@ -537,25 +532,23 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     when frozen.  The block builds one Philox, and each run of rows at one
     point with consecutive trials sets its point's key with the counter
     (_runs, _stream_words); the runs are cut once and every stream reads
-    them.  A scene is redrawn, on the next attempt's counters of the
-    channel and phase streams, while alpha_los * h_los or alpha^T c of any
-    reflected mode is exactly zero, so all link modes accept or reject
-    identical draws and pairing is preserved; a redraw reads only the rows
-    still pending, on runs cut from them, and overwrites their entries of
-    attempt 0's arrays.  Only when some row stays undrawn are the arrays
-    gathered to the drawn rows.  Every other field comes from `scenario`,
-    so the rows' points may differ only in what no draw reads.
+    them.  Each row's scene is drawn once.  A row is degenerate, and not
+    drawn, where some estimate would divide by exactly zero: alpha_los *
+    h_los, an entry of a reflected mode's coefficients, or its alpha^T c.
+    The rule reads every mode, so all link modes keep or drop identical
+    rows and pairing is preserved.  Only when some row is degenerate are
+    the arrays gathered to the drawn rows.  Every other field comes from
+    `scenario`, so the rows' points may differ only in what no draw reads.
 
     Returns a dict over the drawn rows, in order: "drawn" their
     positions in `trials`; "u" the (T, k + 1) Dopplers in cycles, the
     direct path's first; "h_los" and "alpha_los" (T,); "alpha" (T, k);
     "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
-    nlos_fixed to the (T, k) raw composed coefficients; "z" (T, k + 1)
+    nlos_fixed to the (T, k) raw composed coefficients, read-only views
+    of one row for a replayed panel's fixed compositions; "z" (T, k + 1)
     CN(0, 1) values, the direct path's first, from which each group of
     paths draws its noise (estimator._path_factor); and, under noise_cov
-    only, "x" the (T, N) codes.  A trial
-    whose scene is still degenerate after RESAMPLE_BUDGET attempts is not
-    among the drawn ones.
+    only, "x" the (T, N) codes.
     """
     trials = np.asarray(trials, dtype=np.int64)
     axis = np.asarray(axis_index, dtype=np.int64)
@@ -569,8 +562,8 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     source = bitgen, bitgen.state
     runs = _runs(keys, axis, trials)
 
-    def words(stream, count, at=runs, attempt=0):
-        return _stream_words(source, at, stream, count, attempt)
+    def words(stream, count):
+        return _stream_words(source, runs, stream, count)
 
     lo, hi = scenario.doppler_range
     u = _dopplers(_uniforms(words("doppler", 2 * k + 1)), lo, hi, k, scenario.min_gap_cycles)
@@ -579,49 +572,27 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     # the channel stream: h_los, alpha and alpha_los as word pairs, then
     # the k x M products conj(g) h of random panels as word triples
     pairs = 2 * (k + 2)
-    count = pairs if scenario.fixed_panels is not None else pairs + 3 * k * m
-
-    def scene(at, attempt):
-        # the scene of the rows of runs `at` on an attempt's counters: h_los,
-        # alpha, alpha_los and each reflected mode's (rows, k) coefficients,
-        # and which rows it draws
-        w = words("channel", count, at, attempt)
-        hl, al, al_los = np.split(_complex_normals(w[:, :pairs]), [1, k + 1], axis=1)
-        hl, al_los = hl[:, 0], al_los[:, 0]
-        if scenario.fixed_panels is not None:
-            c, beta = scenario._panel_paths
-        else:
-            c, beta = _path_products(w[:, pairs:]).reshape(-1, k, m), None
-        del w
-        fields = {"h_los": hl, "alpha": al, "alpha_los": al_los}
-        ok = hl * al_los != 0
-        for mode, coef in _compose_modes(scenario, c, beta,
-                                         words("phase", k * m, at, attempt)).items():
-            # a replayed panel's coefficients are one row for every trial;
-            # each mode gets its own writable table
-            fields[mode] = np.tile(coef, (len(al), 1)) if coef.ndim == 1 else coef
-            ok &= _project(al, fields[mode]) != 0
-        return fields, ok
-
-    fields, ok = scene(runs, 0)
-    todo = np.flatnonzero(~ok)
-    # redraw the degenerate rows on the next attempts' counters, in place
-    for attempt in range(1, RESAMPLE_BUDGET):
-        if todo.size == 0:
-            break
-        redrawn, ok = scene(_runs(keys, axis[todo], trials[todo]), attempt)
-        for name, value in fields.items():
-            value[todo[ok]] = redrawn[name][ok]
-        todo = todo[~ok]
-    drawn = np.arange(len(trials))
-    if todo.size:
-        drawn = np.delete(drawn, todo)
-        fields = {name: value[drawn] for name, value in fields.items()}
-        u, z = u[drawn], z[drawn]
-    block = {"drawn": drawn, "u": u, "z": z}
-    for name in ("h_los", "alpha", "alpha_los"):
-        block[name] = fields.pop(name)
-    block["csi"] = fields  # what is left: each reflected mode's coefficients
+    if scenario.fixed_panels is not None:
+        w = words("channel", pairs)
+        c, beta = scenario._panel_paths
+    else:
+        w = words("channel", pairs + 3 * k * m)
+        c, beta = _path_products(w[:, pairs:]).reshape(-1, k, m), None
+    h_los, alpha, alpha_los = np.split(_complex_normals(w[:, :pairs]), [1, k + 1], axis=1)
+    del w
+    h_los, alpha_los = h_los[:, 0], alpha_los[:, 0]
+    csi = _compose_modes(scenario, c, beta, words("phase", k * m))
+    # a row is degenerate where some estimate would divide by exactly zero
+    ok = h_los * alpha_los != 0
+    for mode, coef in csi.items():
+        # a replayed panel's fixed compositions are one row for every trial
+        coef = csi[mode] = np.broadcast_to(coef, alpha.shape)
+        ok &= np.all(coef != 0, axis=1) & (_project(alpha, coef) != 0)
+    drawn = np.flatnonzero(ok)
+    block = {"u": u, "z": z, "h_los": h_los, "alpha": alpha, "alpha_los": alpha_los, **csi}
+    if drawn.size < ok.size:
+        block = {name: value[drawn] for name, value in block.items()}
+    block = {"drawn": drawn, "csi": {mode: block.pop(mode) for mode in csi}, **block}
     if scenario.noise_cov is not None:
         if scenario.freeze_waveform:  # trial 0's code of each row's point
             points = np.array(list(keys))  # sorted, for searchsorted
@@ -771,13 +742,11 @@ def _estimate_mode(mode: str, block, models, gamma):
     """
     if mode == "los_only":
         h_los, truth = block["h_los"], block["alpha_los"]
-        check_coefficients(h_los)
         root = np.sqrt(gamma)
         gain = np.abs(truth * h_los)
         coef, norms, truth = (h_los * root / gain)[:, None], gain / root, truth[:, None]
     else:
         raw, truth = block["csi"][mode], block["alpha"]
-        check_coefficients(raw)
         norms = np.abs(_project(truth, raw))
         coef = raw / norms[:, None]
     q, factor = models[_mode_group(mode)]
@@ -791,12 +760,15 @@ def run_trial(scenario: Scenario, trial_index: int, axis_index: int = 0) -> Tria
 
     This is a block of one row (_evaluate_block): a trial's records do not
     depend on its block, so they are the bits a sweep records for it.
+    Raises GenerationError where the trial's scene is degenerate
+    (_draw_block) and the refusal's SingularModelError where the BLUE
+    refuses it.
     """
     records, cause, cond = _evaluate_block(scenario, (scenario.link_mode,), axis_index,
                                            [trial_index], np.array([scenario.gamma]),
                                            np.array([scenario.sigma2]))
     if cause[0] == UNDRAWN:
-        raise GenerationError("scene still degenerate after resample budget")
+        raise GenerationError("scene is degenerate")
     if cause[0] != CLEARED:
         raise _refusal(cause[0], cond[0])
     nmse, mse, crb_trace = records[0, :, 0].tolist()
@@ -812,12 +784,13 @@ def _evaluate_block(template: Scenario, modes, axis, trials, gamma, sigma2):
     draw and one _path_models serve them all, with each row's own sigma2
     and gamma: each group of paths' Q_g is formed and factored once for
     every mode on it.  Every mode runs on every drawn row.  A row is
-    excluded, nan in every mode, when its scene is not drawn or the BLUE
-    refuses it in any mode, where run_trial would raise a NumericalError;
-    no exception is built for it.  Returns (records, cause, cond): cause
-    (int8) is UNDRAWN, or the screen's code of the first mode that refused
-    the row, and CLEARED for a row kept; cond is that mode's screened
-    condition number, nan for a row kept or undrawn.
+    excluded, nan in every mode, when its scene is degenerate, so not drawn
+    (_draw_block), or the BLUE refuses it in any mode, where run_trial
+    would raise a NumericalError; no exception is built for it.  Returns
+    (records, cause, cond): cause (int8) is UNDRAWN, or the screen's code
+    of the first mode that refused the row, and CLEARED for a row kept;
+    cond is that mode's screened condition number, nan for a row kept or
+    undrawn.
     """
     trials = np.asarray(trials)
     out = np.full((len(modes), 3, trials.size), np.nan)

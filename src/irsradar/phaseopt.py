@@ -38,7 +38,8 @@ from .errors import CapabilityError
 CERTIFY_MAX_ELEMENTS = 4
 
 # A chunk holds as many panels as fit about this many bytes of its largest
-# stacked complex array (at least one), which bounds the memory of a stack.
+# stacked complex array (at least one), which bounds the memory of a stack;
+# the grid's node table must fit it too.
 CERTIFY_CHUNK_BYTES = 256 * 1024
 
 
@@ -159,7 +160,9 @@ def certify_panels(g, h, beta, grid_points_per_phase: int) -> CertifiedPanels:
         Per-element gains.  No phases are passed: the grid ranges over them.
     grid_points_per_phase : int
         Grid density G per element; the searched set is the full G^M
-        product grid, reduced exactly (see _grid_max_pieces).
+        product grid, reduced exactly (see _grid_max_pieces).  Its node
+        table of G + 5 complex phasors, at most, must fit
+        CERTIFY_CHUNK_BYTES, so G is at most 16379.
 
     Returns the stacked audit; row p equals certifying panel p alone.
     """
@@ -172,6 +175,12 @@ def certify_panels(g, h, beta, grid_points_per_phase: int) -> CertifiedPanels:
     G = int(grid_points_per_phase)
     if G < 2:
         raise ValueError("need at least 2 grid points per phase")
+    table = 16 * (2 * (G // 2) + 5)  # the bytes of _turns(G), checked before it is built
+    if table > CERTIFY_CHUNK_BYTES:
+        raise CapabilityError(
+            f"grid density {G} needs a {table}-byte node table, over CERTIFY_CHUNK_BYTES "
+            f"({CERTIFY_CHUNK_BYTES})"
+        )
     turns = _turns(G)
     step = _panels_per_chunk(M)
     grid_max = np.empty(P)

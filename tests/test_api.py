@@ -3,6 +3,7 @@ import ast
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -148,3 +149,22 @@ def test_readme_library_example_runs():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_quick_start_runs(tmp_path, capsys):
+    # every irsradar line of the README's quick start, through cli.main with
+    # its output under tmp_path, so the commands cannot drift from the CLI
+    from irsradar.cli import main
+
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("\n## Quick start\n", 1)[1].split("```\n", 1)[1].split("\n```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("irsradar ")]
+    assert [argv[0] for argv in commands] == ["sweep-gamma", "sweep-noise", "crb", "single",
+                                              "single", "certify"]
+    for i, argv in enumerate(commands):
+        if "--out" in argv:
+            argv = argv[:argv.index("--out")] + argv[argv.index("--out") + 2:]
+        out = tmp_path / str(i)
+        assert main([*argv, "--out", str(out)]) == 0, (argv, capsys.readouterr().err)
+        assert list(out.glob("*.csv")), argv

@@ -157,13 +157,13 @@ def test_normalization_hits_targets(form, gamma):
 
 
 def test_degenerate_draw_raises(monkeypatch):
-    # every composed path coefficient is zero, so every redraw is degenerate
+    # every composed path coefficient is zero, so the scene is degenerate
     real = harness._compose_modes
     monkeypatch.setattr(harness, "_compose_modes",
                         lambda *args: {mode: 0 * c for mode, c in real(*args).items()})
     panels = tuple(random_panel(np.random.default_rng(k), 4) for k in range(3))
     s = Scenario(n=20, k=3, m=4, fixed_panels=panels, nlos_form="magnitude_squared")
-    with pytest.raises(GenerationError, match="scene still degenerate"):
+    with pytest.raises(GenerationError, match="^scene is degenerate$"):
         run_trial(s, 0)
 
 

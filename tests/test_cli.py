@@ -480,6 +480,31 @@ def test_cli_rejects_csi_outside_power_range_before_any_trial(tmp_path, capsys, 
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("cancelling", [(0,), (0, 1)])
+def test_cli_rejects_a_cancelling_fixed_replay_before_any_trial(tmp_path, capsys, cancelling):
+    # a panel with g = (1, 1), h = (1, -1) composes to zero at the fixed
+    # policy's zero phases: one such panel used to exit 2 from inside the
+    # estimate, after the draw, and two exited 3 after 100 scene attempts
+    # per trial
+    csi = tmp_path / "cancelling.csi"
+    panels = [("1,0", "1,0", "1,0", "-1,0") if p in cancelling else ("1,0", "2,0", "1,0", "1,0")
+              for p in range(2)]
+    csi.write_text("\n".join(v for panel in panels for v in panel) + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["single", "--k", "2", "--m", "2", "--policy", "fixed", "--trials", "4",
+                     "--csi", str(csi), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fixed_panels {list(cancelling)} have fixed path power")
+    assert not out.exists()
+    # the same file is fine for the random and optimal policies
+    for policy in ("random", "optimal"):
+        assert main(["single", "--k", "2", "--m", "2", "--policy", policy, "--trials", "4",
+                     "--csi", str(csi), "--out", str(out)]) == 0
+
+
 def test_cli_certify(tmp_path, capsys):
     code = main(["certify", "--trials", "25", "--m", "2", "--axis-points", "180",
                  "--seed", "4", "--out", str(tmp_path)])
@@ -495,6 +520,16 @@ def test_cli_certify_rejects_large_m_before_any_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["certify", "--m", "5", "--trials", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: m must be at most 4")
+    assert not out.exists()
+
+
+def test_cli_certify_rejects_an_oversized_grid_before_any_output(tmp_path, capsys):
+    # the node table grew linearly in the grid density: 10^7 points per
+    # phase peaked at 341 MiB, and 10^9 would need about 34 GB
+    out = tmp_path / "out"
+    argv = ["certify", "--m", "2", "--trials", "3", "--axis-points", "1000000", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: grid density 1000000 needs a")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 """Estimator tests, anchored on an explicit dense-inverse oracle."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from irsradar.estimator import (
     CONDITION_LIMIT,
     ILL_CONDITIONED,
     NOT_POSITIVE_DEFINITE,
+    POWER_RANGE,
     NoiseModel,
     _blue_one,
     _blue_scaled,
@@ -161,6 +163,31 @@ def test_noise_model_takes_a_covariance_or_a_finite_power():
     for bad in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="finite sigma2"):
             NoiseModel.scaled_identity(bad, 3)
+
+
+def test_noise_model_owns_the_noise_rules():
+    # a nan covariance was accepted and then refused by blue_estimate as a
+    # Gram of condition number inf; a power far outside POWER_RANGE
+    # overflowed with RuntimeWarnings; an n given with a covariance was
+    # ignored.  Each is now a ValueError at construction, with no warning
+    eigenvalues = r"^covariance eigenvalues must lie in \[1e-30, 1e\+30\]$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0])):
+            with pytest.raises(ValueError, match="^covariance entries must be finite$"):
+                NoiseModel(covariance=bad)
+        for power in (1e-320, 1e-31, 1e31, -1.0):
+            with pytest.raises(ValueError, match=eigenvalues):
+                NoiseModel(covariance=power * np.eye(3))
+            with pytest.raises(ValueError, match=r"finite sigma2 in \[1e-30, 1e\+30\]"):
+                NoiseModel.scaled_identity(power, 3)
+        with pytest.raises(ValueError, match=eigenvalues):
+            NoiseModel(covariance=np.diag([1.0, 1e-40, 1.0]))  # one eigenvalue is enough
+        with pytest.raises(ValueError, match="^covariance is 3 x 3, but n is 5$"):
+            NoiseModel(covariance=np.eye(3), n=5)
+        for edge in POWER_RANGE:
+            assert NoiseModel(covariance=edge * np.eye(3), n=3).n == 3
+            assert NoiseModel.scaled_identity(edge, 3).sigma2 == edge
 
 
 def test_dimension_mismatch():

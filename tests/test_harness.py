@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsradar import estimator, harness
-from irsradar.channel import IrsPanel, compose_paths, wrap_phase
-from irsradar.errors import DegeneratePathError, GenerationError, SingularModelError
+from irsradar.channel import NLOS_FORMS, IrsPanel, compose_paths, wrap_phase
+from irsradar.errors import GenerationError, SingularModelError
 from irsradar.estimator import NoiseModel, blue_estimate
 from irsradar.harness import (
     LINK_MODES,
@@ -210,6 +212,59 @@ def test_fixed_panels_power_must_lie_in_power_range():
         for form in ("complex", "magnitude_squared"):
             rec = run_trial(Scenario(n=20, k=3, m=4, fixed_panels=panels, nlos_form=form), 0)
             assert np.all(np.isfinite([rec.nmse, rec.mse, rec.crb_trace]))
+
+
+def test_fixed_phases_on_replayed_panels_must_not_cancel():
+    # with fixed_theta and fixed_panels the nlos_fixed coefficients are the
+    # same in every trial, so a panel whose fixed composition is 0, or far
+    # below POWER_RANGE, would be degenerate, or its Gram refused, in every
+    # trial; Scenario names it instead
+    live = IrsPanel(g=[1, 2], h=[1, 1])
+    cancelling = IrsPanel(g=[1, 1], h=[1, -1])  # conj(g) h sums to 0 at theta = 0
+    zeros = np.zeros((2, 2))
+    with pytest.raises(ValueError, match=r"^fixed_panels \[1\] have fixed path power .* of 0, "
+                                         r"outside \[1e-30, 1e\+30\]$"):
+        Scenario(n=20, k=2, m=2, fixed_panels=(live, cancelling), fixed_theta=zeros)
+    with pytest.raises(ValueError, match=r"^fixed_panels \[0, 1\] have fixed path power"):
+        Scenario(n=20, k=2, m=2, fixed_panels=(cancelling,) * 2, fixed_theta=zeros)
+    # e^{j pi / 2} rounds, so these phases leave a residue of about 1e-16
+    with pytest.raises(ValueError, match=r"^fixed_panels \[0\] have fixed path power"):
+        Scenario(n=20, k=2, m=2, fixed_panels=(IrsPanel(g=[1, 1j], h=[1, 1]), live),
+                 fixed_theta=[[0.0, np.pi / 2], [0.0, 0.0]])
+    # other phases, or no fixed phases, leave the same panels legal
+    for theta in ([[0.0, 0.0], [0.0, np.pi]], None):
+        s = Scenario(n=20, k=2, m=2, trials=3, fixed_panels=(live, cancelling), fixed_theta=theta)
+        for mode in ("nlos_random", "nlos_optimal") + (("nlos_fixed",) if theta else ()):
+            rec = run_trial(replace(s, link_mode=mode), 0)
+            assert np.all(np.isfinite([rec.nmse, rec.mse, rec.crb_trace]))
+
+
+_LATTICE = st.sampled_from((1, -1, 1j, -1j, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), k=st.integers(1, 3), m=st.integers(1, 4), form=st.sampled_from(NLOS_FORMS))
+def test_replayed_panels_with_fixed_phases_give_finite_records(data, k, m, form):
+    # g and h on a small lattice and phases of 0 or pi / 2 make exact
+    # cancellations, and near ones, common: a Scenario either refuses the
+    # panels by name or gives finite records in every mode it admits
+    rows = st.lists(st.lists(_LATTICE, min_size=m, max_size=m), min_size=k, max_size=k)
+    g, h = data.draw(rows), data.draw(rows)
+    theta = data.draw(st.lists(st.lists(st.sampled_from((0.0, np.pi / 2)), min_size=m,
+                                        max_size=m), min_size=k, max_size=k))
+    panels = tuple(IrsPanel(g=gi, h=hi) for gi, hi in zip(g, h))
+    try:
+        s = Scenario(n=16, k=k, m=m, trials=2, fixed_panels=panels, fixed_theta=theta,
+                     nlos_form=form)
+    except ValueError as exc:
+        assert str(exc).startswith("fixed_panels ")
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in LINK_MODES:
+            for t in range(s.trials):
+                rec = run_trial(replace(s, link_mode=mode), t)
+                assert np.all(np.isfinite([rec.nmse, rec.mse, rec.crb_trace])), mode
 
 
 def test_unit_phasors_match_the_exponential():
@@ -543,9 +598,9 @@ def test_noise_cov_eigenvalues_must_lie_in_power_range():
     # far outside the range the noise solve under- or overflows, and every
     # trial fails or comes out non-finite
     for bad in (1e-320 * np.eye(20), 1e-40 * np.eye(20), 1e200 * np.eye(20), -np.eye(20)):
-        with pytest.raises(ValueError, match=r"noise_cov .*\[1e-30, 1e\+30\]"):
+        with pytest.raises(ValueError, match=r"^noise_cov: .*\[1e-30, 1e\+30\]$"):
             Scenario(n=20, k=3, m=4, noise_cov=bad)
-    with pytest.raises(ValueError, match="noise_cov entries must be finite"):
+    with pytest.raises(ValueError, match="^noise_cov: covariance entries must be finite$"):
         Scenario(n=20, k=3, m=4, noise_cov=np.full((20, 20), np.inf))
     for edge in POWER_RANGE:
         rec = run_trial(Scenario(n=20, k=3, m=4, noise_cov=edge * np.eye(20)), 0)
@@ -683,7 +738,7 @@ def test_exclusions_are_counted_by_cause(monkeypatch):
     np.testing.assert_array_equal(res.excluded_by_cause, by_cause)
     np.testing.assert_array_equal(res.excluded_by_cause.sum(axis=1), res.excluded)
     assert by_cause.tolist() == [[0, 1, 0], [0, 0, 0], [0, 2, 0]]
-    # a row whose scene the redraw budget loses is not drawn
+    # a row whose scene is degenerate is not drawn
     real = harness._compose_modes
     monkeypatch.setattr(harness, "_compose_modes",
                         lambda *args: {mode: 0 * c for mode, c in real(*args).items()})
@@ -896,11 +951,11 @@ def test_sweeps_need_two_trials(monkeypatch):
             run()
 
 
-def _philox_words(seed, axis_index, stream, t, count, attempt=0):
+def _philox_words(seed, axis_index, stream, t, count):
     # a fresh generator at the documented counter of trial t's range
     width = -(-count // 4)
     bitgen = np.random.Philox(key=np.array([seed, axis_index], np.uint64),
-                              counter=np.array([t * width, stream, attempt, 0], np.uint64))
+                              counter=np.array([t * width, stream, 0, 0], np.uint64))
     return bitgen.random_raw(4 * width)[:count]
 
 
@@ -988,7 +1043,8 @@ DRAW_CASES = {
     "fixed_policy": dict(n=20, k=3, m=4, link_mode="nlos_fixed",
                          fixed_theta=np.linspace(-7.0, 7.0, 12).reshape(3, 4)),
     "magnitude_squared": dict(n=20, k=3, m=4, nlos_form="magnitude_squared"),
-    "doppler_redraws": dict(n=20, k=5, m=2, doppler_min_gap=0.155),
+    # five paths whose separation floor takes most of the circle
+    "tight_doppler_gap": dict(n=20, k=5, m=2, doppler_min_gap=0.155),
     # drawn with every composed coefficient patched to zero
     "degenerate_scene": dict(n=20, k=3, m=4, fixed_panels=random_panels(np.random.default_rng(6)),
                              nlos_form="magnitude_squared"),
@@ -1033,7 +1089,7 @@ def test_draw_block_matches_blocks_of_one(case, block_trials, monkeypatch):
     excluded = s.trials - len(got)
     if case == "degenerate_scene":
         assert excluded == s.trials
-        with pytest.raises(GenerationError, match="^scene still degenerate after resample budget$"):
+        with pytest.raises(GenerationError, match="^scene is degenerate$"):
             run_trial(s, 0, 3)
     else:
         assert excluded == 0
@@ -1089,21 +1145,6 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
             np.testing.assert_allclose(records[0, t], nmse, rtol=1e-8, err_msg=mode)
             np.testing.assert_allclose(records[1, t], ref.mse / norm**2, rtol=1e-10, err_msg=mode)
             np.testing.assert_allclose(records[2, t], ref.mse, rtol=1e-10, err_msg=mode)
-
-
-def test_estimate_mode_checks_coefficients():
-    s = Scenario(n=20, k=3, m=4, trials=4, master_seed=3, link_mode="nlos_random")
-    block = _draw_block(s, 0, range(4))
-    models = _path_models(block, s._noise)
-    _estimate_mode(s.link_mode, block, models, s.gamma)  # the draw as it is passes
-    csi = block["csi"]["nlos_random"]
-    csi[2, 1] = np.nan
-    # the rules run before the normalization, so numpy never warns on the NaN
-    with pytest.raises(ValueError, match="must be finite"):
-        _estimate_mode(s.link_mode, block, models, s.gamma)
-    csi[2, 1] = 0.0
-    with pytest.raises(DegeneratePathError):
-        _estimate_mode(s.link_mode, block, models, s.gamma)
 
 
 @pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
@@ -1258,8 +1299,8 @@ def test_freeze_waveform_is_inert_only_under_white_noise():
 
 def test_a_block_builds_one_philox(monkeypatch):
     # each run of rows sets its point's key with the counter on the block's
-    # one generator, so a block builds one Philox however many points,
-    # frozen codes and scene redraws it reads
+    # one generator, so a block builds one Philox however many points and
+    # frozen codes it reads
     built = []
     real_philox, real_block = harness.Philox, harness._evaluate_block
 
@@ -1275,7 +1316,7 @@ def test_a_block_builds_one_philox(monkeypatch):
         assert len(built) == 1
         built.clear()
     real_compose = harness._compose_modes
-    with monkeypatch.context() as patch:  # every attempt degenerate: a full redraw budget
+    with monkeypatch.context() as patch:  # every row degenerate
         patch.setattr(harness, "_compose_modes",
                       lambda *args: {mode: 0 * c for mode, c in real_compose(*args).items()})
         assert _draw_block(Scenario(**SMALL), axis, trials)["drawn"].size == 0
@@ -1294,45 +1335,69 @@ def test_a_block_builds_one_philox(monkeypatch):
 
 
 @pytest.mark.parametrize("step", [7, None])  # None: one block of every row
-def test_a_block_where_only_some_rows_redraw(step, monkeypatch):
-    # a few rows' attempt-0 scenes read alpha^T c = 0, so they alone redraw
-    # on attempt 1's counters while the rest of their block keeps attempt
-    # 0's; each row's draw is still its block-of-one draw, and the sweep's
-    # records still run_trial's
+def test_a_block_where_only_some_rows_are_degenerate(step, monkeypatch):
+    # a row where some estimate would divide by exactly zero is excluded
+    # alone, under UNDRAWN, and is not redrawn: two rows read alpha^T c = 0
+    # and two a single zero coefficient of nlos_random, whose alpha^T c is
+    # not zero.  Every other row keeps the bits it has without the
+    # patches, in the draw and in the sweep's records
     tpl = Scenario(**SMALL, master_seed=11)
     values = (1e-2, 1.0, 30.0)
-    chosen = [(0, 1), (0, 2), (1, 7), (2, 0)]  # (point, trial)
-    # each chosen row's first alpha entry on attempt 0 marks its scene
-    marks = np.array([_draw_block(tpl, p, [t])["alpha"][0, 0] for p, t in chosen])
-    real = harness._project
-
-    def project(alpha, c):
-        out = real(alpha, c)
-        out[np.isin(alpha[:, 0], marks)] = 0
-        return out
-
-    monkeypatch.setattr(harness, "_project", project)
+    zero_sum, zero_entry = [(0, 1), (2, 0)], [(0, 2), (1, 7)]  # (point, trial)
     rows = len(values) * tpl.trials
     step = step or rows
     axis, trials = np.divmod(np.arange(rows), tpl.trials)
+    monkeypatch.setattr(harness, "_block_trials", lambda scenario: step)
+    plain = sweep_gamma(tpl, values)
+    singles = {(p, t): _draw_block(tpl, p, [t]) for p, t in zip(axis, trials)}
+    # each chosen row is marked by its first alpha entry and its first phase word
+    alpha_marks = np.array([singles[row]["alpha"][0, 0] for row in zero_sum])
+    word_marks = np.array([_philox_words(tpl.master_seed, p, 4, t, tpl.k * tpl.m)[0]
+                           for p, t in zero_entry])
+    real_project, real_compose = harness._project, harness._compose_modes
+
+    def project(alpha, c):
+        out = real_project(alpha, c)
+        out[np.isin(alpha[:, 0], alpha_marks)] = 0
+        return out
+
+    def compose(scenario, c, beta, phase_words):
+        composed = real_compose(scenario, c, beta, phase_words)
+        rand = composed["nlos_random"].copy()
+        rand[np.isin(phase_words[:, 0], word_marks), 1] = 0
+        composed["nlos_random"] = rand
+        return composed
+
+    monkeypatch.setattr(harness, "_project", project)
+    monkeypatch.setattr(harness, "_compose_modes", compose)
+    chosen = {*zero_sum, *zero_entry}
     for lo in range(0, rows, step):
         block = _draw_block(tpl, axis[lo:lo + step], trials[lo:lo + step])
-        assert block["drawn"].tolist() == list(range(len(block["drawn"])))
-        for i, (p, t) in enumerate(zip(axis[lo:lo + step], trials[lo:lo + step])):
-            single = _draw_block(tpl, p, [t])
-            assert single["drawn"].size == 1
-            assert single["alpha"][0, 0] not in marks  # a chosen row was redrawn
+        kept = [(p, t) for p, t in zip(axis[lo:lo + step], trials[lo:lo + step])
+                if (p, t) not in chosen]
+        assert block["drawn"].size == len(kept)
+        for i, row in enumerate(kept):
+            single = singles[row]
             for key in ("u", "z", "alpha", "h_los", "alpha_los"):
                 np.testing.assert_array_equal(block[key][i], single[key][0])
             for mode in single["csi"]:
                 np.testing.assert_array_equal(block["csi"][mode][i], single["csi"][mode][0])
-    monkeypatch.setattr(harness, "_block_trials", lambda scenario: step)
+    for p, t in chosen:
+        assert _draw_block(tpl, p, [t])["drawn"].size == 0
+        with pytest.raises(GenerationError, match="^scene is degenerate$"):
+            run_trial(tpl, t, p)
     res = sweep_gamma(tpl, values)
     expect, by_cause = _rows_by_run_trial(tpl, "gamma", values)
+    dropped = np.zeros((len(values), tpl.trials), dtype=bool)
+    dropped[tuple(zip(*chosen))] = True
     for lab in res.modes:
         for j, field in enumerate(("nmse", "mse", "crb_trace")):
             np.testing.assert_array_equal(res.records[lab][field], expect[lab][j])
-    assert by_cause.sum() == 0 and res.excluded.sum() == 0
+            np.testing.assert_array_equal(np.isnan(res.records[lab][field]), dropped)
+            np.testing.assert_array_equal(res.records[lab][field][~dropped],
+                                          plain.records[lab][field][~dropped])
+    assert by_cause.tolist() == [[2, 0, 0], [1, 0, 0], [1, 0, 0]]
+    np.testing.assert_array_equal(res.excluded_by_cause, by_cause)
 
 
 def test_run_trial_factors_only_its_group(monkeypatch):

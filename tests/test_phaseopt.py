@@ -127,6 +127,24 @@ def test_certify_rejects_large_m():
         certify_optimum(random_panel(rng, 5), 16)
 
 
+def test_certify_rejects_a_node_table_past_the_chunk_bytes(monkeypatch):
+    # the G + 5 node phasors of _turns grew with G unbounded, so a dense
+    # enough grid died allocating outside every typed error; the densest
+    # grid whose table fits CERTIFY_CHUNK_BYTES still certifies
+    built = []
+    real = phaseopt._turns
+    monkeypatch.setattr(phaseopt, "_turns", lambda G: built.append(G) or real(G))
+    rng = np.random.default_rng(14)
+    panel = random_panel(rng, 2)
+    densest = phaseopt.CERTIFY_CHUNK_BYTES // 16 - 5
+    for G in (densest + 1, 10**6):
+        with pytest.raises(CapabilityError, match=rf"^grid density {G} needs a \d+-byte node table"):
+            certify_optimum(panel, G)
+    assert built == []
+    assert certify_optimum(panel, densest).within_bound
+    assert real(densest).nbytes <= phaseopt.CERTIFY_CHUNK_BYTES
+
+
 # References for the stacked kernel: the exhaustive oracle and the
 # reduction it replaced, one panel at a time.
 def full_enumeration_max(z, G):
