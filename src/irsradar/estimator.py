@@ -36,6 +36,7 @@ an item's values do not depend on the stack it is in.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,19 @@ nothing the eigenvalue screen would have.
 POWER_RANGE = (1e-30, 1e30)
 
 
+def _sigma2_error() -> ValueError:
+    """The ValueError of a sigma2 outside POWER_RANGE, which NoiseModel and sweeps raise."""
+    lo, hi = POWER_RANGE
+    return ValueError(f"sigma2 must lie in [{lo:g}, {hi:g}]")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Noise second-order description: a covariance, or sigma2 I with a fast path.
 
-    sigma2, or every eigenvalue of the covariance, lies in POWER_RANGE, and
-    an n given with a covariance is its dimension.
+    sigma2, or every eigenvalue of the covariance, lies in POWER_RANGE.
+    White noise needs a positive integer n; an n given with a covariance
+    is its dimension.
     """
 
     covariance: np.ndarray = None  # N x N Hermitian positive definite
@@ -94,8 +102,15 @@ class NoiseModel:
     def __post_init__(self):
         lo, hi = POWER_RANGE
         if self.is_scaled_identity:
-            if self.sigma2 is None or not lo <= self.sigma2 <= hi or self.n is None:  # nan too
-                raise ValueError(f"scaled identity needs a finite sigma2 in [{lo:g}, {hi:g}] and n")
+            if self.sigma2 is None or not lo <= self.sigma2 <= hi:  # nan too
+                raise _sigma2_error()
+            try:
+                n = operator.index(self.n)  # ints, numpy's too, but no float
+            except TypeError:
+                raise ValueError(f"n must be an integer, got {self.n!r}") from None
+            if n < 1:
+                raise ValueError(f"n must be positive, got {n}")
+            object.__setattr__(self, "n", n)
             object.__setattr__(self, "_whiten", None)
             object.__setattr__(self, "_inv", None)
             return
@@ -131,7 +146,7 @@ class NoiseModel:
 
     @classmethod
     def scaled_identity(cls, sigma2: float, n: int) -> "NoiseModel":
-        return cls(sigma2=float(sigma2), n=int(n))
+        return cls(sigma2=float(sigma2), n=n)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """R^-1 b; b may be a (..., N, K) stack, each item multiplied alone."""
@@ -204,23 +219,30 @@ def _factor_inverse(m: np.ndarray):
 
     L is _cholesky_factors'.  L^-1 comes from one stacked forward
     substitution, row by row: row j of L^-1 is 1 / L_jj on the diagonal
-    and -(L[j, :j] L^-1[:j, :j]) / L_jj before it.  Each step is
-    elementwise or one stacked matmul, one BLAS call per item, so an
-    item's inverse does not depend on the stack; its K steps make about
-    K^3 / 6 complex multiply-adds per item, where np.linalg.inv would run
-    an LU solve against I.  An item without a factor has a nan L^-1, and
-    a near-singular item's may overflow to inf or nan, which the trace
-    bound then leaves to the eigenvalue screen (_screen).
+    and -(L[j, :j] L^-1[:j, :j]) / L_jj before it.  Row j reads only the
+    part of L's row j before the diagonal and the rows of L^-1 above it,
+    so the reciprocal diagonal is taken once and each row overwrites its
+    row of the factor in place, with one stacked matmul and one multiply
+    by -1 / L_jj (numpy divides a complex value by a real one as a product
+    with the real's reciprocal, so the product has the quotient's bits).
+    Each step is elementwise or one stacked matmul, one BLAS call per
+    item, so an item's inverse does not depend on the stack; its K steps
+    make about K^3 / 6 complex multiply-adds per item, where
+    np.linalg.inv would run an LU solve against I.  An item without a
+    factor has a nan L^-1, and a near-singular item's may overflow to inf
+    or nan, which the trace bound then leaves to the eigenvalue screen
+    (_screen).
     """
-    factors, factored = _cholesky_factors(m)
-    inv = np.zeros_like(factors)
-    diag = factors.diagonal(axis1=-2, axis2=-1).real
+    inv, factored = _cholesky_factors(m)  # becomes L^-1, row by row
+    size = m.shape[-1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(m.shape[-1]):
-            inv[:, j, j] = 1.0 / diag[:, j]
-            if j:
-                row = factors[:, j:j + 1, :j] @ inv[:, :j, :j]
-                inv[:, j:j + 1, :j] = -row / diag[:, j, None, None]
+        scale = 1.0 / inv.diagonal(axis1=-2, axis2=-1).real
+        diag = np.arange(size)
+        inv[:, diag, diag] = scale
+        np.negative(scale, out=scale)
+        for j in range(1, size):
+            np.multiply(inv[:, j:j + 1, :j] @ inv[:, :j, :j], scale[:, j, None, None],
+                        out=inv[:, j:j + 1, :j])
     return inv, factored
 
 

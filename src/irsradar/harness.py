@@ -79,23 +79,24 @@ Block evaluation
 A sweep lays its (point, trial) pairs out as rows, point-major, and
 evaluates them in blocks of _block_trials rows, which may span axis
 points; with workers, each block is one pool task.  The counter ranges of
-consecutive trials at one point are contiguous, so each stream of a block
-is one random_raw call per point it touches, all from the block's one
-Philox, which each call sets to its point's key and counter; the block's
-runs are cut once for every stream, on the third counter word 0, and
-all arithmetic on the words runs once over the block.  Every mode then
-runs on every drawn row, and a row some mode refused is set nan in all
-of them.  A block's points differ only in the swept gamma or sigma2, which
-no draw reads, so a sweep passes its template and the modes' names to
-every block, builds no other Scenario, checks the swept values as one
-array (_check_powers), and each row takes its own value only where it
-enters: sigma2 in Q and gamma in the direct link's normalization, both
-elementwise, so a row gets the bits its point alone would.  The
-reflected modes' coefficients are composed from the phasors themselves:
-nlos_random weights c by the phasors of its phase words, nlos_optimal is
-sum_m beta_m |c_m|, the value composing at the aligning phases reaches,
-and nlos_fixed's weights are formed once per Scenario; no angle, wrap or
-exponential of a phase runs per trial.
+consecutive trials at one point are contiguous, so each stream of a block,
+or of one of its panel sub-blocks (below), is one random_raw call per point
+it touches, all from the block's one Philox, which each call sets to its
+point's key and counter; the runs are cut once for the block's streams
+and once for each panel sub-block's, on the third counter word 0, and
+all arithmetic on the words runs once over the block or the sub-block
+that read them.  Every mode then runs on every drawn row, and a row some
+mode refused is set nan in all of them.  A block's points differ only in
+the swept gamma or sigma2, which no draw reads, so a sweep passes its
+template and the modes' names to every block, builds no other Scenario,
+checks the swept values as one array (_check_powers), and each row takes
+its own value only where it enters: sigma2 in Q and gamma in the direct
+link's normalization, both elementwise, so a row gets the bits its point
+alone would.  The reflected modes' coefficients are composed from the
+phasors themselves: nlos_random weights c by the phasors of its phase
+words, nlos_optimal is sum_m beta_m |c_m|, the value composing at the
+aligning phases reaches, and nlos_fixed's weights are formed once per
+Scenario; no angle, wrap or exponential of a phase runs per trial.
 
 Estimation then runs in K-space.  Every link mode of a trial shares the
 Dopplers and, under noise_cov, the code, and every mode on a group of
@@ -123,18 +124,29 @@ not clear.  A group's Q_g is singular when two of its paths coincide, or
 when k paths exceed N pulses; only the modes on it then exclude the
 trial, through the condition screen.
 
-A block holds as many rows as its largest array fits in BLOCK_BYTES
-(_block_trials): a row counts its 3 k M channel words, or under
-noise_cov its N x (k + 1) steering columns if larger.  The transforms
-that turn words into values reuse their index and turn arrays, and under
-noise_cov the steering columns are dropped once whitened, so a block's
-traced peak stays within a small multiple of BLOCK_BYTES at any N, k and
-M (about 2.7x at N = 256, k = 32, M = 64).
+A block is sized by its Gram stage (_block_trials): it holds as many rows
+as the stage's largest arrays fit in BLOCK_BYTES, with white noise Q_g
+and its factor, which becomes L^-1 in place, and under noise_cov the
+N x (k + 1) steering columns.  Only the draw's panel stage grows with
+k M: the channel stream's 3 k M product words, the phase words,
+_path_products and _compose_modes.  It runs in near-equal sub-blocks of
+at most _panel_rows rows, as many as a row's channel words
+fit in BLOCK_BYTES, each reading its own runs from the block's one
+Philox, and the degeneracy rule and everything after it run once over the
+whole block.  So one Philox, one condition screen, one _path_models and
+one set of estimates serve more rows than the panels' words alone would
+fit: 284 rows in sub-blocks of 142 at the default N = 50, k = 5, M = 10,
+and 9 rows in sub-blocks of 4 and 5 at N = 256, k = 32, M = 64.  The
+transforms that turn words into values reuse their index and turn arrays,
+and under noise_cov the steering columns are dropped once whitened, so a
+block's traced peak stays within a small multiple of BLOCK_BYTES at any
+N, k and M (about 2.3x at N = 256, k = 32, M = 64, and at most about 3.2x
+at the shapes measured).
 
-A trial's records do not depend on the block it lands in, so they are
-the same bits whatever the block size or worker count, and run_trial is
-a block of one row.  The stacked steps are only those that apply the
-same kernel to every item: elementwise ufuncs, stacked matmul and
+A trial's records do not depend on the block or sub-block it lands in,
+so they are the same bits whatever the block size or worker count, and
+run_trial is a block of one row.  The stacked steps are only those that
+apply the same kernel to every item: elementwise ufuncs, stacked matmul and
 np.vecdot (one BLAS call per item, the same dot np.vdot, a 1-D @ and
 np.linalg.norm make on one item), reductions along an item's own axes,
 and numpy's stacked eigvalsh and cholesky (one LAPACK call per item).
@@ -182,6 +194,7 @@ from .estimator import (
     _hermitian,
     _path_factor,
     _refusal,
+    _sigma2_error,
 )
 from .model import random_code, steering_columns
 
@@ -200,9 +213,11 @@ EXCLUSION_CAUSES = (UNDRAWN, ILL_CONDITIONED, NOT_POSITIVE_DEFINITE)
 # unsigned 64-bit word
 SEED_BOUND = 2**64
 
-# A block holds as many trials as fit this many bytes of its largest
-# stacked array, and at least one; see _block_trials.  A block's traced
-# peak is about 2.7x this at N = 256, k = 32, M = 64.
+# A block holds as many rows as fit this many bytes of its Gram stage's
+# largest arrays, and its draw's panel stage runs in sub-blocks of as many
+# rows as fit this many bytes of channel words, at least one each; see
+# _block_trials and _panel_rows.  A block's traced peak is about 2.3x this
+# at N = 256, k = 32, M = 64.
 BLOCK_BYTES = 320 * 1024
 
 MODE_LABELS = {
@@ -217,10 +232,11 @@ def _check_powers(gamma, sigma2, modes):
     """Raise the ValueError of the first point whose gamma or sigma2 no mode may take.
 
     gamma and sigma2 are one value or one per point, and every point runs
-    each of the link modes.  sigma2 must lie in POWER_RANGE, gamma too
-    unless it is 0, which los_only cannot take.  The message is the one the
-    first bad point's first failing rule gives, as if each point's
-    Scenario were built in turn.
+    each of the link modes.  sigma2 must lie in POWER_RANGE, with
+    NoiseModel's message (estimator._sigma2_error), gamma too unless it is
+    0, which los_only cannot take.  The message is the one the first bad
+    point's first failing rule gives, as if each point's Scenario were
+    built in turn.
     """
     lo, hi = POWER_RANGE
     gamma, sigma2 = np.broadcast_arrays(np.atleast_1d(gamma), sigma2)
@@ -232,7 +248,7 @@ def _check_powers(gamma, sigma2, modes):
         return
     first = bad[0]
     if bad_sigma2[first]:
-        raise ValueError(f"sigma2 must lie in [{lo:g}, {hi:g}]")
+        raise _sigma2_error()
     if bad_gamma[first]:
         raise ValueError(f"gamma must be 0 or lie in [{lo:g}, {hi:g}]")
     raise ValueError("gamma must be positive for link_mode='los_only'")
@@ -531,21 +547,25 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     point (see the module docstring), the code trial 0's of its own point
     when frozen.  The block builds one Philox, and each run of rows at one
     point with consecutive trials sets its point's key with the counter
-    (_runs, _stream_words); the runs are cut once and every stream reads
-    them.  Each row's scene is drawn once.  A row is degenerate, and not
-    drawn, where some estimate would divide by exactly zero: alpha_los *
-    h_los, an entry of a reflected mode's coefficients, or its alpha^T c.
-    The rule reads every mode, so all link modes keep or drop identical
-    rows and pairing is preserved.  Only when some row is degenerate are
-    the arrays gathered to the drawn rows.  Every other field comes from
-    `scenario`, so the rows' points may differ only in what no draw reads.
+    (_runs, _stream_words); the runs are cut once for the block's streams.
+    The panel stage, the channel and phase words and what is composed from
+    them, runs in near-equal sub-blocks of at most _panel_rows rows, each
+    cutting its own runs, and writes into whole-block arrays; all that
+    follows runs once over the block.  Each row's scene is drawn once.  A
+    row is degenerate, and not drawn, where some estimate would divide by
+    exactly zero: alpha_los * h_los, an entry of a reflected mode's
+    coefficients, or its alpha^T c.  The rule reads every mode, so all
+    link modes keep or drop identical rows and pairing is preserved.  Only
+    when some row is degenerate are the arrays gathered to the drawn rows.
+    Every other field comes from `scenario`, so the rows' points may
+    differ only in what no draw reads.
 
     Returns a dict over the drawn rows, in order: "drawn" their
     positions in `trials`; "u" the (T, k + 1) Dopplers in cycles, the
     direct path's first; "h_los" and "alpha_los" (T,); "alpha" (T, k);
     "csi" mapping nlos_random, nlos_optimal and, with fixed_theta,
-    nlos_fixed to the (T, k) raw composed coefficients, read-only views
-    of one row for a replayed panel's fixed compositions; "z" (T, k + 1)
+    nlos_fixed to the (T, k) raw composed coefficients, a replayed panel's
+    fixed compositions repeated in every row; "z" (T, k + 1)
     CN(0, 1) values, the direct path's first, from which each group of
     paths draws its noise (estimator._path_factor); and, under noise_cov
     only, "x" the (T, N) codes.
@@ -569,24 +589,36 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     u = _dopplers(_uniforms(words("doppler", 2 * k + 1)), lo, hi, k, scenario.min_gap_cycles)
     z = _complex_normals(words("noise", 2 * (k + 1)))
 
-    # the channel stream: h_los, alpha and alpha_los as word pairs, then
-    # the k x M products conj(g) h of random panels as word triples
+    # the panel stage, in near-equal sub-blocks of at most _panel_rows rows:
+    # the channel stream, h_los, alpha and alpha_los as word pairs, then the
+    # k x M products conj(g) h of random panels as word triples, and the
+    # phase words, composed into each mode's coefficients
     pairs = 2 * (k + 2)
-    if scenario.fixed_panels is not None:
-        w = words("channel", pairs)
-        c, beta = scenario._panel_paths
-    else:
-        w = words("channel", pairs + 3 * k * m)
-        c, beta = _path_products(w[:, pairs:]).reshape(-1, k, m), None
-    h_los, alpha, alpha_los = np.split(_complex_normals(w[:, :pairs]), [1, k + 1], axis=1)
-    del w
+    normals, csi = np.empty((len(trials), k + 2), complex), {}
+    parts = max(1, -(-len(trials) // _panel_rows(scenario)))
+    edges = [len(trials) * i // parts for i in range(parts + 1)]
+    for start, stop in zip(edges, edges[1:]):
+        sub = _runs(keys, axis[start:stop], trials[start:stop])
+        if scenario.fixed_panels is not None:
+            w = _stream_words(source, sub, "channel", pairs)
+            c, beta = scenario._panel_paths
+        else:
+            w = _stream_words(source, sub, "channel", pairs + 3 * k * m)
+            c, beta = _path_products(w[:, pairs:]).reshape(-1, k, m), None
+        normals[start:stop] = _complex_normals(w[:, :pairs])
+        del w
+        composed = _compose_modes(scenario, c, beta, _stream_words(source, sub, "phase", k * m))
+        del c
+        for mode, coef in composed.items():
+            if mode not in csi:
+                csi[mode] = np.empty((len(trials), k), coef.dtype)
+            # a replayed panel's fixed compositions are one row for every trial
+            csi[mode][start:stop] = coef
+    h_los, alpha, alpha_los = np.split(normals, [1, k + 1], axis=1)
     h_los, alpha_los = h_los[:, 0], alpha_los[:, 0]
-    csi = _compose_modes(scenario, c, beta, words("phase", k * m))
     # a row is degenerate where some estimate would divide by exactly zero
     ok = h_los * alpha_los != 0
-    for mode, coef in csi.items():
-        # a replayed panel's fixed compositions are one row for every trial
-        coef = csi[mode] = np.broadcast_to(coef, alpha.shape)
+    for coef in csi.values():
         ok &= np.all(coef != 0, axis=1) & (_project(alpha, coef) != 0)
     drawn = np.flatnonzero(ok)
     block = {"u": u, "z": z, "h_los": h_los, "alpha": alpha, "alpha_los": alpha_los, **csi}
@@ -837,21 +869,40 @@ class SweepResult:
 
 
 def _block_trials(scenario: Scenario) -> int:
-    """Rows per block: as many as fit BLOCK_BYTES of the block's largest array.
+    """Rows per block: as many as fit BLOCK_BYTES of the block's Gram stage.
 
-    A row is one (point, trial) of a sweep.  Its largest array is its
-    channel draw's 3 k M words (24 k M bytes), the words of its conj(g) h
-    products, unless under noise_cov its N x (k + 1) steering columns
-    (16 N (k + 1) bytes) are larger; 16 (k + 1)^2 bounds its k x k
-    reflected Gram, the largest array of the white-noise estimate.
-    That gives 273 rows at the default N = 50, k = 5, M = 10, six at
-    N = 256, k = 32, M = 64 (two under noise_cov), and one once k M
-    exceeds 6826.  A block may span axis points: its size depends on no
+    A row is one (point, trial) of a sweep.  With white noise its Gram
+    stage's two largest arrays are its reflected group's Q_g and the
+    factor that becomes L^-1 in place (estimator._factor_inverse), 2 x 16
+    (k + 1)^2 bytes; under noise_cov its largest is its N x (k + 1)
+    steering columns, 16 N (k + 1) bytes, which _path_models drops once
+    whitened.  Their whitened copy is not counted: the traced peak stays
+    within about 3x BLOCK_BYTES without it, and blocks of half the rows
+    made noise_cov sweeps 1.15 to 1.4 times slower.  The draw's larger
+    per-row arrays, which grow with k M, run in sub-blocks of _panel_rows
+    rows, so a block amortizes its one Philox, condition screen,
+    _path_models and set of estimates over more rows than its panels'
+    words would fit.  That gives 284 rows at the default N = 50, k = 5,
+    M = 10 and nine at N = 256, k = 32, M = 64 (68 and two under
+    noise_cov).  A block may span axis points: its size depends on no
     swept value, and a row's records do not depend on its block.
     """
-    n, k, m = scenario.n, scenario.k, scenario.m
-    steering = n * (k + 1) if scenario.noise_cov is not None else (k + 1) ** 2
-    return max(1, BLOCK_BYTES // max(24 * k * m, 16 * steering))
+    n, k = scenario.n, scenario.k
+    if scenario.noise_cov is not None:
+        return max(1, BLOCK_BYTES // (16 * n * (k + 1)))
+    return max(1, BLOCK_BYTES // (2 * 16 * (k + 1) ** 2))
+
+
+def _panel_rows(scenario: Scenario) -> int:
+    """Rows per panel sub-block of _draw_block: as many as fit BLOCK_BYTES of a row's channel words.
+
+    A row's channel stream holds 3 k M words (24 k M bytes) for its conj(g)
+    h products, the largest array of the draw; _path_products, the phases
+    and _compose_modes grow with k M too.  That gives 273 rows at the
+    default shape, six at N = 256, k = 32, M = 64, and one once k M
+    exceeds 6826.
+    """
+    return max(1, BLOCK_BYTES // (24 * scenario.k * scenario.m))
 
 
 def _sweep(template: Scenario, axis_name: str, axis_values, modes,

@@ -28,6 +28,7 @@ per-panel CertificationRecord and the CLI both apply it.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,10 +160,10 @@ def certify_panels(g, h, beta, grid_points_per_phase: int) -> CertifiedPanels:
     beta : (P, M) real array
         Per-element gains.  No phases are passed: the grid ranges over them.
     grid_points_per_phase : int
-        Grid density G per element; the searched set is the full G^M
-        product grid, reduced exactly (see _grid_max_pieces).  Its node
-        table of G + 5 complex phasors, at most, must fit
-        CERTIFY_CHUNK_BYTES, so G is at most 16379.
+        Grid density G per element, an integer of at least 2; the
+        searched set is the full G^M product grid, reduced exactly (see
+        _grid_max_pieces).  Its node table of G + 5 complex phasors, at
+        most, must fit CERTIFY_CHUNK_BYTES, so G is at most 16379.
 
     Returns the stacked audit; row p equals certifying panel p alone.
     """
@@ -172,7 +173,11 @@ def certify_panels(g, h, beta, grid_points_per_phase: int) -> CertifiedPanels:
         raise CapabilityError(
             f"exhaustive certification limited to M <= {CERTIFY_MAX_ELEMENTS}, got {M}"
         )
-    G = int(grid_points_per_phase)
+    try:
+        G = operator.index(grid_points_per_phase)  # ints, numpy's too, but no float
+    except TypeError:
+        raise ValueError(
+            f"grid_points_per_phase must be an integer, got {grid_points_per_phase!r}") from None
     if G < 2:
         raise ValueError("need at least 2 grid points per phase")
     table = 16 * (2 * (G // 2) + 5)  # the bytes of _turns(G), checked before it is built

@@ -87,6 +87,25 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_every_traced_layer():
+    # the benchmark's traced child wraps the functions of each layer module
+    # it finds in sys.modules after `import irsradar.cli`; a layer that only
+    # the package's __init__ imported, once dropped there, ended a traced run
+    # with "child exited 1" while the untraced run stayed correct
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "perfbench" / "child.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+    assert sorted(layers) == ["bounds", "channel", "cli", "estimator", "harness", "model",
+                              "phaseopt"]
+    code = ("import json, sys, irsradar.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('irsradar.'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert [layer for layer in layers if f"irsradar.{layer}" not in loaded] == []
+
+
 def test_sweeps_leave_numpy_ma_unloaded():
     # numpy's set routines (np.unique, np.setdiff1d, ...) import numpy.ma on
     # their first call, about 10 ms and 0.5 MiB that every CLI sweep would pay

@@ -161,7 +161,7 @@ def test_noise_model_takes_a_covariance_or_a_finite_power():
     with pytest.raises(ValueError, match="not both"):
         NoiseModel(covariance=R, sigma2=1.0, n=3)
     for bad in (np.nan, np.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="finite sigma2"):
+        with pytest.raises(ValueError, match=r"^sigma2 must lie in \[1e-30, 1e\+30\]$"):
             NoiseModel.scaled_identity(bad, 3)
 
 
@@ -179,7 +179,7 @@ def test_noise_model_owns_the_noise_rules():
         for power in (1e-320, 1e-31, 1e31, -1.0):
             with pytest.raises(ValueError, match=eigenvalues):
                 NoiseModel(covariance=power * np.eye(3))
-            with pytest.raises(ValueError, match=r"finite sigma2 in \[1e-30, 1e\+30\]"):
+            with pytest.raises(ValueError, match=r"^sigma2 must lie in \[1e-30, 1e\+30\]$"):
                 NoiseModel.scaled_identity(power, 3)
         with pytest.raises(ValueError, match=eigenvalues):
             NoiseModel(covariance=np.diag([1.0, 1e-40, 1.0]))  # one eigenvalue is enough
@@ -188,6 +188,31 @@ def test_noise_model_owns_the_noise_rules():
         for edge in POWER_RANGE:
             assert NoiseModel(covariance=edge * np.eye(3), n=3).n == 3
             assert NoiseModel.scaled_identity(edge, 3).sigma2 == edge
+
+
+def test_white_noise_needs_a_positive_integer_n():
+    # int(n) turned 2.5 into 2, and n = 0 or -3 built a model of no pulses
+    for bad in (2.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {bad!r}$"):
+            NoiseModel.scaled_identity(1.0, bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=rf"^n must be positive, got {bad}$"):
+            NoiseModel.scaled_identity(1.0, bad)
+    noise = NoiseModel.scaled_identity(1.0, np.int64(3))
+    assert noise.n == 3 and type(noise.n) is int
+
+
+def test_sigma2_has_one_message():
+    # Scenario and sweeps (harness._check_powers) and NoiseModel gave the
+    # one sigma2 rule two messages
+    messages = set()
+    for run in (lambda: NoiseModel.scaled_identity(0.0, 5), lambda: NoiseModel(sigma2=np.nan, n=5),
+                lambda: Scenario(sigma2=0.0),
+                lambda: _sweep(Scenario(trials=2), "sigma2", [1e-2, 1e31], SWEEP_MODES)):
+        with pytest.raises(ValueError) as err:
+            run()
+        messages.add(str(err.value))
+    assert messages == {"sigma2 must lie in [1e-30, 1e+30]"}
 
 
 def test_dimension_mismatch():

@@ -820,10 +820,10 @@ def test_sweep_blocks_span_points(monkeypatch):
 
     monkeypatch.setattr(harness, "_evaluate_block", counting)
     sweep_gamma(Scenario(trials=60), np.logspace(-5, 2, 21))  # the benchmark's shape
-    assert sizes == [273] * 4 + [1260 - 4 * 273]
+    assert sizes == [284] * 4 + [1260 - 4 * 284]
     sizes.clear()
     sweep_noise(Scenario(n=256, k=32, m=64, trials=12), np.logspace(-3, 0, 3))
-    assert sizes == [6] * 6
+    assert sizes == [9] * 4
 
 
 @pytest.mark.parametrize("modes", [SWEEP_MODES, (*SWEEP_MODES, "nlos_fixed")],
@@ -886,12 +886,12 @@ def test_each_group_of_paths_is_factored_once_per_block(modes, monkeypatch):
 
 
 def test_block_trials_follow_the_largest_array():
-    # N x (k + 1) steering columns set the size at large N and k, k x M
-    # panel draws at large M
+    # the Gram stage sets a block's rows at large N and k, and the k x M
+    # panel draws set its panel sub-blocks' rows at large M
     assert harness._block_trials(Scenario(n=256, k=32, m=64)) >= 3
     assert harness._block_trials(Scenario()) >= 60  # a default sweep point is one block
-    assert harness._block_trials(Scenario(m=2000)) <= 4
-    assert harness._block_trials(Scenario(m=20000)) == 1
+    assert harness._panel_rows(Scenario(m=2000)) <= 4
+    assert harness._panel_rows(Scenario(m=20000)) == 1
 
 
 def _traced_peak(run):
@@ -1050,7 +1050,7 @@ DRAW_CASES = {
                              nlos_form="magnitude_squared"),
     # the large benchmark's shape, where the rule's blocks hold several
     # trials and the last one fewer
-    "large_n_and_k": dict(n=256, k=32, m=64, trials=8),
+    "large_n_and_k": dict(n=256, k=32, m=64, trials=12),
 }
 
 
@@ -1093,6 +1093,41 @@ def test_draw_block_matches_blocks_of_one(case, block_trials, monkeypatch):
             run_trial(s, 0, 3)
     else:
         assert excluded == 0
+
+
+@pytest.mark.parametrize("panel_rows", [1, 2, 3, None])  # None: the whole block at once
+@pytest.mark.parametrize("case", ["plain", "fixed_panels", "fixed_policy"])
+def test_panel_sub_blocks_change_no_bit(case, panel_rows, monkeypatch):
+    # the draw's panel stage runs in near-equal sub-blocks of _panel_rows
+    # rows, each reading its own runs from the block's one Philox, and the
+    # degeneracy rule runs once over the whole block: the draw and every
+    # record are the bits of the panel stage in one piece, here a block of
+    # 20 rows across two points with sub-blocks that end inside a run
+    s = Scenario(**{"trials": 10, "master_seed": 4, **DRAW_CASES[case]})
+    axis, trials = np.divmod(np.arange(2 * s.trials), s.trials)
+    assert harness._panel_rows(s) >= axis.size
+    modes = SWEEP_MODES + (("nlos_fixed",) if s.fixed_theta is not None else ())
+    gammas = (1e-3, 0.3)
+    whole = _draw_block(s, axis, trials)
+    records = _sweep(s, "gamma", gammas, modes).records
+    sizes = []
+    real = harness._compose_modes
+    monkeypatch.setattr(harness, "_compose_modes",
+                        lambda *args: sizes.append(len(args[-1])) or real(*args))
+    monkeypatch.setattr(harness, "_panel_rows", lambda scenario: panel_rows or axis.size)
+    block = _draw_block(s, axis, trials)
+    assert sizes == {1: [1] * 20, 2: [2] * 10, 3: [2, 3, 3, 3, 3, 3, 3], None: [20]}[panel_rows]
+    assert block.keys() == whole.keys() and block["csi"].keys() == whole["csi"].keys()
+    for key in ("drawn", "u", "z", "h_los", "alpha", "alpha_los"):
+        np.testing.assert_array_equal(block[key], whole[key])
+    for mode, coef in whole["csi"].items():
+        np.testing.assert_array_equal(block["csi"][mode], coef)
+    for step in (7, 2 * s.trials):  # blocks that end inside a point, and one of every row
+        monkeypatch.setattr(harness, "_block_trials", lambda scenario: step)
+        got = _sweep(s, "gamma", gammas, modes).records
+        for lab, fields in records.items():
+            for field, value in fields.items():
+                np.testing.assert_array_equal(got[lab][field], value)
 
 
 def _full_noise_cov(n):

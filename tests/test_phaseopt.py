@@ -145,6 +145,19 @@ def test_certify_rejects_a_node_table_past_the_chunk_bytes(monkeypatch):
     assert real(densest).nbytes <= phaseopt.CERTIFY_CHUNK_BYTES
 
 
+def test_certify_rejects_a_fractional_grid_density():
+    # int() truncated 2.9 and certified the G = 2 grid without a word
+    rng = np.random.default_rng(15)
+    panel = random_panel(rng, 2)
+    for bad in (2.9, 720.0, "720"):
+        message = rf"^grid_points_per_phase must be an integer, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            certify_panels(panel.g[None], panel.h[None], panel.beta[None], bad)
+        with pytest.raises(ValueError, match="grid_points_per_phase"):
+            certify_optimum(panel, bad)
+    assert certify_optimum(panel, np.int64(720)).grid_points == 720
+
+
 # References for the stacked kernel: the exhaustive oracle and the
 # reduction it replaced, one panel at a time.
 def full_enumeration_max(z, G):
