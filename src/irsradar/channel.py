@@ -62,14 +62,8 @@ class IrsPanel:
     def __post_init__(self):
         g = np.atleast_1d(np.asarray(self.g, dtype=complex))
         h = np.atleast_1d(np.asarray(self.h, dtype=complex))
-        theta = (
-            np.zeros(g.size) if self.theta is None
-            else np.atleast_1d(np.asarray(self.theta, dtype=float))
-        )
-        beta = (
-            np.ones(g.size) if self.beta is None
-            else np.atleast_1d(np.asarray(self.beta, dtype=float))
-        )
+        theta = np.zeros(g.size) if self.theta is None else _real_entries(self.theta, "theta")
+        beta = np.ones(g.size) if self.beta is None else _real_entries(self.beta, "beta")
         if not (g.size == h.size == theta.size == beta.size >= 1):
             raise ValueError("g, h, theta, beta must share a common length M >= 1")
         fields = {"g": g, "h": h, "theta": theta, "beta": beta}
@@ -95,6 +89,14 @@ class IrsPanel:
     def c_vector(self) -> np.ndarray:
         """c = Diag(g)^H h, the per-element combining coefficients."""
         return np.conj(self.g) * self.h
+
+
+def _real_entries(value, name: str) -> np.ndarray:
+    """A panel's real field as a 1-D float array; complex or non-numeric entries are refused."""
+    value = np.atleast_1d(np.asarray(value))
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"panel {name} entries must be real numbers")
+    return value.astype(float, copy=False)
 
 
 def _same_value(a, b) -> bool:

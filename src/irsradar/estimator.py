@@ -102,8 +102,11 @@ class NoiseModel:
     def __post_init__(self):
         lo, hi = POWER_RANGE
         if self.is_scaled_identity:
+            if self.sigma2 is not None and np.asarray(self.sigma2).dtype.kind not in "iuf":
+                raise ValueError(f"sigma2 must be a real number, got {self.sigma2!r}")
             if self.sigma2 is None or not lo <= self.sigma2 <= hi:  # nan too
                 raise _sigma2_error()
+            object.__setattr__(self, "sigma2", float(self.sigma2))
             try:
                 n = operator.index(self.n)  # ints, numpy's too, but no float
             except TypeError:
@@ -146,7 +149,7 @@ class NoiseModel:
 
     @classmethod
     def scaled_identity(cls, sigma2: float, n: int) -> "NoiseModel":
-        return cls(sigma2=float(sigma2), n=n)
+        return cls(sigma2=sigma2, n=n)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """R^-1 b; b may be a (..., N, K) stack, each item multiplied alone."""

@@ -236,8 +236,12 @@ def _check_powers(gamma, sigma2, modes):
     NoiseModel's message (estimator._sigma2_error), gamma too unless it is
     0, which los_only cannot take.  The message is the one the first bad
     point's first failing rule gives, as if each point's Scenario were
-    built in turn.
+    built in turn.  A complex value is refused by name, since numpy orders
+    complex numbers lexicographically.
     """
+    for name, value in (("gamma", gamma), ("sigma2", sigma2)):
+        if np.asarray(value).dtype.kind not in "iuf":
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     lo, hi = POWER_RANGE
     gamma, sigma2 = np.broadcast_arrays(np.atleast_1d(gamma), sigma2)
     bad_sigma2 = ~((lo <= sigma2) & (sigma2 <= hi))  # nan too
@@ -297,6 +301,8 @@ class Scenario:
         if self.k > self.n:
             raise ValueError("k must not exceed n")
         _check_powers(self.gamma, self.sigma2, (self.link_mode,))
+        for key in ("gamma", "sigma2"):  # a float32 would round the engine's arithmetic
+            object.__setattr__(self, key, float(getattr(self, key)))
         if not 0 <= self.master_seed < SEED_BOUND:
             raise ValueError("master_seed must lie in [0, 2**64)")
         if self.link_mode not in LINK_MODES:
@@ -322,13 +328,15 @@ class Scenario:
             raise ValueError("doppler_min_gap leaves no room for k paths")
         theta = None  # fixed_theta, wrapped as a panel stores its phases
         if self.fixed_theta is not None:
-            thetas = [np.atleast_1d(np.asarray(t, dtype=float)) for t in self.fixed_theta]
+            thetas = [np.atleast_1d(np.asarray(t)) for t in self.fixed_theta]
             sizes = sorted({t.size for t in thetas})
             if len(thetas) != self.k or sizes != [self.m]:
                 raise ValueError(
                     f"fixed_theta has {len(thetas)} theta vectors of length "
                     f"{'/'.join(map(str, sizes))}; the scenario needs k={self.k} of m={self.m}"
                 )
+            if any(t.dtype.kind not in "iuf" for t in thetas):
+                raise ValueError("fixed_theta entries must be real numbers")
             if not np.all(np.isfinite(thetas)):
                 raise ValueError("fixed_theta has non-finite entries")
             theta = wrap_phase(np.stack(thetas))
@@ -912,7 +920,10 @@ def _sweep(template: Scenario, axis_name: str, axis_values, modes,
     The template holds every field but the swept one and link_mode, and
     must admit each of the modes: nlos_fixed needs its fixed_theta.
     """
-    values = np.asarray(list(axis_values), dtype=float)
+    values = np.asarray(list(axis_values))
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{axis_name} values must be real numbers")
+    values = values.astype(float)
     if values.size == 0:
         raise ValueError("axis must contain at least one value")
     if template.trials < 2:

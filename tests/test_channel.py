@@ -1,4 +1,5 @@
 """Channel composition and normalization tests."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -272,6 +273,20 @@ def test_panel_rejects_nonfinite_entries(field, bad):
     kw[field] = np.array([1.0, bad, 1.0, 1.0])
     with pytest.raises(ValueError, match=f"panel {field} entries must be finite"):
         IrsPanel(**kw)
+
+
+@pytest.mark.parametrize("field", ["theta", "beta"])
+@pytest.mark.parametrize("bad", [[0.5 + 0.1j, 1.0], np.array([0.5 + 0j, 1.0]), ["0.5", "1"]],
+                         ids=["complex", "complex_array", "strings"])
+def test_panel_rejects_non_real_phases_and_gains(field, bad):
+    # a complex beta or theta warned and lost its imaginary part, or raised
+    # a bare TypeError, and strings were parsed silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^panel {field} entries must be real numbers$"):
+            IrsPanel(g=np.ones(2), h=np.ones(2), **{field: bad})
+    assert IrsPanel(g=np.ones(2), h=np.ones(2), **{field: [1, 0]}) == \
+        IrsPanel(g=np.ones(2), h=np.ones(2), **{field: [1.0, 0.0]})
 
 
 def test_panels_compare_by_value():

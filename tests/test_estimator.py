@@ -1,4 +1,5 @@
 """Estimator tests, anchored on an explicit dense-inverse oracle."""
+import re
 import warnings
 from dataclasses import replace
 
@@ -188,6 +189,21 @@ def test_noise_model_owns_the_noise_rules():
         for edge in POWER_RANGE:
             assert NoiseModel(covariance=edge * np.eye(3), n=3).n == 3
             assert NoiseModel.scaled_identity(edge, 3).sigma2 == edge
+
+
+def test_white_noise_needs_a_real_sigma2():
+    # a Python complex raised a bare TypeError from float(), numpy's complex
+    # was kept as sigma2, and a string was parsed silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (1 + 1j, np.complex128(0.5), "1.0"):
+            for build in (lambda: NoiseModel.scaled_identity(bad, 3),
+                          lambda: NoiseModel(sigma2=bad, n=3)):
+                with pytest.raises(ValueError, match=rf"^sigma2 must be a real number, got "
+                                                     rf"{re.escape(repr(bad))}$"):
+                    build()
+    noise = NoiseModel.scaled_identity(np.float32(0.5), 3)
+    assert noise.sigma2 == 0.5 and type(noise.sigma2) is float
 
 
 def test_white_noise_needs_a_positive_integer_n():

@@ -104,6 +104,37 @@ def test_scenario_rejects_nonfinite_and_blocked_los():
     Scenario(link_mode="nlos_optimal", gamma=0.0)  # blocked LoS, reflected paths only
 
 
+def test_non_real_inputs_are_named():
+    # numpy orders complex numbers lexicographically, so a complex gamma
+    # passed the power rule and the direct link then dropped its imaginary
+    # part with a ComplexWarning; a complex sigma2 raised a bare TypeError
+    # from float(); fixed_theta's complex entries warned and were cast, and
+    # its strings were parsed silently, as were a sweep's string values
+    theta = np.zeros((3, 4))
+    cases = [
+        ("gamma", dict(gamma=1 + 1j, link_mode="los_only")),
+        ("gamma", dict(gamma=np.complex128(1e-2))),
+        ("gamma", dict(gamma="1e-2")),
+        ("sigma2", dict(sigma2=1e-2 + 1j)),
+        ("sigma2", dict(sigma2="1e-2")),
+        ("sigma2", dict(sigma2=None)),
+        ("fixed_theta", dict(fixed_theta=theta + 1j)),
+        ("fixed_theta", dict(fixed_theta=[[1j, 0, 0, 0], *theta[1:]])),
+        ("fixed_theta", dict(fixed_theta=[["0"] * 4] * 3)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, fields in cases:
+            with pytest.raises(ValueError, match=f"^{name} (must be a real number, got |entries must be real numbers$)"):
+                Scenario(**SMALL, **fields)
+        for axis in ("gamma", "sigma2"):
+            for values in ([1e-2, 1e-2 + 1j], np.array([1e-2 + 0j]), ["1e-2"]):
+                with pytest.raises(ValueError, match=f"^{axis} values must be real numbers$"):
+                    _sweep(Scenario(**SMALL), axis, values, SWEEP_MODES)
+        assert run_trial(Scenario(**SMALL, gamma=np.float32(0.5), sigma2=1), 0) == \
+            run_trial(Scenario(**SMALL, gamma=0.5, sigma2=1.0), 0)
+
+
 def _first_point_error(tpl, axis, values, modes):
     """The message of the first (point, mode) Scenario that raises, as built point by point."""
     for value in values:
