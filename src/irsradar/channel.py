@@ -142,8 +142,11 @@ def combine_paths(c, weights, form: str) -> np.ndarray:
     compose_paths once c = conj(g) * h and the phasors are formed.  All
     rows go through one np.vecdot, which runs the same BLAS dot on each
     row as np.vdot on that row alone, so a row's value does not depend on
-    the rows stacked with it.
+    the rows stacked with it.  weights None means all 1: the conjugate of
+    each row's sum, which is reduced along the row alone.
     """
+    if weights is None:
+        return _in_form(np.sum(c, axis=-1).conj(), form)
     return _in_form(np.vecdot(c, weights), form)
 
 

@@ -26,9 +26,13 @@ the direct link's and the rest the reflected paths', and v_g = L_g z_g
 with Q_g = L_g L_g^H, not N noise samples; no record combines the two
 groups, so they read disjoint normals.  A random panel enters only
 through c = conj(g) h, so the channel stream gives each element's c from
-three words (_path_products) rather than g and h from four.  With white
-noise Q does not depend on the code, so the code stream is read only
-under noise_cov, and freeze_waveform changes no bit of a white-noise run.
+three words (_path_products) rather than g and h from four.  Its phase is
+uniform and independent of |c| and of every other draw, so turning it by
+a uniform phase leaves the joint law of the modes' records as it is:
+nlos_random weights a random panel's c by 1, and only a replayed panel,
+whose c is fixed, reads the phase stream.  With white noise Q does not
+depend on the code, so the code stream is read only under noise_cov, and
+freeze_waveform changes no bit of a white-noise run.
 
 Doppler convention
 ------------------
@@ -92,11 +96,12 @@ template and the modes' names to every block, builds no other Scenario,
 checks the swept values as one array (_check_powers), and each row takes
 its own value only where it enters: sigma2 in Q and gamma in the direct
 link's normalization, both elementwise, so a row gets the bits its point
-alone would.  The reflected modes' coefficients are composed from the
-phasors themselves: nlos_random weights c by the phasors of its phase
-words, nlos_optimal is sum_m beta_m |c_m|, the value composing at the
-aligning phases reaches, and nlos_fixed's weights are formed once per
-Scenario; no angle, wrap or exponential of a phase runs per trial.
+alone would.  The reflected modes' coefficients are composed with no
+angle, wrap or exponential of a phase per trial: nlos_random is sum_m
+conj(c_m) for random panels and weights a replayed panel's c by beta
+times the phasors of its phase words, nlos_optimal is sum_m beta_m |c_m|,
+the value composing at the aligning phases reaches, and nlos_fixed's
+weights are formed once per Scenario.
 
 Estimation then runs in K-space.  Every link mode of a trial shares the
 Dopplers and, under noise_cov, the code, and every mode on a group of
@@ -128,20 +133,20 @@ A block is sized by its Gram stage (_block_trials): it holds as many rows
 as the stage's largest arrays fit in BLOCK_BYTES, with white noise Q_g
 and its factor, which becomes L^-1 in place, and under noise_cov the
 N x (k + 1) steering columns.  Only the draw's panel stage grows with
-k M: the channel stream's 3 k M product words, the phase words,
-_path_products and _compose_modes.  It runs in near-equal sub-blocks of
-at most _panel_rows rows, as many as a row's channel words
-fit in BLOCK_BYTES, each reading its own runs from the block's one
-Philox, and the degeneracy rule and everything after it run once over the
-whole block.  So one Philox, one condition screen, one _path_models and
-one set of estimates serve more rows than the panels' words alone would
-fit: 284 rows in sub-blocks of 142 at the default N = 50, k = 5, M = 10,
-and 9 rows in sub-blocks of 4 and 5 at N = 256, k = 32, M = 64.  The
-transforms that turn words into values reuse their index and turn arrays,
-and under noise_cov the steering columns are dropped once whitened, so a
-block's traced peak stays within a small multiple of BLOCK_BYTES at any
-N, k and M (about 2.3x at N = 256, k = 32, M = 64, and at most about 3.2x
-at the shapes measured).
+k M: the channel stream's 3 k M product words (for replayed panels the
+k M phase words instead), _path_products and _compose_modes.  It runs in
+near-equal sub-blocks of at most _panel_rows rows, as many as a row's
+channel words fit in BLOCK_BYTES, each reading its own runs from the
+block's one Philox, and the degeneracy rule and everything after it run
+once over the whole block.  So one Philox, one condition screen, one
+_path_models and one set of estimates serve more rows than the panels'
+words alone would fit: 284 rows in sub-blocks of 142 at the default
+N = 50, k = 5, M = 10, and 9 rows in sub-blocks of 4 and 5 at
+N = 256, k = 32, M = 64.  The transforms that turn words into values
+reuse their index and turn arrays, and under noise_cov the steering
+columns are dropped once whitened, so a block's traced peak stays within
+a small multiple of BLOCK_BYTES at any N, k and M (about 2.3x at
+N = 256, k = 32, M = 64, and at most about 3.2x at the shapes measured).
 
 A trial's records do not depend on the block or sub-block it lands in,
 so they are the same bits whatever the block size or worker count, and
@@ -236,8 +241,8 @@ def _check_powers(gamma, sigma2, modes):
     NoiseModel's message (estimator._sigma2_error), gamma too unless it is
     0, which los_only cannot take.  The message is the one the first bad
     point's first failing rule gives, as if each point's Scenario were
-    built in turn.  A complex value is refused by name, since numpy orders
-    complex numbers lexicographically.
+    built in turn.  A value that is not a real number is refused by name
+    first: numpy would order a complex one lexicographically.
     """
     for name, value in (("gamma", gamma), ("sigma2", sigma2)):
         if np.asarray(value).dtype.kind not in "iuf":
@@ -556,10 +561,11 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     when frozen.  The block builds one Philox, and each run of rows at one
     point with consecutive trials sets its point's key with the counter
     (_runs, _stream_words); the runs are cut once for the block's streams.
-    The panel stage, the channel and phase words and what is composed from
-    them, runs in near-equal sub-blocks of at most _panel_rows rows, each
-    cutting its own runs, and writes into whole-block arrays; all that
-    follows runs once over the block.  Each row's scene is drawn once.  A
+    The panel stage, the channel words (and for replayed panels only the
+    phase words) and what is composed from them, runs in near-equal
+    sub-blocks of at most _panel_rows rows, each cutting its own runs, and
+    writes into whole-block arrays; all that follows runs once over the
+    block.  Each row's scene is drawn once.  A
     row is degenerate, and not drawn, where some estimate would divide by
     exactly zero: alpha_los * h_los, an entry of a reflected mode's
     coefficients, or its alpha^T c.  The rule reads every mode, so all
@@ -599,8 +605,8 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
 
     # the panel stage, in near-equal sub-blocks of at most _panel_rows rows:
     # the channel stream, h_los, alpha and alpha_los as word pairs, then the
-    # k x M products conj(g) h of random panels as word triples, and the
-    # phase words, composed into each mode's coefficients
+    # k x M products conj(g) h of random panels as word triples, or a
+    # replayed panel's phase words, composed into each mode's coefficients
     pairs = 2 * (k + 2)
     normals, csi = np.empty((len(trials), k + 2), complex), {}
     parts = max(1, -(-len(trials) // _panel_rows(scenario)))
@@ -610,12 +616,14 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
         if scenario.fixed_panels is not None:
             w = _stream_words(source, sub, "channel", pairs)
             c, beta = scenario._panel_paths
+            phase_words = _stream_words(source, sub, "phase", k * m)
         else:
             w = _stream_words(source, sub, "channel", pairs + 3 * k * m)
             c, beta = _path_products(w[:, pairs:]).reshape(-1, k, m), None
+            phase_words = None
         normals[start:stop] = _complex_normals(w[:, :pairs])
         del w
-        composed = _compose_modes(scenario, c, beta, _stream_words(source, sub, "phase", k * m))
+        composed = _compose_modes(scenario, c, beta, phase_words)
         del c
         for mode, coef in composed.items():
             if mode not in csi:
@@ -645,20 +653,26 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     return block
 
 
-def _compose_modes(scenario: Scenario, c: np.ndarray, beta, phase_words: np.ndarray) -> dict:
+def _compose_modes(scenario: Scenario, c: np.ndarray, beta, phase_words) -> dict:
     """The raw path coefficients of each reflected mode, from c = conj(g) * h.
 
-    c is (T, k, M), or (k, M) for replayed panels, whose gains beta are
-    then (k, M); beta None means all 1.  nlos_random weights the elements
-    by the phasors of its phase words (_unit_phasors), nlos_optimal takes
-    the aligned sum over beta |c| (channel.aligned_paths), and nlos_fixed
-    the weights the Scenario formed once from fixed_theta.
+    c is (T, k, M) for random panels, with beta and phase_words None, or
+    (k, M) for replayed panels, with their (k, M) gains beta and (T, k M)
+    phase words.  A random panel's c_m has a uniform phase independent of
+    |c_m| and of every other draw, so conj(c_m) e^{j theta_m} with theta_m
+    uniform has the law of conj(c_m), jointly with |c_m|: nlos_random
+    weights a random panel's elements by 1 (channel.combine_paths), and a
+    replayed panel's by beta times the phasors of its phase words
+    (_unit_phasors).  nlos_optimal takes the aligned sum over beta |c|
+    (channel.aligned_paths), and nlos_fixed the weights the Scenario
+    formed once from fixed_theta.
     """
     form = scenario.nlos_form
-    phasors = _unit_phasors(phase_words).reshape(-1, scenario.k, scenario.m)
-    if beta is not None:
-        phasors *= beta
-    composed = {"nlos_random": combine_paths(c, phasors, form),
+    weights = None
+    if phase_words is not None:
+        weights = _unit_phasors(phase_words).reshape(-1, scenario.k, scenario.m)
+        weights *= beta
+    composed = {"nlos_random": combine_paths(c, weights, form),
                 "nlos_optimal": aligned_paths(c, beta, form)}
     if scenario._fixed_weights is not None:
         composed["nlos_fixed"] = combine_paths(c, scenario._fixed_weights, form)
@@ -905,10 +919,11 @@ def _panel_rows(scenario: Scenario) -> int:
     """Rows per panel sub-block of _draw_block: as many as fit BLOCK_BYTES of a row's channel words.
 
     A row's channel stream holds 3 k M words (24 k M bytes) for its conj(g)
-    h products, the largest array of the draw; _path_products, the phases
-    and _compose_modes grow with k M too.  That gives 273 rows at the
-    default shape, six at N = 256, k = 32, M = 64, and one once k M
-    exceeds 6826.
+    h products, the largest array of the draw; _path_products and
+    _compose_modes grow with k M too, as do the k M phase words that
+    replayed panels read in place of the products.  That gives 273 rows
+    at the default shape, six at N = 256, k = 32, M = 64, and one once
+    k M exceeds 6826.
     """
     return max(1, BLOCK_BYTES // (24 * scenario.k * scenario.m))
 

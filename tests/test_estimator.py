@@ -588,9 +588,9 @@ def test_run_trial_raises_the_screens_messages():
     # each with its message byte for byte
     s = Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0)
     want = {
-        (0, "nlos_random", 4): "Gram matrix condition number 1.176e+12 exceeds 1e+12",
-        (2, "nlos_random", 1): "Gram matrix condition number 1.451e+15 exceeds 1e+12",
-        (2, "nlos_random", 20): "Gram matrix condition number 6.010e+14 exceeds 1e+12",
+        (2, "nlos_random", 1): "Gram matrix condition number 1.709e+15 exceeds 1e+12",
+        (2, "nlos_random", 15): "Gram matrix condition number 2.621e+12 exceeds 1e+12",
+        (2, "nlos_random", 20): "Gram matrix condition number 2.922e+14 exceeds 1e+12",
         (2, "nlos_optimal", 1): "Gram matrix condition number 1.488e+15 exceeds 1e+12",
         (2, "nlos_optimal", 20): "Gram matrix condition number 4.778e+14 exceeds 1e+12",
     }

@@ -125,14 +125,17 @@ def test_non_real_inputs_are_named():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, fields in cases:
-            with pytest.raises(ValueError, match=f"^{name} (must be a real number, got |entries must be real numbers$)"):
+            message = f"^{name} (must be a real number, got |entries must be real numbers$)"
+            with pytest.raises(ValueError, match=message):
                 Scenario(**SMALL, **fields)
         for axis in ("gamma", "sigma2"):
             for values in ([1e-2, 1e-2 + 1j], np.array([1e-2 + 0j]), ["1e-2"]):
                 with pytest.raises(ValueError, match=f"^{axis} values must be real numbers$"):
                     _sweep(Scenario(**SMALL), axis, values, SWEEP_MODES)
-        assert run_trial(Scenario(**SMALL, gamma=np.float32(0.5), sigma2=1), 0) == \
-            run_trial(Scenario(**SMALL, gamma=0.5, sigma2=1.0), 0)
+        # a float32 gamma rounded the direct link's normalization to float32
+        los = dict(SMALL, link_mode="los_only")
+        assert run_trial(Scenario(**los, gamma=np.float32(0.5), sigma2=1), 0) == \
+            run_trial(Scenario(**los, gamma=0.5, sigma2=1.0), 0)
 
 
 def _first_point_error(tpl, axis, values, modes):
@@ -731,8 +734,8 @@ STRADDLE_CASES = {
                         noise_cov=np.diag(np.linspace(0.01, 0.2, 20)) + 0.004 * np.ones((20, 20))),
     "fixed_panels": dict(n=20, k=3, m=4, master_seed=6,
                          fixed_panels=random_panels(np.random.default_rng(5))),
-    # gap 0 refuses rows 4, 7, 9, 11 and 27 of the 30, rows 9 and 11 on
-    # either side of the first point boundary
+    # gap 0 refuses rows 4, 7, 9 and 27 of the 30; a block of 7 holds rows
+    # 7 and 9 and the next point's first rows
     "exclusions": dict(n=10, k=10, m=2, master_seed=4, doppler_min_gap=0),
 }
 
@@ -756,7 +759,7 @@ def test_blocks_that_straddle_points_match_run_trial(case, step, monkeypatch):
                 np.testing.assert_array_equal(res.records[lab][field], expect[lab][j])
         np.testing.assert_array_equal(res.excluded_by_cause, by_cause)
         if case == "exclusions":
-            assert by_cause.sum() == 5
+            assert by_cause.sum() == 4
 
 
 def test_exclusions_are_counted_by_cause(monkeypatch):
@@ -768,7 +771,7 @@ def test_exclusions_are_counted_by_cause(monkeypatch):
     _, by_cause = _rows_by_run_trial(s, "gamma", gammas)
     np.testing.assert_array_equal(res.excluded_by_cause, by_cause)
     np.testing.assert_array_equal(res.excluded_by_cause.sum(axis=1), res.excluded)
-    assert by_cause.tolist() == [[0, 1, 0], [0, 0, 0], [0, 2, 0]]
+    assert by_cause.tolist() == [[0, 0, 0], [0, 0, 0], [0, 3, 0]]
     # a row whose scene is degenerate is not drawn
     real = harness._compose_modes
     monkeypatch.setattr(harness, "_compose_modes",
@@ -836,7 +839,7 @@ def test_k_equal_to_n_needs_no_eigh_root(monkeypatch):
         for j, field in enumerate(("nmse", "mse", "crb_trace")):
             np.testing.assert_array_equal(res.records[lab][field], expect[lab][j])
     np.testing.assert_array_equal(res.excluded_by_cause, by_cause)
-    assert res.excluded_by_cause.tolist() == [[0, 1, 0], [0, 2, 0]]
+    assert res.excluded_by_cause.tolist() == [[0, 0, 0], [0, 1, 0]]
 
 
 def test_sweep_blocks_span_points(monkeypatch):
@@ -1141,10 +1144,15 @@ def test_panel_sub_blocks_change_no_bit(case, panel_rows, monkeypatch):
     gammas = (1e-3, 0.3)
     whole = _draw_block(s, axis, trials)
     records = _sweep(s, "gamma", gammas, modes).records
-    sizes = []
+    sizes = []  # the rows of each sub-block's nlos_random, per row for either panel kind
     real = harness._compose_modes
-    monkeypatch.setattr(harness, "_compose_modes",
-                        lambda *args: sizes.append(len(args[-1])) or real(*args))
+
+    def compose(*args):
+        composed = real(*args)
+        sizes.append(len(composed["nlos_random"]))
+        return composed
+
+    monkeypatch.setattr(harness, "_compose_modes", compose)
     monkeypatch.setattr(harness, "_panel_rows", lambda scenario: panel_rows or axis.size)
     block = _draw_block(s, axis, trials)
     assert sizes == {1: [1] * 20, 2: [2] * 10, 3: [2, 3, 3, 3, 3, 3, 3], None: [20]}[panel_rows]
@@ -1400,6 +1408,29 @@ def test_a_block_builds_one_philox(monkeypatch):
     assert len(built) == len(blocks) == 4
 
 
+@pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
+def test_only_replayed_panels_read_the_phase_stream(full_noise, monkeypatch):
+    # a random panel's c_m already has a uniform phase, so nlos_random
+    # weights it by 1 and its block reads no phase words; a replayed
+    # panel's c is fixed, so its block turns it by the phase stream
+    streams = []
+    real = harness._stream_words
+
+    def recording(source, runs, stream, count):
+        streams.append(stream)
+        return real(source, runs, stream, count)
+
+    monkeypatch.setattr(harness, "_stream_words", recording)
+    cov = dict(noise_cov=np.diag(np.linspace(0.01, 0.2, 20))) if full_noise else {}
+    code = {"waveform"} if full_noise else set()
+    _draw_block(Scenario(**SMALL, **cov), 0, range(8))
+    assert set(streams) == {"doppler", "noise", "channel", *code}
+    streams.clear()
+    _draw_block(Scenario(**SMALL, **cov, fixed_panels=random_panels(np.random.default_rng(3))),
+                0, range(8))
+    assert set(streams) == {"doppler", "noise", "channel", "phase", *code}
+
+
 @pytest.mark.parametrize("step", [7, None])  # None: one block of every row
 def test_a_block_where_only_some_rows_are_degenerate(step, monkeypatch):
     # a row where some estimate would divide by exactly zero is excluded
@@ -1416,10 +1447,13 @@ def test_a_block_where_only_some_rows_are_degenerate(step, monkeypatch):
     monkeypatch.setattr(harness, "_block_trials", lambda scenario: step)
     plain = sweep_gamma(tpl, values)
     singles = {(p, t): _draw_block(tpl, p, [t]) for p, t in zip(axis, trials)}
-    # each chosen row is marked by its first alpha entry and its first phase word
+    # each chosen row is marked by its first alpha entry and its first
+    # conj(g) h product, the channel stream's first triple after the pairs
     alpha_marks = np.array([singles[row]["alpha"][0, 0] for row in zero_sum])
-    word_marks = np.array([_philox_words(tpl.master_seed, p, 4, t, tpl.k * tpl.m)[0]
-                           for p, t in zero_entry])
+    pairs = 2 * (tpl.k + 2)
+    channel = [_philox_words(tpl.master_seed, p, 2, t, pairs + 3 * tpl.k * tpl.m)
+               for p, t in zero_entry]
+    product_marks = np.array([harness._path_products(w[None, pairs:])[0, 0] for w in channel])
     real_project, real_compose = harness._project, harness._compose_modes
 
     def project(alpha, c):
@@ -1430,7 +1464,7 @@ def test_a_block_where_only_some_rows_are_degenerate(step, monkeypatch):
     def compose(scenario, c, beta, phase_words):
         composed = real_compose(scenario, c, beta, phase_words)
         rand = composed["nlos_random"].copy()
-        rand[np.isin(phase_words[:, 0], word_marks), 1] = 0
+        rand[np.isin(c[:, 0, 0], product_marks), 1] = 0
         composed["nlos_random"] = rand
         return composed
 
