@@ -114,7 +114,6 @@ class NoiseModel:
             if n < 1:
                 raise ValueError(f"n must be positive, got {n}")
             object.__setattr__(self, "n", n)
-            object.__setattr__(self, "_whiten", None)
             object.__setattr__(self, "_inv", None)
             return
         if self.sigma2 is not None:
@@ -139,7 +138,6 @@ class NoiseModel:
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance is not positive definite") from exc
         chol_inv = np.linalg.inv(chol)
-        object.__setattr__(self, "_whiten", chol_inv)  # L^-1 with R = L L^H: L^-1 S is white
         object.__setattr__(self, "_inv", chol_inv.conj().T @ chol_inv)
 
     @property

@@ -7,14 +7,13 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011) keyed by
 (master_seed, axis_index): trial t's B 4-word blocks of a stream sit at
 the counters (t * B + j, stream id, 0, 0), j = 1..B, B fixed by the
 stream's word count; each trial's scene is drawn once, so the third word
-is always 0.  A given trial at a given axis point
-therefore reproduces the identical Doppler set, CSI and (under
-noise_cov) code in every link mode, and the identical noise in every
-mode on a group of paths, so mode comparisons are paired; and any trial
-can be regenerated in isolation, which keeps sweeps bit-reproducible
-under any degree of parallelism.  A uniform is a word's top 53 bits
-times 2^-53; a complex Gaussian takes two words, for its modulus
-sqrt(-ln(1 - u)) and its angle 2 pi u.
+is always 0.  A given trial at a given axis point therefore reproduces
+the identical Doppler set and CSI in every link mode, and the identical
+noise in every mode on a group of paths, so mode comparisons are
+paired; and any trial can be regenerated in isolation, which keeps
+sweeps bit-reproducible under any degree of parallelism.  A uniform is a
+word's top 53 bits times 2^-53; a complex Gaussian takes two words, for
+its modulus sqrt(-ln(1 - u)) and its angle 2 pi u.
 
 What is drawn is what the BLUE sees, not the pulses.  A mode estimates
 one group of paths, the direct link or the k reflected ones, and depends
@@ -30,9 +29,8 @@ three words (_path_products) rather than g and h from four.  Its phase is
 uniform and independent of |c| and of every other draw, so turning it by
 a uniform phase leaves the joint law of the modes' records as it is:
 nlos_random weights a random panel's c by 1, and only a replayed panel,
-whose c is fixed, reads the phase stream.  With white noise Q does not
-depend on the code, so the code stream is read only under noise_cov, and
-freeze_waveform changes no bit of a white-noise run.
+whose c is fixed, reads the phase stream.  The noise is white, so Q does
+not depend on the unit-modulus code, and no code is drawn.
 
 Doppler convention
 ------------------
@@ -104,17 +102,14 @@ the value composing at the aligning phases reaches, and nlos_fixed's
 weights are formed once per Scenario.
 
 Estimation then runs in K-space.  Every link mode of a trial shares the
-Dopplers and, under noise_cov, the code, and every mode on a group of
-paths its noise; only the path coefficients differ, so a mode's model is
-A = S_g Diag(d), where S = Diag(x) P(nu) holds the steering columns of
-the 1 + k paths, S_g its group's, and d the mode's normalized
-coefficients.  Once per block, with the noise model that all its modes
-and points share, each group's Q_g = S_g^H R^-1 S_g is formed
-(_path_models): with white noise Q_g = P_g^H P_g / sigma2 is the
-closed-form Dirichlet kernel of the group's own Dopplers
-(_dirichlet_gram), so no N-vector of a trial and no pair across the
-groups exists; under noise_cov S is whitened by R's factor, stored once
-per Scenario, and each group takes its block of the whitened product.
+Dopplers, and every mode on a group of paths its noise; only the path
+coefficients differ, so a mode's model is A = S_g Diag(d), where
+S = Diag(x) P(nu) holds the steering columns of the 1 + k paths, S_g its
+group's, and d the mode's normalized coefficients.  Once per block each
+group's Q_g = S_g^H R^-1 S_g is formed (_path_models): with white noise
+R = sigma2 I and |x_n| = 1, Q_g = P_g^H P_g / sigma2 is the closed-form
+Dirichlet kernel of the group's own Dopplers (_dirichlet_gram), so no
+N-vector of a trial and no pair across the groups exists.
 With D = Diag(d) a mode has Gram D^H Q_g D = A^H R^-1 A and matched
 filter D^H (Q_g D alpha + v_g) = A^H R^-1 y, so neither A nor y is
 formed.  Its BLUE errs by alpha_hat - alpha = D^-1 Q_g^-1 v_g and has
@@ -130,9 +125,8 @@ when k paths exceed N pulses; only the modes on it then exclude the
 trial, through the condition screen.
 
 A block is sized by its Gram stage (_block_trials): it holds as many rows
-as the stage's largest arrays fit in BLOCK_BYTES, with white noise Q_g
-and its factor, which becomes L^-1 in place, and under noise_cov the
-N x (k + 1) steering columns.  Only the draw's panel stage grows with
+as the stage's largest arrays, Q_g and its factor, which becomes L^-1 in
+place, fit in BLOCK_BYTES.  Only the draw's panel stage grows with
 k M: the channel stream's 3 k M product words (for replayed panels the
 k M phase words instead), _path_products and _compose_modes.  It runs in
 near-equal sub-blocks of at most _panel_rows rows, as many as a row's
@@ -143,8 +137,7 @@ _path_models and one set of estimates serve more rows than the panels'
 words alone would fit: 284 rows in sub-blocks of 142 at the default
 N = 50, k = 5, M = 10, and 9 rows in sub-blocks of 4 and 5 at
 N = 256, k = 32, M = 64.  The transforms that turn words into values
-reuse their index and turn arrays, and under noise_cov the steering
-columns are dropped once whitened, so a block's traced peak stays within
+reuse their index and turn arrays, so a block's traced peak stays within
 a small multiple of BLOCK_BYTES at any N, k and M (about 2.3x at
 N = 256, k = 32, M = 64, and at most about 3.2x at the shapes measured).
 
@@ -156,9 +149,9 @@ np.vecdot (one BLAS call per item, the same dot np.vdot, a 1-D @ and
 np.linalg.norm make on one item), reductions along an item's own axes,
 and numpy's stacked eigvalsh and cholesky (one LAPACK call per item).
 That covers each panel row's coefficient, each trial's alpha^T c zero
-check and normalization norm, the closed-form Gram, the whitened
-steering Gram, the Cholesky factorization, its forward-substituted
-inverse, the error L^-H z and the NMSE norms.  Every mean
+check and normalization norm, the closed-form Gram, the Cholesky
+factorization, its forward-substituted inverse, the error L^-H z and the
+NMSE norms.  Every mean
 NMSE stays within 4 standard errors of the moments in
 tests/data/moments_fixture.npz, and every record within 1e-9 of
 tests/data/records_fixture.npz.  A trial whose scene is degenerate,
@@ -190,22 +183,22 @@ from .channel import (
 from .errors import GenerationError
 from .estimator import (
     CLEARED,
+    CONDITION_LIMIT,
     ILL_CONDITIONED,
     NOT_POSITIVE_DEFINITE,
     POWER_RANGE,
-    NoiseModel,
     _blue_scaled,
     _error_nmse,
-    _hermitian,
     _path_factor,
     _refusal,
     _sigma2_error,
+    blue_gram,
 )
-from .model import random_code, steering_columns
 
 LINK_MODES = ("los_only", "nlos_random", "nlos_optimal", "nlos_fixed")
 
-# stable stream ids; appending is fine, reordering breaks reproducibility
+# stable stream ids; appending is fine, reordering breaks reproducibility.
+# "waveform" is reserved: no draw reads it, and its id is never reused
 _STREAMS = {"waveform": 0, "doppler": 1, "channel": 2, "noise": 3, "phase": 4}
 
 # the cause code of a row whose scene is degenerate (_draw_block), beside
@@ -263,6 +256,34 @@ def _check_powers(gamma, sigma2, modes):
     raise ValueError("gamma must be positive for link_mode='los_only'")
 
 
+def _check_doppler_span(n: int, k: int, span: float):
+    """Raise the ValueError of a doppler_range too narrow to resolve k paths over n pulses.
+
+    The k reflected paths spread evenly over the range, delta = span / k
+    apart, are taken to be the best-conditioned placement a draw can make:
+    the conditioning of these Vandermonde columns is governed by the
+    paths' minimum separation (Moitra, "Super-resolution, extremal
+    functions and the condition number of Vandermonde matrices", STOC
+    2015), which even spacing maximizes, but that no other placement
+    conditions better is not proven.  Where (n - 1) delta = r > 1,
+    Moitra's bound cond <= (r + 1) / (r - 1) holds for every placement
+    delta apart, so a range it keeps within CONDITION_LIMIT, every range
+    the sweeps' benchmarks and the CLI use, is accepted without a Gram.
+    Otherwise the evenly spread paths' steering Gram is screened as the
+    sweep screens a mode's (estimator.blue_gram), and a range whose Gram
+    it refuses is refused: the screen would refuse the trials, and a
+    sweep would run every block before failing.
+    """
+    reach = (n - 1) * span / k
+    if reach > 1 and (reach + 1) / (reach - 1) <= CONDITION_LIMIT:
+        return
+    gram = _dirichlet_gram(span * np.arange(k)[None] / k, n)
+    _, _, cause, cond, _ = blue_gram(gram, np.zeros((1, k), complex))
+    if cause[0] != CLEARED:
+        raise ValueError(f"doppler_range of width {span:g} cannot resolve k={k} paths over "
+                         f"n={n} pulses, spread evenly: {_refusal(cause[0], cond[0])}")
+
+
 def _check_panel_powers(power, what: str):
     """Raise the ValueError that names each replayed panel whose power leaves POWER_RANGE."""
     lo, hi = POWER_RANGE
@@ -287,12 +308,8 @@ class Scenario:
     nlos_form: str = "complex"
     doppler_range: tuple = (-0.5, 0.5)  # cycles per pulse, at most one cycle wide
     doppler_min_gap: float = None  # cycles; None means 1/(4n)
-    # one code for every trial; the code is drawn only under noise_cov, since
-    # with white noise no record depends on it, so there this changes no bit
-    freeze_waveform: bool = False
     fixed_theta: tuple = None  # k phase vectors of length m; required for link_mode="nlos_fixed"
     fixed_panels: tuple = None  # CSI replay; overrides the panel draw
-    noise_cov: np.ndarray = None  # full N x N covariance; overrides sigma2
 
     def __post_init__(self):
         for key in ("n", "k", "m", "trials", "master_seed"):
@@ -331,6 +348,8 @@ class Scenario:
         floor = gap if self.k == 1 else _spacing_floor(lo, hi, gap)
         if gap < 0 or self.k * floor >= (hi - lo):
             raise ValueError("doppler_min_gap leaves no room for k paths")
+        if self.k > 1:
+            _check_doppler_span(self.n, self.k, hi - lo)
         theta = None  # fixed_theta, wrapped as a panel stores its phases
         if self.fixed_theta is not None:
             thetas = [np.atleast_1d(np.asarray(t)) for t in self.fixed_theta]
@@ -363,7 +382,7 @@ class Scenario:
         # the replayed panels' products c = conj(g) h with their gains
         # beta, and the fixed phases' element weights beta e^{j theta},
         # each a K x M stack formed once; not fields, so kept out of eq
-        # and repr like _noise below
+        # and repr
         object.__setattr__(self, "_panel_paths", panel_paths)
         weights = None
         if theta is not None:
@@ -377,15 +396,6 @@ class Scenario:
                 _check_panel_powers(
                     fixed, "fixed path power |sum_m beta_m conj(c_m) e^(j theta_m)|^2")
         object.__setattr__(self, "_fixed_weights", weights)
-        if self.noise_cov is None:
-            noise = NoiseModel.scaled_identity(self.sigma2, self.n)
-        else:
-            try:  # the noise rules are NoiseModel's
-                noise = NoiseModel(covariance=self.noise_cov, n=self.n)
-            except ValueError as exc:
-                raise ValueError(f"noise_cov: {exc}") from None
-            object.__setattr__(self, "noise_cov", noise.covariance)
-        object.__setattr__(self, "_noise", noise)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -460,12 +470,17 @@ def _unit_phasors(words: np.ndarray) -> np.ndarray:
     fine turn; the last 33 are an angle d below 2 pi 2^-20, and the turn
     by d is 1 - d^2/2 + j d, whose truncation error d^3/6 is under 4e-17.
     The result is within a few eps of np.exp(2j * np.pi * u), at a third
-    to a half of its cost, and elementwise, so stacking does not change it.
-    Each field is cut from the words into one reused index array, and the
-    turn by d is built in the fine turn's array, so the chain holds two
-    complex arrays and one index array besides the words.  np.take gathers
-    the same values as indexing, in less time on a uint64 index.
+    to a half of its cost, and elementwise, so stacking does not change it:
+    numpy multiplies a one-element complex array with another kernel than
+    a longer one, which rounds differently, so a lone word is turned as the
+    first of a pair.  Each field is cut from the words into one reused
+    index array, and the turn by d is built in the fine turn's array, so
+    the chain holds two complex arrays and one index array besides the
+    words.  np.take gathers the same values as indexing, in less time on a
+    uint64 index.
     """
+    if words.size == 1:
+        return _unit_phasors(np.repeat(words, 2, axis=-1))[..., :1]
     coarse, fine = _turn_tables()
     i = words >> np.uint64(54)  # u's top 10 bits
     out = np.take(coarse, i)
@@ -557,10 +572,10 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
 
     Row r is trial trials[r] at axis point axis_index[r], or at axis_index
     itself when it is an int.  A row reads its trial's counter ranges at its
-    point (see the module docstring), the code trial 0's of its own point
-    when frozen.  The block builds one Philox, and each run of rows at one
-    point with consecutive trials sets its point's key with the counter
-    (_runs, _stream_words); the runs are cut once for the block's streams.
+    point (see the module docstring).  The block builds one Philox, and
+    each run of rows at one point with consecutive trials sets its point's
+    key with the counter (_runs, _stream_words); the runs are cut once for
+    the block's streams.
     The panel stage, the channel words (and for replayed panels only the
     phase words) and what is composed from them, runs in near-equal
     sub-blocks of at most _panel_rows rows, each cutting its own runs, and
@@ -581,15 +596,15 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     nlos_fixed to the (T, k) raw composed coefficients, a replayed panel's
     fixed compositions repeated in every row; "z" (T, k + 1)
     CN(0, 1) values, the direct path's first, from which each group of
-    paths draws its noise (estimator._path_factor); and, under noise_cov
-    only, "x" the (T, N) codes.
+    paths draws its noise (estimator._path_factor).  No code is drawn: with
+    white noise no record depends on it (_path_models).
     """
     trials = np.asarray(trials, dtype=np.int64)
     axis = np.asarray(axis_index, dtype=np.int64)
     if np.any(axis < 0) or np.any(trials < 0):
         raise ValueError("indices must be nonnegative")
     axis = np.broadcast_to(axis, trials.shape)
-    n, k, m = scenario.n, scenario.k, scenario.m
+    k, m = scenario.k, scenario.m
     # np.unique would import numpy.ma, about 10 ms, into every CLI run
     keys = {i: np.array([scenario.master_seed, i], np.uint64) for i in sorted(set(axis.tolist()))}
     bitgen = Philox(key=np.zeros(2, np.uint64))  # each run sets its own key and counter
@@ -641,15 +656,6 @@ def _draw_block(scenario: Scenario, axis_index, trials) -> dict:
     if drawn.size < ok.size:
         block = {name: value[drawn] for name, value in block.items()}
     block = {"drawn": drawn, "csi": {mode: block.pop(mode) for mode in csi}, **block}
-    if scenario.noise_cov is not None:
-        if scenario.freeze_waveform:  # trial 0's code of each row's point
-            points = np.array(list(keys))  # sorted, for searchsorted
-            code = _uniforms(_stream_words(source, _runs(keys, points, np.zeros_like(points)),
-                                           "waveform", n))
-            code = code[np.searchsorted(points, axis)]
-        else:
-            code = _uniforms(words("waveform", n))
-        block["x"] = random_code(2.0 * np.pi * code[drawn])
     return block
 
 
@@ -742,39 +748,30 @@ def _mode_group(link_mode: str) -> str:
     return "direct" if link_mode == "los_only" else "reflected"
 
 
-def _path_models(block, noise: NoiseModel, sigma2=None, modes=LINK_MODES):
+def _path_models(block, n: int, sigma2, modes=LINK_MODES):
     """Each group of paths' steering Gram Q_g and its factor, over all of the block's trials.
 
     Returns {group: (Q_g, _path_factor(Q_g, z_g))} for the groups the link
-    modes estimate (_mode_group), Q_g = S_g^H R^-1 S_g (T, K_g, K_g) with
-    S = Diag(x) P(nu) the steering columns, the direct path first, and z_g
-    the group's share of the block's normals.  No record combines the two
-    groups, and a mode's Gram and noise follow from its group's Q_g and
-    factor alone (see _estimate_mode), so every mode on a group shares
-    them, and a block of one mode forms only its group.  With white noise
-    |x_n| = 1 gives Q_g = P_g^H P_g / sigma2, the closed-form Dirichlet
-    kernel of the group's own Dopplers (_dirichlet_gram), with no code, no
-    N-vector and no pair across the groups; the direct link's is n / sigma2.
-    Under noise_cov S is whitened by R = L L^H's factor, W = L^-1 S, and
-    each Q_g is a diagonal block of W^H W.  sigma2, one per drawn row,
-    replaces a white noise model's power, for a block that spans the points
-    of a noise sweep; the elementwise division gives the bits the scalar
-    one does.
+    modes estimate (_mode_group), with z_g the group's share of the block's
+    normals.  The noise is white, sigma2 I over n pulses, and every code
+    sample has modulus 1, so Q_g = P_g^H P_g / sigma2 (T, K_g, K_g) is the
+    closed-form Dirichlet kernel of the group's own Dopplers
+    (_dirichlet_gram) over sigma2: no code, no N-vector and no pair across
+    the groups is formed, and the direct link's is n / sigma2.  No record
+    combines the two groups, and a mode's Gram and noise follow from its
+    group's Q_g and factor alone (see _estimate_mode), so every mode on a
+    group shares them, and a block of one mode forms only its group.
+    sigma2 is one value or one per drawn row, for a block that spans the
+    points of a noise sweep; the elementwise division gives each row the
+    bits its scalar would.
     """
-    needed = {_mode_group(mode) for mode in modes}
-    groups = [group for group in _PATH_GROUPS if group in needed]
-    if noise.is_scaled_identity:
-        power = noise.sigma2 if sigma2 is None else sigma2[:, None, None]
-        grams = {group: _dirichlet_gram(block["u"][:, _PATH_GROUPS[group]], noise.n) / power
-                 for group in groups}
-    else:
-        steer = steering_columns(block["x"], 2.0 * np.pi * block["u"])  # cycles -> radians
-        white = noise._whiten @ steer
-        del steer
-        q = _hermitian(white.conj().swapaxes(-1, -2) @ white)
-        grams = {group: q[:, _PATH_GROUPS[group], _PATH_GROUPS[group]] for group in groups}
-    return {group: (q, _path_factor(q, block["z"][:, _PATH_GROUPS[group]]))
-            for group, q in grams.items()}
+    power = np.reshape(sigma2, (-1, 1, 1))
+    models = {}
+    for group, paths in _PATH_GROUPS.items():
+        if any(_mode_group(mode) == group for mode in modes):
+            q = _dirichlet_gram(block["u"][:, paths], n) / power
+            models[group] = q, _path_factor(q, block["z"][:, paths])
+    return models
 
 
 def _estimate_mode(mode: str, block, models, gamma):
@@ -856,7 +853,7 @@ def _evaluate_block(template: Scenario, modes, axis, trials, gamma, sigma2):
         return out, cause, cond
     if drawn.size < trials.size:
         gamma, sigma2 = gamma[drawn], sigma2[drawn]
-    models = _path_models(block, template._noise, sigma2, modes)
+    models = _path_models(block, template.n, sigma2, modes)
     refusal, screened = np.full(drawn.size, CLEARED, np.int8), np.full(drawn.size, np.nan)
     for mi, mode in enumerate(modes):
         out[mi][:, drawn], mode_cause, mode_cond = _estimate_mode(mode, block, models, gamma)
@@ -893,26 +890,18 @@ class SweepResult:
 def _block_trials(scenario: Scenario) -> int:
     """Rows per block: as many as fit BLOCK_BYTES of the block's Gram stage.
 
-    A row is one (point, trial) of a sweep.  With white noise its Gram
-    stage's two largest arrays are its reflected group's Q_g and the
-    factor that becomes L^-1 in place (estimator._factor_inverse), 2 x 16
-    (k + 1)^2 bytes; under noise_cov its largest is its N x (k + 1)
-    steering columns, 16 N (k + 1) bytes, which _path_models drops once
-    whitened.  Their whitened copy is not counted: the traced peak stays
-    within about 3x BLOCK_BYTES without it, and blocks of half the rows
-    made noise_cov sweeps 1.15 to 1.4 times slower.  The draw's larger
-    per-row arrays, which grow with k M, run in sub-blocks of _panel_rows
-    rows, so a block amortizes its one Philox, condition screen,
-    _path_models and set of estimates over more rows than its panels'
-    words would fit.  That gives 284 rows at the default N = 50, k = 5,
-    M = 10 and nine at N = 256, k = 32, M = 64 (68 and two under
-    noise_cov).  A block may span axis points: its size depends on no
-    swept value, and a row's records do not depend on its block.
+    A row is one (point, trial) of a sweep.  Its Gram stage's two largest
+    arrays are its reflected group's Q_g and the factor that becomes L^-1
+    in place (estimator._factor_inverse), 2 x 16 (k + 1)^2 bytes.  The
+    draw's larger per-row arrays, which grow with k M, run in sub-blocks
+    of _panel_rows rows, so a block amortizes its one Philox, condition
+    screen, _path_models and set of estimates over more rows than its
+    panels' words would fit.  That gives 284 rows at the default N = 50,
+    k = 5, M = 10 and nine at N = 256, k = 32, M = 64.  A block may span
+    axis points: its size depends on no swept value, and a row's records
+    do not depend on its block.
     """
-    n, k = scenario.n, scenario.k
-    if scenario.noise_cov is not None:
-        return max(1, BLOCK_BYTES // (16 * n * (k + 1)))
-    return max(1, BLOCK_BYTES // (2 * 16 * (k + 1) ** 2))
+    return max(1, BLOCK_BYTES // (2 * 16 * (scenario.k + 1) ** 2))
 
 
 def _panel_rows(scenario: Scenario) -> int:
@@ -1012,6 +1001,4 @@ def sweep_gamma(template: Scenario, gamma_values, workers: int = 1) -> SweepResu
 
 def sweep_noise(template: Scenario, sigma2_values, workers: int = 1) -> SweepResult:
     """NMSE and bound versus the noise power at the template's gamma."""
-    if template.noise_cov is not None:
-        raise ValueError("sweep_noise varies sigma2, which a template with noise_cov ignores")
     return _sweep(template, "sigma2", sigma2_values, SWEEP_MODES, workers)

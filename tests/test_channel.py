@@ -130,7 +130,7 @@ def test_normalization_hits_targets(form, gamma):
         s = Scenario(n=n, k=3, m=4, gamma=gamma, sigma2=sigma2, link_mode=mode, nlos_form=form)
         block = _draw_block(s, 0, range(12))
         rows = np.arange(block["drawn"].size)
-        models = _path_models(block, s._noise)
+        models = _path_models(block, s.n, s.sigma2)
         records, cause, _ = _estimate_mode(mode, block, models, gamma)
         assert rows.size == 12 and not cause.any()
         group = "direct" if mode == "los_only" else "reflected"

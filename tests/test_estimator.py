@@ -462,7 +462,7 @@ def test_shared_factor_matches_blue_gram_on_each_models_gram(n, k):
     s = Scenario(n=n, k=k, m=4, gamma=gamma, trials=T, master_seed=9, fixed_theta=thetas)
     block = _draw_block(s, 0, range(T))
     block["u"][1, 1:3] = 0.1, 0.1 + 1e-9  # two reflected paths 1e-9 cycles apart
-    models = _path_models(block, s._noise)
+    models = _path_models(block, s.n, s.sigma2)
     for mode in LINK_MODES:
         d, truth, paths = _mode_paths(block, mode, gamma)
         qp, zp = models["direct" if mode == "los_only" else "reflected"][0], block["z"][:, paths]

@@ -147,12 +147,6 @@ RECORD_BASE = dict(n=20, k=3, m=4, trials=24, master_seed=6)
 GAMMAS = (1e-3, 0.3, 30.0)
 
 
-def _noise_cov(n):
-    rng = np.random.default_rng(12)
-    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.02 * np.eye(n) + 1e-3 * (B @ B.conj().T)
-
-
 def _fixed_policy():
     rng = np.random.default_rng(13)
     return tuple(rng.uniform(0.0, 6.0, (3, 4)))
@@ -165,10 +159,6 @@ def _replay_panels():
 
 
 RECORD_CASES = {
-    "noise_cov": (
-        lambda: (Scenario(**RECORD_BASE, noise_cov=_noise_cov(20)), SWEEP_MODES, 1),
-        "b6c96259b82cd62999da28ed501f7d50ae9c11d6c292b4d8cc67c232bada876a",
-    ),
     "nlos_fixed": (
         lambda: (Scenario(**RECORD_BASE, fixed_theta=_fixed_policy()),
                  ("los_only", "nlos_fixed", "nlos_optimal"), 1),
@@ -177,12 +167,6 @@ RECORD_CASES = {
     "magnitude_squared": (
         lambda: (Scenario(**RECORD_BASE, nlos_form="magnitude_squared"), SWEEP_MODES, 1),
         "f375fe46eb3d29a5aab3aad42cbc62708f8e70b42d05f9a01d9a294f52681ce8",
-    ),
-    # the code is drawn only under noise_cov, so freezing it is tested there
-    "freeze_waveform": (
-        lambda: (Scenario(**RECORD_BASE, freeze_waveform=True, noise_cov=_noise_cov(20)),
-                 SWEEP_MODES, 1),
-        "bd9074512b632bb691edab8a8ca52c3158481c33f157475e8c34964ae87f007d",
     ),
     "fixed_panels": (
         lambda: (Scenario(**RECORD_BASE, fixed_panels=_replay_panels()), SWEEP_MODES, 1),
@@ -241,6 +225,12 @@ def test_records_match_fixture(case):
         assert sorted(k for k in ref.files if k.startswith(f"{case}.")) == sorted(records)
         for key, got in records.items():
             np.testing.assert_allclose(got, ref[key], rtol=1e-9, atol=0, err_msg=key)
+
+
+def test_fixture_holds_only_live_cases():
+    # a deleted case's arrays must not linger in the fixture unseen
+    with np.load(RECORD_FIXTURE) as ref:
+        assert sorted({key.split(".", 1)[0] for key in ref.files}) == sorted(RECORD_CASES)
 
 
 def record_digests(argv=None):

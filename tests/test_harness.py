@@ -72,8 +72,6 @@ def test_scenario_validation():
         Scenario(k=5, doppler_min_gap=0.3)  # 5 paths cannot fit
     with pytest.raises(ValueError, match="fixed_theta"):
         Scenario(link_mode="nlos_fixed")  # no fixed phases supplied
-    with pytest.raises(ValueError, match="noise_cov"):
-        Scenario(noise_cov=np.eye(3), n=50)
     # powers outside the supported range under- or overflow in the engine
     for field, bad in (("gamma", 1e-320), ("gamma", 1e31), ("sigma2", 1e-320), ("sigma2", 1e31)):
         with pytest.raises(ValueError, match=rf"{field} must .*\[1e-30, 1e\+30\]"):
@@ -335,43 +333,71 @@ def test_optimal_rows_ignore_phase_policy():
             )
 
 
+def test_an_unresolvable_doppler_range_is_refused_at_construction(monkeypatch):
+    # a range on which k paths spread evenly, taken as their best-conditioned
+    # placement, have a steering Gram the condition screen refuses is
+    # refused by name before any draw; built without the check, such a
+    # scenario keeps no row of its sweep, which ran every block and failed
+    # only at the end
+    base = dict(n=50, k=5, m=10, trials=200)
+    for width in (1e-6, 1e-3):
+        fields = dict(base, doppler_range=(0.0, width), doppler_min_gap=width / 10)
+        with pytest.raises(ValueError, match=r"^doppler_range .* (condition number|not positive)"):
+            Scenario(**fields)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_check_doppler_span", lambda *args: None)
+            s = Scenario(**fields)
+        rows = np.arange(s.trials)
+        _, cause, _ = harness._evaluate_block(s, SWEEP_MODES, 0, rows, np.full(rows.size, s.gamma),
+                                              np.full(rows.size, s.sigma2))
+        assert not np.any(cause == estimator.CLEARED)
+        with pytest.raises(GenerationError, match="lost almost all trials"):
+            sweep_gamma(s, [s.gamma])
+    for width in (1e-2, 3e-2):
+        Scenario(**base, doppler_range=(0.0, width), doppler_min_gap=width / 10)
+    # the golden exclusions case, whose paths may coincide, stays accepted
+    Scenario(n=10, k=10, m=2, trials=24, master_seed=1, doppler_min_gap=0)
+
+
 def test_run_trial_deterministic():
     s = Scenario(**SMALL, master_seed=7)
     assert run_trial(s, 3) == run_trial(s, 3)
     assert run_trial(s, 3) != run_trial(s, 4)
 
 
+def test_run_trial_gives_the_sweep_bits_at_one_path_and_element():
+    # at k = m = 1 a row's conj(g) h phasor is a one-element array, which
+    # numpy's complex multiply rounds differently from the same element in
+    # a longer one; run_trial, a block of one row, still gives the bits the
+    # sweep records for the trial
+    words = _philox_words(3, 0, 2, 0, 1000)
+    stacked = harness._unit_phasors(words)
+    for i in range(words.size):
+        assert harness._unit_phasors(words[i:i + 1])[0] == stacked[i]
+    s = Scenario(n=8, k=1, m=1, trials=40, master_seed=3)
+    res = sweep_gamma(s, [0.1])
+    expect, _ = _rows_by_run_trial(s, "gamma", [0.1])
+    for lab in res.modes:
+        for j, field in enumerate(("nmse", "mse", "crb_trace")):
+            np.testing.assert_array_equal(res.records[lab][field], expect[lab][j], err_msg=lab)
+
+
 def test_paired_modes_share_draws():
-    # everything random is identical across link modes at the same keys,
-    # with white noise and with a full noise_cov, which also draws the code
-    for cov in (None, np.diag(np.linspace(0.01, 0.2, 20))):
-        base = dict(**SMALL, master_seed=11, gamma=0.3, noise_cov=cov)
-        drawn = [
-            _draw_block(Scenario(link_mode=m, **base), 2, [5])
-            for m in ("los_only", "nlos_random", "nlos_optimal")
-        ]
-        b0 = drawn[0]
-        keys = ["u", "z", "alpha", "h_los", "alpha_los"] + ([] if cov is None else ["x"])
-        assert sorted(b0) == sorted(keys + ["drawn", "csi"])
-        for b in drawn[1:]:
-            for key in keys:
-                np.testing.assert_array_equal(b[key], b0[key])
-            assert b["csi"].keys() == b0["csi"].keys()  # composed csi per reflected mode
-            for mode in b0["csi"]:
-                np.testing.assert_array_equal(b["csi"][mode], b0["csi"][mode])
-
-
-def test_waveform_frozen_across_trials():
-    # the code is drawn only under noise_cov; white noise needs none
-    cov = np.diag(np.linspace(0.01, 0.2, 20))
-    s = Scenario(**SMALL, freeze_waveform=True, noise_cov=cov)
-    x0 = _draw_block(s, 0, [0])["x"][0]
-    x9 = _draw_block(s, 0, [9])["x"][0]
-    np.testing.assert_array_equal(x0, x9)
-    s2 = Scenario(**SMALL, noise_cov=cov)
-    x9b = _draw_block(s2, 0, [9])["x"][0]
-    assert np.max(np.abs(x9b - x0)) > 1e-3
-    assert "x" not in _draw_block(Scenario(**SMALL, freeze_waveform=True), 0, [9])
+    # everything random is identical across link modes at the same keys
+    base = dict(**SMALL, master_seed=11, gamma=0.3)
+    drawn = [
+        _draw_block(Scenario(link_mode=m, **base), 2, [5])
+        for m in ("los_only", "nlos_random", "nlos_optimal")
+    ]
+    b0 = drawn[0]
+    keys = ["u", "z", "alpha", "h_los", "alpha_los"]
+    assert sorted(b0) == sorted(keys + ["drawn", "csi"])
+    for b in drawn[1:]:
+        for key in keys:
+            np.testing.assert_array_equal(b[key], b0[key])
+        assert b["csi"].keys() == b0["csi"].keys()  # composed csi per reflected mode
+        for mode in b0["csi"]:
+            np.testing.assert_array_equal(b["csi"][mode], b0["csi"][mode])
 
 
 def test_doppler_draws_respect_gap_and_range():
@@ -609,15 +635,6 @@ def test_fixed_policy_with_optimal_thetas_matches_optimal_mode():
             assert getattr(fix, field) == pytest.approx(getattr(opt, field), rel=1e-12)
 
 
-def test_explicit_noise_covariance_matches_scaled_identity():
-    s_id = Scenario(**SMALL, sigma2=0.05)
-    s_cov = Scenario(**SMALL, sigma2=0.05, noise_cov=0.05 * np.eye(20))
-    for t in range(4):
-        a, b = run_trial(s_id, t), run_trial(s_cov, t)
-        assert a.nmse == pytest.approx(b.nmse, rel=1e-12)
-        assert a.mse == pytest.approx(b.mse, rel=1e-12)
-
-
 def test_fixed_policy_must_match_k_and_m():
     zeros = np.zeros(4)
     with pytest.raises(ValueError, match=r"fixed_theta has 2 theta vectors.*k=3 of m=4"):
@@ -628,27 +645,12 @@ def test_fixed_policy_must_match_k_and_m():
         run_trial(Scenario(n=20, k=3, m=4, link_mode=mode, fixed_theta=(zeros,) * 3), 0)
 
 
-def test_noise_cov_eigenvalues_must_lie_in_power_range():
-    # far outside the range the noise solve under- or overflows, and every
-    # trial fails or comes out non-finite
-    for bad in (1e-320 * np.eye(20), 1e-40 * np.eye(20), 1e200 * np.eye(20), -np.eye(20)):
-        with pytest.raises(ValueError, match=r"^noise_cov: .*\[1e-30, 1e\+30\]$"):
-            Scenario(n=20, k=3, m=4, noise_cov=bad)
-    with pytest.raises(ValueError, match="^noise_cov: covariance entries must be finite$"):
-        Scenario(n=20, k=3, m=4, noise_cov=np.full((20, 20), np.inf))
-    for edge in POWER_RANGE:
-        rec = run_trial(Scenario(n=20, k=3, m=4, noise_cov=edge * np.eye(20)), 0)
-        assert np.all(np.isfinite([rec.nmse, rec.mse, rec.crb_trace]))
-
-
 def test_scenarios_with_array_fields_compare_by_value():
     rng = np.random.default_rng(17)
     theta = rng.uniform(0.0, 6.0, (3, 4))
     panels = random_panels(rng)
-    cov = np.diag(np.linspace(0.01, 0.2, 20))
     cases = {  # field: (value, an equal copy, a different value)
         "fixed_theta": (tuple(theta), tuple(theta.copy()), tuple(theta + 0.5)),
-        "noise_cov": (cov, cov.copy(), 2.0 * cov),
         "fixed_panels": (panels, tuple(IrsPanel(g=p.g.copy(), h=p.h.copy()) for p in panels),
                          random_panels(rng)),
     }
@@ -661,12 +663,6 @@ def test_scenarios_with_array_fields_compare_by_value():
         assert (replace(s, gamma=0.5) == s) is False
         assert (replace(s, gamma=s.gamma) == s) is True
     assert Scenario(**SMALL) != "a scenario"
-
-
-def test_noise_sweep_rejects_noise_cov():
-    tpl = Scenario(**SMALL, noise_cov=0.05 * np.eye(20))
-    with pytest.raises(ValueError, match="noise_cov"):
-        sweep_noise(tpl, [1e-4, 1e-1])
 
 
 @pytest.mark.parametrize("block_trials", [None, 1, 7])
@@ -729,9 +725,6 @@ def _rows_by_run_trial(tpl, axis, values):
 
 STRADDLE_CASES = {
     "white": dict(n=20, k=3, m=4, master_seed=6),
-    # each row's frozen code is trial 0's of its own point
-    "frozen_code": dict(n=20, k=3, m=4, master_seed=6, freeze_waveform=True,
-                        noise_cov=np.diag(np.linspace(0.01, 0.2, 20)) + 0.004 * np.ones((20, 20))),
     "fixed_panels": dict(n=20, k=3, m=4, master_seed=6,
                          fixed_panels=random_panels(np.random.default_rng(5))),
     # gap 0 refuses rows 4, 7, 9 and 27 of the 30; a block of 7 holds rows
@@ -744,11 +737,9 @@ STRADDLE_CASES = {
 @pytest.mark.parametrize("case", sorted(STRADDLE_CASES))
 def test_blocks_that_straddle_points_match_run_trial(case, step, monkeypatch):
     # a block may hold the rows of several points; each row still takes its
-    # own point's gamma, sigma2, Philox key and frozen code
+    # own point's gamma, sigma2 and Philox key
     tpl = Scenario(trials=10, **STRADDLE_CASES[case])
-    axes = [("gamma", sweep_gamma, (1e-3, 0.3, 30.0))]
-    if tpl.noise_cov is None:  # sweep_noise rejects a template with noise_cov
-        axes.append(("sigma2", sweep_noise, (1e-3, 1e-2, 1e-1)))
+    axes = [("gamma", sweep_gamma, (1e-3, 0.3, 30.0)), ("sigma2", sweep_noise, (1e-3, 1e-2, 1e-1))]
     for axis, sweep, values in axes:
         rows = len(values) * tpl.trials
         monkeypatch.setattr(harness, "_block_trials", lambda scenario: step or rows)
@@ -997,43 +988,35 @@ def _unit_uniforms(words):
     return (words >> np.uint64(11)).astype(float) / 2.0**53
 
 
-@pytest.mark.parametrize("freeze", [False, True])
-def test_block_words_sit_at_their_counters(freeze):
-    # the Doppler, channel and noise words of trial t, and under noise_cov
-    # its code words (trial 0's when frozen), are those of a fresh Philox
-    # at the documented counters
+def test_block_words_sit_at_their_counters():
+    # the Doppler, channel and noise words of trial t are those of a fresh
+    # Philox at the documented counters
     n, k, m = 20, 3, 4
-    for cov in (None, np.diag(np.linspace(0.01, 0.2, n))):
-        s = Scenario(n=n, k=k, m=m, master_seed=2**64 - 5, freeze_waveform=freeze,
-                     noise_cov=cov)
-        block = _draw_block(s, 7, range(40, 49))
-        assert block["drawn"].tolist() == list(range(9))
-        assert ("x" in block) == (cov is not None)
-        for i in (0, 4, 8):  # the block's start, middle and end
-            t = 40 + i
-            if cov is not None:
-                code = _unit_uniforms(_philox_words(s.master_seed, 7, 0, 0 if freeze else t, n))
-                np.testing.assert_array_equal(block["x"][i], np.exp(1j * (2.0 * np.pi * code)))
-            doppler = _unit_uniforms(_philox_words(s.master_seed, 7, 1, t, 2 * k + 1))
-            np.testing.assert_array_equal(block["u"][i], _dopplers(doppler[None], -0.5, 0.5, k,
-                                                                   s.min_gap_cycles)[0])
-            u = _unit_uniforms(_philox_words(s.master_seed, 7, 3, t, 2 * (k + 1))).reshape(k + 1, 2)
-            noise = np.sqrt(-np.log1p(-u[:, 0])) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
-            # the draw turns by tables, within a few eps of the direct exponential
-            np.testing.assert_allclose(block["z"][i], noise, rtol=0, atol=1e-14)
-            # the channel: h_los, alpha and alpha_los from word pairs, then
-            # each element's |c| = sqrt(E1 E2) from the first two words of a
-            # triple, which nlos_optimal sums
-            words = _unit_uniforms(_philox_words(s.master_seed, 7, 2, t, 2 * (k + 2) + 3 * k * m))
-            pairs = words[: 2 * (k + 2)].reshape(-1, 2)
-            normals = np.sqrt(-np.log1p(-pairs[:, 0])) * np.exp(2j * np.pi * pairs[:, 1])
-            got = np.concatenate([block["h_los"][i:i + 1], block["alpha"][i],
-                                  block["alpha_los"][i:i + 1]])
-            np.testing.assert_allclose(got, normals, rtol=0, atol=1e-14)
-            triples = words[2 * (k + 2):].reshape(k, m, 3)
-            gains = np.sqrt(np.log1p(-triples[..., 0]) * np.log1p(-triples[..., 1]))
-            np.testing.assert_allclose(block["csi"]["nlos_optimal"][i], gains.sum(axis=1),
-                                       rtol=1e-14)
+    s = Scenario(n=n, k=k, m=m, master_seed=2**64 - 5)
+    block = _draw_block(s, 7, range(40, 49))
+    assert block["drawn"].tolist() == list(range(9))
+    for i in (0, 4, 8):  # the block's start, middle and end
+        t = 40 + i
+        doppler = _unit_uniforms(_philox_words(s.master_seed, 7, 1, t, 2 * k + 1))
+        np.testing.assert_array_equal(block["u"][i], _dopplers(doppler[None], -0.5, 0.5, k,
+                                                               s.min_gap_cycles)[0])
+        u = _unit_uniforms(_philox_words(s.master_seed, 7, 3, t, 2 * (k + 1))).reshape(k + 1, 2)
+        noise = np.sqrt(-np.log1p(-u[:, 0])) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+        # the draw turns by tables, within a few eps of the direct exponential
+        np.testing.assert_allclose(block["z"][i], noise, rtol=0, atol=1e-14)
+        # the channel: h_los, alpha and alpha_los from word pairs, then
+        # each element's |c| = sqrt(E1 E2) from the first two words of a
+        # triple, which nlos_optimal sums
+        words = _unit_uniforms(_philox_words(s.master_seed, 7, 2, t, 2 * (k + 2) + 3 * k * m))
+        pairs = words[: 2 * (k + 2)].reshape(-1, 2)
+        normals = np.sqrt(-np.log1p(-pairs[:, 0])) * np.exp(2j * np.pi * pairs[:, 1])
+        got = np.concatenate([block["h_los"][i:i + 1], block["alpha"][i],
+                              block["alpha_los"][i:i + 1]])
+        np.testing.assert_allclose(got, normals, rtol=0, atol=1e-14)
+        triples = words[2 * (k + 2):].reshape(k, m, 3)
+        gains = np.sqrt(np.log1p(-triples[..., 0]) * np.log1p(-triples[..., 1]))
+        np.testing.assert_allclose(block["csi"]["nlos_optimal"][i], gains.sum(axis=1),
+                                   rtol=1e-14)
 
 
 def test_random_phases_compose_with_replayed_gains():
@@ -1069,11 +1052,6 @@ def test_draw_block_takes_trials_in_any_order():
 DRAW_CASES = {
     "plain": dict(n=20, k=3, m=4),
     "fixed_panels": dict(n=20, k=3, m=4, fixed_panels=random_panels(np.random.default_rng(5))),
-    "noise_cov": dict(n=20, k=3, m=4, noise_cov=np.diag(np.linspace(0.01, 0.2, 20))
-                      + 0.004 * np.ones((20, 20))),
-    # the code is drawn, and so frozen, only under noise_cov
-    "freeze_waveform": dict(n=20, k=3, m=4, freeze_waveform=True,
-                            noise_cov=np.diag(np.linspace(0.01, 0.2, 20))),
     "fixed_policy": dict(n=20, k=3, m=4, link_mode="nlos_fixed",
                          fixed_theta=np.linspace(-7.0, 7.0, 12).reshape(3, 4)),
     "magnitude_squared": dict(n=20, k=3, m=4, nlos_form="magnitude_squared"),
@@ -1111,9 +1089,8 @@ def test_draw_block_matches_blocks_of_one(case, block_trials, monkeypatch):
             continue
         block, i = got[t]
         assert block.keys() == single.keys()
-        for key in ("u", "alpha", "z", "x"):
-            if key in single:  # the code is drawn only under noise_cov
-                np.testing.assert_array_equal(block[key][i], single[key][0])
+        for key in ("u", "alpha", "z"):
+            np.testing.assert_array_equal(block[key][i], single[key][0])
         for key in ("h_los", "alpha_los"):
             assert block[key].shape == (len(block["drawn"]),) and block[key].dtype == complex
             assert block[key][i] == single[key][0]
@@ -1169,32 +1146,25 @@ def test_panel_sub_blocks_change_no_bit(case, panel_rows, monkeypatch):
                 np.testing.assert_array_equal(got[lab][field], value)
 
 
-def _full_noise_cov(n):
-    rng = np.random.default_rng(n + 7)
-    B = crandn(rng, n, n)
-    return 0.02 * np.eye(n) + (0.05 / n) * (B @ B.conj().T)
-
-
-@pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
 @pytest.mark.parametrize("n, k", [(20, 3), (50, 5), (256, 32)])
-def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
-    # the K-space estimate against blue_estimate on A = Diag(x) P(nu) Diag(c)
+def test_estimate_mode_matches_blue_on_rebuilt_models(n, k):
+    # the K-space estimate against blue_estimate on A = P(nu) Diag(c)
     # rebuilt per trial from the block's draws, with the direct exponential
     # (white noise draws no code, and its model does not depend on one, so
-    # x = 1 there).  No noise vector is drawn: the matched filter is
+    # x = 1).  No noise vector is drawn: the matched filter is
     # A^H R^-1 A alpha + Diag(c)^H v with v = L z on the mode's group of
     # paths, Q_g = L L^H, whose estimate is blue_estimate's covariance times it
     m, T, gamma = 4, 6, 0.3
     thetas = np.random.default_rng(k).uniform(0.0, 6.0, (k, m))
     s = Scenario(n=n, k=k, m=m, gamma=gamma, sigma2=0.05, trials=T, master_seed=8,
-                 fixed_theta=thetas, noise_cov=_full_noise_cov(n) if full_noise else None)
+                 fixed_theta=thetas)
     block = _draw_block(s, 1, range(T))
-    models = _path_models(block, s._noise)
+    models = _path_models(block, s.n, s.sigma2)
     v = {group: noise_matched_filter(models[group][0], block["z"][:, paths])
          for group, paths in harness._PATH_GROUPS.items()}
     rows = np.arange(block["drawn"].size)
     assert rows.size == T
-    noise = NoiseModel(covariance=s.noise_cov) if full_noise else NoiseModel.scaled_identity(0.05, n)
+    noise = NoiseModel.scaled_identity(0.05, n)
     pulses = np.arange(n)[:, None]
     for mode in LINK_MODES:
         records, cause, _ = _estimate_mode(mode, block, models, gamma)
@@ -1211,8 +1181,7 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
                 norm = abs(truth @ block["csi"][mode][t])
                 coef = block["csi"][mode][t] / norm
             steer = np.exp(2j * np.pi * pulses * block["u"][t, paths][None, :])
-            x = block["x"][t] if full_noise else np.ones(n)
-            A = np.diag(x) @ steer @ np.diag(coef)
+            A = steer @ np.diag(coef)
             ref = blue_estimate(A, noise, A @ truth)
             b = np.linalg.solve(ref.covariance, truth) + coef.conj() * v[group][t]
             nmse = np.linalg.norm(truth - ref.covariance @ b) / np.linalg.norm(truth)
@@ -1221,16 +1190,15 @@ def test_estimate_mode_matches_blue_on_rebuilt_models(n, k, full_noise):
             np.testing.assert_allclose(records[2, t], ref.mse, rtol=1e-10, err_msg=mode)
 
 
-@pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
-def test_whitened_noise_is_chi_square(full_noise):
+def test_whitened_noise_is_chi_square():
     # the noise part of a mode's matched filter, D^H v with v = L_g z on
     # its group of paths, Q_g = L_g L_g^H, is CN(0, G) with
     # G = D^H Q_g D = L L^H, so ||L^-1 D^H v||^2 ~ Gamma(K, 1) whatever the
     # scene (Kay 1993, ch. 6); its mean over T trials is K within sqrt(K/T)
-    s = Scenario(gamma=0.3, trials=400, noise_cov=_full_noise_cov(50) if full_noise else None)
+    s = Scenario(gamma=0.3, trials=400)
     for axis_index in range(3):
         block = _draw_block(s, axis_index, range(s.trials))
-        models = _path_models(block, s._noise)
+        models = _path_models(block, s.n, s.sigma2)
         for mode in SWEEP_MODES:
             if mode == "los_only":
                 h_los, alpha_los = np.array(block["h_los"]), np.array(block["alpha_los"])
@@ -1305,35 +1273,24 @@ def test_closed_form_gram_matches_explicit_steering_gram(n, k):
         np.testing.assert_array_equal(harness._dirichlet_gram(u[t:t + 1], n)[0] / sigma2, got[t])
 
 
-@pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
 @pytest.mark.parametrize("n, k", [(50, 5), (256, 32), (10, 10)])
-def test_each_group_gets_its_block_of_the_steering_gram(n, k, full_noise):
+def test_each_group_gets_its_block_of_the_steering_gram(n, k):
     # each group of paths' Q_g is bit-equal to its diagonal block of the
-    # full (k + 1) x (k + 1) steering Gram: under white noise the Dirichlet
-    # kernel of all paths over sigma2 (one sigma2 or one per row), the
-    # direct link's n / sigma2 whatever its Doppler, and under noise_cov the
-    # whitened product W^H W; its factor is the group's own.  Besides random
-    # Dopplers, a row puts the direct path on a reflected one (a cross-group
-    # pair at d = 0) and one puts two reflected paths together
-    from irsradar.model import random_code, steering_columns
-
+    # full (k + 1) x (k + 1) steering Gram, the Dirichlet kernel of all
+    # paths over sigma2 (one sigma2 or one per row), the direct link's
+    # n / sigma2 whatever its Doppler; its factor is the group's own.
+    # Besides random Dopplers, a row puts the direct path on a reflected one
+    # (a cross-group pair at d = 0) and one puts two reflected paths together
     T, sigma2 = 8, 0.3
     rng = np.random.default_rng(n + k)
     u = rng.uniform(-0.5, 0.5, (T, k + 1))
     u[1, 0] = u[1, 1]
     u[2, k] = u[2, 1]
-    block = {"u": u, "z": crandn(rng, T, k + 1), "x": random_code(rng.uniform(0, 6.3, (T, n)))}
-    if full_noise:
-        noise = NoiseModel(covariance=_full_noise_cov(n))
-        white = noise._whiten @ steering_columns(block["x"], 2.0 * np.pi * u)
-        cases = [(None, None, estimator._hermitian(white.conj().swapaxes(-1, -2) @ white))]
-    else:
-        noise = NoiseModel.scaled_identity(sigma2, n)
-        per_row = rng.uniform(0.1, 1.0, T)
-        cases = [(power, scale, harness._dirichlet_gram(u, n) / scale)
-                 for power, scale in ((None, sigma2), (per_row, per_row[:, None, None]))]
-    for power, scale, full in cases:
-        models = harness._path_models(block, noise, power)
+    block = {"u": u, "z": crandn(rng, T, k + 1)}
+    per_row = rng.uniform(0.1, 1.0, T)
+    for power, scale in ((sigma2, sigma2), (per_row, per_row[:, None, None])):
+        full = harness._dirichlet_gram(u, n) / scale
+        models = harness._path_models(block, n, power)
         assert models.keys() == harness._PATH_GROUPS.keys()
         for group, paths in harness._PATH_GROUPS.items():
             q, factor = models[group]
@@ -1341,40 +1298,13 @@ def test_each_group_gets_its_block_of_the_steering_gram(n, k, full_noise):
             want = estimator._path_factor(full[:, paths, paths], block["z"][:, paths])
             for got, ref in zip(factor, want):
                 np.testing.assert_array_equal(got, ref, err_msg=group)
-        if scale is not None:
-            np.testing.assert_array_equal(models["direct"][0], np.full((T, 1, 1), n + 0j) / scale)
-
-
-def test_white_noise_sweep_forms_no_steering_columns_or_code(monkeypatch):
-    # with white noise no N-vector of a trial is formed: the Gram is the
-    # closed form and each group's noise comes from its factor
-    def refuse(*args):
-        raise AssertionError("an N-length array was formed")
-
-    for name in ("steering_columns", "random_code"):
-        monkeypatch.setattr(harness, name, refuse)
-    sweep_gamma(Scenario(**SMALL, master_seed=4), [1e-2, 1.0])
-    sweep_noise(Scenario(n=256, k=32, m=4, trials=3), [1e-2])
-    with pytest.raises(AssertionError, match="N-length"):  # the patches do bite
-        sweep_gamma(Scenario(**SMALL, noise_cov=np.eye(20)), [1e-2])
-
-
-def test_freeze_waveform_is_inert_only_under_white_noise():
-    # with white noise the records do not depend on the code, which is not
-    # even drawn, so freezing it changes no bit; under noise_cov it does
-    for cov in (None, _full_noise_cov(20)):
-        free, frozen = (sweep_gamma(Scenario(**SMALL, master_seed=5, noise_cov=cov,
-                                             freeze_waveform=f), [1e-2, 1.0]).records
-                        for f in (False, True))
-        same = all(np.array_equal(free[lab][f], frozen[lab][f])
-                   for lab in free for f in ("nmse", "mse", "crb_trace"))
-        assert same == (cov is None)
+        np.testing.assert_array_equal(models["direct"][0], np.full((T, 1, 1), n + 0j) / scale)
 
 
 def test_a_block_builds_one_philox(monkeypatch):
     # each run of rows sets its point's key with the counter on the block's
-    # one generator, so a block builds one Philox however many points and
-    # frozen codes it reads
+    # one generator, so a block builds one Philox however many points it
+    # reads
     built = []
     real_philox, real_block = harness.Philox, harness._evaluate_block
 
@@ -1384,11 +1314,9 @@ def test_a_block_builds_one_philox(monkeypatch):
 
     monkeypatch.setattr(harness, "Philox", philox)
     axis, trials = np.repeat(np.arange(5), 3), np.tile([4, 5, 6], 5)  # five points
-    frozen = dict(noise_cov=np.diag(np.linspace(0.01, 0.2, 20)), freeze_waveform=True)
-    for extra in ({}, frozen):
-        assert _draw_block(Scenario(**SMALL, **extra), axis, trials)["drawn"].size == 15
-        assert len(built) == 1
-        built.clear()
+    assert _draw_block(Scenario(**SMALL), axis, trials)["drawn"].size == 15
+    assert len(built) == 1
+    built.clear()
     real_compose = harness._compose_modes
     with monkeypatch.context() as patch:  # every row degenerate
         patch.setattr(harness, "_compose_modes",
@@ -1408,8 +1336,7 @@ def test_a_block_builds_one_philox(monkeypatch):
     assert len(built) == len(blocks) == 4
 
 
-@pytest.mark.parametrize("full_noise", [False, True], ids=["scaled_identity", "noise_cov"])
-def test_only_replayed_panels_read_the_phase_stream(full_noise, monkeypatch):
+def test_only_replayed_panels_read_the_phase_stream(monkeypatch):
     # a random panel's c_m already has a uniform phase, so nlos_random
     # weights it by 1 and its block reads no phase words; a replayed
     # panel's c is fixed, so its block turns it by the phase stream
@@ -1421,14 +1348,12 @@ def test_only_replayed_panels_read_the_phase_stream(full_noise, monkeypatch):
         return real(source, runs, stream, count)
 
     monkeypatch.setattr(harness, "_stream_words", recording)
-    cov = dict(noise_cov=np.diag(np.linspace(0.01, 0.2, 20))) if full_noise else {}
-    code = {"waveform"} if full_noise else set()
-    _draw_block(Scenario(**SMALL, **cov), 0, range(8))
-    assert set(streams) == {"doppler", "noise", "channel", *code}
+    _draw_block(Scenario(**SMALL), 0, range(8))
+    assert set(streams) == {"doppler", "noise", "channel"}
     streams.clear()
-    _draw_block(Scenario(**SMALL, **cov, fixed_panels=random_panels(np.random.default_rng(3))),
+    _draw_block(Scenario(**SMALL, fixed_panels=random_panels(np.random.default_rng(3))),
                 0, range(8))
-    assert set(streams) == {"doppler", "noise", "channel", "phase", *code}
+    assert set(streams) == {"doppler", "noise", "channel", "phase"}
 
 
 @pytest.mark.parametrize("step", [7, None])  # None: one block of every row
@@ -1512,7 +1437,6 @@ def test_run_trial_factors_only_its_group(monkeypatch):
 
     monkeypatch.setattr(estimator, "_factor_inverse", factor)
     for mode, size in (("los_only", 1), ("nlos_random", 3), ("nlos_optimal", 3)):
-        for cov in (None, np.diag(np.linspace(0.01, 0.2, 20))):
-            run_trial(Scenario(**SMALL, link_mode=mode, noise_cov=cov), 2, 1)
-            assert sizes == [size]
-            sizes.clear()
+        run_trial(Scenario(**SMALL, link_mode=mode), 2, 1)
+        assert sizes == [size]
+        sizes.clear()

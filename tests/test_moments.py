@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_golden import GAMMAS, RECORD_BASE, _fixed_policy, _noise_cov, _replay_panels
+from test_golden import GAMMAS, RECORD_BASE, _fixed_policy, _replay_panels
 
 from irsradar.harness import SWEEP_MODES, Scenario, _sweep
 
@@ -29,26 +29,21 @@ def _cases():
     """name: (template, axis name, axis values, modes, workers).
 
     The first two are the CLI's default sweep-gamma and sweep-noise; the
-    next seven are the record cases of test_golden at CASE_TRIALS trials,
-    kept here as they were when the fixture was recorded.  The last three,
-    added later with --add-cases, are the large benchmark's sweep-noise
-    shape, a full noise_cov at N = 64, and freeze_waveform under a full
-    noise_cov, where the frozen code reaches Q (with white noise the
-    freeze_waveform case draws no code, so it computes what workers_2
-    does).
+    next six are record cases of test_golden at CASE_TRIALS trials, kept
+    here as they were when the fixture was recorded.  freeze_waveform is
+    named for a case that froze the code, which white noise never reads,
+    so it computes what workers_2 does in one process.  The last, added
+    later with --add-cases, is the large benchmark's sweep-noise shape.
     """
     base = dict(RECORD_BASE, trials=CASE_TRIALS)
     return {
         "sweep_gamma": (Scenario(), "gamma", np.geomspace(1e-5, 1e5, 21), SWEEP_MODES, 1),
         "sweep_noise": (Scenario(), "sigma2", np.geomspace(1e-5, 1.0, 21), SWEEP_MODES, 1),
-        "noise_cov": (Scenario(**base, noise_cov=_noise_cov(20)), "gamma", GAMMAS,
-                      SWEEP_MODES, 1),
         "nlos_fixed": (Scenario(**base, fixed_theta=_fixed_policy()), "gamma", GAMMAS,
                        ("los_only", "nlos_fixed", "nlos_optimal"), 1),
         "magnitude_squared": (Scenario(**base, nlos_form="magnitude_squared"), "gamma", GAMMAS,
                               SWEEP_MODES, 1),
-        "freeze_waveform": (Scenario(**base, freeze_waveform=True), "gamma", GAMMAS,
-                            SWEEP_MODES, 1),
+        "freeze_waveform": (Scenario(**base), "gamma", GAMMAS, SWEEP_MODES, 1),
         "fixed_panels": (Scenario(**base, fixed_panels=_replay_panels()), "gamma", GAMMAS,
                          SWEEP_MODES, 1),
         "workers_2": (Scenario(**base), "gamma", GAMMAS, SWEEP_MODES, 2),
@@ -56,10 +51,6 @@ def _cases():
                                 doppler_min_gap=0.155), "gamma", GAMMAS, SWEEP_MODES, 1),
         "sweep_noise_large": (Scenario(n=256, k=32, m=64, gamma=1e-2, trials=CASE_TRIALS),
                               "sigma2", np.geomspace(1e-5, 1.0, 3), SWEEP_MODES, 1),
-        "noise_cov_large": (Scenario(n=64, k=8, m=16, trials=CASE_TRIALS, master_seed=6,
-                                     noise_cov=_noise_cov(64)), "gamma", GAMMAS, SWEEP_MODES, 1),
-        "freeze_waveform_cov": (Scenario(**base, freeze_waveform=True, noise_cov=_noise_cov(20)),
-                                "gamma", GAMMAS, SWEEP_MODES, 1),
     }
 
 
@@ -94,6 +85,12 @@ def test_nmse_means_match_fixture(case):
         assert sorted(k for k in ref.files if k.startswith(f"{case}.")) == sorted(got)
         for key, z in nmse_z_scores(got, ref).items():
             assert np.all(z <= 4.0), f"{key}: |z| up to {z.max():.2f}"
+
+
+def test_fixture_holds_only_live_cases():
+    # a deleted case's arrays must not linger in the fixture unseen
+    with np.load(MOMENTS_FIXTURE) as ref:
+        assert sorted({key.split(".", 1)[0] for key in ref.files}) == sorted(_cases())
 
 
 def record_moments(argv=None):

@@ -6,7 +6,9 @@ the mode's coefficients enter as a diagonal (harness, estimator).  Here
 each trial's A = P(nu) Diag(d) is rebuilt from the block's own Dopplers
 and normalized coefficients with the direct exponential, and the
 library's estimator_mse on it must give run_trial's crb_trace, and
-crb_trace / norm^2 its mse, over hypothesis-drawn small scenarios
+crb_trace / norm^2 its mse, and a sweep of the scenario's own gamma must
+record run_trial's bits for every row it keeps, over hypothesis-drawn
+small scenarios
 (differential testing as in McKeeman, "Differential testing for
 software", Digital Tech. J. 1998; property tests as in MacIver et al.,
 "Hypothesis: a new approach to property-based testing", JOSS 2019).
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from irsradar.channel import NLOS_FORMS, IrsPanel
 from irsradar.errors import GenerationError, SingularModelError
 from irsradar.estimator import CONDITION_LIMIT, NoiseModel, estimator_mse
-from irsradar.harness import LINK_MODES, Scenario, _draw_block, run_trial
+from irsradar.harness import LINK_MODES, MODE_LABELS, Scenario, _draw_block, _sweep, run_trial
 
 from csi_draws import crandn
 
@@ -87,6 +89,7 @@ def test_run_trial_matches_estimator_mse_on_rebuilt_models(s):
     drawn = block["drawn"].tolist()
     noise = NoiseModel.scaled_identity(s.sigma2, s.n)
     modes = [mode for mode in LINK_MODES if mode != "nlos_fixed" or s.fixed_theta is not None]
+    swept = _sweep(s, "gamma", [s.gamma], modes).records
     for mode in modes:
         point = replace(s, link_mode=mode)
         for t in range(s.trials):
@@ -95,6 +98,13 @@ def test_run_trial_matches_estimator_mse_on_rebuilt_models(s):
             except GenerationError:  # a degenerate scene is not drawn
                 assert t not in drawn
                 continue
+            # a row the sweep kept holds run_trial's bits, and a row it
+            # refused is nan
+            row = [swept[MODE_LABELS[mode]][field][0, t] for field in ("nmse", "mse", "crb_trace")]
+            if got is None:
+                assert np.isnan(row).all()
+            elif not np.isnan(row).all():
+                assert [got.nmse, got.mse, got.crb_trace] == row, mode
             A, norm = _rebuilt_model(s, block, mode, drawn.index(t))
             crb = _refused(lambda: estimator_mse(A, noise))
             if (got is None) != (crb is None):
