@@ -267,8 +267,8 @@ def _check_doppler_span(n: int, k: int, span: float):
     2015), which even spacing maximizes, but that no other placement
     conditions better is not proven.  Where (n - 1) delta = r > 1,
     Moitra's bound cond <= (r + 1) / (r - 1) holds for every placement
-    delta apart, so a range it keeps within CONDITION_LIMIT, every range
-    the sweeps' benchmarks and the CLI use, is accepted without a Gram.
+    delta apart, so a range it keeps within CONDITION_LIMIT, the full band
+    whenever k < n - 1, is accepted without a Gram.
     Otherwise the evenly spread paths' steering Gram is screened as the
     sweep screens a mode's (estimator.blue_gram), and a range whose Gram
     it refuses is refused: the screen would refuse the trials, and a
